@@ -1,5 +1,5 @@
 """ndlu: a sparse direct solver built on nested dissection with
-skeleton compression of separator segments, plus the benchmark CLI."""
+skeleton compression of separator segments."""
 
 __version__ = "0.1.0"
 

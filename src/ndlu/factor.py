@@ -9,6 +9,14 @@ every segment owned by the stage's separators, and (3) merges sibling
 segments back into their parents so the next, coarser stage sees whole
 segments again.
 
+The active Schur complement lives in a SchurState: per stage, one flat value
+buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
+the multifrontal method, every elimination gathers its self block and
+couplings from the buffer, runs one dense kernel and scatters its whole
+update back in one add_to_block call. Merges only relabel positions; the
+buffer is repacked once per stage, with room for the fill that the stage's
+eliminations create.
+
 Every transform is recorded as an elementary factor carrying explicit global
 index scopes and dense payloads. Applying the left actions forward, the
 block-diagonal middle actions (symmetric mode only), and the right actions in
@@ -18,8 +26,7 @@ those passes.
 
 from __future__ import annotations
 
-import hashlib
-import math
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -35,6 +42,10 @@ from .errors import ConfigError, DimensionError, SingularBlockError
 SAMPLING_CHOICES = (lowrank.STRATEGY_HYBRID, lowrank.STRATEGY_GAUSSIAN,
                     lowrank.STRATEGY_NONE)
 
+# Entries moved per step when the Schur store is repacked; bounds the
+# transient index arrays of a pack.
+PACK_CHUNK = 1 << 16
+
 
 @dataclass
 class FactorOptions:
@@ -48,8 +59,11 @@ class FactorOptions:
     median edge length. Segments smaller than min_sparsify_size skip
     compression: a rank-revealing decomposition of a block that small costs
     more than it saves and such blocks sit at or near full rank anyway, so
-    they are eliminated or merged at full size instead. threads is recorded
-    for reporting; BLAS threading is controlled by the environment.
+    they are eliminated or merged at full size instead. audit checks every
+    update of the Schur store and every merge relabel against the segments
+    its operation may touch (a repack only moves entries) and logs, per
+    operation, the violations found and, for each sparsify, the largest
+    dropped coupling entry next to its bound.
     """
 
     symmetric_mode: object = "auto"
@@ -60,7 +74,6 @@ class FactorOptions:
     min_sparsify_size: int = 64
     refine_swaps: int = 0
     audit: bool = False
-    threads: int = 0
 
     def validate(self):
         if self.sampling not in SAMPLING_CHOICES:
@@ -170,18 +183,22 @@ class SymEliminationFactor:
         return self.lower_perm.size + self.coupling.size + self.dinv.size
 
 
+
+
 # ---------------------------------------------------------------------------
 # Schur state
 # ---------------------------------------------------------------------------
 
 
 class _Unit:
-    """One active segment: its current global positions and bookkeeping."""
+    """One active segment: its serial, current global positions, bookkeeping."""
 
-    __slots__ = ("uid", "pos", "kind", "redundant_local", "skeleton_local")
+    __slots__ = ("uid", "serial", "pos", "kind", "redundant_local",
+                 "skeleton_local")
 
-    def __init__(self, uid, pos, kind):
+    def __init__(self, uid, serial, pos, kind):
         self.uid = uid
+        self.serial = serial
         self.pos = np.asarray(pos, dtype=np.int64)
         self.kind = kind
         self.redundant_local = None
@@ -196,149 +213,402 @@ class _Unit:
         return self.pos.size
 
 
-def _digest(arr):
-    h = hashlib.blake2b(digest_size=16)
-    h.update(str(arr.shape).encode())
-    h.update(np.ascontiguousarray(arr).tobytes())
-    return h.digest()
+def _runs(values):
+    """(value of each run of equal entries, run index of every entry)."""
+    step = np.empty(values.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(values[1:], values[:-1], out=step[1:])
+    return values[step], np.cumsum(step) - 1
+
+
+def _unique(values):
+    """Sorted distinct values. Sorting is much faster than np.unique's
+    hashing on the large key arrays built here."""
+    return _runs(np.sort(values))[0]
+
+
+def _group_pairs(group, members):
+    """Every ordered pair of members within one group; group is sorted."""
+    size = np.bincount(group)[group]
+    first = np.searchsorted(group, group)
+    row = np.repeat(np.arange(members.size), size)
+    col = first[row] + np.arange(row.size) - np.repeat(np.cumsum(size) - size,
+                                                       size)
+    return members[row], members[col]
+
+
+def _chunks(counts):
+    """(lo, hi) ranges of consecutive blocks of about PACK_CHUNK entries."""
+    if counts.size == 0:
+        return []
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(PACK_CHUNK, ends[-1], PACK_CHUNK),
+                           side="right")
+    bounds = np.unique(np.concatenate(([0], cuts, [counts.size])))
+    return zip(bounds[:-1].tolist(), bounds[1:].tolist())
 
 
 class SchurState:
-    """Active submatrix kept as dense blocks between segment units.
+    """Active submatrix: dense unit-pair blocks in one flat value buffer.
 
-    Blocks are keyed by ordered unit-id pairs. In symmetric mode only the
-    canonical orientation (smaller uid first) is stored; the transpose is
-    synthesized on read, so the state stays exactly symmetric. Invariants:
-    eliminated positions never retain coupling to active ones, and unit
-    vertex lists stay disjoint under splits and merges.
+    Every segment id the dissection can produce gets a serial in id order,
+    so ordering units by serial orders them by id. `keys` is the sorted
+    array of coupled unit pairs (row serial * num_serials + column serial),
+    in both orientations; block k is row-major in `values` from
+    `offsets[k]`, sized by its units' slot counts (`width`) at the last
+    pack. Position p sits in unit `pos_unit[p]` at slot `local_pos[p]`, both
+    -1 once p is eliminated. Symmetric mode stores a pair of distinct units
+    once, the smaller serial giving the rows, and reads the other
+    orientation transposed; self blocks hold both halves. Unsymmetric mode
+    stores both orientations.
+
+    Outside pack, add_to_block is the only value write; it never creates a
+    block. The structure changes only in pack, which runs once per stage
+    after the merges: it carries every live entry over to the unit now
+    holding its positions, renumbers slots densely, and preallocates the
+    fill that the stage's whole-segment eliminations will create, found by
+    a symbolic pass over those units in elimination order. A fill block
+    counts as a coupling only once an elimination writes it, so the
+    stage's sparsification, which runs first, sees the structure without
+    it. No object is kept per block. Invariants: eliminated positions never
+    retain coupling to active ones, and unit position lists stay disjoint
+    under merges.
     """
 
-    def __init__(self, n, dtype, symmetric, coords=None, near_radius=None):
+    def __init__(self, n, dtype, symmetric, unit_ids, coords=None,
+                 near_radius=None):
         self.n = n
         self.dtype = dtype
         self.symmetric = symmetric
         self.coords = coords
         self.near_radius = near_radius
+        self.unit_ids = sorted(unit_ids)
+        self.serial_of = {uid: s for s, uid in enumerate(self.unit_ids)}
+        r = len(self.unit_ids)
         self.units = {}
-        self.blocks = {}
-        self.nbrs = {}
+        self._by_serial = [None] * r
+        self._active = np.zeros(r, dtype=bool)
         self.pos_unit = np.full(n, -1, dtype=np.int64)
         self.local_pos = np.full(n, -1, dtype=np.int64)
+        self.width = np.zeros(r, dtype=np.int64)
+        self.keys = np.empty(0, dtype=np.int64)
+        self.offsets = np.empty(0, dtype=np.int64)
+        self.values = np.zeros(0, dtype=dtype)
+        self.fill_level = None
+        # per key: preallocated fill that no elimination has written yet
+        self._pending = np.zeros(0, dtype=bool)
+        # slot -> position and slot -> serial as of the last pack
+        self._slot_pos = np.empty(0, dtype=np.int64)
+        self._slot_serial = np.empty(0, dtype=np.int64)
+        self._slot_base = np.zeros(r, dtype=np.int64)
         self.level = 0
-        self.unit_ids = []
         self.audit = False
         self.audit_log = []
-        self.stat_rows = []
+        self._scope = None
 
     # -- unit bookkeeping ---------------------------------------------------
 
     def add_unit(self, uid, pos, kind):
-        unit = _Unit(uid, pos, kind)
-        serial = len(self.unit_ids)
-        self.unit_ids.append(uid)
+        unit = _Unit(uid, self.serial_of[uid], pos, kind)
         self.units[uid] = unit
-        self.nbrs[uid] = set()
-        self.pos_unit[unit.pos] = serial
+        self._by_serial[unit.serial] = unit
+        self._active[unit.serial] = True
+        self.pos_unit[unit.pos] = unit.serial
         self.local_pos[unit.pos] = np.arange(unit.pos.size)
         return unit
+
+    def _retire(self, unit):
+        del self.units[unit.uid]
+        self._by_serial[unit.serial] = None
+        self._active[unit.serial] = False
+
+    def remove_unit(self, unit):
+        """Drop an eliminated unit; its blocks die with its positions."""
+        self._retire(unit)
+        self.pos_unit[unit.pos] = -1
+        self.local_pos[unit.pos] = -1
+
+    def keep_positions(self, unit, keep):
+        """Eliminate all of unit's positions except the local indices keep."""
+        gone = np.delete(unit.pos, keep)
+        self.pos_unit[gone] = -1
+        self.local_pos[gone] = -1
+        unit.pos = unit.pos[keep]
+
+    def merge_units(self, kids, parent, kind):
+        """Relabel the kids' positions, in kid order, as one parent unit."""
+        pos = (np.concatenate([k.pos for k in kids]) if kids
+               else np.empty(0, np.int64))
+        if pos.size > 1 and np.any(np.diff(pos) <= 0):
+            raise DimensionError(
+                f"merged segment {parent} has out-of-order positions")
+        self._check_scope(self.pos_unit[pos])
+        for kid in kids:
+            self._retire(kid)
+        return self.add_unit(parent, pos, kind)
 
     def active_ids(self):
         return sorted(self.units)
 
-    def uid_at_position(self, pos):
-        serial = self.pos_unit[pos]
-        return None if serial < 0 else self.unit_ids[serial]
+    def neighbors(self, unit):
+        """Serials of the active units coupled to unit, in id order."""
+        r = len(self.unit_ids)
+        lo, hi = np.searchsorted(self.keys, [unit.serial * r,
+                                             (unit.serial + 1) * r])
+        nb = self.keys[lo:hi] - unit.serial * r
+        return nb[(nb != unit.serial) & self._active[nb]
+                  & ~self._pending[lo:hi]]
+
+    def positions(self, serials):
+        """Active positions of the given units, unit after unit."""
+        if len(serials) == 0:
+            return np.empty(0, np.int64)
+        return np.concatenate([self._by_serial[s].pos for s in serials])
 
     # -- block access ---------------------------------------------------------
 
-    def _canonical(self, a, b):
-        if self.symmetric and b < a:
-            return (b, a), True
-        return (a, b), False
+    def _grid(self, rows, cols, write=False):
+        """Buffer index of every (row, col) position pair and the key index
+        of every unit pair involved. In symmetric mode an entry stored the
+        other way round is addressed transposed; with write, also the mask
+        of entries a write leaves out (None if none): those whose unit pair
+        the call covers in the stored orientation as well."""
+        square = cols is rows
+        ur, ir = _runs(self.pos_unit[rows])
+        uc, ic = (ur, ir) if square else _runs(self.pos_unit[cols])
+        if ur.min() < 0 or uc.min() < 0:
+            raise DimensionError("Schur store access touches an eliminated "
+                                 "position")
+        pairs = ur[:, None] * len(self.unit_ids) + uc
+        k = self.keys.searchsorted(pairs)
+        if not self.keys.size or np.any(self.keys.take(k, mode="clip")
+                                        != pairs):
+            raise DimensionError("Schur store access outside the stored "
+                                 "blocks")
+        base = self.offsets[k][ir][:, ic]
+        ci = self.local_pos[cols]
+        ri = (ci if square else self.local_pos[rows])[:, None]
+        flat = base + (ri * self.width[uc][ic] + ci)
+        lower = ur[:, None] > uc if self.symmetric else None
+        if lower is None or not lower.any():
+            return flat, None, k
+        swapped = base + (ci * self.width[ur][ir][:, None] + ri)
+        flipped = lower[ir][:, ic]
+        flat[flipped] = swapped[flipped]
+        if not write:
+            return flat, None, k
+        if not square:
+            lower &= np.isin(ur, uc)[:, None] & np.isin(uc, ur)
+            if not lower.any():
+                return flat, None, k
+        return flat, lower[ir][:, ic], k
 
-    def read_block(self, a, b):
-        """Dense coupling of a's rows to b's columns (copy-safe to stack)."""
-        key, flipped = self._canonical(a, b)
-        arr = self.blocks.get(key)
-        if arr is None:
-            return None
-        return arr.T if flipped else arr
+    def gather(self, rows, cols):
+        """Dense copy of the active submatrix at positions rows x cols."""
+        if len(rows) == 0 or len(cols) == 0:
+            return np.zeros((len(rows), len(cols)), dtype=self.dtype)
+        return self.values[self._grid(rows, cols)[0]]
 
-    def add_to_block(self, a, b, delta, rows=None, cols=None):
-        """Accumulate delta into block (a, b), creating it when absent."""
-        key, flipped = self._canonical(a, b)
-        if flipped:
-            a, b = b, a
-            delta = delta.T
-            rows, cols = cols, rows
-        arr = self.blocks.get(key)
-        if arr is None:
-            arr = np.zeros((self.units[a].size, self.units[b].size),
-                           dtype=self.dtype)
-            self.blocks[key] = arr
-            if a != b:
-                self.nbrs[a].add(b)
-                self.nbrs[b].add(a)
-                if not self.symmetric:
-                    mirror = (b, a)
-                    if mirror not in self.blocks:
-                        self.blocks[mirror] = np.zeros(
-                            (self.units[b].size, self.units[a].size),
-                            dtype=self.dtype)
-        if rows is None and cols is None:
-            arr += delta
-        elif cols is None:
-            arr[rows, :] += delta
-        elif rows is None:
-            arr[:, cols] += delta
-        else:
-            arr[np.ix_(rows, cols)] += delta
+    def add_to_block(self, rows, cols, delta):
+        """Accumulate delta into the active submatrix at rows x cols.
 
-    def set_block(self, a, b, value):
-        key, flipped = self._canonical(a, b)
-        self.blocks[key] = value.T.copy() if flipped else value
-        if a != b:
-            self.nbrs[a].add(b)
-            self.nbrs[b].add(a)
-
-    def drop_unit(self, uid):
-        """Remove a unit and every block touching it."""
-        unit = self.units.pop(uid)
-        self.pos_unit[unit.pos] = -1
-        self.local_pos[unit.pos] = -1
-        for v in self.nbrs.pop(uid, set()):
-            self.nbrs[v].discard(uid)
-            for key in ((uid, v), (v, uid)):
-                self.blocks.pop(key, None)
-        self.blocks.pop((uid, uid), None)
+        In symmetric mode an entry between two distinct units is stored
+        once: a call that covers a unit pair in both orientations must give
+        mirror-image updates, and only the rows of the smaller serial are
+        added; a pair covered one way is added through the stored
+        orientation. Every block written must already be in the index.
+        """
+        if len(rows) == 0 or len(cols) == 0:
+            return
+        flat, skip, k = self._grid(rows, cols, write=True)
+        self._pending[k] = False
+        if self._scope is not None:
+            self._check_scope(self.pos_unit[rows], self.pos_unit[cols])
+        if skip is not None:
+            keep = ~skip
+            flat, delta = flat[keep], delta[keep]
+        self.values[flat] += delta
 
     def total_block_entries(self):
-        return sum(arr.size for arr in self.blocks.values())
+        """Entries allocated in the value buffer."""
+        return int(self.values.size)
+
+    # -- repacking ------------------------------------------------------------
+
+    def pack(self, fill_level, entries=None, extra_keys=None):
+        """Rebuild index and buffer for the active units.
+
+        Live entries move to the unit now holding their positions (a merged
+        parent in place of its children) at densely renumbered slots; in
+        symmetric mode an entry between two children of one parent also
+        fills the mirrored entry of the parent's self block. The index holds
+        the carried pairs, `extra_keys`, a self block per nonempty unit and
+        the fill of eliminating, in id order, every unit owned by
+        fill_level. `entries` (rows, cols, values) are then stored as given.
+        A unit left without positions keeps no coupling.
+        """
+        r = len(self.unit_ids)
+        active = np.flatnonzero(self._active)
+        units = [self._by_serial[s] for s in active]
+        width = np.zeros(r, dtype=np.int64)
+        width[active] = [u.size for u in units]
+        sizes = width[active]
+        slot_pos = (np.concatenate([u.pos for u in units]) if units
+                    else np.empty(0, np.int64))
+        slot_base = np.zeros(r, dtype=np.int64)
+        slot_base[active] = np.cumsum(sizes) - sizes
+        self.local_pos[slot_pos] = (np.arange(slot_pos.size)
+                                    - np.repeat(slot_base[active], sizes))
+
+        # serial that now holds each old unit's live positions, or -1
+        live = self.pos_unit[self._slot_pos] >= 0
+        moved_to = np.full(r, -1, dtype=np.int64)
+        moved_to[self._slot_serial[live]] = self.pos_unit[self._slot_pos[live]]
+        old_a, old_b = np.divmod(self.keys, r)
+        new_a, new_b = moved_to[old_a], moved_to[old_b]
+        carried = (new_a >= 0) & (new_b >= 0) & ~self._pending
+
+        parts = [new_a[carried] * r + new_b[carried],
+                 active[sizes > 0] * (r + 1)]
+        if extra_keys is not None:
+            parts.append(extra_keys)
+        if entries is not None:
+            ea, eb = self.pos_unit[entries[0]], self.pos_unit[entries[1]]
+            parts += [ea * r + eb, eb * r + ea]
+        # carried, self and leaf pairs already come in both orientations
+        written = _unique(np.concatenate(parts))
+        keys = self._with_fill(written, fill_level)
+        pending = np.ones(keys.size, dtype=bool)
+        pending[np.searchsorted(keys, written)] = False
+
+        a, b = np.divmod(keys, r)
+        own = a <= b if self.symmetric else np.ones(keys.size, dtype=bool)
+        block_sizes = np.where(own, width[a] * width[b], 0)
+        starts = np.cumsum(block_sizes) - block_sizes
+        stored = np.minimum(a, b) * r + np.maximum(a, b) if self.symmetric \
+            else keys
+        offsets = starts[np.searchsorted(keys, stored)]
+        values = np.zeros(int(block_sizes.sum()), dtype=self.dtype)
+
+        own_old = carried & (old_a <= old_b) if self.symmetric else carried
+        self._carry(values, keys, offsets, width, own_old,
+                    new_a, new_b, old_a, old_b)
+        self.keys, self.offsets, self.values = keys, offsets, values
+        self._pending = pending
+        self.width = width
+        self._slot_pos = slot_pos
+        self._slot_serial = np.repeat(active, sizes)
+        self._slot_base = slot_base
+        self.fill_level = fill_level
+        if entries is not None:
+            rows, cols, vals = entries
+            self.values[self._locate(rows, cols)] = vals
+
+    def _carry(self, values, keys, offsets, width, own_old, new_a, new_b,
+               old_a, old_b):
+        """Copy the live entries of the old buffer into the new layout,
+        entry by entry through the slot tables."""
+        r = len(self.unit_ids)
+        blocks = np.flatnonzero(own_old)
+        if blocks.size == 0:
+            return
+        a, b = old_a[blocks], old_b[blocks]
+        na, nb = new_a[blocks], new_b[blocks]
+        dst_off = offsets[np.searchsorted(keys, na * r + nb)]
+        src_off = self.offsets[blocks]
+        if self.symmetric:
+            flip = na > nb
+            mirror = (a != b) & (na == nb)
+            stride = width[np.maximum(na, nb)]
+        else:
+            flip = mirror = np.zeros(blocks.size, dtype=bool)
+            stride = width[nb]
+        row_base, col_base = self._slot_base[a], self._slot_base[b]
+        col_width = self.width[b]
+        counts = self.width[a] * col_width
+        for lo, hi in _chunks(counts):
+            c = counts[lo:hi]
+            blk = np.repeat(np.arange(lo, hi), c)
+            within = np.arange(blk.size) - np.repeat(np.cumsum(c) - c, c)
+            i, j = np.divmod(within, col_width[blk])
+            lp = self.local_pos[self._slot_pos[row_base[blk] + i]]
+            lq = self.local_pos[self._slot_pos[col_base[blk] + j]]
+            ok = (lp >= 0) & (lq >= 0)
+            blk, within, lp, lq = blk[ok], within[ok], lp[ok], lq[ok]
+            val = self.values[src_off[blk] + within]
+            fl = flip[blk]
+            rr = np.where(fl, lq, lp)
+            cc = np.where(fl, lp, lq)
+            values[dst_off[blk] + rr * stride[blk] + cc] = val
+            m = mirror[blk]
+            if m.any():
+                values[dst_off[blk][m] + cc[m] * stride[blk][m] + rr[m]] = \
+                    val[m]
+
+    def _locate(self, rows, cols):
+        """Buffer index of the position pairs (rows[i], cols[i])."""
+        r = len(self.unit_ids)
+        sa, sb = self.pos_unit[rows], self.pos_unit[cols]
+        off = self.offsets[np.searchsorted(self.keys, sa * r + sb)]
+        la, lb = self.local_pos[rows], self.local_pos[cols]
+        if self.symmetric:
+            flip = sa > sb
+            la, lb = np.where(flip, lb, la), np.where(flip, la, lb)
+            return off + la * self.width[np.maximum(sa, sb)] + lb
+        return off + la * self.width[sb] + lb
+
+    def _with_fill(self, keys, level):
+        """keys plus the fill of eliminating level's units in id order."""
+        owned = np.array(sorted(u.serial for u in self.units.values()
+                                if u.owner_level == level), dtype=np.int64)
+        if not owned.size:
+            return keys
+        r = len(self.unit_ids)
+        lo = np.searchsorted(keys, owned * r)
+        hi = np.searchsorted(keys, owned * r + r)
+        is_owned = np.zeros(r, dtype=bool)
+        is_owned[owned] = True
+        gone = np.zeros(r, dtype=bool)
+        pending = {}  # fill reaching an owned unit eliminated later
+        fill = []
+        for s, a, b in zip(owned.tolist(), lo.tolist(), hi.tolist()):
+            nb = keys[a:b] - s * r
+            if s in pending:
+                nb = np.union1d(nb, pending.pop(s))
+            nb = nb[(nb != s) & ~gone[nb]]
+            gone[s] = True
+            fill.append((nb[:, None] * r + nb).ravel())
+            for t in nb[is_owned[nb]].tolist():
+                pending[t] = np.union1d(pending.get(t, nb[:0]), nb[nb != t])
+        return _unique(np.concatenate([keys, *fill]))
 
     # -- write audit ----------------------------------------------------------
 
-    def snapshot_outside(self, allowed):
-        """Digest every block not fully inside the allowed unit set."""
+    @contextlib.contextmanager
+    def write_scope(self, op, allowed):
+        """With audit on, check every write inside against the allowed unit
+        serials and log op with its violations; yields the log record."""
         if not self.audit:
-            return None
-        return {key: _digest(arr) for key, arr in self.blocks.items()
-                if key[0] not in allowed or key[1] not in allowed}
-
-    def check_outside(self, before, allowed, where):
-        if not self.audit:
+            yield {}
             return
-        after = {key: _digest(arr) for key, arr in self.blocks.items()
-                 if key[0] not in allowed or key[1] not in allowed}
-        bad = []
-        for key, dig in after.items():
-            if key not in before:
-                bad.append(("created", key))
-            elif before[key] != dig:
-                bad.append(("modified", key))
-        for key in before:
-            if key not in after:
-                bad.append(("deleted", key))
-        self.audit_log.append({"op": where, "violations": bad})
+        mask = np.zeros(len(self.unit_ids), dtype=bool)
+        mask[np.asarray(allowed, dtype=np.int64)] = True
+        record = {"op": op, "violations": []}
+        outer, self._scope = self._scope, (mask, record["violations"])
+        try:
+            yield record
+        finally:
+            self._scope = outer
+        self.audit_log.append(record)
+
+    def _check_scope(self, *serials):
+        if self._scope is None:
+            return
+        allowed, violations = self._scope
+        s = np.concatenate(serials)
+        s = s[s >= 0]
+        for bad in np.unique(s[~allowed[s]]).tolist():
+            violations.append(("write", self.unit_ids[bad]))
 
 
 def _resolve_symmetric(csr, mode):
@@ -356,7 +626,8 @@ def _resolve_symmetric(csr, mode):
 
 
 def _median_edge_length(graph, cap=200_000):
-    """Median geometric length over (a sample of) the graph's edges."""
+    """Median geometric length over the graph's edges; above cap edges, over
+    an evenly strided sample of at most cap of them."""
     src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
     dst = graph.indices
     keep = src < dst
@@ -364,7 +635,8 @@ def _median_edge_length(graph, cap=200_000):
     if src.size == 0:
         return 1.0
     if src.size > cap:
-        src, dst = src[:cap], dst[:cap]
+        stride = -(-src.size // cap)
+        src, dst = src[::stride], dst[::stride]
     d = graph.coords[src] - graph.coords[dst]
     return float(np.median(np.hypot(d[:, 0], d[:, 1])))
 
@@ -437,6 +709,7 @@ def _unsymmetric_elimination(self_block, a_nu, a_un, level, segment, tag):
     return factor, schur
 
 
+
 # ---------------------------------------------------------------------------
 # Pipeline operations
 # ---------------------------------------------------------------------------
@@ -445,10 +718,13 @@ def _unsymmetric_elimination(self_block, a_nu, a_un, level, segment, tag):
 def eliminate_interiors(a, tree, options=None):
     """Eliminate every leaf interior; returns (SchurState, factors).
 
-    The Schur complement of each leaf lands on the separator segments
-    adjacent to it, so afterwards the active set is exactly the separator
-    vertices. A singular leaf block raises SingularBlockError naming the
-    leaf's position span.
+    A first pass collects, for every leaf, the separator segments its Schur
+    complement touches, so the store is packed once with the matrix's
+    separator entries and all leaf fill. The second pass factors each leaf
+    and adds its Schur complement onto the segments with one add_to_block
+    call; afterwards the active set is exactly the separator vertices. A
+    singular leaf block raises SingularBlockError naming the leaf's position
+    span.
     """
     opts = (options or FactorOptions()).validate()
     csr = _as_csr(a)
@@ -463,26 +739,29 @@ def eliminate_interiors(a, tree, options=None):
     if radius is None:
         radius = 2.0 * _median_edge_length(tree.graph)
 
-    state = SchurState(n, nested.dtype, symmetric, coords=coords,
-                       near_radius=radius)
+    state = SchurState(n, nested.dtype, symmetric, tree.segments,
+                       coords=coords, near_radius=radius)
     state.audit = opts.audit
     state.level = tree.levels + 1
-
     for seg in tree.segments_at_stage(tree.levels):
         pos = np.sort(tree.position[seg.vertices])
         state.add_unit(seg.id, pos, seg.kind)
 
-    _assemble_separator_coupling(state, nested)
+    leaves = [leaf for leaf in tree.leaves if leaf.span[1] > leaf.span[0]]
+    coo_rows = np.repeat(np.arange(n), np.diff(nested.indptr))
+    bounds, externals, fill = _leaf_fronts(state, nested, coo_rows, leaves)
+    state.pack(tree.levels,
+               entries=_separator_entries(state, nested, coo_rows),
+               extra_keys=fill)
 
     csc = nested.tocsc()
     csc.sort_indices()
     factors = []
     interior_level = tree.levels + 1
-    for leaf in tree.leaves:
+    for leaf, lo, hi in zip(leaves, bounds[:-1], bounds[1:]):
         s, e = leaf.span
-        if e <= s:
-            continue
-        ii, ext, a_ie, a_ei = _extract_leaf(nested, csc, s, e)
+        ext = externals[lo:hi]
+        ii, a_ie, a_ei = _extract_leaf(nested, csc, s, e, ext)
         segment = ("leaf", int(s), int(e))
         if symmetric:
             factor, schur = _symmetric_elimination(
@@ -493,13 +772,56 @@ def eliminate_interiors(a, tree, options=None):
         factor.idx = np.arange(s, e, dtype=np.int64)
         factor.nbr = ext
         factors.append(factor)
-        if ext.size:
-            _scatter_schur(state, ext, schur)
+        state.add_to_block(ext, ext, -schur)
     return state, factors
 
 
-def _extract_leaf(csr, csc, s, e):
-    """Dense interior block plus its couplings for positions [s, e)."""
+def _separator_entries(state, nested, coo_rows):
+    """The matrix entries between separator positions, as stored: symmetric
+    mode keeps pairs of distinct units in the smaller-serial orientation."""
+    pr = state.pos_unit[coo_rows]
+    pc = state.pos_unit[nested.indices]
+    keep = (pr >= 0) & (pc >= 0)
+    if state.symmetric:
+        keep[keep] = pr[keep] <= pc[keep]
+    return coo_rows[keep], nested.indices[keep], nested.data[keep]
+
+
+def _leaf_fronts(state, nested, coo_rows, leaves):
+    """(bounds, externals, pair keys) of the leaves' Schur updates.
+
+    Leaf i couples, in either direction, to the ascending positions
+    externals[bounds[i]:bounds[i + 1]]; the pair keys are every unit pair,
+    in both orientations, among the units holding one leaf's externals.
+    """
+    n, r = max(state.n, 1), len(state.unit_ids)
+    spans = np.array([leaf.span for leaf in leaves], dtype=np.int64)
+    spans = spans.reshape(-1, 2)
+    lens = spans[:, 1] - spans[:, 0]
+    leaf_of = np.full(state.n, -1, dtype=np.int64)
+    leaf_of[np.arange(lens.sum()) + np.repeat(spans[:, 0] - np.cumsum(lens)
+                                              + lens, lens)] = \
+        np.repeat(np.arange(len(leaves)), lens)
+    cols = nested.indices
+    lr, lc = leaf_of[coo_rows], leaf_of[cols]
+    cross = lr != lc
+    leaf = np.concatenate([lr[cross], lc[cross]])
+    outside = np.concatenate([cols[cross], coo_rows[cross]])
+    inner = leaf >= 0
+    leaf, externals = np.divmod(_unique(leaf[inner] * n + outside[inner]), n)
+    bounds = np.searchsorted(leaf, np.arange(len(leaves) + 1))
+    unit = state.pos_unit[externals]
+    if np.any(unit < 0):
+        raise DimensionError("a leaf couples to a position outside every "
+                             "separator segment")
+    group, unit = np.divmod(_unique(leaf * r + unit), r)
+    a, b = _group_pairs(group, unit)
+    return bounds.tolist(), externals, a * r + b
+
+
+def _extract_leaf(csr, csc, s, e, ext):
+    """Dense interior block of positions [s, e) and its couplings to the
+    ascending outside positions ext."""
     m = e - s
     lo, hi = csr.indptr[s], csr.indptr[e]
     cols = csr.indices[lo:hi]
@@ -508,87 +830,27 @@ def _extract_leaf(csr, csc, s, e):
     inside = (cols >= s) & (cols < e)
     ii = np.zeros((m, m), dtype=csr.dtype)
     ii[rows[inside], cols[inside] - s] = vals[inside]
-    ext_row = np.unique(cols[~inside])
-
-    lo2, hi2 = csc.indptr[s], csc.indptr[e]
-    rws = csc.indices[lo2:hi2]
-    vls = csc.data[lo2:hi2]
-    ccols = np.repeat(np.arange(m), np.diff(csc.indptr[s:e + 1]))
-    outside2 = (rws < s) | (rws >= e)
-    ext_col = np.unique(rws[outside2])
-
-    ext = np.union1d(ext_row, ext_col).astype(np.int64)
+    out = ~inside
     a_ie = np.zeros((m, ext.size), dtype=csr.dtype)
-    sel = ~inside
-    a_ie[rows[sel], np.searchsorted(ext, cols[sel])] = vals[sel]
+    a_ie[rows[out], np.searchsorted(ext, cols[out])] = vals[out]
+
+    lo, hi = csc.indptr[s], csc.indptr[e]
+    rws = csc.indices[lo:hi]
+    vls = csc.data[lo:hi]
+    ccols = np.repeat(np.arange(m), np.diff(csc.indptr[s:e + 1]))
+    out = (rws < s) | (rws >= e)
     a_ei = np.zeros((ext.size, m), dtype=csr.dtype)
-    a_ei[np.searchsorted(ext, rws[outside2]), ccols[outside2]] = vls[outside2]
-    return ii, ext, a_ie, a_ei
+    a_ei[np.searchsorted(ext, rws[out]), ccols[out]] = vls[out]
+    return ii, a_ie, a_ei
 
 
-def _assemble_separator_coupling(state, nested):
-    """Bucket every separator-to-separator entry into its unit block."""
-    n = state.n
-    coo_rows = np.repeat(np.arange(n), np.diff(nested.indptr))
-    coo_cols = nested.indices
-    coo_vals = nested.data
-    pr = state.pos_unit[coo_rows]
-    pc = state.pos_unit[coo_cols]
-    keep = (pr >= 0) & (pc >= 0)
-    if state.symmetric:
-        # store the canonical orientation only (smaller unit id first; unit
-        # serials do not follow id order); self blocks keep both halves
-        by_uid = sorted(range(len(state.unit_ids)),
-                        key=lambda s: state.unit_ids[s])
-        rank = np.empty(len(state.unit_ids), dtype=np.int64)
-        rank[by_uid] = np.arange(len(state.unit_ids))
-        keep &= rank[pr] <= rank[pc]
-    pr, pc = pr[keep], pc[keep]
-    rows, cols, vals = coo_rows[keep], coo_cols[keep], coo_vals[keep]
-    if rows.size == 0:
-        return
-    m = len(state.unit_ids)
-    key = pr * m + pc
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    cuts = np.flatnonzero(np.diff(key)) + 1
-    starts = np.concatenate([[0], cuts])
-    stops = np.concatenate([cuts, [key.size]])
-    for b0, b1 in zip(starts, stops):
-        ua = state.unit_ids[key[b0] // m]
-        ub = state.unit_ids[key[b0] % m]
-        arr = np.zeros((state.units[ua].size, state.units[ub].size),
-                       dtype=state.dtype)
-        arr[state.local_pos[rows[b0:b1]], state.local_pos[cols[b0:b1]]] = \
-            vals[b0:b1]
-        state.set_block(ua, ub, arr)
-    if not state.symmetric:
-        for ua, ub in list(state.blocks):
-            if ua != ub and (ub, ua) not in state.blocks:
-                state.blocks[(ub, ua)] = np.zeros(
-                    (state.units[ub].size, state.units[ua].size),
-                    dtype=state.dtype)
-
-
-def _scatter_schur(state, ext, schur):
-    """Subtract the dense Schur update from the touched unit blocks."""
-    serials = state.pos_unit[ext]
-    if np.any(serials < 0):
-        raise DimensionError("Schur update touches an eliminated position")
-    order = np.argsort(serials, kind="stable")
-    sorted_serials = serials[order]
-    cuts = np.flatnonzero(np.diff(sorted_serials)) + 1
-    group_slices = np.split(order, cuts)
-    groups = [(state.unit_ids[serials[g[0]]], g) for g in group_slices]
-    for ua, ga in groups:
-        rows_local = state.local_pos[ext[ga]]
-        for ub, gb in groups:
-            if state.symmetric and ub < ua:
-                continue
-            cols_local = state.local_pos[ext[gb]]
-            state.add_to_block(ua, ub, -schur[np.ix_(ga, gb)],
-                               rows=rows_local, cols=cols_local)
+def _front(state, unit):
+    """(neighbor serials, their positions, self block, in-coupling) of a
+    unit, gathered in one pass over the store."""
+    nbrs = state.neighbors(unit)
+    nbr_pos = state.positions(nbrs)
+    front = state.gather(np.concatenate([unit.pos, nbr_pos]), unit.pos)
+    return nbrs, nbr_pos, front[:unit.size], front[unit.size:]
 
 
 def sparsify_segment(state, seg, eps, plan=None, symmetric=None, options=None):
@@ -596,9 +858,9 @@ def sparsify_segment(state, seg, eps, plan=None, symmetric=None, options=None):
 
     Computes an interpolative decomposition of the segment's coupling to its
     neighbors (of the stacked in/out coupling in unsymmetric mode), emits the
-    two-sided sparsify factor, applies it to the state, and zeroes the
-    decoupled entries in storage. The skeleton keeps the segment's global
-    positions that still couple outward.
+    two-sided sparsify factor, applies it to the segment's self block, and
+    zeroes the decoupled coupling entries in storage. The skeleton keeps the
+    segment's global positions that still couple outward.
     """
     opts = (options or FactorOptions()).validate()
     if isinstance(seg, _Unit):
@@ -615,18 +877,16 @@ def sparsify_segment(state, seg, eps, plan=None, symmetric=None, options=None):
     if m == 0:
         return [], unit.pos.copy()
 
-    nbr_list = sorted(state.nbrs[uid])
-    stacks = [state.read_block(v, uid) for v in nbr_list]
-    a_nu = np.vstack(stacks) if stacks else np.zeros((0, m), dtype=state.dtype)
+    pos = unit.pos
+    nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
     if plan is None:
-        plan = _plan_for(state, unit, nbr_list, a_nu.shape[0], opts)
+        plan = _plan_for(state, unit, nbr_pos, opts)
+    a_un = None if state.symmetric and symmetric \
+        else state.gather(pos, nbr_pos)
     if symmetric:
         ident = lowrank.sampled_id(a_nu, plan, eps,
                                    refine_swaps=opts.refine_swaps)
     else:
-        outs = [state.read_block(uid, v) for v in nbr_list]
-        a_un = (np.hstack(outs) if outs
-                else np.zeros((m, 0), dtype=state.dtype))
         ident = lowrank.joint_unsymmetric_id(a_nu, a_un, plan, eps,
                                              refine_swaps=opts.refine_swaps)
 
@@ -634,46 +894,35 @@ def sparsify_segment(state, seg, eps, plan=None, symmetric=None, options=None):
     red_l = ident.redundant
     unit.redundant_local = red_l
     unit.skeleton_local = skel_l
-    skeleton = unit.pos[skel_l]
+    skeleton = pos[skel_l]
     if red_l.size == 0:
         return [], skeleton
 
     interp = ident.interp
-    factor = SparsifyFactor(skeleton=skeleton, redundant=unit.pos[red_l],
-                            interp=interp, level=state.level)
-
-    allowed = {uid} | set(nbr_list)
-    before = state.snapshot_outside(allowed)
-
-    self_block = state.read_block(uid, uid)
-    if self_block is not None:
-        self_block[red_l, :] -= interp.T @ self_block[skel_l, :]
-        self_block[:, red_l] -= self_block[:, skel_l] @ interp
-
-    coupling_norm = np.linalg.norm(a_nu) if a_nu.size else 0.0
-    interp_norm = np.linalg.norm(interp)
-    bound = 10.0 * (1.0 + interp_norm) * eps * coupling_norm
-    worst = 0.0
-    for v in nbr_list:
-        key, flipped = state._canonical(v, uid)
-        arr = state.blocks[key]
-        if not flipped:
-            arr[:, red_l] -= arr[:, skel_l] @ interp
-            worst = max(worst, _maxabs(arr[:, red_l]))
-            arr[:, red_l] = 0.0
-            if not state.symmetric:
-                out = state.blocks[(uid, v)]
-                out[red_l, :] -= interp.T @ out[skel_l, :]
-                worst = max(worst, _maxabs(out[red_l, :]))
-                out[red_l, :] = 0.0
-        else:
-            arr[red_l, :] -= interp.T @ arr[skel_l, :]
-            worst = max(worst, _maxabs(arr[red_l, :]))
-            arr[red_l, :] = 0.0
-    if state.audit:
-        state.audit_log.append({"op": ("sparsify", uid), "violations": [],
-                                "dropped_max": worst, "drop_bound": bound})
-        state.check_outside(before, allowed, ("sparsify", uid))
+    red = pos[red_l]
+    factor = SparsifyFactor(skeleton=skeleton, redundant=red, interp=interp,
+                            level=state.level)
+    with state.write_scope(("sparsify", uid),
+                           np.append(nbrs, unit.serial)) as record:
+        rows_update = interp.T @ self_block[skel_l, :]
+        self_block[red_l, :] -= rows_update
+        cols_update = self_block[:, skel_l] @ interp
+        state.add_to_block(red, pos, -rows_update)
+        state.add_to_block(pos, red, -cols_update)
+        if state.audit:
+            coupling_norm = np.linalg.norm(a_nu) if a_nu.size else 0.0
+            record["drop_bound"] = (10.0 * (1.0 + np.linalg.norm(interp))
+                                    * eps * coupling_norm)
+            worst = _maxabs(a_nu[:, red_l] - a_nu[:, skel_l] @ interp)
+            if a_un is not None:
+                worst = max(worst, _maxabs(a_un[red_l, :]
+                                           - interp.T @ a_un[skel_l, :]))
+            record["dropped_max"] = worst
+        # adding the negated values leaves every stored entry at exactly +0;
+        # a symmetric store holds each coupling entry once
+        state.add_to_block(nbr_pos, red, -a_nu[:, red_l])
+        if not state.symmetric:
+            state.add_to_block(red, nbr_pos, -a_un[red_l, :])
     return [factor], skeleton
 
 
@@ -681,7 +930,8 @@ def _maxabs(arr):
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _plan_for(state, unit, nbr_list, num_rows, opts):
+def _plan_for(state, unit, row_pos, opts):
+    num_rows = row_pos.size
     if opts.sampling == lowrank.STRATEGY_NONE or num_rows == 0:
         return lowrank.plan_dense(num_rows)
     seed = int(np.random.SeedSequence(
@@ -690,7 +940,6 @@ def _plan_for(state, unit, nbr_list, num_rows, opts):
     if opts.sampling == lowrank.STRATEGY_GAUSSIAN:
         return lowrank.plan_gaussian(num_rows, unit.size, seed,
                                      oversample=opts.oversample)
-    row_pos = np.concatenate([state.units[v].pos for v in nbr_list])
     return lowrank.build_hybrid_plan(
         state.coords[row_pos], state.coords[unit.pos], state.near_radius,
         unit.size, seed, oversample=opts.oversample)
@@ -702,8 +951,11 @@ def eliminate_segments(state, level):
     Remainder elimination is internal to each segment (its only remaining
     coupling is to its own skeleton). Segments owned by this level are then
     eliminated entirely, with Schur updates scattered only over their
-    neighbor sets. Returns the elimination factors in application order.
+    neighbor sets, into blocks the stage's pack allocated. Returns the
+    elimination factors in application order.
     """
+    if state.fill_level != level:
+        state.pack(level)
     factors = []
     for uid in state.active_ids():
         unit = state.units[uid]
@@ -724,10 +976,7 @@ def _eliminate_remainder(state, unit, level):
     uid = unit.uid
     red = unit.redundant_local
     keep = unit.skeleton_local
-    allowed = {uid} | set(state.nbrs[uid])
-    before = state.snapshot_outside(allowed)
-
-    block = state.read_block(uid, uid)
+    block = state.gather(unit.pos, unit.pos)
     a_rr = block[np.ix_(red, red)]
     a_rk = block[np.ix_(red, keep)]
     a_kr = block[np.ix_(keep, red)]
@@ -739,67 +988,29 @@ def _eliminate_remainder(state, unit, level):
                                                  "remainder")
     factor.idx = unit.pos[red]
     factor.nbr = unit.pos[keep]
-
-    new_self = block[np.ix_(keep, keep)] - schur
-    state.pos_unit[unit.pos[red]] = -1
-    state.local_pos[unit.pos[red]] = -1
-    unit.pos = unit.pos[keep]
-    state.local_pos[unit.pos] = np.arange(unit.pos.size)
-    state.blocks[(uid, uid)] = new_self
-    for v in sorted(state.nbrs[uid]):
-        key, flipped = state._canonical(v, uid)
-        arr = state.blocks[key]
-        if flipped:
-            state.blocks[key] = np.ascontiguousarray(arr[keep, :])
-        else:
-            state.blocks[key] = np.ascontiguousarray(arr[:, keep])
-        if not state.symmetric:
-            state.blocks[(uid, v)] = np.ascontiguousarray(
-                state.blocks[(uid, v)][keep, :])
+    with state.write_scope(("remainder", uid), [unit.serial]):
+        state.add_to_block(factor.nbr, factor.nbr, -schur)
+    state.keep_positions(unit, keep)
     unit.redundant_local = None
     unit.skeleton_local = None
-    if state.audit:
-        state.check_outside(before, allowed, ("remainder", uid))
     return factor
 
 
 def _eliminate_whole(state, unit, level):
     uid = unit.uid
-    nbr_list = sorted(state.nbrs[uid])
-    allowed = {uid} | set(nbr_list)
-    before = state.snapshot_outside(allowed)
-
-    self_block = state.read_block(uid, uid)
-    if self_block is None:
-        self_block = np.zeros((unit.size, unit.size), dtype=state.dtype)
-    ins = [state.read_block(v, uid) for v in nbr_list]
-    a_nu = (np.vstack(ins) if ins
-            else np.zeros((0, unit.size), dtype=state.dtype))
+    nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
     if state.symmetric:
         factor, schur = _symmetric_elimination(self_block, a_nu, level, uid,
                                                "segment")
     else:
-        outs = [state.read_block(uid, v) for v in nbr_list]
-        a_un = (np.hstack(outs) if outs
-                else np.zeros((unit.size, 0), dtype=state.dtype))
+        a_un = state.gather(unit.pos, nbr_pos)
         factor, schur = _unsymmetric_elimination(self_block, a_nu, a_un,
                                                  level, uid, "segment")
     factor.idx = unit.pos.copy()
-    factor.nbr = (np.concatenate([state.units[v].pos for v in nbr_list])
-                  if nbr_list else np.empty(0, np.int64))
-
-    sizes = [state.units[v].size for v in nbr_list]
-    offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-    for i, va in enumerate(nbr_list):
-        ra = slice(offsets[i], offsets[i + 1])
-        for j, vb in enumerate(nbr_list):
-            if state.symmetric and vb < va:
-                continue
-            rb = slice(offsets[j], offsets[j + 1])
-            state.add_to_block(va, vb, -schur[ra, rb])
-    state.drop_unit(uid)
-    if state.audit:
-        state.check_outside(before, allowed, ("eliminate", uid))
+    factor.nbr = nbr_pos
+    with state.write_scope(("eliminate", uid), nbrs):
+        state.add_to_block(nbr_pos, nbr_pos, -schur)
+    state.remove_unit(unit)
     return factor
 
 
@@ -808,7 +1019,9 @@ def merge_segments(state, tree, level):
 
     Events are undone in reverse creation order so nested splits unwind
     cleanly; junction children are absorbed into the parent along with the
-    sibling skeletons. Returns the state.
+    sibling skeletons. A merge only relabels the children's positions as
+    the parent's; the store is then repacked for stage level - 1. Returns
+    the state.
     """
     for event in reversed([e for e in tree.events if e.level == level]):
         kids = [state.units[cid] for cid in event.children]
@@ -816,61 +1029,11 @@ def merge_segments(state, tree, level):
             if kid.redundant_local is not None:
                 raise ConfigError(
                     f"segment {kid.uid} merged with a pending remainder")
-        outside = set()
-        for kid in kids:
-            outside |= state.nbrs[kid.uid] - set(event.children)
-        allowed = {event.parent} | set(event.children) | outside
-        before = state.snapshot_outside(allowed)
-
-        pos = np.concatenate([k.pos for k in kids]) if kids else \
-            np.empty(0, np.int64)
-        if pos.size > 1 and np.any(np.diff(pos) <= 0):
-            raise DimensionError(
-                f"merged segment {event.parent} has out-of-order positions")
-        sizes = [k.size for k in kids]
-        offsets = np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64)
-        total = int(offsets[-1])
-
-        self_block = np.zeros((total, total), dtype=state.dtype)
-        for i, ka in enumerate(kids):
-            for j, kb in enumerate(kids):
-                arr = state.read_block(ka.uid, kb.uid)
-                if arr is not None:
-                    self_block[offsets[i]:offsets[i + 1],
-                               offsets[j]:offsets[j + 1]] = arr
-
-        couplings = {}
-        couplings_out = {}
-        for v in sorted(outside):
-            nv = state.units[v].size
-            coupling = np.zeros((nv, total), dtype=state.dtype)
-            for i, ka in enumerate(kids):
-                arr = state.read_block(v, ka.uid)
-                if arr is not None:
-                    coupling[:, offsets[i]:offsets[i + 1]] = arr
-            couplings[v] = coupling
-            if not state.symmetric:
-                out = np.zeros((total, nv), dtype=state.dtype)
-                for i, ka in enumerate(kids):
-                    arr = state.read_block(ka.uid, v)
-                    if arr is not None:
-                        out[offsets[i]:offsets[i + 1], :] = arr
-                couplings_out[v] = out
-
-        for cid in event.children:
-            state.drop_unit(cid)
-        parent_kind = tree.segments[event.parent].kind
-        state.add_unit(event.parent, pos, parent_kind)
-        if total:
-            state.set_block(event.parent, event.parent, self_block)
-        for v, coupling in couplings.items():
-            if coupling.size:
-                state.set_block(v, event.parent,
-                                np.ascontiguousarray(coupling))
-                if not state.symmetric:
-                    state.set_block(event.parent, v, couplings_out[v])
-        if state.audit:
-            state.check_outside(before, allowed, ("merge", event.parent))
+        with state.write_scope(("merge", event.parent),
+                               [k.serial for k in kids]):
+            state.merge_units(kids, event.parent,
+                              tree.segments[event.parent].kind)
+    state.pack(level - 1)
     return state
 
 

@@ -4,7 +4,7 @@ The factor list applies in three passes: every factor's left action in list
 order, the block-diagonal middle actions (symmetric mode only), then every
 factor's right action in reverse list order. Right-hand sides are processed
 one column at a time so a multi-column solve is bitwise identical to the
-corresponding single-column solves; columns are walked in fixed-size panels.
+corresponding single-column solves.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .core import SparseMatrix, triangular_solve
 from .errors import ConfigError, DimensionError
 from .factor import (EliminationFactor, SparsifyFactor, SpaluFactorization,
                      SymEliminationFactor)
-
-DEFAULT_PANEL = 32
 
 
 @dataclass
@@ -154,7 +152,7 @@ def residual(a, x, b):
     return value
 
 
-def solve(factorization, a_original, b, refine=0, panel=DEFAULT_PANEL):
+def solve(factorization, a_original, b, refine=0):
     """Solve A x = b through the factorization; residuals use a_original.
 
     b may be a vector or a matrix of right-hand-side columns. Returns
@@ -164,8 +162,8 @@ def solve(factorization, a_original, b, refine=0, panel=DEFAULT_PANEL):
     """
     if not isinstance(factorization, SpaluFactorization):
         raise ConfigError("solve needs a SpaluFactorization")
-    if refine < 0 or panel < 1:
-        raise ConfigError("refine must be >= 0 and panel >= 1")
+    if refine < 0:
+        raise ConfigError("refine must be >= 0")
     n = factorization.n
     csr = _as_csr(a_original, n)
     b_arr = np.asarray(b)
@@ -178,29 +176,28 @@ def solve(factorization, a_original, b, refine=0, panel=DEFAULT_PANEL):
     reports = []
     fwd = factorization.order.fwd
 
-    for start in range(0, cols.shape[1], panel):
-        for j in range(start, min(start + panel, cols.shape[1])):
-            t0 = time.perf_counter()
-            bj = cols[:, j].astype(out_dtype, copy=False)
-            xj = np.empty(n, dtype=out_dtype)
-            xj[fwd] = apply_factors(factorization, bj[fwd])
-            res, zero_rhs = residual_with_flag(csr, xj, bj)
-            steps = 0
-            for _ in range(refine):
-                correction = np.empty(n, dtype=out_dtype)
-                r = bj - csr @ xj
-                correction[fwd] = apply_factors(factorization, r[fwd])
-                candidate = xj + correction
-                cand_res, _ = residual_with_flag(csr, candidate, bj)
-                if cand_res < res:
-                    xj, res = candidate, cand_res
-                    steps += 1
-                else:
-                    break
-            x[:, j] = xj
-            reports.append(SolveReport(residual=res,
-                                       apply_seconds=time.perf_counter() - t0,
-                                       refine_steps=steps, zero_rhs=zero_rhs))
+    for j in range(cols.shape[1]):
+        t0 = time.perf_counter()
+        bj = cols[:, j].astype(out_dtype, copy=False)
+        xj = np.empty(n, dtype=out_dtype)
+        xj[fwd] = apply_factors(factorization, bj[fwd])
+        res, zero_rhs = residual_with_flag(csr, xj, bj)
+        steps = 0
+        for _ in range(refine):
+            correction = np.empty(n, dtype=out_dtype)
+            r = bj - csr @ xj
+            correction[fwd] = apply_factors(factorization, r[fwd])
+            candidate = xj + correction
+            cand_res, _ = residual_with_flag(csr, candidate, bj)
+            if cand_res < res:
+                xj, res = candidate, cand_res
+                steps += 1
+            else:
+                break
+        x[:, j] = xj
+        reports.append(SolveReport(residual=res,
+                                   apply_seconds=time.perf_counter() - t0,
+                                   refine_steps=steps, zero_rhs=zero_rhs))
     if single:
         return x[:, 0], reports[0]
     return x, reports

@@ -1,0 +1,250 @@
+"""Factorization and solve: exactness, accuracy under compression,
+determinism, the Schur store's write audit and edge-case sizes."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from ndlu import SparseMatrix, assembly, dissection, factor, solver
+from ndlu.dissection import Graph
+from ndlu.factor import FactorOptions
+
+SMALL_N = 1500
+FAMILIES = (
+    "laplace-contrast:rho=100,seed=1",
+    "helmholtz:k=5",
+    "helmholtz-poly:k=20",
+    "laplace-aniso:d12=1,d21=0",
+)
+# Small enough a floor that a few segments at n=1.5k compress.
+COMPRESS = FactorOptions(min_sparsify_size=16)
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.fixture(scope="module", params=FAMILIES)
+def problem(request):
+    p = assembly.build_problem(request.param, SMALL_N)
+    return p, dissection.build_dissection(p.matrix, p.coords)
+
+
+def _columns(p, count=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([p.rhs, rng.standard_normal((len(p.rhs), count))])
+
+
+def _worst_residual(fac, matrix, b):
+    _, reports = solver.solve(fac, matrix, b)
+    return max(r.residual for r in reports)
+
+
+def _exact(n):
+    return FactorOptions(min_sparsify_size=n + 1)
+
+
+def test_exact_path_solves_to_roundoff(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, _exact(p.n))
+    assert not any(f.kind == "sparsify" and f.interp.size for f in fac.factors)
+    assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
+
+
+def test_complex_copy_takes_the_unsymmetric_path(problem):
+    p, tree = problem
+    a = SparseMatrix(p.matrix.csr * (1 + 0.5j))
+    fac = factor.factorize(a, tree, 1e-4, _exact(p.n))
+    assert not fac.symmetric
+    assert _worst_residual(fac, a, _columns(p)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(WORKLOADS))
+def test_compressed_path_stays_within_the_benchmark_target(name):
+    workload = WORKLOADS[name]
+    p = assembly.build_problem(workload.descriptor, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    fac = factor.factorize(p.matrix, tree, workload.eps, COMPRESS)
+    assert any(f.kind == "sparsify" and f.interp.size for f in fac.factors)
+    assert _worst_residual(fac, p.matrix, _columns(p)) <= workload.accuracy_target
+
+
+def test_factorization_is_deterministic(problem):
+    p, tree = problem
+    first, second = (factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+                     for _ in range(2))
+    assert len(first.factors) == len(second.factors)
+    for f, g in zip(first.factors, second.factors):
+        assert type(f) is type(g) and vars(f).keys() == vars(g).keys()
+        for name, value in vars(f).items():
+            other = getattr(g, name)
+            if isinstance(value, np.ndarray):
+                assert value.dtype == other.dtype
+                assert value.tobytes() == other.tobytes(), name
+            else:
+                assert value == other, name
+
+
+def test_solver_audit_finds_no_locality_violation(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    y = p.rhs[fac.order.fwd]
+    _, violations = solver.apply_factors(fac, y, audit=True)
+    assert violations == []
+
+
+def test_store_audit_logs_no_violation_and_bounded_drops(problem):
+    p, tree = problem
+    opts = FactorOptions(min_sparsify_size=16, audit=True)
+    fac = factor.factorize(p.matrix, tree, 1e-4, opts)
+    ops = {entry["op"][0] for entry in fac.audit_log}
+    assert {"merge", "eliminate", "sparsify"} <= ops
+    assert all(entry["violations"] == [] for entry in fac.audit_log)
+    drops = [e for e in fac.audit_log if "dropped_max" in e]
+    assert drops
+    assert all(e["dropped_max"] <= e["drop_bound"] for e in drops)
+
+
+def test_store_audit_reports_an_out_of_scope_write():
+    p = assembly.build_problem(FAMILIES[3], SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    state, _ = factor.eliminate_interiors(p.matrix, tree,
+                                          FactorOptions(audit=True))
+    mine, other = (state.units[uid] for uid in state.active_ids()[:2])
+    with state.write_scope(("test",), [mine.serial]):
+        for unit in (mine, other):
+            state.add_to_block(unit.pos, unit.pos,
+                               np.zeros((unit.size, unit.size)))
+    assert state.audit_log[-1] == {"op": ("test",),
+                                   "violations": [("write", other.uid)]}
+
+
+def test_symmetric_store_reads_the_stored_orientation_transposed():
+    p = assembly.build_problem(FAMILIES[0], SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    state, _ = factor.eliminate_interiors(p.matrix, tree)
+    assert state.symmetric
+    unit = state.units[state.active_ids()[0]]
+    nbr_pos = state.positions(state.neighbors(unit))
+    assert nbr_pos.size
+    coupling = state.gather(nbr_pos, unit.pos)
+    assert np.array_equal(state.gather(unit.pos, nbr_pos), coupling.T)
+
+
+def test_symmetric_store_writes_each_coupling_entry_once():
+    ids = [(1, 0, 1, 1), (1, 0, 1, 2)]
+    state = factor.SchurState(4, np.float64, True, ids)
+    small, large = (state.add_unit(uid, np.array(pos), "regular")
+                    for uid, pos in zip(ids, ([0, 1], [2, 3])))
+    dense = np.arange(16.0).reshape(4, 4)
+    dense += dense.T
+    rows, cols = np.nonzero(np.ones((4, 4)))
+    keep = state.pos_unit[rows] <= state.pos_unit[cols]
+    rows, cols = rows[keep], cols[keep]
+    state.pack(0, entries=(rows, cols, dense[rows, cols]))
+
+    # a write one way only lands through the stored orientation
+    delta = np.array([[1.0, 2.0], [3.0, 4.0]])
+    state.add_to_block(large.pos, small.pos, delta)
+    dense[2:, :2] += delta
+    dense[:2, 2:] += delta.T
+    # a write covering both orientations adds each entry once
+    both = np.arange(4)
+    state.add_to_block(both, both, np.ones((4, 4)))
+    state.add_to_block(both, both.copy(), np.ones((4, 4)))
+    dense += 2.0
+    assert np.array_equal(state.gather(both, both), dense)
+
+
+def _small_system(n, symmetric, seed=0):
+    rng = np.random.default_rng(seed)
+    b = sp.random(n, n, density=0.3, random_state=seed) if n else \
+        sp.csr_matrix((0, 0))
+    a = (b + b.T if symmetric else b) + 4.0 * sp.eye(n)
+    return SparseMatrix(sp.csr_matrix(a)), rng.random((n, 2))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("n", [1, 5, 30])
+def test_systems_within_one_leaf_solve_exactly(n, symmetric):
+    a, coords = _small_system(n, symmetric)
+    tree = dissection.build_dissection(a, coords)
+    assert tree.separators == []
+    fac = factor.factorize(a, tree, 1e-4,
+                           FactorOptions(symmetric_mode=symmetric))
+    assert fac.symmetric == symmetric
+    b = np.random.default_rng(n).standard_normal(n)
+    _, report = solver.solve(fac, a, b)
+    assert report.residual <= 1e-13
+
+
+def test_empty_system_factorizes_to_nothing():
+    a, coords = _small_system(0, True)
+    tree = dissection.build_dissection(a, coords)
+    fac = factor.factorize(a, tree, 1e-4)
+    assert fac.n == 0 and fac.factor_nnz == 0
+
+
+def test_median_edge_length_samples_the_whole_graph():
+    # a path whose edges grow in length: its first edges are all short
+    x = np.cumsum(np.arange(1001, dtype=float))
+    coords = np.column_stack([x, np.zeros_like(x)])
+    src = np.arange(1000)
+    adj = sp.coo_matrix((np.ones(1000), (src, src + 1)), shape=(1001, 1001))
+    adj = (adj + adj.T).tocsr()
+    graph = Graph(adj.indptr, adj.indices, coords)
+    full = factor._median_edge_length(graph)
+    assert full == 500.5
+    assert abs(factor._median_edge_length(graph, cap=100) - full) <= 10
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
+    # Units A and B (owned by level 2) touch each other, so eliminating A
+    # first puts fill between B and C that B's elimination then spreads to
+    # D. C and D then merge into P, whose self block must be the dense
+    # Schur complement of A and B.
+    ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1),
+           "D": (1, 0, 1, 2), "P": (1, 0, 1, 0)}
+    slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
+    rng = np.random.default_rng(3)
+    dense = np.zeros((8, 8))
+    for u, v in [("A", "A"), ("B", "B"), ("C", "C"), ("D", "D"),
+                 ("A", "B"), ("A", "C"), ("B", "D")]:
+        dense[np.ix_(slots[u], slots[v])] = rng.standard_normal((2, 2))
+        dense[np.ix_(slots[v], slots[u])] = rng.standard_normal((2, 2))
+    dense += 8.0 * np.eye(8)
+    if symmetric:
+        dense += dense.T
+
+    state = factor.SchurState(8, np.float64, symmetric, ids.values())
+    for name, pos in slots.items():
+        state.add_unit(ids[name], np.array(pos), "regular")
+    rows, cols = np.nonzero(dense)
+    if symmetric:
+        keep = state.pos_unit[rows] <= state.pos_unit[cols]
+        rows, cols = rows[keep], cols[keep]
+    state.pack(2, entries=(rows, cols, dense[rows, cols]))
+    factors = factor.eliminate_segments(state, 2)
+    # neighbours come in id order: C before B
+    assert [list(f.nbr) for f in factors] == [[4, 5, 2, 3], [4, 5, 6, 7]]
+
+    kids = [state.units[ids["C"]], state.units[ids["D"]]]
+    parent = state.merge_units(kids, ids["P"], "regular")
+    state.pack(1)
+    schur = dense[4:, 4:] - dense[4:, :4] @ np.linalg.solve(dense[:4, :4],
+                                                            dense[:4, 4:])
+    got = state.gather(parent.pos, parent.pos)
+    assert np.allclose(got, schur, rtol=0, atol=1e-12)
