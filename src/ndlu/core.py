@@ -15,6 +15,7 @@ from .errors import DimensionError, SingularBlockError
 __all__ = [
     "SparseMatrix",
     "Permutation",
+    "as_csr",
     "as_index_set",
     "extract_block",
     "permute",
@@ -128,12 +129,18 @@ class SparseMatrix:
         return SparseMatrix(self.csr.T.tocsr())
 
 
+def as_csr(a):
+    """The scipy CSR matrix of a: .csr of a SparseMatrix, otherwise a
+    conversion of a (sparse or dense) to CSR."""
+    return a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+
+
 def extract_block(a, rows, cols):
     """Dense copy of A[rows, cols]; positions without a stored entry are 0.
 
     rows/cols must be strictly increasing and in range, else DimensionError.
     """
-    csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    csr = as_csr(a)
     n, m = csr.shape
     rows = as_index_set(rows, n)
     cols = as_index_set(cols, m)
@@ -153,7 +160,7 @@ def extract_block(a, rows, cols):
 
 def permute(a, p, q):
     """Return B with B[i, j] = A[p(i), q(j)]; nnz is preserved."""
-    csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    csr = as_csr(a)
     n, m = csr.shape
     if p.n != n or q.n != m:
         raise DimensionError("permutation sizes must match matrix shape")

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .core import Permutation, SparseMatrix
+from .core import Permutation, as_csr
 from .errors import DegenerateSeparatorError, DimensionError
 
 REGULAR = "regular"
@@ -47,7 +47,7 @@ class Graph:
 
     @classmethod
     def from_matrix(cls, a, coords):
-        csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+        csr = as_csr(a)
         if csr.shape[0] != csr.shape[1]:
             raise DimensionError(f"adjacency needs a square matrix, got {csr.shape}")
         pattern = csr.copy()
@@ -346,40 +346,36 @@ def _insert_extras(walk, extra):
     return np.array(out, dtype=np.int64)
 
 
-def split_boundary_segments(graph, segments, walk, level, counters=None):
-    """Split boundary segments crossed by a new separator walk.
+def split_crossed_segments(graph, segments, seg_of_vertex, walk, level, counters):
+    """Split the segments crossed by a new separator walk; returns the events.
 
     A segment is crossed when a walk endpoint is adjacent to some of its
     vertices; those vertices (closed to a contiguous run) become a junction
     segment and the rest of the segment splits around it. Junction segments
-    are never split further. Returns (updated segments, events).
+    are never split further. The children are added to `segments` (id ->
+    Segment) and take over their vertices in `seg_of_vertex`; `counters`
+    numbers the children per owner and level.
     """
-    if counters is None:
-        counters = {}
-    by_id = {seg.id: seg for seg in segments}
-    seg_of = {int(v): seg.id for seg in segments for v in seg.vertices}
-
     events = []
     endpoints = [int(walk[0])] if len(walk) == 1 else [int(walk[0]), int(walk[-1])]
     for e in endpoints:
         hits = {}
         for u in graph.neighbors(e):
-            sid = seg_of.get(int(u))
-            if sid is not None and by_id[sid].kind == REGULAR:
+            sid = seg_of_vertex.get(int(u))
+            if sid is not None and segments[sid].kind == REGULAR:
                 hits.setdefault(sid, []).append(int(u))
         for sid in sorted(hits):
-            parent = by_id[sid]
+            parent = segments[sid]
             pos = np.flatnonzero(np.isin(parent.vertices, hits[sid]))
             lo, hi = int(pos.min()), int(pos.max()) + 1
             children = _split_one(parent, lo, hi, level, counters)
             parent.children = tuple(c.id for c in children)
             events.append(SplitEvent(level=level, parent=parent.id, children=parent.children))
             for c in children:
-                by_id[c.id] = c
+                segments[c.id] = c
                 for v in c.vertices:
-                    seg_of[int(v)] = c.id
-    updated = [s for s in by_id.values() if not s.children]
-    return updated, events
+                    seg_of_vertex[int(v)] = c.id
+    return events
 
 
 def _split_one(parent, lo, hi, level, counters):
@@ -597,7 +593,9 @@ class _Builder:
             hi=len(sep_order),
         )
         tree.segments[root_seg.id] = root_seg
-        self._record_crossings(walk, depth)
+        tree.events += split_crossed_segments(
+            g, tree.segments, self.seg_of_vertex, walk, depth, self.split_counters
+        )
         for v in sep_order:
             self.seg_of_vertex[int(v)] = root_seg.id
         node.separator = sep
@@ -625,34 +623,6 @@ class _Builder:
         parts.append(node.separator.order)
         node.span = (base, cursor + node.separator.size)
         return np.concatenate(parts)
-
-    def _record_crossings(self, walk, level):
-        """Split ancestor segments adjacent to the new walk's endpoints."""
-        g = self.g
-        tree = self.tree
-        endpoints = [int(walk[0])]
-        if len(walk) > 1:
-            endpoints.append(int(walk[-1]))
-        for e in endpoints:
-            hits = {}
-            for u in g.neighbors(e):
-                sid = self.seg_of_vertex.get(int(u))
-                if sid is not None and tree.segments[sid].kind == REGULAR:
-                    hits.setdefault(sid, []).append(int(u))
-            for sid in sorted(hits):
-                parent = tree.segments[sid]
-                pos = np.flatnonzero(np.isin(parent.vertices, hits[sid]))
-                lo, hi = int(pos.min()), int(pos.max()) + 1
-                children = _split_one(parent, lo, hi, level, self.split_counters)
-                parent.children = tuple(c.id for c in children)
-                tree.events.append(
-                    SplitEvent(level=level, parent=parent.id,
-                               children=parent.children)
-                )
-                for c in children:
-                    tree.segments[c.id] = c
-                    for v in c.vertices:
-                        self.seg_of_vertex[int(v)] = c.id
 
 
 def build_dissection(matrix, coords, leaf_size=DEFAULT_LEAF_SIZE, theta=DEFAULT_THETA):

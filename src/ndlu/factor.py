@@ -11,11 +11,14 @@ segments again.
 
 The active Schur complement lives in a SchurState: per stage, one flat value
 buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
-the multifrontal method, every elimination gathers its self block and
-couplings from the buffer, runs one dense kernel and scatters its whole
-update back in one add_to_block call. Merges only relabel positions; the
-buffer is repacked once per stage, with room for the fill that the stage's
-eliminations create.
+the multifrontal method, every coupled pair of segments is stored in both
+orientations, whether or not the matrix is symmetric, so the store's
+bookkeeping is the same in both modes; symmetry is used only where the dense
+kernel is chosen (LDL against LU, a one-sided against a joint interpolative
+decomposition). Every elimination gathers its self block and couplings from
+the buffer, runs that kernel and scatters its whole update back in one
+add_to_block call. Merges only relabel positions; the buffer is repacked once
+per stage, with room for the fill that the stage's eliminations create.
 
 Every transform is recorded as an elementary factor carrying explicit global
 index scopes and dense payloads. Applying the left actions forward, the
@@ -32,10 +35,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
 from . import lowrank
-from .core import Permutation, SparseMatrix, lu_compact, triangular_solve
+from .core import Permutation, as_csr, lu_compact, triangular_solve
 from .dissection import JUNCTION, REGULAR, DissectionTree
 from .errors import ConfigError, DimensionError, SingularBlockError
 
@@ -257,10 +259,10 @@ class SchurState:
     in both orientations; block k is row-major in `values` from
     `offsets[k]`, sized by its units' slot counts (`width`) at the last
     pack. Position p sits in unit `pos_unit[p]` at slot `local_pos[p]`, both
-    -1 once p is eliminated. Symmetric mode stores a pair of distinct units
-    once, the smaller serial giving the rows, and reads the other
-    orientation transposed; self blocks hold both halves. Unsymmetric mode
-    stores both orientations.
+    -1 once p is eliminated. The layout does not depend on `symmetric`,
+    which only records the mode for the kernels that use the store: in
+    symmetric mode the two orientations of a pair agree to roundoff, each
+    holding the values its own updates computed.
 
     Outside pack, add_to_block is the only value write; it never creates a
     block. The structure changes only in pack, which runs once per stage
@@ -367,12 +369,9 @@ class SchurState:
 
     # -- block access ---------------------------------------------------------
 
-    def _grid(self, rows, cols, write=False):
-        """Buffer index of every (row, col) position pair and the key index
-        of every unit pair involved. In symmetric mode an entry stored the
-        other way round is addressed transposed; with write, also the mask
-        of entries a write leaves out (None if none): those whose unit pair
-        the call covers in the stored orientation as well."""
+    def _grid(self, rows, cols):
+        """(buffer index of every (row, col) position pair, key index of
+        every unit pair involved)."""
         square = cols is rows
         ur, ir = _runs(self.pos_unit[rows])
         uc, ic = (ur, ir) if square else _runs(self.pos_unit[cols])
@@ -385,23 +384,9 @@ class SchurState:
                                         != pairs):
             raise DimensionError("Schur store access outside the stored "
                                  "blocks")
-        base = self.offsets[k][ir][:, ic]
         ci = self.local_pos[cols]
         ri = (ci if square else self.local_pos[rows])[:, None]
-        flat = base + (ri * self.width[uc][ic] + ci)
-        lower = ur[:, None] > uc if self.symmetric else None
-        if lower is None or not lower.any():
-            return flat, None, k
-        swapped = base + (ci * self.width[ur][ir][:, None] + ri)
-        flipped = lower[ir][:, ic]
-        flat[flipped] = swapped[flipped]
-        if not write:
-            return flat, None, k
-        if not square:
-            lower &= np.isin(ur, uc)[:, None] & np.isin(uc, ur)
-            if not lower.any():
-                return flat, None, k
-        return flat, lower[ir][:, ic], k
+        return self.offsets[k][ir][:, ic] + (ri * self.width[uc][ic] + ci), k
 
     def gather(self, rows, cols):
         """Dense copy of the active submatrix at positions rows x cols."""
@@ -412,21 +397,17 @@ class SchurState:
     def add_to_block(self, rows, cols, delta):
         """Accumulate delta into the active submatrix at rows x cols.
 
-        In symmetric mode an entry between two distinct units is stored
-        once: a call that covers a unit pair in both orientations must give
-        mirror-image updates, and only the rows of the smaller serial are
-        added; a pair covered one way is added through the stored
-        orientation. Every block written must already be in the index.
+        Every entry is added where it is addressed, and only there: a
+        symmetric update adds both its orientations because the call covers
+        both. rows and cols each name distinct positions, and every block
+        written must already be in the index.
         """
         if len(rows) == 0 or len(cols) == 0:
             return
-        flat, skip, k = self._grid(rows, cols, write=True)
+        flat, k = self._grid(rows, cols)
         self._pending[k] = False
         if self._scope is not None:
             self._check_scope(self.pos_unit[rows], self.pos_unit[cols])
-        if skip is not None:
-            keep = ~skip
-            flat, delta = flat[keep], delta[keep]
         self.values[flat] += delta
 
     def total_block_entries(self):
@@ -438,13 +419,14 @@ class SchurState:
     def pack(self, fill_level, entries=None, extra_keys=None):
         """Rebuild index and buffer for the active units.
 
-        Live entries move to the unit now holding their positions (a merged
-        parent in place of its children) at densely renumbered slots; in
-        symmetric mode an entry between two children of one parent also
-        fills the mirrored entry of the parent's self block. The index holds
-        the carried pairs, `extra_keys`, a self block per nonempty unit and
-        the fill of eliminating, in id order, every unit owned by
-        fill_level. `entries` (rows, cols, values) are then stored as given.
+        The index holds the carried pairs, `extra_keys`, a self block per
+        nonempty unit and the fill of eliminating, in id order, every unit
+        owned by fill_level; every key gets its own row-major block, laid
+        out in key order. Live entries move to the unit now holding their
+        positions (a merged parent in place of its children) at densely
+        renumbered slots, so the blocks between two children of one parent,
+        one per orientation, become the off-diagonal parts of the parent's
+        self block. `entries` (rows, cols, values) are then stored as given.
         A unit left without positions keeps no coupling.
         """
         r = len(self.unit_ids)
@@ -482,17 +464,11 @@ class SchurState:
         pending[np.searchsorted(keys, written)] = False
 
         a, b = np.divmod(keys, r)
-        own = a <= b if self.symmetric else np.ones(keys.size, dtype=bool)
-        block_sizes = np.where(own, width[a] * width[b], 0)
-        starts = np.cumsum(block_sizes) - block_sizes
-        stored = np.minimum(a, b) * r + np.maximum(a, b) if self.symmetric \
-            else keys
-        offsets = starts[np.searchsorted(keys, stored)]
+        block_sizes = width[a] * width[b]
+        offsets = np.cumsum(block_sizes) - block_sizes
         values = np.zeros(int(block_sizes.sum()), dtype=self.dtype)
-
-        own_old = carried & (old_a <= old_b) if self.symmetric else carried
-        self._carry(values, keys, offsets, width, own_old,
-                    new_a, new_b, old_a, old_b)
+        self._carry(values, keys, offsets, width, np.flatnonzero(carried),
+                    new_a, new_b)
         self.keys, self.offsets, self.values = keys, offsets, values
         self._pending = pending
         self.width = width
@@ -504,25 +480,17 @@ class SchurState:
             rows, cols, vals = entries
             self.values[self._locate(rows, cols)] = vals
 
-    def _carry(self, values, keys, offsets, width, own_old, new_a, new_b,
-               old_a, old_b):
-        """Copy the live entries of the old buffer into the new layout,
-        entry by entry through the slot tables."""
-        r = len(self.unit_ids)
-        blocks = np.flatnonzero(own_old)
+    def _carry(self, values, keys, offsets, width, blocks, new_a, new_b):
+        """Copy the live entries of the old buffer's blocks into the new
+        layout, entry by entry through the slot tables."""
         if blocks.size == 0:
             return
-        a, b = old_a[blocks], old_b[blocks]
-        na, nb = new_a[blocks], new_b[blocks]
-        dst_off = offsets[np.searchsorted(keys, na * r + nb)]
+        r = len(self.unit_ids)
+        a, b = np.divmod(self.keys[blocks], r)
+        nb = new_b[blocks]
+        dst_off = offsets[np.searchsorted(keys, new_a[blocks] * r + nb)]
         src_off = self.offsets[blocks]
-        if self.symmetric:
-            flip = na > nb
-            mirror = (a != b) & (na == nb)
-            stride = width[np.maximum(na, nb)]
-        else:
-            flip = mirror = np.zeros(blocks.size, dtype=bool)
-            stride = width[nb]
+        stride = width[nb]
         row_base, col_base = self._slot_base[a], self._slot_base[b]
         col_width = self.width[b]
         counts = self.width[a] * col_width
@@ -535,27 +503,15 @@ class SchurState:
             lq = self.local_pos[self._slot_pos[col_base[blk] + j]]
             ok = (lp >= 0) & (lq >= 0)
             blk, within, lp, lq = blk[ok], within[ok], lp[ok], lq[ok]
-            val = self.values[src_off[blk] + within]
-            fl = flip[blk]
-            rr = np.where(fl, lq, lp)
-            cc = np.where(fl, lp, lq)
-            values[dst_off[blk] + rr * stride[blk] + cc] = val
-            m = mirror[blk]
-            if m.any():
-                values[dst_off[blk][m] + cc[m] * stride[blk][m] + rr[m]] = \
-                    val[m]
+            values[dst_off[blk] + lp * stride[blk] + lq] = \
+                self.values[src_off[blk] + within]
 
     def _locate(self, rows, cols):
         """Buffer index of the position pairs (rows[i], cols[i])."""
         r = len(self.unit_ids)
         sa, sb = self.pos_unit[rows], self.pos_unit[cols]
         off = self.offsets[np.searchsorted(self.keys, sa * r + sb)]
-        la, lb = self.local_pos[rows], self.local_pos[cols]
-        if self.symmetric:
-            flip = sa > sb
-            la, lb = np.where(flip, lb, la), np.where(flip, la, lb)
-            return off + la * self.width[np.maximum(sa, sb)] + lb
-        return off + la * self.width[sb] + lb
+        return off + self.local_pos[rows] * self.width[sb] + self.local_pos[cols]
 
     def _with_fill(self, keys, level):
         """keys plus the fill of eliminating level's units in id order."""
@@ -642,7 +598,7 @@ def _median_edge_length(graph, cap=200_000):
 
 
 def _as_csr(a):
-    csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    csr = as_csr(a)
     if csr.shape[0] != csr.shape[1]:
         raise DimensionError("factorization needs a square matrix")
     dtype = np.promote_types(csr.dtype, np.float64)
@@ -777,13 +733,10 @@ def eliminate_interiors(a, tree, options=None):
 
 
 def _separator_entries(state, nested, coo_rows):
-    """The matrix entries between separator positions, as stored: symmetric
-    mode keeps pairs of distinct units in the smaller-serial orientation."""
-    pr = state.pos_unit[coo_rows]
-    pc = state.pos_unit[nested.indices]
-    keep = (pr >= 0) & (pc >= 0)
-    if state.symmetric:
-        keep[keep] = pr[keep] <= pc[keep]
+    """(rows, cols, values) of every matrix entry between two separator
+    positions."""
+    keep = ((state.pos_unit[coo_rows] >= 0)
+            & (state.pos_unit[nested.indices] >= 0))
     return coo_rows[keep], nested.indices[keep], nested.data[keep]
 
 
@@ -853,37 +806,29 @@ def _front(state, unit):
     return nbrs, nbr_pos, front[:unit.size], front[unit.size:]
 
 
-def sparsify_segment(state, seg, eps, plan=None, symmetric=None, options=None):
-    """Compress one regular segment's coupling; returns (factors, skeleton).
+def sparsify_segment(state, unit, eps, options=None):
+    """Compress one active regular unit's coupling; returns (factors,
+    skeleton).
 
-    Computes an interpolative decomposition of the segment's coupling to its
+    Computes an interpolative decomposition of the unit's coupling to its
     neighbors (of the stacked in/out coupling in unsymmetric mode), emits the
-    two-sided sparsify factor, applies it to the segment's self block, and
-    zeroes the decoupled coupling entries in storage. The skeleton keeps the
-    segment's global positions that still couple outward.
+    two-sided sparsify factor, applies it to the unit's self block, and
+    zeroes both orientations of the decoupled coupling entries in storage.
+    The skeleton keeps the unit's global positions that still couple
+    outward.
     """
     opts = (options or FactorOptions()).validate()
-    if isinstance(seg, _Unit):
-        uid = seg.uid
-    elif hasattr(seg, "id"):
-        uid = seg.id
-    else:
-        uid = tuple(seg)
-    unit = state.units[uid]
     if unit.kind == JUNCTION:
         raise ConfigError("junction segments are merged, never sparsified")
-    symmetric = state.symmetric if symmetric is None else symmetric
-    m = unit.size
-    if m == 0:
+    if unit.size == 0:
         return [], unit.pos.copy()
 
+    uid = unit.uid
     pos = unit.pos
     nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
-    if plan is None:
-        plan = _plan_for(state, unit, nbr_pos, opts)
-    a_un = None if state.symmetric and symmetric \
-        else state.gather(pos, nbr_pos)
-    if symmetric:
+    plan = _plan_for(state, unit, nbr_pos, opts)
+    a_un = state.gather(pos, nbr_pos)
+    if state.symmetric:
         ident = lowrank.sampled_id(a_nu, plan, eps,
                                    refine_swaps=opts.refine_swaps)
     else:
@@ -913,16 +858,12 @@ def sparsify_segment(state, seg, eps, plan=None, symmetric=None, options=None):
             coupling_norm = np.linalg.norm(a_nu) if a_nu.size else 0.0
             record["drop_bound"] = (10.0 * (1.0 + np.linalg.norm(interp))
                                     * eps * coupling_norm)
-            worst = _maxabs(a_nu[:, red_l] - a_nu[:, skel_l] @ interp)
-            if a_un is not None:
-                worst = max(worst, _maxabs(a_un[red_l, :]
-                                           - interp.T @ a_un[skel_l, :]))
-            record["dropped_max"] = worst
-        # adding the negated values leaves every stored entry at exactly +0;
-        # a symmetric store holds each coupling entry once
+            record["dropped_max"] = max(
+                _maxabs(a_nu[:, red_l] - a_nu[:, skel_l] @ interp),
+                _maxabs(a_un[red_l, :] - interp.T @ a_un[skel_l, :]))
+        # adding the negated values leaves every stored entry at exactly +0
         state.add_to_block(nbr_pos, red, -a_nu[:, red_l])
-        if not state.symmetric:
-            state.add_to_block(red, nbr_pos, -a_un[red_l, :])
+        state.add_to_block(red, nbr_pos, -a_un[red_l, :])
     return [factor], skeleton
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix
+from .core import as_csr
 from .errors import ParseError
 
 __all__ = [
@@ -30,8 +30,7 @@ def _fmt(x):
 
 def write_matrix_market_file(path, matrix):
     """Write a sparse matrix in coordinate format (general symmetry)."""
-    csr = matrix.csr if isinstance(matrix, SparseMatrix) else matrix.tocsr()
-    coo = csr.tocoo()
+    coo = as_csr(matrix).tocoo()
     complex_data = np.iscomplexobj(coo.data)
     field = "complex" if complex_data else "real"
     with open(path, "w") as f:

@@ -13,9 +13,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .core import SparseMatrix, triangular_solve
+from .core import as_csr, triangular_solve
 from .errors import ConfigError, DimensionError
 from .factor import (EliminationFactor, SparsifyFactor, SpaluFactorization,
                      SymEliminationFactor)
@@ -127,7 +126,7 @@ def apply_factors(factorization, vec, audit=False):
 
 
 def _as_csr(a, n):
-    csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    csr = as_csr(a)
     if csr.shape != (n, n):
         raise DimensionError(
             f"matrix is {csr.shape}, factorization covers {n} unknowns")
@@ -136,7 +135,7 @@ def _as_csr(a, n):
 
 def residual_with_flag(a, x, b):
     """(residual, zero_rhs): relative unless norm(b) == 0, then absolute."""
-    csr = a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    csr = as_csr(a)
     if csr.shape[1] != len(x) or csr.shape[0] != len(b):
         raise DimensionError("residual: dimensions do not match")
     r = b - csr @ x
@@ -144,12 +143,6 @@ def residual_with_flag(a, x, b):
     if rhs_norm == 0.0:
         return float(np.linalg.norm(r)), True
     return float(np.linalg.norm(r)) / rhs_norm, False
-
-
-def residual(a, x, b):
-    """Relative residual norm(b - A x) / norm(b) in double precision."""
-    value, _ = residual_with_flag(a, x, b)
-    return value
 
 
 def solve(factorization, a_original, b, refine=0):
@@ -167,10 +160,11 @@ def solve(factorization, a_original, b, refine=0):
     n = factorization.n
     csr = _as_csr(a_original, n)
     b_arr = np.asarray(b)
-    if b_arr.shape[0] != n:
-        raise DimensionError(f"rhs has {b_arr.shape[0]} rows, expected {n}")
+    if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
+        raise DimensionError(
+            f"rhs has shape {b_arr.shape}, expected ({n},) or ({n}, k)")
     single = b_arr.ndim == 1
-    cols = b_arr.reshape(n, -1)
+    cols = b_arr[:, None] if single else b_arr
     out_dtype = np.promote_types(cols.dtype, factorization.dtype)
     x = np.empty((n, cols.shape[1]), dtype=out_dtype)
     reports = []

@@ -14,7 +14,7 @@ from ndlu.dissection import (
     find_separator,
     min_degree_order,
     natural_order,
-    split_boundary_segments,
+    split_crossed_segments,
 )
 from ndlu.errors import DegenerateSeparatorError
 
@@ -134,18 +134,25 @@ class TestSplitBoundarySegments:
         # whose lower endpoint 13 sits directly above vertex 4
         self.g = grid_graph(9, 4)
 
+    def split(self, segs, walk):
+        """(leaf segments, events) after splitting segs at the walk."""
+        segments = {seg.id: seg for seg in segs}
+        seg_of = {int(v): seg.id for seg in segs for v in seg.vertices}
+        events = split_crossed_segments(self.g, segments, seg_of, walk, 2, {})
+        return [seg for seg in segments.values() if not seg.children], events
+
     def test_untouched_segment_unchanged(self):
         seg = make_line_segment((1, 0), range(9))
         walk = np.array([31, 22, 13])  # endpoint 13 is adjacent to vertex 4
         far = make_line_segment((1, 1), [8])
-        updated, events = split_boundary_segments(self.g, [far], np.array([22]), 2)
+        updated, events = self.split([far], np.array([22]))
         assert updated == [far]
         assert events == []
 
     def test_central_crossing_4_1_4(self):
         seg = make_line_segment((1, 0), range(9))
         walk = np.array([31, 22, 13])
-        updated, events = split_boundary_segments(self.g, [seg], walk, 2)
+        updated, events = self.split([seg], walk)
         assert len(events) == 1
         kinds = sorted((s.kind, s.size) for s in updated)
         assert kinds == [(JUNCTION, 1), (REGULAR, 4), (REGULAR, 4)]
@@ -156,7 +163,7 @@ class TestSplitBoundarySegments:
     def test_endpoint_crossing_no_empty_segments(self):
         seg = make_line_segment((1, 0), range(9))
         walk = np.array([27, 18, 9])  # endpoint 9 sits above vertex 0
-        updated, events = split_boundary_segments(self.g, [seg], walk, 2)
+        updated, events = self.split([seg], walk)
         kinds = sorted((s.kind, s.size) for s in updated)
         assert kinds == [(JUNCTION, 1), (REGULAR, 8)]
         assert all(s.size > 0 for s in updated)
@@ -165,7 +172,7 @@ class TestSplitBoundarySegments:
         seg = make_line_segment((1, 0), range(9))
         seg.kind = JUNCTION
         walk = np.array([31, 22, 13])
-        updated, events = split_boundary_segments(self.g, [seg], walk, 2)
+        updated, events = self.split([seg], walk)
         assert updated == [seg]
         assert events == []
 

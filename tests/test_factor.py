@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ndlu import SparseMatrix, assembly, dissection, factor, solver
-from ndlu.dissection import Graph
+from ndlu import (DimensionError, SingularBlockError, SparseMatrix, assembly,
+                  dissection, factor, solver)
+from ndlu.dissection import REGULAR, Graph
 from ndlu.factor import FactorOptions
 
 SMALL_N = 1500
@@ -131,36 +132,50 @@ def test_store_audit_reports_an_out_of_scope_write():
                                    "violations": [("write", other.uid)]}
 
 
-def test_symmetric_store_reads_the_stored_orientation_transposed():
+def test_symmetric_store_holds_both_orientations_of_every_coupling():
     p = assembly.build_problem(FAMILIES[0], SMALL_N)
     tree = dissection.build_dissection(p.matrix, p.coords)
     state, _ = factor.eliminate_interiors(p.matrix, tree)
     assert state.symmetric
-    unit = state.units[state.active_ids()[0]]
+    for uid in state.active_ids():
+        unit = state.units[uid]
+        nbr_pos = state.positions(state.neighbors(unit))
+        assert nbr_pos.size
+        coupling = state.gather(nbr_pos, unit.pos)
+        gap = state.gather(unit.pos, nbr_pos) - coupling.T
+        assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(coupling)
+
+
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_sparsify_zeroes_both_orientations_of_the_dropped_coupling(family):
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    state, _ = factor.eliminate_interiors(p.matrix, tree)
+    unit = max((u for u in state.units.values() if u.kind == REGULAR),
+               key=lambda u: u.size)
+    factor.sparsify_segment(state, unit, 1e-2)
+    red = unit.pos[unit.redundant_local]
     nbr_pos = state.positions(state.neighbors(unit))
-    assert nbr_pos.size
-    coupling = state.gather(nbr_pos, unit.pos)
-    assert np.array_equal(state.gather(unit.pos, nbr_pos), coupling.T)
+    assert red.size and nbr_pos.size
+    assert not state.gather(nbr_pos, red).any()
+    assert not state.gather(red, nbr_pos).any()
 
 
-def test_symmetric_store_writes_each_coupling_entry_once():
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_store_adds_each_entry_where_it_is_addressed(symmetric):
     ids = [(1, 0, 1, 1), (1, 0, 1, 2)]
-    state = factor.SchurState(4, np.float64, True, ids)
+    state = factor.SchurState(4, np.float64, symmetric, ids)
     small, large = (state.add_unit(uid, np.array(pos), "regular")
                     for uid, pos in zip(ids, ([0, 1], [2, 3])))
     dense = np.arange(16.0).reshape(4, 4)
-    dense += dense.T
     rows, cols = np.nonzero(np.ones((4, 4)))
-    keep = state.pos_unit[rows] <= state.pos_unit[cols]
-    rows, cols = rows[keep], cols[keep]
     state.pack(0, entries=(rows, cols, dense[rows, cols]))
 
-    # a write one way only lands through the stored orientation
+    # a write one way lands only in the orientation it addresses
     delta = np.array([[1.0, 2.0], [3.0, 4.0]])
     state.add_to_block(large.pos, small.pos, delta)
     dense[2:, :2] += delta
-    dense[:2, 2:] += delta.T
-    # a write covering both orientations adds each entry once
+    # a square write adds each entry once
     both = np.arange(4)
     state.add_to_block(both, both, np.ones((4, 4)))
     state.add_to_block(both, both.copy(), np.ones((4, 4)))
@@ -195,6 +210,49 @@ def test_empty_system_factorizes_to_nothing():
     tree = dissection.build_dissection(a, coords)
     fac = factor.factorize(a, tree, 1e-4)
     assert fac.n == 0 and fac.factor_nnz == 0
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (0, 0)])
+def test_empty_system_solves_to_an_empty_solution(shape):
+    a, coords = _small_system(0, True)
+    fac = factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
+    x, reports = solver.solve(fac, a, np.zeros(shape))
+    assert x.shape == shape
+    if len(shape) == 1:
+        reports = [reports]
+    assert len(reports) == (shape[1] if len(shape) == 2 else 1)
+    assert all(r.residual == 0.0 for r in reports)
+
+
+@pytest.mark.parametrize("shape", [(), (3, 1, 1), (4,)])
+def test_solve_rejects_a_right_hand_side_of_the_wrong_shape(shape):
+    a, coords = _small_system(3, True)
+    fac = factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
+    with pytest.raises(DimensionError):
+        solver.solve(fac, a, np.ones(shape))
+
+
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+@pytest.mark.parametrize("own_tree", [True, False])
+def test_singular_block_error_names_its_block(family, own_tree):
+    # vertex 5 loses its row and column: in the zeroed matrix's own
+    # dissection it is a leaf of its own, in the intact matrix's it sits on
+    # a separator segment
+    p = assembly.build_problem(family, SMALL_N)
+    lil = p.matrix.csr.tolil()
+    lil[5, :] = 0
+    lil[:, 5] = 0
+    a = SparseMatrix(sp.csr_matrix(lil))
+    tree = dissection.build_dissection(a if own_tree else p.matrix, p.coords)
+    with pytest.raises(SingularBlockError) as info:
+        factor.factorize(a, tree, 1e-4)
+    err = info.value
+    if own_tree:
+        s = int(tree.position[5])
+        assert (err.level, err.segment) == (tree.levels + 1, ("leaf", s, s + 1))
+    else:
+        assert err.level == err.segment[0]
+        assert 5 in tree.segments[err.segment].vertices
 
 
 def test_median_edge_length_samples_the_whole_graph():
@@ -233,9 +291,6 @@ def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
     for name, pos in slots.items():
         state.add_unit(ids[name], np.array(pos), "regular")
     rows, cols = np.nonzero(dense)
-    if symmetric:
-        keep = state.pos_unit[rows] <= state.pos_unit[cols]
-        rows, cols = rows[keep], cols[keep]
     state.pack(2, entries=(rows, cols, dense[rows, cols]))
     factors = factor.eliminate_segments(state, 2)
     # neighbours come in id order: C before B
