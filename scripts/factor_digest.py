@@ -1,4 +1,5 @@
-"""Digest of every factor payload of the benchmark workloads.
+"""Digest of every factor payload of the benchmark workloads and of a fixed
+set of small option sets.
 
 Run from the repository root:
 
@@ -8,11 +9,16 @@ For each workload of perfbench/workloads.py (all of them by default) this
 builds the matrix at its benchmark size, dissects and factors it with the
 default options on the package in ./src, and prints the factor nnz, the
 relative residual of the solve of the load vector (res_load, the benchmark's
-residual_load) and one BLAKE2b digest over every field of every factor in
-factor order, arrays by shape, dtype and bytes. Two checkouts that print the
-same digest on the same machine made bitwise-identical factors; a change that
-moves the factors only at roundoff shows the same nnz and a res_load that
-agrees to many digits. BLAS runs one thread, as in the benchmark.
+residual_load), a BLAKE2b digest of the dissection (tree: the nested order
+and every split event) and one over every field of every factor in factor
+order, arrays by shape, dtype and bytes (digest). With no workload named it
+then does the same for the four problem families at n~4k under each of the
+OPTION_SETS below, so that a refactor can be checked on the sampling plans,
+the exact path and the forced unsymmetric path as well. Two checkouts that
+print the same digests on the same machine made bitwise-identical trees and
+factors; a change that moves the factors only at roundoff shows the same nnz
+and a res_load that agrees to many digits. BLAS runs one thread, as in the
+benchmark.
 """
 
 import os
@@ -32,31 +38,68 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from ndlu import assembly, dissection, factor, solver  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
+SMALL_N = 4096
+SMALL_EPS = 1e-4
+FAMILIES = (
+    "laplace-contrast:rho=100,seed=1",
+    "helmholtz:k=5",
+    "helmholtz-poly:k=20",
+    "laplace-aniso:d12=1,d21=0",
+)
+# The floor of 8 on the exact-ID set runs the decomposition on the most
+# (and smallest) blocks.
+OPTION_SETS = {
+    "hybrid": dict(min_sparsify_size=16),
+    "gaussian": dict(min_sparsify_size=16, sampling="gaussian"),
+    "none": dict(min_sparsify_size=8, sampling="none"),
+    "unsym": dict(min_sparsify_size=16, symmetric_mode=False),
+}
 
-def factor_digest(factors):
+
+def _update(h, value):
+    if isinstance(value, np.ndarray):
+        h.update(f"{value.shape}{value.dtype}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+def _digest(items):
+    """One digest over arrays and over every field of the other items."""
     h = hashlib.blake2b(digest_size=12)
-    for f in factors:
-        h.update(type(f).__name__.encode())
-        for name, value in sorted(vars(f).items()):
+    for item in items:
+        h.update(type(item).__name__.encode())
+        if isinstance(item, np.ndarray):
+            _update(h, item)
+            continue
+        for name, value in sorted(vars(item).items()):
             h.update(name.encode())
-            if isinstance(value, np.ndarray):
-                h.update(f"{value.shape}{value.dtype}".encode())
-                h.update(np.ascontiguousarray(value).tobytes())
-            else:
-                h.update(repr(value).encode())
+            _update(h, value)
     return h.hexdigest()
+
+
+def report(label, problem, eps, options):
+    tree = dissection.build_dissection(problem.matrix, problem.coords)
+    fac = factor.factorize(problem.matrix, tree, eps, options)
+    _, rep = solver.solve(fac, problem.matrix, problem.rhs)
+    print(f"{label} n={problem.n} factors={len(fac.factors)} "
+          f"nnz={fac.factor_nnz} res_load={rep.residual:.9e} "
+          f"tree={_digest([tree.order.fwd, *tree.events])} "
+          f"digest={_digest(fac.factors)}", flush=True)
 
 
 def main(names):
     for name in names or list(WORKLOADS):
         w = WORKLOADS[name]
-        p = assembly.build_problem(w.descriptor, w.target_n)
-        tree = dissection.build_dissection(p.matrix, p.coords)
-        fac = factor.factorize(p.matrix, tree, w.eps, factor.FactorOptions())
-        _, report = solver.solve(fac, p.matrix, p.rhs)
-        print(f"{name} n={p.n} factors={len(fac.factors)} "
-              f"nnz={fac.factor_nnz} res_load={report.residual:.9e} "
-              f"digest={factor_digest(fac.factors)}")
+        report(name, assembly.build_problem(w.descriptor, w.target_n), w.eps,
+               factor.FactorOptions())
+    if names:
+        return
+    for family in FAMILIES:
+        problem = assembly.build_problem(family, SMALL_N)
+        for label, kwargs in OPTION_SETS.items():
+            report(f"{family}/{label}", problem, SMALL_EPS,
+                   factor.FactorOptions(**kwargs))
 
 
 if __name__ == "__main__":

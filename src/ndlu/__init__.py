@@ -3,7 +3,7 @@ skeleton compression of separator segments."""
 
 __version__ = "0.1.0"
 
-from .core import SparseMatrix, Permutation, extract_block, permute, dense_lu, triangular_solve
+from .core import SparseMatrix, Permutation, triangular_solve
 from .errors import (
     ConfigError,
     DegenerateSeparatorError,
@@ -11,6 +11,7 @@ from .errors import (
     GeometryError,
     InterpolationBoundError,
     NdluError,
+    NonFiniteError,
     ParseError,
     SingularBlockError,
 )
@@ -18,15 +19,13 @@ from .errors import (
 __all__ = [
     "SparseMatrix",
     "Permutation",
-    "extract_block",
-    "permute",
-    "dense_lu",
     "triangular_solve",
     "NdluError",
     "ConfigError",
     "GeometryError",
     "ParseError",
     "DimensionError",
+    "NonFiniteError",
     "SingularBlockError",
     "DegenerateSeparatorError",
     "InterpolationBoundError",

@@ -10,33 +10,15 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import get_lapack_funcs, solve_triangular
 
-from .errors import DimensionError, SingularBlockError
+from .errors import DimensionError, NonFiniteError, SingularBlockError
 
 __all__ = [
     "SparseMatrix",
     "Permutation",
     "as_csr",
-    "as_index_set",
-    "extract_block",
-    "permute",
-    "dense_lu",
+    "lu_compact",
     "triangular_solve",
 ]
-
-
-def as_index_set(ix, n=None):
-    """Validate ix as a strictly increasing int64 index array.
-
-    If n is given, entries must lie in [0, n).
-    """
-    ix = np.asarray(ix, dtype=np.int64)
-    if ix.ndim != 1:
-        raise DimensionError("index set must be one-dimensional")
-    if ix.size > 1 and not np.all(np.diff(ix) > 0):
-        raise DimensionError("index set must be strictly increasing")
-    if n is not None and ix.size and (ix[0] < 0 or ix[-1] >= n):
-        raise DimensionError(f"index {ix[0] if ix[0] < 0 else ix[-1]} out of range [0, {n})")
-    return ix
 
 
 class Permutation:
@@ -67,10 +49,6 @@ class Permutation:
         p._inv = self.fwd
         return p
 
-    @classmethod
-    def identity(cls, n):
-        return cls(np.arange(n, dtype=np.int64))
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.fwd, other.fwd)
 
@@ -92,7 +70,7 @@ class SparseMatrix:
         csr.sum_duplicates()
         csr.sort_indices()
         if csr.data.size and not np.all(np.isfinite(csr.data)):
-            raise ValueError("matrix entries must be finite")
+            raise NonFiniteError("matrix entries must be finite")
         self.csr = csr
 
     @classmethod
@@ -119,53 +97,14 @@ class SparseMatrix:
     def to_dense(self):
         return self.csr.toarray()
 
-    def matvec(self, x):
-        return self.csr @ x
-
     def __matmul__(self, x):
         return self.csr @ x
-
-    def transpose(self):
-        return SparseMatrix(self.csr.T.tocsr())
 
 
 def as_csr(a):
     """The scipy CSR matrix of a: .csr of a SparseMatrix, otherwise a
     conversion of a (sparse or dense) to CSR."""
     return a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
-
-
-def extract_block(a, rows, cols):
-    """Dense copy of A[rows, cols]; positions without a stored entry are 0.
-
-    rows/cols must be strictly increasing and in range, else DimensionError.
-    """
-    csr = as_csr(a)
-    n, m = csr.shape
-    rows = as_index_set(rows, n)
-    cols = as_index_set(cols, m)
-    out = np.zeros((rows.size, cols.size), dtype=csr.dtype)
-    if rows.size == 0 or cols.size == 0:
-        return out
-    indptr, indices, data = csr.indptr, csr.indices, csr.data
-    col_pos = np.full(m, -1, dtype=np.int64)
-    col_pos[cols] = np.arange(cols.size)
-    for i, r in enumerate(rows):
-        lo, hi = indptr[r], indptr[r + 1]
-        cp = col_pos[indices[lo:hi]]
-        sel = cp >= 0
-        out[i, cp[sel]] = data[lo:hi][sel]
-    return out
-
-
-def permute(a, p, q):
-    """Return B with B[i, j] = A[p(i), q(j)]; nnz is preserved."""
-    csr = as_csr(a)
-    n, m = csr.shape
-    if p.n != n or q.n != m:
-        raise DimensionError("permutation sizes must match matrix shape")
-    b = csr[p.fwd][:, q.fwd].tocsr()
-    return SparseMatrix(b) if isinstance(a, SparseMatrix) else b
 
 
 def lu_compact(block, level=None, segment=None):
@@ -194,15 +133,6 @@ def lu_compact(block, level=None, segment=None):
         if pk != k:
             perm[k], perm[pk] = perm[pk], perm[k]
     return lu, piv, perm
-
-
-def dense_lu(block, level=None, segment=None):
-    """Partial-pivoting LU: returns (l, u, p) with block[p.fwd] = l @ u."""
-    lu, _, perm = lu_compact(block, level=level, segment=segment)
-    l = np.tril(lu, -1)
-    np.fill_diagonal(l, 1.0)
-    u = np.triu(lu)
-    return l, u, Permutation(perm)
 
 
 def triangular_solve(t, b, lower=True, unit_diag=False, trans=False):

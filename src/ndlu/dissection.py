@@ -20,7 +20,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import Permutation, as_csr
-from .errors import DegenerateSeparatorError, DimensionError
+from .errors import (ConfigError, DegenerateSeparatorError, DimensionError,
+                     NonFiniteError)
 
 REGULAR = "regular"
 JUNCTION = "junction"
@@ -44,6 +45,9 @@ class Graph:
             raise DimensionError(
                 f"coords shape {self.coords.shape} does not match {self.n} vertices"
             )
+        if not np.all(np.isfinite(self.coords)):
+            bad = int(np.flatnonzero(~np.isfinite(self.coords).all(axis=1))[0])
+            raise NonFiniteError(f"vertex {bad} has non-finite coordinates")
 
     @classmethod
     def from_matrix(cls, a, coords):
@@ -62,9 +66,6 @@ class Graph:
 
     def degree(self, v):
         return int(self.indptr[v + 1] - self.indptr[v])
-
-    def num_edges(self):
-        return len(self.indices) // 2
 
 
 @dataclass
@@ -95,7 +96,6 @@ class Separator:
     index: int
     order: np.ndarray
     direction: np.ndarray
-    span_start: int = -1
 
     @property
     def size(self):
@@ -130,20 +130,26 @@ class TreeNode:
         return self.span[1] - self.span[0]
 
 
+def _step_bias(xu, xv, xc, direction, theta):
+    """(bias, step alignment) of stepping from the point xv to xu; xc is the
+    walk's center point, or None when xu is the center itself."""
+    sx, sy = xu[0] - xv[0], xu[1] - xv[1]
+    ns = math.hypot(sx, sy)
+    align = 0.0 if ns == 0.0 else (sx * direction[0] + sy * direction[1]) / ns
+    if xc is None:
+        return align, align
+    ox, oy = xu[0] - xc[0], xu[1] - xc[1]
+    no = math.hypot(ox, oy)
+    drift = 0.0 if no == 0.0 else (ox * direction[0] + oy * direction[1]) / no
+    return align + theta * drift, align
+
+
 def degree_bias(graph, u, v, c, direction, theta=DEFAULT_THETA):
     """Directional preference for stepping from v to u while walking toward
     `direction`: alignment of the step plus theta times alignment of u
     relative to the walk's center c. Both terms are cosines in [-1, 1]."""
-    xu = graph.coords[u]
-    step = xu - graph.coords[v]
-    ns = math.hypot(step[0], step[1])
-    align = 0.0 if ns == 0.0 else (step[0] * direction[0] + step[1] * direction[1]) / ns
-    if u == c:
-        return align
-    off = xu - graph.coords[c]
-    no = math.hypot(off[0], off[1])
-    drift = 0.0 if no == 0.0 else (off[0] * direction[0] + off[1] * direction[1]) / no
-    return align + theta * drift
+    xc = None if u == c else graph.coords[c]
+    return _step_bias(graph.coords[u], graph.coords[v], xc, direction, theta)[0]
 
 
 def _walk_arm(graph, in_subset, visited, c, start, direction, theta, max_steps):
@@ -153,26 +159,20 @@ def _walk_arm(graph, in_subset, visited, c, start, direction, theta, max_steps):
     backward (bias kept positive only by the center-drift term)."""
     arm = []
     v = start
-    cx, cy = graph.coords[c]
+    coords = graph.coords
+    # tuples index faster than arrays; their items are the same float64s
+    xc = tuple(coords[c])
+    direction = tuple(direction)
     while len(arm) < max_steps:
         best_u = -1
         best_d = -np.inf
         best_align = 0.0
-        xv = graph.coords[v]
+        xv = coords[v]
         for u in graph.neighbors(v):
             if not in_subset[u] or u in visited:
                 continue
-            xu = graph.coords[u]
-            sx, sy = xu[0] - xv[0], xu[1] - xv[1]
-            ns = math.hypot(sx, sy)
-            align = 0.0 if ns == 0.0 else (sx * direction[0] + sy * direction[1]) / ns
-            if u == c:
-                d = align
-            else:
-                ox, oy = xu[0] - cx, xu[1] - cy
-                no = math.hypot(ox, oy)
-                drift = 0.0 if no == 0.0 else (ox * direction[0] + oy * direction[1]) / no
-                d = align + theta * drift
+            d, align = _step_bias(coords[u], xv,
+                                  None if u == c else xc, direction, theta)
             if d > best_d or (d == best_d and u < best_u):
                 best_u, best_d, best_align = u, d, align
         if best_u < 0 or best_d <= 0.0 or best_align <= 0.0:
@@ -438,9 +438,6 @@ class DissectionTree:
                     out.append(seg)
         return out
 
-    def separators_at_level(self, level):
-        return [s for s in self.separators if s.level == level]
-
     def validate_separation(self):
         """Check that no edge joins the two sides of any internal node."""
         g = self.graph
@@ -456,38 +453,6 @@ class DissectionTree:
                 if np.any(nb == 2):
                     return False
         return True
-
-    def to_json_dict(self):
-        nodes = []
-        for k, node in enumerate(self.nodes):
-            entry = {
-                "depth": node.depth,
-                "span": list(node.span),
-                "size": node.size,
-            }
-            if node.separator is not None:
-                entry["separator"] = {
-                    "level": node.separator.level,
-                    "index": node.separator.index,
-                    "size": node.separator.size,
-                    "direction": node.separator.direction.tolist(),
-                }
-            nodes.append(entry)
-        return {
-            "num_vertices": self.graph.n,
-            "levels": self.levels,
-            "leaf_size": self.leaf_size,
-            "nodes": nodes,
-            "segments": [
-                {
-                    "id": list(seg.id),
-                    "kind": seg.kind,
-                    "size": seg.size,
-                    "parent": list(seg.parent) if seg.parent else None,
-                }
-                for seg in self.segments.values()
-            ],
-        }
 
 
 class _Builder:
@@ -552,8 +517,6 @@ class _Builder:
         fwd = np.concatenate(parts) if parts else np.empty(0, np.int64)
         tree.order = Permutation(fwd)
         tree.position = tree.order.inverse().fwd
-        for sep in tree.separators:
-            sep.span_start = int(tree.position[sep.order[0]])
         return tree
 
     def _process(self, node, subset):
@@ -627,45 +590,7 @@ class _Builder:
 
 def build_dissection(matrix, coords, leaf_size=DEFAULT_LEAF_SIZE, theta=DEFAULT_THETA):
     """Build the dissection tree for a sparse matrix with vertex coordinates."""
+    if leaf_size < 1:
+        raise ConfigError(f"leaf_size must be at least 1, got {leaf_size}")
     graph = matrix if isinstance(matrix, Graph) else Graph.from_matrix(matrix, coords)
     return _Builder(graph, leaf_size, theta).build()
-
-
-def fill_in_count(graph, order):
-    """New edges created by symbolic elimination in the given order."""
-    fwd = order.fwd if isinstance(order, Permutation) else np.asarray(order)
-    adj = [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
-    eliminated = np.zeros(graph.n, dtype=bool)
-    fill = 0
-    for v in map(int, fwd):
-        nbrs = [u for u in adj[v] if not eliminated[u]]
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                p, q = nbrs[a], nbrs[b]
-                if p not in adj[q]:
-                    adj[q].add(p)
-                    adj[p].add(q)
-                    fill += 1
-        eliminated[v] = True
-    return fill
-
-
-def natural_order(graph):
-    return Permutation.identity(graph.n)
-
-
-def min_degree_order(graph):
-    """Greedy minimum-degree elimination order (ties to the lowest index)."""
-    adj = [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
-    alive = set(range(graph.n))
-    fwd = np.empty(graph.n, dtype=np.int64)
-    for k in range(graph.n):
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
-        fwd[k] = v
-        alive.discard(v)
-        nbrs = [u for u in adj[v] if u in alive]
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                adj[nbrs[a]].add(nbrs[b])
-                adj[nbrs[b]].add(nbrs[a])
-    return Permutation(fwd)

@@ -23,6 +23,11 @@ class ParseError(NdluError):
         super().__init__(message)
 
 
+class NonFiniteError(NdluError, ValueError):
+    """An input array (matrix entries, coordinates, right-hand side) holds
+    a NaN or an infinity."""
+
+
 class DimensionError(NdluError):
     """Operands with incompatible shapes or index ranges."""
 

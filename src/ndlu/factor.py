@@ -38,11 +38,10 @@ import scipy.linalg as sla
 
 from . import lowrank
 from .core import Permutation, as_csr, lu_compact, triangular_solve
-from .dissection import JUNCTION, REGULAR, DissectionTree
+from .dissection import JUNCTION, REGULAR
 from .errors import ConfigError, DimensionError, SingularBlockError
 
-SAMPLING_CHOICES = (lowrank.STRATEGY_HYBRID, lowrank.STRATEGY_GAUSSIAN,
-                    lowrank.STRATEGY_NONE)
+SAMPLING_CHOICES = ("hybrid", "gaussian", "none")
 
 # Entries moved per step when the Schur store is repacked; bounds the
 # transient index arrays of a pack.
@@ -54,27 +53,25 @@ class FactorOptions:
     """Knobs for factorize; defaults match the benchmark configuration.
 
     symmetric_mode: "auto" uses the symmetric path when the matrix is real
-    and numerically symmetric; True/False force it. sampling picks how the
-    coupling blocks are sketched before the interpolative decomposition.
-    near_radius (geometry units) separates near rows, kept verbatim, from far
-    rows, which are mixed through a Gaussian sketch; None derives it from the
-    median edge length. Segments smaller than min_sparsify_size skip
-    compression: a rank-revealing decomposition of a block that small costs
-    more than it saves and such blocks sit at or near full rank anyway, so
-    they are eliminated or merged at full size instead. audit checks every
-    update of the Schur store and every merge relabel against the segments
-    its operation may touch (a repack only moves entries) and logs, per
-    operation, the violations found and, for each sparsify, the largest
-    dropped coupling entry next to its bound.
+    and numerically symmetric; True/False force it. sampling picks the rows
+    of each coupling block that the interpolative decomposition sees:
+    "hybrid" keeps the rows within twice the median edge length of the
+    segment verbatim and mixes the others into as many Gaussian combinations
+    as the segment has unknowns, plus lowrank.OVERSAMPLE; "gaussian" mixes
+    every row that way, and "none" decomposes the whole block. The sketches are seeded from the stage and
+    the segment id, so a factorization repeats bit for bit. Segments smaller
+    than min_sparsify_size skip compression: a rank-revealing decomposition
+    of a block that small costs more than it saves and such blocks sit at or
+    near full rank anyway, so they are eliminated or merged at full size
+    instead. audit checks every update of the Schur store and every merge
+    relabel against the segments its operation may touch (a repack only
+    moves entries) and logs, per operation, the violations found and, for
+    each sparsify, the largest dropped coupling entry next to its bound.
     """
 
     symmetric_mode: object = "auto"
-    sampling: str = lowrank.STRATEGY_HYBRID
-    oversample: int = lowrank.OVERSAMPLE
-    seed: int = 0
-    near_radius: float | None = None
+    sampling: str = "hybrid"
     min_sparsify_size: int = 64
-    refine_swaps: int = 0
     audit: bool = False
 
     def validate(self):
@@ -82,8 +79,8 @@ class FactorOptions:
             raise ConfigError(
                 f"sampling must be one of {SAMPLING_CHOICES}, got {self.sampling!r}"
             )
-        if self.min_sparsify_size < 0 or self.oversample < 0:
-            raise ConfigError("sizes and oversampling must be nonnegative")
+        if self.min_sparsify_size < 0:
+            raise ConfigError("min_sparsify_size must be nonnegative")
         return self
 
 
@@ -296,7 +293,6 @@ class SchurState:
         self.keys = np.empty(0, dtype=np.int64)
         self.offsets = np.empty(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=dtype)
-        self.fill_level = None
         # per key: preallocated fill that no elimination has written yet
         self._pending = np.zeros(0, dtype=bool)
         # slot -> position and slot -> serial as of the last pack
@@ -475,7 +471,6 @@ class SchurState:
         self._slot_pos = slot_pos
         self._slot_serial = np.repeat(active, sizes)
         self._slot_base = slot_base
-        self.fill_level = fill_level
         if entries is not None:
             rows, cols, vals = entries
             self.values[self._locate(rows, cols)] = vals
@@ -691,12 +686,9 @@ def eliminate_interiors(a, tree, options=None):
     nested = csr[tree.order.fwd][:, tree.order.fwd].tocsr()
     nested.sort_indices()
     coords = tree.graph.coords[tree.order.fwd]
-    radius = opts.near_radius
-    if radius is None:
-        radius = 2.0 * _median_edge_length(tree.graph)
-
     state = SchurState(n, nested.dtype, symmetric, tree.segments,
-                       coords=coords, near_radius=radius)
+                       coords=coords,
+                       near_radius=2.0 * _median_edge_length(tree.graph))
     state.audit = opts.audit
     state.level = tree.levels + 1
     for seg in tree.segments_at_stage(tree.levels):
@@ -826,14 +818,12 @@ def sparsify_segment(state, unit, eps, options=None):
     uid = unit.uid
     pos = unit.pos
     nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
-    plan = _plan_for(state, unit, nbr_pos, opts)
+    plan = _plan_for(state, unit, nbr_pos, opts.sampling)
     a_un = state.gather(pos, nbr_pos)
     if state.symmetric:
-        ident = lowrank.sampled_id(a_nu, plan, eps,
-                                   refine_swaps=opts.refine_swaps)
+        ident = lowrank.sampled_id(a_nu, plan, eps)
     else:
-        ident = lowrank.joint_unsymmetric_id(a_nu, a_un, plan, eps,
-                                             refine_swaps=opts.refine_swaps)
+        ident = lowrank.joint_unsymmetric_id(a_nu, a_un, plan, eps)
 
     skel_l = ident.skeleton
     red_l = ident.redundant
@@ -871,19 +861,19 @@ def _maxabs(arr):
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _plan_for(state, unit, row_pos, opts):
+def _plan_for(state, unit, row_pos, sampling):
     num_rows = row_pos.size
-    if opts.sampling == lowrank.STRATEGY_NONE or num_rows == 0:
+    if sampling == "none" or num_rows == 0:
         return lowrank.plan_dense(num_rows)
+    # One fixed stream per stage and segment, so factorizations repeat bit
+    # for bit; the leading 0 is part of the seed material.
     seed = int(np.random.SeedSequence(
-        [opts.seed & 0xFFFFFFFF, state.level]
-        + [x & 0xFFFFFFFF for x in unit.uid]).generate_state(1)[0])
-    if opts.sampling == lowrank.STRATEGY_GAUSSIAN:
-        return lowrank.plan_gaussian(num_rows, unit.size, seed,
-                                     oversample=opts.oversample)
+        [0, state.level, *unit.uid]).generate_state(1)[0])
+    if sampling == "gaussian":
+        return lowrank.plan_gaussian(num_rows, unit.size, seed)
     return lowrank.build_hybrid_plan(
         state.coords[row_pos], state.coords[unit.pos], state.near_radius,
-        unit.size, seed, oversample=opts.oversample)
+        unit.size, seed)
 
 
 def eliminate_segments(state, level):
@@ -893,10 +883,9 @@ def eliminate_segments(state, level):
     coupling is to its own skeleton). Segments owned by this level are then
     eliminated entirely, with Schur updates scattered only over their
     neighbor sets, into blocks the stage's pack allocated. Returns the
-    elimination factors in application order.
+    elimination factors in application order. The store must have been
+    packed for `level`.
     """
-    if state.fill_level != level:
-        state.pack(level)
     factors = []
     for uid in state.active_ids():
         unit = state.units[uid]

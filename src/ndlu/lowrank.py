@@ -21,11 +21,10 @@ from .errors import DimensionError, InterpolationBoundError
 
 log = logging.getLogger(__name__)
 
+# Gaussian rows drawn beyond the rank guess (Halko, Martinsson & Tropp's
+# oversampling parameter p: a small constant makes the sketch capture the
+# block's range with high probability).
 OVERSAMPLE = 5
-
-STRATEGY_NONE = "none"
-STRATEGY_GAUSSIAN = "gaussian"
-STRATEGY_HYBRID = "hybrid"
 
 
 @dataclass
@@ -38,7 +37,6 @@ class InterpolativeDecomposition:
     redundant: np.ndarray
     interp: np.ndarray
     rank: int
-    tol: float
     pivots: np.ndarray
 
     @property
@@ -53,10 +51,14 @@ class InterpolativeDecomposition:
 
 @dataclass
 class SamplingPlan:
-    """Row treatment for sketched decomposition: `near` rows enter the sketch
-    verbatim, `far` rows are mixed down to h Gaussian combinations."""
+    """Which rows of a block to sketch and to how many.
 
-    strategy: str
+    The sketch of a block B is [B[near]; G @ B[far]]: `near` rows enter it
+    verbatim and the `far` rows are mixed down to h Gaussian combinations G,
+    drawn from `seed`. The dense plan keeps every row near, with no far row
+    and h = 0, so its sketch is B itself.
+    """
+
     near: np.ndarray
     far: np.ndarray
     h: int
@@ -83,9 +85,9 @@ def _check_interp_norm(interp, n, k):
         )
 
 
-def _sorted_id(block_columns, piv, k, rank_t, eps):
-    """Re-express a pivot-ordered ID with ascending skeleton/redundant lists."""
-    n = block_columns
+def _sorted_id(n, piv, k, rank_t):
+    """Re-express a pivot-ordered ID of n columns with ascending
+    skeleton/redundant lists."""
     skeleton_piv = piv[:k]
     redundant_piv = piv[k:]
     row_order = np.argsort(skeleton_piv)
@@ -96,26 +98,27 @@ def _sorted_id(block_columns, piv, k, rank_t, eps):
         redundant=np.sort(redundant_piv).astype(np.int64),
         interp=np.ascontiguousarray(interp),
         rank=k,
-        tol=eps,
         pivots=np.asarray(piv, dtype=np.int64),
     )
     _check_interp_norm(ident.interp, n, k)
     return ident
 
 
-def cpqr_id(block, eps, refine_swaps=0):
+def cpqr_id(block, eps):
     """Interpolative decomposition by column-pivoted Householder QR.
 
     Columns are kept while |R[k,k]| > eps * |R[0,0]|; the interpolation
-    matrix solves R1 @ interp = R2 by back substitution. With refine_swaps
-    > 0, redundant columns whose coefficients exceed 2 in magnitude are
-    swapped into the skeleton (bounded strong-pivoting cleanup).
+    matrix solves R1 @ interp = R2 by back substitution. Column pivoting
+    alone keeps the coefficients small on the blocks the factorization
+    compresses (at most 2 in magnitude, the strong rank-revealing bound, as
+    a test checks on every problem family); _check_interp_norm guards the
+    norm at run time.
     """
     block = np.atleast_2d(np.asarray(block))
     m, n = block.shape
     dtype = block.dtype
     if n == 0 or m == 0 or not np.any(block):
-        return _sorted_id(n, np.arange(n), 0, np.zeros((0, n), dtype=dtype), eps)
+        return _sorted_id(n, np.arange(n), 0, np.zeros((0, n), dtype=dtype))
 
     r, piv = sla.qr(block, mode="r", pivoting=True)
     diag = np.abs(np.diag(r))
@@ -123,60 +126,32 @@ def cpqr_id(block, eps, refine_swaps=0):
     below = np.flatnonzero(diag <= cutoff)
     k = int(below[0]) if len(below) else len(diag)
     if k == 0:
-        return _sorted_id(n, np.arange(n), 0, np.zeros((0, n), dtype=dtype), eps)
+        return _sorted_id(n, np.arange(n), 0, np.zeros((0, n), dtype=dtype))
     if k == n:
-        return _sorted_id(n, piv, n, np.zeros((n, 0), dtype=dtype), eps)
+        return _sorted_id(n, piv, n, np.zeros((n, 0), dtype=dtype))
 
     rank_t = sla.solve_triangular(r[:k, :k], r[:k, k:], lower=False)
-
-    if refine_swaps > 0:
-        piv, rank_t = _refine_by_swaps(block, piv, k, rank_t, refine_swaps)
-
-    return _sorted_id(n, piv, k, rank_t, eps)
-
-
-def _refine_by_swaps(block, piv, k, rank_t, max_swaps):
-    """Swap the worst offending redundant column into the skeleton while any
-    interpolation coefficient exceeds 2, at most max_swaps times."""
-    order = np.array(piv)
-    for _ in range(max_swaps):
-        if rank_t.size == 0:
-            break
-        flat = int(np.argmax(np.abs(rank_t)))
-        i, j = divmod(flat, rank_t.shape[1])
-        if abs(rank_t[i, j]) <= 2.0:
-            break
-        order[i], order[k + j] = order[k + j], order[i]
-        r = sla.qr(block[:, order], mode="r", pivoting=False)[0]
-        diag = np.abs(np.diag(r)[:k])
-        if np.any(diag == 0):
-            order[i], order[k + j] = order[k + j], order[i]
-            break
-        rank_t = sla.solve_triangular(r[:k, :k], r[:k, k:], lower=False)
-    return order, rank_t
+    return _sorted_id(n, piv, k, rank_t)
 
 
 def plan_dense(num_rows):
-    """Plan that applies no sampling at all."""
-    empty = np.empty(0, dtype=np.int64)
-    return SamplingPlan(STRATEGY_NONE, empty, np.arange(num_rows, dtype=np.int64), 0, 0)
+    """Plan that applies no sampling at all: every row is near."""
+    return SamplingPlan(np.arange(num_rows, dtype=np.int64),
+                        np.empty(0, dtype=np.int64), 0, 0)
 
 
-def plan_gaussian(num_rows, rank_guess, seed, oversample=OVERSAMPLE):
+def plan_gaussian(num_rows, rank_guess, seed):
     """Pure randomized plan: every row is mixed through the Gaussian sketch."""
-    h = min(num_rows, rank_guess + oversample)
+    h = min(num_rows, rank_guess + OVERSAMPLE)
     if h >= num_rows:
         return plan_dense(num_rows)
-    empty = np.empty(0, dtype=np.int64)
-    return SamplingPlan(
-        STRATEGY_GAUSSIAN, empty, np.arange(num_rows, dtype=np.int64), h, seed
-    )
+    return SamplingPlan(np.empty(0, dtype=np.int64),
+                        np.arange(num_rows, dtype=np.int64), h, seed)
 
 
-def build_hybrid_plan(row_points, segment_points, radius, rank_guess, seed,
-                      oversample=OVERSAMPLE):
+def build_hybrid_plan(row_points, segment_points, radius, rank_guess, seed):
     """Split rows into near (within `radius` of any segment point, kept
-    verbatim) and far (sketched down to rank_guess + oversample Gaussian
+    verbatim) and far (sketched down to rank_guess + OVERSAMPLE Gaussian
     rows). Degrades to no sampling when the far set is too small to shrink."""
     row_points = np.asarray(row_points, dtype=np.float64)
     m = len(row_points)
@@ -186,10 +161,10 @@ def build_hybrid_plan(row_points, segment_points, radius, rank_guess, seed,
     dist, _ = tree.query(row_points)
     near = np.flatnonzero(dist <= radius).astype(np.int64)
     far = np.flatnonzero(dist > radius).astype(np.int64)
-    h = min(len(far), rank_guess + oversample)
+    h = min(len(far), rank_guess + OVERSAMPLE)
     if len(far) == 0 or h >= len(far):
         return plan_dense(m)
-    return SamplingPlan(STRATEGY_HYBRID, near, far, h, seed)
+    return SamplingPlan(near, far, h, seed)
 
 
 def _gaussian_sketch(rng, h, num_far, dtype):
@@ -200,30 +175,39 @@ def _gaussian_sketch(rng, h, num_far, dtype):
     return (rng.standard_normal((h, num_far)) * scale).astype(dtype)
 
 
-def sampled_id(block, plan, eps, refine_swaps=0):
+def _sketched_id(halves, plan, eps):
+    """ID of the row stack of the halves' sketches under one plan.
+
+    Each half contributes its near rows and, when the plan sketches
+    (h > 0), its own Gaussian sketch of its far rows; the sketches are drawn
+    from one generator in half order.
+    """
+    if plan.num_rows != halves[0].shape[0]:
+        raise DimensionError(
+            f"plan covers {plan.num_rows} rows, block has {halves[0].shape[0]}"
+        )
+    rng = np.random.default_rng(plan.seed)
+    dtype = np.result_type(*halves)
+    pieces = []
+    for half in halves:
+        pieces.append(half[plan.near].astype(dtype, copy=False))
+        if plan.h:
+            sketch = _gaussian_sketch(rng, plan.h, len(plan.far), dtype)
+            pieces.append(sketch @ half[plan.far])
+    return cpqr_id(np.vstack(pieces), eps)
+
+
+def sampled_id(block, plan, eps):
     """Interpolative decomposition of `block` via the plan's sketch.
 
     The skeleton is chosen from the sketch Y = [block[near]; G @ block[far]]
     and the interpolation matrix is taken from the sketch's QR; both are then
     used against the full block.
     """
-    block = np.atleast_2d(np.asarray(block))
-    if plan.strategy == STRATEGY_NONE:
-        return cpqr_id(block, eps, refine_swaps=refine_swaps)
-    if plan.num_rows != block.shape[0]:
-        raise DimensionError(
-            f"plan covers {plan.num_rows} rows, block has {block.shape[0]}"
-        )
-    rng = np.random.default_rng(plan.seed)
-    sketch = _gaussian_sketch(rng, plan.h, len(plan.far), block.dtype)
-    pieces = []
-    if len(plan.near):
-        pieces.append(block[plan.near])
-    pieces.append(sketch @ block[plan.far])
-    return cpqr_id(np.vstack(pieces), eps, refine_swaps=refine_swaps)
+    return _sketched_id([np.atleast_2d(np.asarray(block))], plan, eps)
 
 
-def joint_unsymmetric_id(coupling_in, coupling_out, plan, eps, refine_swaps=0):
+def joint_unsymmetric_id(coupling_in, coupling_out, plan, eps):
     """One ID serving both sides of an unsymmetric coupling.
 
     coupling_in is (neighbors x segment), coupling_out is (segment x
@@ -237,19 +221,4 @@ def joint_unsymmetric_id(coupling_in, coupling_out, plan, eps, refine_swaps=0):
         raise DimensionError(
             f"coupling blocks disagree: {coupling_in.shape} vs {coupling_out.shape}"
         )
-    other = coupling_out.T
-    if plan.strategy == STRATEGY_NONE:
-        return cpqr_id(np.vstack([coupling_in, other]), eps, refine_swaps=refine_swaps)
-    if plan.num_rows != coupling_in.shape[0]:
-        raise DimensionError(
-            f"plan covers {plan.num_rows} rows, blocks have {coupling_in.shape[0]}"
-        )
-    rng = np.random.default_rng(plan.seed)
-    dtype = np.promote_types(coupling_in.dtype, coupling_out.dtype)
-    pieces = []
-    for half in (coupling_in, other):
-        if len(plan.near):
-            pieces.append(half[plan.near].astype(dtype, copy=False))
-        sketch = _gaussian_sketch(rng, plan.h, len(plan.far), dtype)
-        pieces.append(sketch @ half[plan.far])
-    return cpqr_id(np.vstack(pieces), eps, refine_swaps=refine_swaps)
+    return _sketched_id([coupling_in, coupling_out.T], plan, eps)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_csr, triangular_solve
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, NonFiniteError
 from .factor import (EliminationFactor, SparsifyFactor, SpaluFactorization,
                      SymEliminationFactor)
 
@@ -150,19 +150,22 @@ def solve(factorization, a_original, b, refine=0):
 
     b may be a vector or a matrix of right-hand-side columns. Returns
     (x, SolveReport) for a vector and (X, list of SolveReport) for a matrix.
-    refine adds iterative-refinement steps (x += solve(b - A x)); a step
-    that does not improve the residual is rolled back.
+    refine, a nonnegative int, adds iterative-refinement steps
+    (x += solve(b - A x)); a step that does not improve the residual is
+    rolled back. A non-finite right-hand side raises NonFiniteError.
     """
     if not isinstance(factorization, SpaluFactorization):
         raise ConfigError("solve needs a SpaluFactorization")
-    if refine < 0:
-        raise ConfigError("refine must be >= 0")
+    if not isinstance(refine, (int, np.integer)) or refine < 0:
+        raise ConfigError(f"refine must be a nonnegative int, got {refine!r}")
     n = factorization.n
     csr = _as_csr(a_original, n)
     b_arr = np.asarray(b)
     if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
         raise DimensionError(
             f"rhs has shape {b_arr.shape}, expected ({n},) or ({n}, k)")
+    if not np.all(np.isfinite(b_arr)):
+        raise NonFiniteError("right-hand side holds a NaN or an infinity")
     single = b_arr.ndim == 1
     cols = b_arr[:, None] if single else b_arr
     out_dtype = np.promote_types(cols.dtype, factorization.dtype)

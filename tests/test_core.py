@@ -1,168 +1,63 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
+import scipy.linalg as sla
 
-from ndlu.core import (
-    Permutation,
-    SparseMatrix,
-    dense_lu,
-    extract_block,
-    lu_compact,
-    permute,
-    triangular_solve,
-)
-from ndlu.errors import DimensionError, SingularBlockError
+from ndlu.core import Permutation, SparseMatrix, lu_compact, triangular_solve
+from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
 
-def triplet_block_oracle(coo_rows, coo_cols, coo_vals, shape, rows, cols):
-    """Reference extract_block: scan every stored triplet."""
-    out = np.zeros((len(rows), len(cols)))
-    rpos = {r: i for i, r in enumerate(rows)}
-    cpos = {c: j for j, c in enumerate(cols)}
-    for r, c, v in zip(coo_rows, coo_cols, coo_vals):
-        if r in rpos and c in cpos:
-            out[rpos[r], cpos[c]] += v
-    return out
-
-
-def random_sparse(rng, n, m, density):
-    k = int(n * m * density)
-    rows = rng.integers(0, n, size=k)
-    cols = rng.integers(0, m, size=k)
-    vals = rng.standard_normal(k)
-    return rows, cols, vals
-
-
-class TestExtractBlock:
-    def test_identity_block(self):
-        a = SparseMatrix.from_dense(np.eye(4))
-        got = extract_block(a, [1, 3], [1, 3])
-        assert np.array_equal(got, np.eye(2))
-
-    def test_empty_rows(self):
-        a = SparseMatrix.from_dense(np.eye(4))
-        got = extract_block(a, [], [0, 1, 2])
-        assert got.shape == (0, 3)
-
-    def test_missing_entries_are_zero(self):
-        a = SparseMatrix.from_coo((3, 3), [0], [2], [5.0])
-        got = extract_block(a, [0, 1], [0, 2])
-        assert np.array_equal(got, [[0.0, 5.0], [0.0, 0.0]])
-
-    def test_random_against_triplet_scan(self):
-        rng = np.random.default_rng(7)
-        rows, cols, vals = random_sparse(rng, 5, 5, 0.4)
-        a = SparseMatrix.from_coo((5, 5), rows, cols, vals)
-        want = triplet_block_oracle(rows, cols, vals, (5, 5), [0, 2, 4], [1, 3])
-        got = extract_block(a, [0, 2, 4], [1, 3])
-        assert np.allclose(got, want, rtol=0, atol=0)
-
-    def test_out_of_range_raises(self):
-        a = SparseMatrix.from_dense(np.eye(3))
-        with pytest.raises(DimensionError):
-            extract_block(a, [0, 3], [0])
-        with pytest.raises(DimensionError):
-            extract_block(a, [0], [-1, 1])
-
-    def test_partition_reassembly_exact(self):
-        # disjoint row/col partitions reassemble the dense array exactly
-        rng = np.random.default_rng(3)
-        rows, cols, vals = random_sparse(rng, 9, 9, 0.3)
-        a = SparseMatrix.from_coo((9, 9), rows, cols, vals)
-        dense = a.to_dense()
-        rparts = [np.arange(0, 4), np.arange(4, 9)]
-        cparts = [np.arange(0, 3), np.arange(3, 7), np.arange(7, 9)]
-        rebuilt = np.zeros_like(dense)
-        for rp in rparts:
-            for cp in cparts:
-                rebuilt[np.ix_(rp, cp)] = extract_block(a, rp, cp)
-        assert np.array_equal(rebuilt, dense)
-
-
-class TestPermute:
-    def test_identity(self):
-        a = SparseMatrix.from_dense(np.arange(9.0).reshape(3, 3))
-        p = Permutation.identity(3)
-        b = permute(a, p, p)
-        assert np.array_equal(b.to_dense(), a.to_dense())
-
-    def test_reversal_2x2(self):
-        a = SparseMatrix.from_dense(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        rev = Permutation(np.array([1, 0]))
-        b = permute(a, rev, rev)
-        assert np.array_equal(b.to_dense(), [[4.0, 3.0], [2.0, 1.0]])
-
-    def test_random_against_dense_oracle(self):
-        rng = np.random.default_rng(11)
-        dense = np.where(rng.random((8, 8)) < 0.4, rng.standard_normal((8, 8)), 0.0)
-        a = SparseMatrix.from_dense(dense)
-        p = Permutation(rng.permutation(8))
-        q = Permutation(rng.permutation(8))
-        want = dense[np.ix_(p.fwd, q.fwd)]
-        got = permute(a, p, q).to_dense()
-        assert np.array_equal(got, want)
-        assert permute(a, p, q).nnz == a.nnz
-
-    def test_round_trip_bitwise(self):
-        rng = np.random.default_rng(13)
-        dense = np.where(rng.random((10, 10)) < 0.35, rng.standard_normal((10, 10)), 0.0)
-        a = SparseMatrix.from_dense(dense)
-        p = Permutation(rng.permutation(10))
-        q = Permutation(rng.permutation(10))
-        b = permute(permute(a, p, q), p.inverse(), q.inverse())
-        assert np.array_equal(b.csr.indptr, a.csr.indptr)
-        assert np.array_equal(b.csr.indices, a.csr.indices)
-        assert np.array_equal(b.csr.data, a.csr.data)
-
-    def test_size_mismatch_raises(self):
-        a = SparseMatrix.from_dense(np.eye(3))
-        with pytest.raises(DimensionError):
-            permute(a, Permutation.identity(4), Permutation.identity(3))
+def split_lu(block, level=None, segment=None):
+    """(l, u, perm) unpacked from lu_compact: block[perm] = l @ u."""
+    lu, _, perm = lu_compact(block, level=level, segment=segment)
+    l = np.tril(lu, -1)
+    np.fill_diagonal(l, 1.0)
+    return l, np.triu(lu), perm
 
 
 class TestDenseLU:
     def test_identity(self):
-        l, u, p = dense_lu(np.eye(3))
+        l, u, p = split_lu(np.eye(3))
         assert np.array_equal(l, np.eye(3))
         assert np.array_equal(u, np.eye(3))
-        assert np.array_equal(p.fwd, [0, 1, 2])
+        assert np.array_equal(p, [0, 1, 2])
 
     def test_pivot_swap(self):
         b = np.array([[0.0, 1.0], [1.0, 0.0]])
-        l, u, p = dense_lu(b)
-        assert np.allclose(b[p.fwd], l @ u)
-        assert not np.array_equal(p.fwd, [0, 1])
+        l, u, p = split_lu(b)
+        assert np.allclose(b[p], l @ u)
+        assert not np.array_equal(p, [0, 1])
 
     def test_reconstruction_random(self):
         rng = np.random.default_rng(5)
         b = rng.standard_normal((20, 20))
-        l, u, p = dense_lu(b)
-        err = np.linalg.norm(b[p.fwd] - l @ u) / np.linalg.norm(b)
+        l, u, p = split_lu(b)
+        err = np.linalg.norm(b[p] - l @ u) / np.linalg.norm(b)
         assert err < 1e-13
 
     @pytest.mark.parametrize("n", [1, 17, 64, 256])
     def test_reconstruction_up_to_256(self, n):
         rng = np.random.default_rng(n)
         b = rng.standard_normal((n, n))
-        l, u, p = dense_lu(b)
-        err = np.linalg.norm(b[p.fwd] - l @ u) / np.linalg.norm(b)
+        l, u, p = split_lu(b)
+        err = np.linalg.norm(b[p] - l @ u) / np.linalg.norm(b)
         assert err <= 1e-12
 
     def test_singular_raises_with_location(self):
         b = np.zeros((3, 3))
         with pytest.raises(SingularBlockError) as ei:
-            dense_lu(b, level=4, segment=17)
+            split_lu(b, level=4, segment=17)
         assert ei.value.level == 4
         assert ei.value.segment == 17
 
     def test_compact_matches_split(self):
+        # scipy's own LU of the same block is the oracle: b = P @ L @ U
         rng = np.random.default_rng(2)
         b = rng.standard_normal((12, 12))
-        lu, piv, perm = lu_compact(b)
-        l, u, p = dense_lu(b)
-        assert np.array_equal(perm, p.fwd)
-        assert np.allclose(np.tril(lu, -1), np.tril(l, -1))
-        assert np.allclose(np.triu(lu), u)
+        l, u, p = split_lu(b)
+        pmat, l_ref, u_ref = sla.lu(b)
+        assert np.array_equal(p, np.argmax(pmat, axis=0))
+        assert np.allclose(l, l_ref)
+        assert np.allclose(u, u_ref)
 
 
 class TestTriangularSolve:
@@ -191,6 +86,8 @@ class TestContainers:
     def test_sparse_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             SparseMatrix.from_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteError):
+            SparseMatrix.from_dense(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_sparse_sums_duplicates(self):
         a = SparseMatrix.from_coo((2, 2), [0, 0], [0, 0], [1.0, 2.0])
@@ -210,5 +107,5 @@ class TestContainers:
     def test_complex_supported(self):
         rng = np.random.default_rng(1)
         b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-        l, u, p = dense_lu(b)
-        assert np.linalg.norm(b[p.fwd] - l @ u) / np.linalg.norm(b) < 1e-13
+        l, u, p = split_lu(b)
+        assert np.linalg.norm(b[p] - l @ u) / np.linalg.norm(b) < 1e-13

@@ -10,13 +10,30 @@ from ndlu.dissection import (
     Segment,
     build_dissection,
     degree_bias,
-    fill_in_count,
     find_separator,
-    min_degree_order,
-    natural_order,
     split_crossed_segments,
 )
-from ndlu.errors import DegenerateSeparatorError
+from ndlu.errors import ConfigError, DegenerateSeparatorError, NonFiniteError
+
+
+def fill_in_count(graph, order):
+    """New edges created by symbolic elimination in the given order; the
+    oracle for how good an ordering is."""
+    fwd = order.fwd if isinstance(order, Permutation) else np.asarray(order)
+    adj = [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
+    eliminated = np.zeros(graph.n, dtype=bool)
+    fill = 0
+    for v in map(int, fwd):
+        nbrs = [u for u in adj[v] if not eliminated[u]]
+        for a in range(len(nbrs)):
+            for b in range(a + 1, len(nbrs)):
+                p, q = nbrs[a], nbrs[b]
+                if p not in adj[q]:
+                    adj[q].add(p)
+                    adj[p].add(q)
+                    fill += 1
+        eliminated[v] = True
+    return fill
 
 
 def grid_graph(nx, ny):
@@ -216,9 +233,7 @@ class TestBuildDissection:
         a = sp.csr_matrix(
             (np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)
         )
-        from ndlu.core import permute
-
-        b = permute(SparseMatrix(a), tree.order, tree.order).to_dense()
+        b = a[tree.order.fwd][:, tree.order.fwd].toarray()
         for node in tree.nodes:
             if node.is_leaf or len(node.children) < 2:
                 continue
@@ -263,6 +278,17 @@ class TestBuildDissection:
         assert len(tree.roots) == 2
         assert sorted(tree.order.fwd.tolist()) == list(range(8))
 
+    @pytest.mark.parametrize("leaf_size", [0, -1])
+    def test_leaf_size_below_one_rejected(self, leaf_size):
+        with pytest.raises(ConfigError):
+            build_dissection(grid_graph(4, 4), None, leaf_size=leaf_size)
+
+    def test_non_finite_coordinates_rejected(self):
+        a = sp.identity(3, format="csr")
+        coords = np.array([(0.0, 0.0), (np.nan, 1.0), (1.0, 0.0)])
+        with pytest.raises(NonFiniteError):
+            build_dissection(SparseMatrix(a), coords)
+
     def test_leaf_sizes_bounded(self):
         g = grid_graph(40, 40)
         tree = build_dissection(g, None, leaf_size=32)
@@ -290,13 +316,6 @@ class TestFillInCount:
     def test_nested_beats_natural_on_grid(self):
         g = grid_graph(4, 4)
         tree = build_dissection(g, None, leaf_size=2)
-        natural = fill_in_count(g, natural_order(g))
+        natural = fill_in_count(g, np.arange(g.n))
         nested = fill_in_count(g, tree.order)
         assert nested <= natural
-
-    def test_mindegree_on_star_is_zero_fill(self):
-        g = star_graph(10)
-        order = min_degree_order(g)
-        assert fill_in_count(g, order) == 0
-        # leaves go before the center until only degree ties remain
-        assert order.fwd[0] != 0

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ndlu import (DimensionError, SingularBlockError, SparseMatrix, assembly,
-                  dissection, factor, solver)
+from ndlu import (ConfigError, DimensionError, NonFiniteError,
+                  SingularBlockError, SparseMatrix, assembly, dissection,
+                  factor, mmio, solver)
 from ndlu.dissection import REGULAR, Graph
 from ndlu.factor import FactorOptions
 
@@ -64,6 +65,33 @@ def test_exact_path_solves_to_roundoff(problem):
     assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
 
 
+def _unsymmetric_copy(p):
+    """p's matrix with one extra entry that breaks structural symmetry."""
+    a = p.matrix.csr.tolil()
+    assert a[0, 5] == 0 and a[5, 0] == 0
+    a[0, 5] = 0.3
+    return sp.csr_matrix(a), p.coords
+
+
+def _disconnected_copy(p):
+    """Two copies of p's matrix side by side, sharing no vertex or edge."""
+    a = sp.block_diag([p.matrix.csr] * 2, format="csr")
+    return a, np.vstack([p.coords, p.coords + [5.0, 0.0]])
+
+
+@pytest.mark.parametrize("build", [_unsymmetric_copy, _disconnected_copy])
+def test_exact_path_solves_matrix_market_input(build, tmp_path):
+    a, coords = build(assembly.build_problem(FAMILIES[0], 400))
+    mmio.write_matrix_market_file(tmp_path / "a.mtx", a)
+    mmio.write_coords_file(tmp_path / "a.xy", coords)
+    p = assembly.read_matrix_market(tmp_path / "a.mtx", tmp_path / "a.xy")
+    assert (p.matrix.csr != a).nnz == 0
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    fac = factor.factorize(p.matrix, tree, 1e-4, _exact(p.n))
+    assert fac.symmetric == p.symmetric
+    assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
+
+
 def test_complex_copy_takes_the_unsymmetric_path(problem):
     p, tree = problem
     a = SparseMatrix(p.matrix.csr * (1 + 0.5j))
@@ -80,6 +108,47 @@ def test_compressed_path_stays_within_the_benchmark_target(name):
     fac = factor.factorize(p.matrix, tree, workload.eps, COMPRESS)
     assert any(f.kind == "sparsify" and f.interp.size for f in fac.factors)
     assert _worst_residual(fac, p.matrix, _columns(p)) <= workload.accuracy_target
+
+
+@pytest.mark.parametrize("name", ["contrast-sym", "aniso-unsym"])
+def test_every_sampling_plan_stays_within_the_benchmark_target(name):
+    workload = WORKLOADS[name]
+    p = assembly.build_problem(workload.descriptor, 4096)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    nnz = set()
+    for sampling in factor.SAMPLING_CHOICES:
+        fac = factor.factorize(p.matrix, tree, workload.eps, FactorOptions(
+            sampling=sampling, min_sparsify_size=16))
+        nnz.add(fac.factor_nnz)
+        assert (_worst_residual(fac, p.matrix, _columns(p))
+                <= workload.accuracy_target), sampling
+    # each plan picks its own skeletons
+    assert len(nnz) == len(factor.SAMPLING_CHOICES)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_interpolation_coefficients_stay_within_two(family):
+    # Column-pivoted QR alone meets the strong rank-revealing bound of 2 on
+    # the blocks the factorization compresses, so no swap cleanup is needed.
+    p = assembly.build_problem(family, 4096)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    fac = factor.factorize(p.matrix, tree, 1e-4,
+                           FactorOptions(min_sparsify_size=8))
+    interps = [f.interp for f in fac.factors
+               if f.kind == "sparsify" and f.interp.size]
+    assert interps
+    assert max(np.abs(i).max() for i in interps) <= 2.0
+
+
+def test_refinement_never_raises_the_residual(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    b = _columns(p)
+    _, plain = solver.solve(fac, p.matrix, b)
+    _, refined = solver.solve(fac, p.matrix, b, refine=3)
+    for before, after in zip(plain, refined):
+        assert after.residual <= before.residual
+        assert 0 <= after.refine_steps <= 3
 
 
 def test_factorization_is_deterministic(problem):
@@ -230,6 +299,21 @@ def test_solve_rejects_a_right_hand_side_of_the_wrong_shape(shape):
     fac = factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
     with pytest.raises(DimensionError):
         solver.solve(fac, a, np.ones(shape))
+
+
+def test_solve_rejects_a_non_finite_right_hand_side():
+    a, coords = _small_system(3, True)
+    fac = factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
+    with pytest.raises(NonFiniteError):
+        solver.solve(fac, a, np.array([1.0, np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("refine", [1.5, -1, "2"])
+def test_solve_rejects_a_refine_that_is_not_a_nonnegative_int(refine):
+    a, coords = _small_system(3, True)
+    fac = factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
+    with pytest.raises(ConfigError):
+        solver.solve(fac, a, np.ones(3), refine=refine)
 
 
 @pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
