@@ -14,7 +14,8 @@ and every split event) and one over every field of every factor in factor
 order, arrays by shape, dtype and bytes (digest). With no workload named it
 then does the same for the four problem families at n~4k under each of the
 OPTION_SETS below, so that a refactor can be checked on the sampling plans,
-the exact path and the forced unsymmetric path as well. Two checkouts that
+the exact path and, through the complex copy (1+0.5j)A, the LU path on every
+family as well. Two checkouts that
 print the same digests on the same machine made bitwise-identical trees and
 factors; a change that moves the factors only at roundoff shows the same nnz
 and a res_load that agrees to many digits. BLAS runs one thread, as in the
@@ -35,7 +36,7 @@ import numpy as np  # noqa: E402
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from ndlu import assembly, dissection, factor, solver  # noqa: E402
+from ndlu import SparseMatrix, assembly, dissection, factor, solver  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SMALL_N = 4096
@@ -46,13 +47,14 @@ FAMILIES = (
     "helmholtz-poly:k=20",
     "laplace-aniso:d12=1,d21=0",
 )
-# The floor of 8 on the exact-ID set runs the decomposition on the most
-# (and smallest) blocks.
+# (matrix scale, options) per set. The floor of 8 on the exact-ID set runs
+# the decomposition on the most (and smallest) blocks; a complex matrix is
+# never symmetric, so the complex set takes the LU path on every family.
 OPTION_SETS = {
-    "hybrid": dict(min_sparsify_size=16),
-    "gaussian": dict(min_sparsify_size=16, sampling="gaussian"),
-    "none": dict(min_sparsify_size=8, sampling="none"),
-    "unsym": dict(min_sparsify_size=16, symmetric_mode=False),
+    "hybrid": (1, dict(min_sparsify_size=16)),
+    "gaussian": (1, dict(min_sparsify_size=16, sampling="gaussian")),
+    "none": (1, dict(min_sparsify_size=8, sampling="none")),
+    "complex": (1 + 0.5j, dict(min_sparsify_size=16)),
 }
 
 
@@ -78,10 +80,13 @@ def _digest(items):
     return h.hexdigest()
 
 
-def report(label, problem, eps, options):
-    tree = dissection.build_dissection(problem.matrix, problem.coords)
-    fac = factor.factorize(problem.matrix, tree, eps, options)
-    _, rep = solver.solve(fac, problem.matrix, problem.rhs)
+def report(label, problem, eps, options, scale=1):
+    matrix = problem.matrix
+    if scale != 1:
+        matrix = SparseMatrix(matrix.csr * scale)
+    tree = dissection.build_dissection(matrix, problem.coords)
+    fac = factor.factorize(matrix, tree, eps, options)
+    _, rep = solver.solve(fac, matrix, problem.rhs)
     print(f"{label} n={problem.n} factors={len(fac.factors)} "
           f"nnz={fac.factor_nnz} res_load={rep.residual:.9e} "
           f"tree={_digest([tree.order.fwd, *tree.events])} "
@@ -97,9 +102,9 @@ def main(names):
         return
     for family in FAMILIES:
         problem = assembly.build_problem(family, SMALL_N)
-        for label, kwargs in OPTION_SETS.items():
+        for label, (scale, kwargs) in OPTION_SETS.items():
             report(f"{family}/{label}", problem, SMALL_EPS,
-                   factor.FactorOptions(**kwargs))
+                   factor.FactorOptions(**kwargs), scale)
 
 
 if __name__ == "__main__":

@@ -47,7 +47,6 @@ class ProblemInstance:
     rhs: np.ndarray
     coords: np.ndarray
     descriptor: str
-    symmetric: bool
     mesh: Mesh2D = None
     free: np.ndarray = None              # mesh vertex index per unknown
     boundary_values: np.ndarray = None   # dirichlet values on all mesh vertices
@@ -149,7 +148,6 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
     family, params = parse_descriptor(pde)
 
     helm_k = 0.0
-    symmetric = True
     if family == "laplace-contrast":
         rho = float(params.get("rho", 1))
         seed = int(params.get("seed", 0))
@@ -176,7 +174,6 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
         )
         if coeff is None:
             coeff = CoefficientField.tensor(d)
-        symmetric = np.allclose(d, d.T)
         if f is None:
             f = -4.0
         if dirichlet is None:
@@ -205,14 +202,17 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
         rhs=b_red,
         coords=mesh.vertices[free],
         descriptor=pde,
-        symmetric=symmetric,
         mesh=mesh,
         free=free,
         boundary_values=g,
     )
 
 
-def build_problem(descriptor, target_n, aspect=2.0):
+# width over height of the structured meshes' domain (see BBOX in fields)
+ASPECT = 2.0
+
+
+def build_problem(descriptor, target_n):
     """Build a benchmark instance with roughly target_n unknowns."""
     family, params = parse_descriptor(descriptor)
     if family == "helmholtz-poly":
@@ -227,8 +227,8 @@ def build_problem(descriptor, target_n, aspect=2.0):
         h = float(np.sqrt(2.0 * area / (np.sqrt(3) * target_n)))
         mesh = make_polygon_mesh(poly, h)
     else:
-        ny = max(3, int(round(np.sqrt(target_n / aspect))) + 2)
-        nx = max(3, int(round(aspect * (ny - 2))) + 2)
+        ny = max(3, int(round(np.sqrt(target_n / ASPECT))) + 2)
+        nx = max(3, int(round(ASPECT * (ny - 2))) + 2)
         mesh = make_structured_mesh(nx, ny)
         if family == "laplace-aniso":
             ytop = mesh.vertices[:, 1].max()
@@ -256,13 +256,9 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
             raise DimensionError(f"rhs length {len(rhs)} does not match n={n}")
     else:
         rhs = np.ones(n, dtype=csr.dtype)
-    diff = (csr - csr.T).tocsr()
-    nrm = sp.linalg.norm(csr)
-    symmetric = bool(nrm == 0 or sp.linalg.norm(diff) <= 1e-14 * nrm)
     return ProblemInstance(
         matrix=SparseMatrix(csr),
         rhs=rhs,
         coords=coords,
         descriptor=f"file:{path_matrix}",
-        symmetric=symmetric,
     )

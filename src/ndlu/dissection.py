@@ -26,7 +26,8 @@ from .errors import (ConfigError, DegenerateSeparatorError, DimensionError,
 REGULAR = "regular"
 JUNCTION = "junction"
 
-DEFAULT_THETA = 0.1
+# weight of the center-drift term of the walk's step bias
+THETA = 0.1
 DEFAULT_LEAF_SIZE = 64
 
 
@@ -79,15 +80,13 @@ class Segment:
     id: tuple
     owner: tuple
     vertices: np.ndarray
-    lo: int
-    hi: int
     kind: str = REGULAR
     parent: tuple | None = None
     children: tuple = ()
 
     @property
     def size(self):
-        return self.hi - self.lo
+        return len(self.vertices)
 
 
 @dataclass
@@ -95,7 +94,6 @@ class Separator:
     level: int
     index: int
     order: np.ndarray
-    direction: np.ndarray
 
     @property
     def size(self):
@@ -130,7 +128,7 @@ class TreeNode:
         return self.span[1] - self.span[0]
 
 
-def _step_bias(xu, xv, xc, direction, theta):
+def _step_bias(xu, xv, xc, direction):
     """(bias, step alignment) of stepping from the point xv to xu; xc is the
     walk's center point, or None when xu is the center itself."""
     sx, sy = xu[0] - xv[0], xu[1] - xv[1]
@@ -141,18 +139,18 @@ def _step_bias(xu, xv, xc, direction, theta):
     ox, oy = xu[0] - xc[0], xu[1] - xc[1]
     no = math.hypot(ox, oy)
     drift = 0.0 if no == 0.0 else (ox * direction[0] + oy * direction[1]) / no
-    return align + theta * drift, align
+    return align + THETA * drift, align
 
 
-def degree_bias(graph, u, v, c, direction, theta=DEFAULT_THETA):
+def degree_bias(graph, u, v, c, direction):
     """Directional preference for stepping from v to u while walking toward
-    `direction`: alignment of the step plus theta times alignment of u
+    `direction`: alignment of the step plus THETA times alignment of u
     relative to the walk's center c. Both terms are cosines in [-1, 1]."""
     xc = None if u == c else graph.coords[c]
-    return _step_bias(graph.coords[u], graph.coords[v], xc, direction, theta)[0]
+    return _step_bias(graph.coords[u], graph.coords[v], xc, direction)[0]
 
 
-def _walk_arm(graph, in_subset, visited, c, start, direction, theta, max_steps):
+def _walk_arm(graph, in_subset, visited, c, start, direction, max_steps):
     """Extend a walk from `start` by repeatedly taking the admissible neighbor
     with the largest degree bias. Stops when no neighbor remains, when the
     best bias is <= 0, or when the best step itself points sideways or
@@ -172,7 +170,7 @@ def _walk_arm(graph, in_subset, visited, c, start, direction, theta, max_steps):
             if not in_subset[u] or u in visited:
                 continue
             d, align = _step_bias(coords[u], xv,
-                                  None if u == c else xc, direction, theta)
+                                  None if u == c else xc, direction)
             if d > best_d or (d == best_d and u < best_u):
                 best_u, best_d, best_align = u, d, align
         if best_u < 0 or best_d <= 0.0 or best_align <= 0.0:
@@ -183,7 +181,7 @@ def _walk_arm(graph, in_subset, visited, c, start, direction, theta, max_steps):
     return arm
 
 
-def find_separator(graph, subset, theta=DEFAULT_THETA, in_subset=None):
+def find_separator(graph, subset, in_subset=None):
     """Walk a separator through `subset` (array of vertex ids).
 
     Returns (walk, direction): the walk is a connected path of vertex ids
@@ -221,9 +219,9 @@ def find_separator(graph, subset, theta=DEFAULT_THETA, in_subset=None):
 
     cap = max(1, math.ceil(4.0 * math.sqrt(n)))
     visited = {c}
-    forward = _walk_arm(graph, in_subset, visited, c, c, direction, theta, cap)
+    forward = _walk_arm(graph, in_subset, visited, c, c, direction, cap)
     backward = _walk_arm(
-        graph, in_subset, visited, c, c, -direction, theta, cap - len(forward)
+        graph, in_subset, visited, c, c, -direction, cap - len(forward)
     )
     walk = np.array(backward[::-1] + [c] + forward, dtype=np.int64)
     if own_mask:
@@ -393,8 +391,6 @@ def _split_one(parent, lo, hi, level, counters):
                 id=(l, i, level, k),
                 owner=parent.owner,
                 vertices=parent.vertices[a:b],
-                lo=parent.lo + a,
-                hi=parent.lo + b,
                 kind=kind,
                 parent=parent.id,
             )
@@ -405,10 +401,9 @@ def _split_one(parent, lo, hi, level, counters):
 class DissectionTree:
     """Output of build_dissection: nested order, separators, segments, events."""
 
-    def __init__(self, graph, leaf_size, theta):
+    def __init__(self, graph, leaf_size):
         self.graph = graph
         self.leaf_size = leaf_size
-        self.theta = theta
         self.levels = 0
         self.roots = []
         self.nodes = []
@@ -460,10 +455,9 @@ class _Builder:
     every segment split is caused by a separator at a level >= the level that
     created the segment being split; merges then undo cleanly stage by stage."""
 
-    def __init__(self, graph, leaf_size, theta):
+    def __init__(self, graph, leaf_size):
         self.g = graph
         self.leaf_size = leaf_size
-        self.theta = theta
         n = graph.n
         # Nearest-level depth keeps average leaf sizes centered on leaf_size
         # and, unlike truncation, does not flip the tree depth between two
@@ -476,7 +470,7 @@ class _Builder:
         self.seg_of_vertex = {}
         self.sep_count_at = {}
         self.split_counters = {}
-        self.tree = DissectionTree(graph, leaf_size, theta)
+        self.tree = DissectionTree(graph, leaf_size)
 
     def build(self):
         g = self.g
@@ -532,9 +526,7 @@ class _Builder:
 
         self.in_subset[subset] = True
         try:
-            walk, direction = find_separator(
-                g, subset, self.theta, in_subset=self.in_subset
-            )
+            walk, direction = find_separator(g, subset, in_subset=self.in_subset)
         except DegenerateSeparatorError:
             self.in_subset[subset] = False
             node.leaf_vertices = np.sort(subset)
@@ -546,15 +538,10 @@ class _Builder:
 
         index = self.sep_count_at.get(depth, 0)
         self.sep_count_at[depth] = index + 1
-        sep = Separator(level=depth, index=index, order=sep_order, direction=direction)
+        sep = Separator(level=depth, index=index, order=sep_order)
         tree.separators.append(sep)
-        root_seg = Segment(
-            id=(depth, index, depth, 0),
-            owner=sep.key,
-            vertices=sep_order,
-            lo=0,
-            hi=len(sep_order),
-        )
+        root_seg = Segment(id=(depth, index, depth, 0), owner=sep.key,
+                           vertices=sep_order)
         tree.segments[root_seg.id] = root_seg
         tree.events += split_crossed_segments(
             g, tree.segments, self.seg_of_vertex, walk, depth, self.split_counters
@@ -588,9 +575,9 @@ class _Builder:
         return np.concatenate(parts)
 
 
-def build_dissection(matrix, coords, leaf_size=DEFAULT_LEAF_SIZE, theta=DEFAULT_THETA):
+def build_dissection(matrix, coords, leaf_size=DEFAULT_LEAF_SIZE):
     """Build the dissection tree for a sparse matrix with vertex coordinates."""
     if leaf_size < 1:
         raise ConfigError(f"leaf_size must be at least 1, got {leaf_size}")
     graph = matrix if isinstance(matrix, Graph) else Graph.from_matrix(matrix, coords)
-    return _Builder(graph, leaf_size, theta).build()
+    return _Builder(graph, leaf_size).build()

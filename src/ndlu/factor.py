@@ -9,6 +9,10 @@ every segment owned by the stage's separators, and (3) merges sibling
 segments back into their parents so the next, coarser stage sees whole
 segments again.
 
+Symmetry is read from the matrix, in is_symmetric only. Every elimination
+(leaf interior, remainder or whole segment) goes through _eliminate, which
+picks LDL^T or pivoted LU and scatters the Schur complement.
+
 The active Schur complement lives in a SchurState: per stage, one flat value
 buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
 the multifrontal method, every coupled pair of segments is stored in both
@@ -18,7 +22,9 @@ kernel is chosen (LDL against LU, a one-sided against a joint interpolative
 decomposition). Every elimination gathers its self block and couplings from
 the buffer, runs that kernel and scatters its whole update back in one
 add_to_block call. Merges only relabel positions; the buffer is repacked once
-per stage, with room for the fill that the stage's eliminations create.
+per stage, with room for the fill of the stage's eliminations: every pair
+among each eliminated segment's neighbors. The segments one stage eliminates
+lie in disjoint subtrees and never touch, so their order does not matter.
 
 Every transform is recorded as an elementary factor carrying explicit global
 index scopes and dense payloads. Applying the left actions forward, the
@@ -30,6 +36,7 @@ those passes.
 from __future__ import annotations
 
 import contextlib
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +46,8 @@ import scipy.linalg as sla
 from . import lowrank
 from .core import Permutation, as_csr, lu_compact, triangular_solve
 from .dissection import JUNCTION, REGULAR
-from .errors import ConfigError, DimensionError, SingularBlockError
+from .errors import (ConfigError, DimensionError, NonFiniteError,
+                     SingularBlockError)
 
 SAMPLING_CHOICES = ("hybrid", "gaussian", "none")
 
@@ -48,17 +56,16 @@ SAMPLING_CHOICES = ("hybrid", "gaussian", "none")
 PACK_CHUNK = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorOptions:
     """Knobs for factorize; defaults match the benchmark configuration.
 
-    symmetric_mode: "auto" uses the symmetric path when the matrix is real
-    and numerically symmetric; True/False force it. sampling picks the rows
-    of each coupling block that the interpolative decomposition sees:
-    "hybrid" keeps the rows within twice the median edge length of the
-    segment verbatim and mixes the others into as many Gaussian combinations
-    as the segment has unknowns, plus lowrank.OVERSAMPLE; "gaussian" mixes
-    every row that way, and "none" decomposes the whole block. The sketches are seeded from the stage and
+    sampling picks the rows of each coupling block that the interpolative
+    decomposition sees: "hybrid" keeps the rows within twice the median edge
+    length of the segment verbatim and mixes the others into as many
+    Gaussian combinations as the segment has unknowns, plus
+    lowrank.OVERSAMPLE; "gaussian" mixes every row that way, and "none"
+    decomposes the whole block. The sketches are seeded from the stage and
     the segment id, so a factorization repeats bit for bit. Segments smaller
     than min_sparsify_size skip compression: a rank-revealing decomposition
     of a block that small costs more than it saves and such blocks sit at or
@@ -67,21 +74,22 @@ class FactorOptions:
     relabel against the segments its operation may touch (a repack only
     moves entries) and logs, per operation, the violations found and, for
     each sparsify, the largest dropped coupling entry next to its bound.
+    Options are checked when made and never change.
     """
 
-    symmetric_mode: object = "auto"
     sampling: str = "hybrid"
     min_sparsify_size: int = 64
     audit: bool = False
 
-    def validate(self):
+    def __post_init__(self):
         if self.sampling not in SAMPLING_CHOICES:
+            raise ConfigError(f"sampling must be one of {SAMPLING_CHOICES}, "
+                              f"got {self.sampling!r}")
+        floor = self.min_sparsify_size
+        if (isinstance(floor, bool) or not isinstance(floor, numbers.Integral)
+                or floor < 0):
             raise ConfigError(
-                f"sampling must be one of {SAMPLING_CHOICES}, got {self.sampling!r}"
-            )
-        if self.min_sparsify_size < 0:
-            raise ConfigError("min_sparsify_size must be nonnegative")
-        return self
+                f"min_sparsify_size must be a nonnegative int, got {floor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -114,8 +122,20 @@ class SparsifyFactor:
         return self.interp.size
 
 
+class _Elimination:
+    """kind and scope shared by the two elimination factors."""
+
+    @property
+    def kind(self):
+        return "interior-lu" if self.tag == "interior" else "eliminate"
+
+    @property
+    def scope(self):
+        return np.concatenate([self.idx, self.nbr])
+
+
 @dataclass
-class EliminationFactor:
+class EliminationFactor(_Elimination):
     """Block elimination of `idx` against its neighbor set `nbr`.
 
     Payloads come from the pivoted LU self_block[perm] = L @ U:
@@ -135,21 +155,13 @@ class EliminationFactor:
     tag: str = "segment"
 
     @property
-    def kind(self):
-        return "interior-lu" if self.tag == "interior" else "eliminate"
-
-    @property
-    def scope(self):
-        return np.concatenate([self.idx, self.nbr])
-
-    @property
     def payload_nnz(self):
         return (self.compact_lu.size + self.coupling_left.size
                 + self.coupling_right.size)
 
 
 @dataclass
-class SymEliminationFactor:
+class SymEliminationFactor(_Elimination):
     """Symmetric block elimination; the right action is the left's adjoint.
 
     Payloads come from self_block = lu @ d @ lu.T with lu[perm] unit lower
@@ -170,18 +182,8 @@ class SymEliminationFactor:
     tag: str = "segment"
 
     @property
-    def kind(self):
-        return "interior-lu" if self.tag == "interior" else "eliminate"
-
-    @property
-    def scope(self):
-        return np.concatenate([self.idx, self.nbr])
-
-    @property
     def payload_nnz(self):
         return self.lower_perm.size + self.coupling.size + self.dinv.size
-
-
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +267,15 @@ class SchurState:
     block. The structure changes only in pack, which runs once per stage
     after the merges: it carries every live entry over to the unit now
     holding its positions, renumbers slots densely, and preallocates the
-    fill that the stage's whole-segment eliminations will create, found by
-    a symbolic pass over those units in elimination order. A fill block
-    counts as a coupling only once an elimination writes it, so the
-    stage's sparsification, which runs first, sees the structure without
-    it. No object is kept per block. Invariants: eliminated positions never
-    retain coupling to active ones, and unit position lists stay disjoint
-    under merges.
+    fill that the stage's whole-segment eliminations will create: every
+    pair among the neighbors of each unit the stage owns (_with_fill). A
+    fill block counts as a coupling only once an elimination writes it, so
+    the stage's sparsification, which runs first, sees the structure
+    without it. No object is kept per block. Invariants: eliminated
+    positions never retain coupling to active ones, unit position lists
+    stay disjoint under merges, and no two units owned by one stage are
+    coupled (checked at every pack), so one stage's eliminations touch
+    disjoint self blocks and may run in any order.
     """
 
     def __init__(self, n, dtype, symmetric, unit_ids, coords=None,
@@ -287,6 +291,8 @@ class SchurState:
         self.units = {}
         self._by_serial = [None] * r
         self._active = np.zeros(r, dtype=bool)
+        self._owner_level = np.array([uid[0] for uid in self.unit_ids],
+                                     dtype=np.int64)
         self.pos_unit = np.full(n, -1, dtype=np.int64)
         self.local_pos = np.full(n, -1, dtype=np.int64)
         self.width = np.zeros(r, dtype=np.int64)
@@ -509,29 +515,19 @@ class SchurState:
         return off + self.local_pos[rows] * self.width[sb] + self.local_pos[cols]
 
     def _with_fill(self, keys, level):
-        """keys plus the fill of eliminating level's units in id order."""
-        owned = np.array(sorted(u.serial for u in self.units.values()
-                                if u.owner_level == level), dtype=np.int64)
-        if not owned.size:
-            return keys
+        """keys plus every pair among the neighbors of each unit owned by
+        level. Owned units lie in disjoint subtrees and never touch, so no
+        elimination adds a neighbor to another, in any order; two that touch
+        raise DimensionError."""
         r = len(self.unit_ids)
-        lo = np.searchsorted(keys, owned * r)
-        hi = np.searchsorted(keys, owned * r + r)
-        is_owned = np.zeros(r, dtype=bool)
-        is_owned[owned] = True
-        gone = np.zeros(r, dtype=bool)
-        pending = {}  # fill reaching an owned unit eliminated later
-        fill = []
-        for s, a, b in zip(owned.tolist(), lo.tolist(), hi.tolist()):
-            nb = keys[a:b] - s * r
-            if s in pending:
-                nb = np.union1d(nb, pending.pop(s))
-            nb = nb[(nb != s) & ~gone[nb]]
-            gone[s] = True
-            fill.append((nb[:, None] * r + nb).ravel())
-            for t in nb[is_owned[nb]].tolist():
-                pending[t] = np.union1d(pending.get(t, nb[:0]), nb[nb != t])
-        return _unique(np.concatenate([keys, *fill]))
+        owned = self._active & (self._owner_level == level)
+        a, b = np.divmod(keys, r)
+        row = owned[a] & (a != b)
+        if np.any(owned[b[row]]):
+            raise DimensionError(
+                f"two segments owned by level {level} are coupled")
+        fa, fb = _group_pairs(a[row], b[row])
+        return _unique(np.concatenate([keys, fa * r + fb]))
 
     # -- write audit ----------------------------------------------------------
 
@@ -562,18 +558,17 @@ class SchurState:
             violations.append(("write", self.unit_ids[bad]))
 
 
-def _resolve_symmetric(csr, mode):
-    if mode is True or mode is False:
-        return bool(mode)
-    if mode != "auto":
-        raise ConfigError(f"symmetric_mode must be 'auto' or a bool, got {mode!r}")
+def is_symmetric(a):
+    """Whether a is factored with the symmetric kernels: a real matrix with
+    max|A - A^T| <= 1e-14 max|A|. A complex matrix never is."""
+    csr = as_csr(a)
     if np.issubdtype(csr.dtype, np.complexfloating):
         return False
     if csr.nnz == 0:
         return True
     gap = abs(csr - csr.T)
     scale = np.abs(csr.data).max()
-    return gap.nnz == 0 or gap.data.max() <= 1e-14 * scale
+    return bool(gap.nnz == 0 or gap.data.max() <= 1e-14 * scale)
 
 
 def _median_edge_length(graph, cap=200_000):
@@ -596,21 +591,18 @@ def _as_csr(a):
     csr = as_csr(a)
     if csr.shape[0] != csr.shape[1]:
         raise DimensionError("factorization needs a square matrix")
+    if not np.all(np.isfinite(csr.data)):
+        raise NonFiniteError("matrix entries must be finite")
     dtype = np.promote_types(csr.dtype, np.float64)
     if csr.dtype != dtype:
         csr = csr.astype(dtype)
     return csr
 
 
-def _symmetric_elimination(self_block, a_nu, level, segment, tag):
-    """LDL-based elimination payloads for a symmetric self block."""
+def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
+    """LDL-based elimination of a symmetric self block; (factor, Schur
+    complement)."""
     k = self_block.shape[0]
-    if k == 0:
-        empty = np.zeros((0, 0))
-        return SymEliminationFactor(
-            idx=np.empty(0, np.int64), nbr=np.empty(0, np.int64),
-            lower_perm=empty, perm=np.empty(0, np.int64), coupling=a_nu,
-            dinv=empty, level=level, tag=tag), np.zeros((a_nu.shape[0],) * 2)
     hermitian = not np.issubdtype(self_block.dtype, np.complexfloating)
     try:
         lu, d, perm = sla.ldl(self_block, hermitian=hermitian)
@@ -631,34 +623,51 @@ def _symmetric_elimination(self_block, a_nu, level, segment, tag):
     coupling = (dinv @ t1).T
     schur = coupling @ t1
     factor = SymEliminationFactor(
-        idx=None, nbr=None, lower_perm=lower, perm=perm.astype(np.int64),
+        idx=idx, nbr=nbr, lower_perm=lower, perm=perm.astype(np.int64),
         coupling=np.ascontiguousarray(coupling), dinv=dinv, level=level, tag=tag)
     return factor, schur
 
 
-def _unsymmetric_elimination(self_block, a_nu, a_un, level, segment, tag):
-    """Pivoted-LU elimination payloads for a general self block."""
+def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
+                             segment, tag):
+    """Pivoted-LU elimination of a general self block; (factor, Schur
+    complement)."""
     k = self_block.shape[0]
     lu, _, perm = lu_compact(self_block, level=level, segment=segment)
-    if k and not np.all(np.isfinite(lu)):
+    if not np.all(np.isfinite(lu)):
         raise SingularBlockError(
             f"non-finite elimination payload in {k}x{k} block",
             level=level, segment=segment)
-    if k:
-        diag = np.abs(np.diagonal(lu))
-        if np.any(diag == 0.0):
-            raise SingularBlockError(
-                f"zero pivot in {k}x{k} block", level=level, segment=segment)
+    if np.any(np.diagonal(lu) == 0.0):
+        raise SingularBlockError(
+            f"zero pivot in {k}x{k} block", level=level, segment=segment)
     # coupling_left = A[nbr, idx] U^-1; coupling_right = L^-1 A[idx, nbr][perm]
     c_left = triangular_solve(lu, a_nu.T, lower=False, trans=True).T
     c_right = triangular_solve(lu, a_un[perm], lower=True, unit_diag=True)
     schur = c_left @ c_right
     factor = EliminationFactor(
-        idx=None, nbr=None, compact_lu=lu, perm=perm,
+        idx=idx, nbr=nbr, compact_lu=lu, perm=perm,
         coupling_left=np.ascontiguousarray(c_left),
         coupling_right=np.ascontiguousarray(c_right), level=level, tag=tag)
     return factor, schur
 
+
+def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag,
+               allowed):
+    """Eliminate positions idx against nbr and return the factor: LDL^T on
+    a symmetric store (a_un = A[idx, nbr] unused), pivoted LU otherwise; the
+    Schur complement goes onto nbr x nbr in a write scope over the allowed
+    unit serials (op "eliminate" for tag "segment", else the tag)."""
+    if state.symmetric:
+        factor, schur = _symmetric_elimination(idx, nbr, self_block, a_nu,
+                                               level, segment, tag)
+    else:
+        factor, schur = _unsymmetric_elimination(idx, nbr, self_block, a_nu,
+                                                 a_un, level, segment, tag)
+    op = "eliminate" if tag == "segment" else tag
+    with state.write_scope((op, segment), allowed):
+        state.add_to_block(nbr, nbr, -schur)
+    return factor
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +686,15 @@ def eliminate_interiors(a, tree, options=None):
     singular leaf block raises SingularBlockError naming the leaf's position
     span.
     """
-    opts = (options or FactorOptions()).validate()
+    opts = options or FactorOptions()
     csr = _as_csr(a)
     n = csr.shape[0]
     if tree.order is None or tree.order.n != n:
         raise DimensionError("dissection tree does not match the matrix size")
-    symmetric = _resolve_symmetric(csr, opts.symmetric_mode)
     nested = csr[tree.order.fwd][:, tree.order.fwd].tocsr()
     nested.sort_indices()
     coords = tree.graph.coords[tree.order.fwd]
-    state = SchurState(n, nested.dtype, symmetric, tree.segments,
+    state = SchurState(n, nested.dtype, is_symmetric(csr), tree.segments,
                        coords=coords,
                        near_radius=2.0 * _median_edge_length(tree.graph))
     state.audit = opts.audit
@@ -710,17 +718,10 @@ def eliminate_interiors(a, tree, options=None):
         s, e = leaf.span
         ext = externals[lo:hi]
         ii, a_ie, a_ei = _extract_leaf(nested, csc, s, e, ext)
-        segment = ("leaf", int(s), int(e))
-        if symmetric:
-            factor, schur = _symmetric_elimination(
-                ii, a_ei, interior_level, segment, "interior")
-        else:
-            factor, schur = _unsymmetric_elimination(
-                ii, a_ei, a_ie, interior_level, segment, "interior")
-        factor.idx = np.arange(s, e, dtype=np.int64)
-        factor.nbr = ext
-        factors.append(factor)
-        state.add_to_block(ext, ext, -schur)
+        factors.append(_eliminate(
+            state, np.arange(s, e, dtype=np.int64), ext, ii, a_ei, a_ie,
+            interior_level, ("leaf", int(s), int(e)), "interior",
+            state.pos_unit[ext]))
     return state, factors
 
 
@@ -809,7 +810,7 @@ def sparsify_segment(state, unit, eps, options=None):
     The skeleton keeps the unit's global positions that still couple
     outward.
     """
-    opts = (options or FactorOptions()).validate()
+    opts = options or FactorOptions()
     if unit.kind == JUNCTION:
         raise ConfigError("junction segments are merged, never sparsified")
     if unit.size == 0:
@@ -903,23 +904,12 @@ def eliminate_segments(state, level):
 
 
 def _eliminate_remainder(state, unit, level):
-    uid = unit.uid
-    red = unit.redundant_local
-    keep = unit.skeleton_local
+    red, keep = unit.redundant_local, unit.skeleton_local
     block = state.gather(unit.pos, unit.pos)
-    a_rr = block[np.ix_(red, red)]
-    a_rk = block[np.ix_(red, keep)]
-    a_kr = block[np.ix_(keep, red)]
-    if state.symmetric:
-        factor, schur = _symmetric_elimination(a_rr, a_kr, level, uid,
-                                               "remainder")
-    else:
-        factor, schur = _unsymmetric_elimination(a_rr, a_kr, a_rk, level, uid,
-                                                 "remainder")
-    factor.idx = unit.pos[red]
-    factor.nbr = unit.pos[keep]
-    with state.write_scope(("remainder", uid), [unit.serial]):
-        state.add_to_block(factor.nbr, factor.nbr, -schur)
+    factor = _eliminate(state, unit.pos[red], unit.pos[keep],
+                        block[np.ix_(red, red)], block[np.ix_(keep, red)],
+                        block[np.ix_(red, keep)], level, unit.uid,
+                        "remainder", [unit.serial])
     state.keep_positions(unit, keep)
     unit.redundant_local = None
     unit.skeleton_local = None
@@ -927,19 +917,10 @@ def _eliminate_remainder(state, unit, level):
 
 
 def _eliminate_whole(state, unit, level):
-    uid = unit.uid
     nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
-    if state.symmetric:
-        factor, schur = _symmetric_elimination(self_block, a_nu, level, uid,
-                                               "segment")
-    else:
-        a_un = state.gather(unit.pos, nbr_pos)
-        factor, schur = _unsymmetric_elimination(self_block, a_nu, a_un,
-                                                 level, uid, "segment")
-    factor.idx = unit.pos.copy()
-    factor.nbr = nbr_pos
-    with state.write_scope(("eliminate", uid), nbrs):
-        state.add_to_block(nbr_pos, nbr_pos, -schur)
+    a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
+    factor = _eliminate(state, unit.pos.copy(), nbr_pos, self_block, a_nu,
+                        a_un, level, unit.uid, "segment", nbrs)
     state.remove_unit(unit)
     return factor
 
@@ -1020,9 +1001,9 @@ def factorize(a, tree, eps, options=None):
     stage's own segments, merge split segments back together. Singular
     blocks raise SingularBlockError tagged with level and segment id.
     """
-    if not (0.0 < eps < 1.0):
-        raise ConfigError(f"eps must lie in (0, 1), got {eps}")
-    opts = (options or FactorOptions()).validate()
+    if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
+        raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
+    opts = options or FactorOptions()
 
     t0 = time.perf_counter()
     state, factors = eliminate_interiors(a, tree, options=opts)

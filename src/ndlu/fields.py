@@ -13,10 +13,9 @@ __all__ = ["CoefficientField", "make_contrast_field"]
 class CoefficientField:
     """Scalar or 2x2-tensor coefficient sampled at points of the domain."""
 
-    def __init__(self, kind, eval_fn, params=None):
+    def __init__(self, kind, eval_fn):
         self.kind = kind
         self._eval = eval_fn
-        self.params = params or {}
 
     def __call__(self, points):
         return self._eval(np.asarray(points, dtype=np.float64))
@@ -27,33 +26,37 @@ class CoefficientField:
 
     @classmethod
     def constant(cls, value=1.0):
-        return cls("constant", lambda p: np.full(len(p), float(value)),
-                   {"value": value})
+        return cls("constant", lambda p: np.full(len(p), float(value)))
 
     @classmethod
     def tensor(cls, d):
         d = np.asarray(d, dtype=np.float64)
         if d.shape != (2, 2):
             raise ConfigError("tensor coefficient must be 2x2")
-        return cls("tensor", lambda p: d, {"d": d})
+        return cls("tensor", lambda p: d)
 
 
-def make_contrast_field(rho, seed, smoothing_radius=0.1,
-                        bbox=(-1.0, 1.0, 0.0, 1.0)):
+# noise lattice spacing, and the box it covers (the structured meshes' domain)
+SMOOTHING_RADIUS = 0.1
+BBOX = (-1.0, 1.0, 0.0, 1.0)
+
+
+def make_contrast_field(rho, seed):
     """Two-valued field: rho where a smoothed noise field exceeds 1/2, else 1/rho.
 
-    Noise is white on a coarse lattice of spacing smoothing_radius, box-blurred
-    once with a 3x3 stencil, then interpolated bilinearly; threshold at 0.5.
-    rho = 1 yields the constant-1 field. Deterministic per seed.
+    Noise is white on a coarse lattice of spacing SMOOTHING_RADIUS over BBOX,
+    box-blurred once with a 3x3 stencil, then interpolated bilinearly;
+    threshold at 0.5. rho = 1 yields the constant-1 field. Deterministic per
+    seed.
     """
     if rho < 1:
         raise ConfigError("contrast rho must be >= 1")
     if rho == 1:
         return CoefficientField.constant(1.0)
 
-    x0, x1, y0, y1 = bbox
-    nx = max(4, int(np.ceil((x1 - x0) / smoothing_radius)) + 1)
-    ny = max(4, int(np.ceil((y1 - y0) / smoothing_radius)) + 1)
+    x0, x1, y0, y1 = BBOX
+    nx = max(4, int(np.ceil((x1 - x0) / SMOOTHING_RADIUS)) + 1)
+    ny = max(4, int(np.ceil((y1 - y0) / SMOOTHING_RADIUS)) + 1)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), nx, ny]))
     noise = rng.random((ny, nx))
 
@@ -81,6 +84,4 @@ def make_contrast_field(rho, seed, smoothing_radius=0.1,
         )
         return np.where(v > 0.5, hi, lo)
 
-    return CoefficientField("contrast", eval_fn,
-                            {"rho": rho, "seed": seed,
-                             "smoothing_radius": smoothing_radius})
+    return CoefficientField("contrast", eval_fn)

@@ -56,11 +56,6 @@ class Mesh2D:
         e.sort(axis=1)
         return np.unique(e, axis=0)
 
-    def median_edge_length(self):
-        e = self.edges()
-        d = self.vertices[e[:, 0]] - self.vertices[e[:, 1]]
-        return float(np.median(np.hypot(d[:, 0], d[:, 1])))
-
     def triangle_areas(self):
         p = self.vertices[self.triangles]
         return 0.5 * np.abs(

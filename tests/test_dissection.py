@@ -87,17 +87,17 @@ class TestDegreeBias:
     def test_parallel_step_and_drift(self):
         d = np.array([0.0, 1.0])
         # step 0 -> 1 along d, u relative to center 2 also along d
-        assert degree_bias(self.g, 1, 0, 2, d, theta=0.1) == pytest.approx(1.1)
+        assert degree_bias(self.g, 1, 0, 2, d) == pytest.approx(1.1)
 
     def test_perpendicular_step_at_center(self):
         d = np.array([0.0, 1.0])
         # u == c kills the drift term; step 1 -> ... use u=c case
-        val = degree_bias(self.g, 0, 3, 0, np.array([1.0, 0.0]), theta=0.1)
+        val = degree_bias(self.g, 0, 3, 0, np.array([1.0, 0.0]))
         assert val == pytest.approx(-1.0 / np.sqrt(2.0))
 
     def test_antiparallel_step(self):
         d = np.array([0.0, 1.0])
-        assert degree_bias(self.g, 2, 1, 2, d, theta=0.1) == pytest.approx(-1.0)
+        assert degree_bias(self.g, 2, 1, 2, d) == pytest.approx(-1.0)
 
 
 class TestFindSeparator:
@@ -142,7 +142,7 @@ class TestFindSeparator:
 def make_line_segment(owner, verts):
     v = np.asarray(verts, dtype=np.int64)
     return Segment(id=(owner[0], owner[1], owner[0], 0), owner=owner,
-                   vertices=v, lo=0, hi=len(v))
+                   vertices=v)
 
 
 class TestSplitBoundarySegments:

@@ -88,7 +88,42 @@ def test_exact_path_solves_matrix_market_input(build, tmp_path):
     assert (p.matrix.csr != a).nnz == 0
     tree = dissection.build_dissection(p.matrix, p.coords)
     fac = factor.factorize(p.matrix, tree, 1e-4, _exact(p.n))
-    assert fac.symmetric == p.symmetric
+    assert fac.symmetric == (build is _disconnected_copy)
+    assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
+
+
+def _complex_symmetric_file(tmp_path):
+    """A complex symmetric matrix stored as its lower triangle under a
+    'symmetric' Matrix Market header."""
+    p = assembly.build_problem(FAMILIES[0], 400)
+    lower = sp.tril(p.matrix.csr * (1 + 0.5j)).tocoo()
+    with open(tmp_path / "a.mtx", "w") as fh:
+        fh.write("%%MatrixMarket matrix coordinate complex symmetric\n")
+        fh.write(f"{p.n} {p.n} {lower.nnz}\n")
+        for i, j, v in zip(lower.row, lower.col, lower.data):
+            fh.write(f"{i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}\n")
+    mmio.write_coords_file(tmp_path / "a.xy", p.coords)
+    return assembly.read_matrix_market(tmp_path / "a.mtx", tmp_path / "a.xy")
+
+
+def _nearly_symmetric_problem(tmp_path):
+    return assembly.build_problem("laplace-aniso:d12=1,d21=1.000001", 400)
+
+
+@pytest.mark.parametrize("build", [_complex_symmetric_file,
+                                   _nearly_symmetric_problem])
+def test_matrices_that_are_not_real_symmetric_take_the_lu_path(build,
+                                                               tmp_path):
+    # both are symmetric to 1e-5, so a loose check would call them symmetric
+    p = build(tmp_path)
+    a = p.matrix.csr
+    assert abs(a - a.T).max() <= 1e-5 * abs(a).max()
+    assert not factor.is_symmetric(p.matrix)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    fac = factor.factorize(p.matrix, tree, 1e-4, _exact(p.n))
+    assert not fac.symmetric
+    assert all(isinstance(f, factor.EliminationFactor) for f in fac.factors
+               if f.kind != "sparsify")
     assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
 
 
@@ -180,8 +215,12 @@ def test_store_audit_logs_no_violation_and_bounded_drops(problem):
     opts = FactorOptions(min_sparsify_size=16, audit=True)
     fac = factor.factorize(p.matrix, tree, 1e-4, opts)
     ops = {entry["op"][0] for entry in fac.audit_log}
-    assert {"merge", "eliminate", "sparsify"} <= ops
+    assert {"interior", "merge", "eliminate", "sparsify"} <= ops
     assert all(entry["violations"] == [] for entry in fac.audit_log)
+    # one record per leaf, naming it by its position span
+    interiors = [e["op"][1] for e in fac.audit_log if e["op"][0] == "interior"]
+    assert interiors == [("leaf", *leaf.span) for leaf in tree.leaves
+                         if leaf.span[1] > leaf.span[0]]
     drops = [e for e in fac.audit_log if "dropped_max" in e]
     assert drops
     assert all(e["dropped_max"] <= e["drop_bound"] for e in drops)
@@ -266,9 +305,9 @@ def test_systems_within_one_leaf_solve_exactly(n, symmetric):
     a, coords = _small_system(n, symmetric)
     tree = dissection.build_dissection(a, coords)
     assert tree.separators == []
-    fac = factor.factorize(a, tree, 1e-4,
-                           FactorOptions(symmetric_mode=symmetric))
-    assert fac.symmetric == symmetric
+    fac = factor.factorize(a, tree, 1e-4)
+    # a 1x1 matrix is symmetric whatever it was built as
+    assert fac.symmetric == factor.is_symmetric(a) == (symmetric or n == 1)
     b = np.random.default_rng(n).standard_normal(n)
     _, report = solver.solve(fac, a, b)
     assert report.residual <= 1e-13
@@ -352,33 +391,43 @@ def test_median_edge_length_samples_the_whole_graph():
     assert abs(factor._median_edge_length(graph, cap=100) - full) <= 10
 
 
-@pytest.mark.parametrize("symmetric", [True, False])
-def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
-    # Units A and B (owned by level 2) touch each other, so eliminating A
-    # first puts fill between B and C that B's elimination then spreads to
-    # D. C and D then merge into P, whose self block must be the dense
-    # Schur complement of A and B.
-    ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1),
-           "D": (1, 0, 1, 2), "P": (1, 0, 1, 0)}
-    slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
-    rng = np.random.default_rng(3)
-    dense = np.zeros((8, 8))
-    for u, v in [("A", "A"), ("B", "B"), ("C", "C"), ("D", "D"),
-                 ("A", "B"), ("A", "C"), ("B", "D")]:
-        dense[np.ix_(slots[u], slots[v])] = rng.standard_normal((2, 2))
-        dense[np.ix_(slots[v], slots[u])] = rng.standard_normal((2, 2))
-    dense += 8.0 * np.eye(8)
-    if symmetric:
-        dense += dense.T
-
-    state = factor.SchurState(8, np.float64, symmetric, ids.values())
+def _store(dense, slots, ids, symmetric, level):
+    """A SchurState over units holding the given slots of dense, packed for
+    level."""
+    state = factor.SchurState(len(dense), np.float64, symmetric, ids.values())
     for name, pos in slots.items():
         state.add_unit(ids[name], np.array(pos), "regular")
     rows, cols = np.nonzero(dense)
-    state.pack(2, entries=(rows, cols, dense[rows, cols]))
+    state.pack(level, entries=(rows, cols, dense[rows, cols]))
+    return state
+
+
+def _coupled(slots, pairs, symmetric, seed=3):
+    """Diagonally dominant dense matrix whose unit blocks are nonzero on the
+    diagonal and for the given unit pairs, in both orientations."""
+    rng = np.random.default_rng(seed)
+    n = sum(len(pos) for pos in slots.values())
+    dense = np.zeros((n, n))
+    for u, v in [(u, u) for u in slots] + pairs:
+        dense[np.ix_(slots[u], slots[v])] = rng.standard_normal((2, 2))
+        dense[np.ix_(slots[v], slots[u])] = rng.standard_normal((2, 2))
+    dense += 8.0 * np.eye(n)
+    return dense + dense.T if symmetric else dense
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
+    # Units A and B (owned by level 2) do not touch. Eliminating A puts fill
+    # between C and D, which are not coupled in the matrix, so the pack must
+    # have preallocated it. C and D then merge into P, whose self block must
+    # be the dense Schur complement of A and B.
+    ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1),
+           "D": (1, 0, 1, 2), "P": (1, 0, 1, 0)}
+    slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
+    dense = _coupled(slots, [("A", "C"), ("A", "D"), ("B", "D")], symmetric)
+    state = _store(dense, slots, ids, symmetric, 2)
     factors = factor.eliminate_segments(state, 2)
-    # neighbours come in id order: C before B
-    assert [list(f.nbr) for f in factors] == [[4, 5, 2, 3], [4, 5, 6, 7]]
+    assert [list(f.nbr) for f in factors] == [[4, 5, 6, 7], [6, 7]]
 
     kids = [state.units[ids["C"]], state.units[ids["D"]]]
     parent = state.merge_units(kids, ids["P"], "regular")
@@ -387,3 +436,69 @@ def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
                                                             dense[:4, 4:])
     got = state.gather(parent.pos, parent.pos)
     assert np.allclose(got, schur, rtol=0, atol=1e-12)
+
+
+def _fill_by_loop(written, owned, r):
+    """Sorted keys of written plus, unit by owned unit, every pair among its
+    neighbors."""
+    keys = set(written.tolist())
+    for s in owned:
+        nb = (written[written // r == s] % r).tolist()
+        keys.update(a * r + b for a in nb for b in nb if a != s and b != s)
+    return sorted(keys)
+
+
+def test_every_pack_adds_the_fill_of_the_stage_loop_by_loop(problem):
+    p, tree = problem
+    state, _ = factor.eliminate_interiors(p.matrix, tree, _exact(p.n))
+    for level in range(tree.levels, 0, -1):
+        # right after a pack, the keys no elimination has written are fill
+        written = state.keys[~state._pending]
+        owned = [u.serial for u in state.units.values()
+                 if u.owner_level == level]
+        assert state.keys.tolist() == _fill_by_loop(
+            written, owned, len(state.unit_ids))
+        factor.eliminate_segments(state, level)
+        factor.merge_segments(state, tree, level)
+    assert not state.units
+
+
+def test_units_of_one_stage_that_touch_are_rejected():
+    ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1)}
+    slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5]}
+    dense = _coupled(slots, [("A", "B"), ("A", "C")], True)
+    with pytest.raises(DimensionError, match="level 2"):
+        _store(dense, slots, ids, True, 2)
+    # the same units pack for a stage that owns only one of them
+    _store(dense, slots, ids, True, 1)
+
+
+@pytest.mark.parametrize("floor", [None, "8", -1, 2.5])
+def test_factor_options_reject_a_floor_that_is_not_a_nonnegative_int(floor):
+    with pytest.raises(ConfigError):
+        FactorOptions(min_sparsify_size=floor)
+
+
+def test_factor_options_are_checked_once_and_frozen():
+    with pytest.raises(ConfigError):
+        FactorOptions(sampling="sobol")
+    opts = FactorOptions()
+    with pytest.raises(AttributeError):
+        opts.min_sparsify_size = 8
+
+
+@pytest.mark.parametrize("eps", ["1e-4", None, 0.0, float("nan")])
+def test_factorize_rejects_an_eps_that_is_not_a_number_in_0_1(eps):
+    a, coords = _small_system(5, True)
+    tree = dissection.build_dissection(a, coords)
+    with pytest.raises(ConfigError):
+        factor.factorize(a, tree, eps)
+
+
+def test_factorize_rejects_a_raw_matrix_holding_a_nan():
+    p = assembly.build_problem(FAMILIES[0], 400)
+    a = p.matrix.csr.copy()
+    a.data[a.indptr[3]] = np.nan
+    tree = dissection.build_dissection(a, p.coords)
+    with pytest.raises(NonFiniteError):
+        factor.factorize(a, tree, 1e-4)

@@ -13,6 +13,7 @@ from ndlu.assembly import (
     read_matrix_market,
 )
 from ndlu.errors import ConfigError, DimensionError, GeometryError
+from ndlu.factor import is_symmetric
 from ndlu.fields import CoefficientField, make_contrast_field
 from ndlu.meshing import (
     DIRICHLET,
@@ -156,7 +157,7 @@ class TestAssembly:
     def test_contrast_symmetric_and_connected(self):
         prob = build_problem("laplace-contrast:rho=100,seed=2", 900)
         a = prob.matrix.csr
-        assert prob.symmetric
+        assert is_symmetric(prob.matrix)
         rel = sp.linalg.norm(a - a.T) / sp.linalg.norm(a)
         assert rel < 1e-14
         ncomp, _ = connected_components(a, directed=False)
@@ -173,7 +174,7 @@ class TestAssembly:
     def test_aniso_unsymmetric_with_symmetric_pattern(self):
         prob = build_problem("laplace-aniso:d11=1,d12=1,d21=0,d22=1", 400)
         a = prob.matrix.csr
-        assert not prob.symmetric
+        assert not is_symmetric(prob.matrix)
         assert sp.linalg.norm(a - a.T) > 1e-8
         pattern = a.copy()
         pattern.data[:] = 1.0
@@ -245,7 +246,7 @@ class TestReadMatrixMarket:
         write_coords_file(tmp_path / "xy.txt", [(0, 0), (1, 0), (0, 1), (1, 1)])
         prob = read_matrix_market(tmp_path / "a.mtx", tmp_path / "xy.txt")
         assert np.array_equal(prob.rhs, np.ones(4))
-        assert prob.symmetric
+        assert is_symmetric(prob.matrix)
 
     def test_count_mismatch_raises(self, tmp_path):
         write_matrix_market_file(tmp_path / "a.mtx", sp.identity(4, format="csr"))
@@ -264,7 +265,6 @@ class TestProblemInstanceContract:
                 rhs=np.ones(2),
                 coords=np.zeros((3, 2)),
                 descriptor="helmholtz:k=1",
-                symmetric=True,
             )
 
     def test_build_sizes_near_target(self):
