@@ -10,8 +10,9 @@ builds the matrix at its benchmark size, dissects and factors it with the
 default options on the package in ./src, and prints the factor nnz, the
 relative residual of the solve of the load vector (res_load, the benchmark's
 residual_load), a BLAKE2b digest of the dissection (tree: the nested order
-and every split event) and one over every field of every factor in factor
-order, arrays by shape, dtype and bytes (digest). With no workload named it
+and every split event), one over every field of every factor in factor
+order, arrays by shape, dtype and bytes (digest), and one over the bytes of
+the load vector's solution (sol). With no workload named it
 then does the same for the four problem families at n~4k under each of the
 OPTION_SETS below, so that a refactor can be checked on the sampling plans,
 the exact path and, through the complex copy (1+0.5j)A, the LU path on every
@@ -86,11 +87,11 @@ def report(label, problem, eps, options, scale=1):
         matrix = SparseMatrix(matrix.csr * scale)
     tree = dissection.build_dissection(matrix, problem.coords)
     fac = factor.factorize(matrix, tree, eps, options)
-    _, rep = solver.solve(fac, matrix, problem.rhs)
+    x, rep = solver.solve(fac, matrix, problem.rhs)
     print(f"{label} n={problem.n} factors={len(fac.factors)} "
           f"nnz={fac.factor_nnz} res_load={rep.residual:.9e} "
           f"tree={_digest([tree.order.fwd, *tree.events])} "
-          f"digest={_digest(fac.factors)}", flush=True)
+          f"digest={_digest(fac.factors)} sol={_digest([x])}", flush=True)
 
 
 def main(names):

@@ -6,16 +6,20 @@ a lazily computed inverse. Dense blocks are plain float64/complex128 ndarrays.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs, solve_triangular
+from scipy.linalg import get_lapack_funcs
 
-from .errors import DimensionError, NonFiniteError, SingularBlockError
+from .errors import (ConfigError, DimensionError, NonFiniteError,
+                     SingularBlockError)
 
 __all__ = [
     "SparseMatrix",
     "Permutation",
     "as_csr",
+    "check_int",
     "lu_compact",
     "triangular_solve",
 ]
@@ -107,6 +111,14 @@ def as_csr(a):
     return a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
 
 
+def check_int(name, value, lowest):
+    """ConfigError unless value is an int (a numpy integer too, never a
+    bool) of at least lowest."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < lowest):
+        raise ConfigError(f"{name} must be an int >= {lowest}, got {value!r}")
+
+
 def lu_compact(block, level=None, segment=None):
     """Partial-pivoting LU in LAPACK's compact form.
 
@@ -135,13 +147,42 @@ def lu_compact(block, level=None, segment=None):
     return lu, piv, perm
 
 
+# LAPACK trtrs handles by (matrix dtype, right-hand side dtype). Each entry
+# is a function of its key alone, so the cache is safe to share.
+_TRTRS = {}
+
+
 def triangular_solve(t, b, lower=True, unit_diag=False, trans=False):
-    """Solve T x = b (or T^T x = b when trans) for triangular T."""
+    """Solve T x = b (or T^T x = b when trans) for triangular T.
+
+    One direct LAPACK trtrs call with the arguments
+    scipy.linalg.solve_triangular passes, so the result is bitwise the same:
+    an F-ordered T goes in as is, any other T as its transpose with lower
+    and trans flipped. Unlike solve_triangular it does not check T and b for
+    NaNs and infinities; callers check their payloads once instead. A zero
+    on a non-unit diagonal raises SingularBlockError.
+    """
     t = np.asarray(t)
     b = np.asarray(b)
     if t.shape[0] != t.shape[1] or t.shape[0] != b.shape[0]:
         raise DimensionError("triangular_solve shape mismatch")
     if t.shape[0] == 0:
         return b.copy()
-    return solve_triangular(t, b, lower=lower, unit_diagonal=unit_diag,
-                            trans=1 if trans else 0)
+    key = (t.dtype, b.dtype)
+    trtrs = _TRTRS.get(key)
+    if trtrs is None:
+        trtrs = _TRTRS[key] = get_lapack_funcs(("trtrs",), (t, b))[0]
+    if b.size == 0:
+        return np.empty_like(b, dtype=trtrs.dtype)
+    if t.flags.f_contiguous:
+        x, info = trtrs(t, b, lower=lower, trans=trans, unitdiag=unit_diag)
+    else:
+        x, info = trtrs(t.T, b, lower=not lower, trans=not trans,
+                        unitdiag=unit_diag)
+    if info > 0:
+        raise SingularBlockError(
+            f"zero diagonal at position {info - 1} in "
+            f"{t.shape[0]}x{t.shape[0]} triangular block")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    return x

@@ -19,9 +19,8 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .core import Permutation, as_csr
-from .errors import (ConfigError, DegenerateSeparatorError, DimensionError,
-                     NonFiniteError)
+from .core import Permutation, as_csr, check_int
+from .errors import DegenerateSeparatorError, DimensionError, NonFiniteError
 
 REGULAR = "regular"
 JUNCTION = "junction"
@@ -576,8 +575,11 @@ class _Builder:
 
 
 def build_dissection(matrix, coords, leaf_size=DEFAULT_LEAF_SIZE):
-    """Build the dissection tree for a sparse matrix with vertex coordinates."""
-    if leaf_size < 1:
-        raise ConfigError(f"leaf_size must be at least 1, got {leaf_size}")
+    """Build the dissection tree for a sparse matrix with vertex coordinates.
+
+    leaf_size, an int of at least 1, is the subset size below which the
+    walk stops splitting.
+    """
+    check_int("leaf_size", leaf_size, 1)
     graph = matrix if isinstance(matrix, Graph) else Graph.from_matrix(matrix, coords)
     return _Builder(graph, leaf_size).build()

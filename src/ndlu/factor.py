@@ -44,7 +44,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import lowrank
-from .core import Permutation, as_csr, lu_compact, triangular_solve
+from .core import (Permutation, as_csr, check_int, lu_compact,
+                   triangular_solve)
 from .dissection import JUNCTION, REGULAR
 from .errors import (ConfigError, DimensionError, NonFiniteError,
                      SingularBlockError)
@@ -85,11 +86,7 @@ class FactorOptions:
         if self.sampling not in SAMPLING_CHOICES:
             raise ConfigError(f"sampling must be one of {SAMPLING_CHOICES}, "
                               f"got {self.sampling!r}")
-        floor = self.min_sparsify_size
-        if (isinstance(floor, bool) or not isinstance(floor, numbers.Integral)
-                or floor < 0):
-            raise ConfigError(
-                f"min_sparsify_size must be a nonnegative int, got {floor!r}")
+        check_int("min_sparsify_size", self.min_sparsify_size, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -599,20 +596,27 @@ def _as_csr(a):
     return csr
 
 
+def _check_finite(k, level, segment, *payload):
+    """SingularBlockError unless every array is finite. The dense kernels
+    check each payload once here; the triangular solves do not check."""
+    if not all(np.isfinite(arr).all() for arr in payload):
+        raise SingularBlockError(
+            f"non-finite elimination payload in {k}x{k} block",
+            level=level, segment=segment)
+
+
 def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
     """LDL-based elimination of a symmetric self block; (factor, Schur
     complement)."""
     k = self_block.shape[0]
     hermitian = not np.issubdtype(self_block.dtype, np.complexfloating)
     try:
-        lu, d, perm = sla.ldl(self_block, hermitian=hermitian)
+        lu, d, perm = sla.ldl(self_block, hermitian=hermitian,
+                              check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
         raise SingularBlockError(str(exc), level=level, segment=segment)
     lower = lu[perm]
-    if not np.all(np.isfinite(lower)) or not np.all(np.isfinite(d)):
-        raise SingularBlockError(
-            f"non-finite elimination payload in {k}x{k} block",
-            level=level, segment=segment)
+    _check_finite(k, level, segment, lower, d)
     try:
         dinv = np.linalg.inv(d)
     except np.linalg.LinAlgError:
@@ -622,6 +626,7 @@ def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
     t1 = triangular_solve(lower, a_nu.T[perm], lower=True, unit_diag=True)
     coupling = (dinv @ t1).T
     schur = coupling @ t1
+    _check_finite(k, level, segment, coupling, schur)
     factor = SymEliminationFactor(
         idx=idx, nbr=nbr, lower_perm=lower, perm=perm.astype(np.int64),
         coupling=np.ascontiguousarray(coupling), dinv=dinv, level=level, tag=tag)
@@ -631,20 +636,14 @@ def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
 def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
                              segment, tag):
     """Pivoted-LU elimination of a general self block; (factor, Schur
-    complement)."""
+    complement). lu_compact raises on an exactly zero pivot."""
     k = self_block.shape[0]
     lu, _, perm = lu_compact(self_block, level=level, segment=segment)
-    if not np.all(np.isfinite(lu)):
-        raise SingularBlockError(
-            f"non-finite elimination payload in {k}x{k} block",
-            level=level, segment=segment)
-    if np.any(np.diagonal(lu) == 0.0):
-        raise SingularBlockError(
-            f"zero pivot in {k}x{k} block", level=level, segment=segment)
     # coupling_left = A[nbr, idx] U^-1; coupling_right = L^-1 A[idx, nbr][perm]
     c_left = triangular_solve(lu, a_nu.T, lower=False, trans=True).T
     c_right = triangular_solve(lu, a_un[perm], lower=True, unit_diag=True)
     schur = c_left @ c_right
+    _check_finite(k, level, segment, lu, c_left, c_right, schur)
     factor = EliminationFactor(
         idx=idx, nbr=nbr, compact_lu=lu, perm=perm,
         coupling_left=np.ascontiguousarray(c_left),

@@ -2,19 +2,21 @@
 
 The factor list applies in three passes: every factor's left action in list
 order, the block-diagonal middle actions (symmetric mode only), then every
-factor's right action in reverse list order. Right-hand sides are processed
-one column at a time so a multi-column solve is bitwise identical to the
-corresponding single-column solves.
+factor's right action in reverse list order. Each pass runs once over the
+whole right-hand side: a factor's actions index rows only, so one dispatch
+per factor serves every column of an n x k block. A vector right-hand side
+keeps vector arithmetic throughout, so its solution does not depend on how
+other right-hand sides are solved; a column of a block agrees with its
+vector solve to roundoff (matrix-matrix against matrix-vector products).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_csr, triangular_solve
+from .core import as_csr, check_int, triangular_solve
 from .errors import ConfigError, DimensionError, NonFiniteError
 from .factor import (EliminationFactor, SparsifyFactor, SpaluFactorization,
                      SymEliminationFactor)
@@ -30,18 +32,17 @@ class SolveReport:
     """
 
     residual: float
-    apply_seconds: float
     refine_steps: int
     zero_rhs: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Elementary factor actions on a single vector (in place)
+# Elementary factor actions on a nested-order vector or block (in place)
 # ---------------------------------------------------------------------------
 
 
 def apply_factor_left(factor, y):
-    """Forward action of one factor on a nested-order vector."""
+    """Forward action of one factor on a nested-order vector or block."""
     if isinstance(factor, SparsifyFactor):
         if factor.redundant.size and factor.skeleton.size:
             y[factor.redundant] -= factor.interp.T @ y[factor.skeleton]
@@ -68,7 +69,7 @@ def apply_factor_middle(factor, y):
 
 
 def apply_factor_right(factor, y):
-    """Backward action of one factor on a nested-order vector."""
+    """Backward action of one factor on a nested-order vector or block."""
     if isinstance(factor, SparsifyFactor):
         if factor.redundant.size and factor.skeleton.size:
             y[factor.skeleton] -= factor.interp @ y[factor.redundant]
@@ -92,13 +93,14 @@ def apply_factor_right(factor, y):
 
 
 def apply_factors(factorization, vec, audit=False):
-    """All three passes on a nested-order vector; returns a new array.
+    """All three passes on a nested-order vector or n x k block; returns a
+    new C-ordered array.
 
-    With audit=True also returns a list of locality violations: entries a
+    With audit=True also returns a list of locality violations: rows a
     factor changed outside its declared scope (there should be none).
     """
     y = np.array(vec, dtype=np.promote_types(vec.dtype, factorization.dtype),
-                 copy=True)
+                 order="C")
     violations = []
 
     def run(action, factors):
@@ -108,7 +110,8 @@ def apply_factors(factorization, vec, audit=False):
                 continue
             before = y.copy()
             action(f, y)
-            changed = np.flatnonzero(before != y)
+            changed = np.flatnonzero(
+                (before != y).reshape(len(y), -1).any(axis=1))
             outside = np.setdiff1d(changed, f.scope, assume_unique=False)
             if outside.size:
                 violations.append((f.kind, f.level, outside))
@@ -134,30 +137,47 @@ def _as_csr(a, n):
 
 
 def residual_with_flag(a, x, b):
-    """(residual, zero_rhs): relative unless norm(b) == 0, then absolute."""
+    """(residual, zero_rhs) of a vector, or arrays of both over the columns
+    of a block: relative unless the column of b is exactly zero, then
+    absolute."""
     csr = as_csr(a)
     if csr.shape[1] != len(x) or csr.shape[0] != len(b):
         raise DimensionError("residual: dimensions do not match")
     r = b - csr @ x
-    rhs_norm = float(np.linalg.norm(b))
-    if rhs_norm == 0.0:
-        return float(np.linalg.norm(r)), True
-    return float(np.linalg.norm(r)) / rhs_norm, False
+    axis = 0 if r.ndim == 2 else None
+    r_norm = np.linalg.norm(r, axis=axis)
+    b_norm = np.linalg.norm(b, axis=axis)
+    zero = b_norm == 0.0
+    res = r_norm / np.where(zero, 1.0, b_norm)
+    return (res, zero) if axis == 0 else (float(res), bool(zero))
+
+
+def _solve_passes(factorization, b):
+    """The three passes on b, permuted to nested order and back."""
+    fwd = factorization.order.fwd
+    x = np.empty_like(b)
+    x[fwd] = apply_factors(factorization, b[fwd])
+    return x
 
 
 def solve(factorization, a_original, b, refine=0):
     """Solve A x = b through the factorization; residuals use a_original.
 
-    b may be a vector or a matrix of right-hand-side columns. Returns
+    b may be a vector or an n x k matrix of right-hand-side columns. Returns
     (x, SolveReport) for a vector and (X, list of SolveReport) for a matrix.
+    The passes run once over all columns. A vector keeps vector arithmetic,
+    so its solution is bitwise the one a column-at-a-time solver gives; a
+    column of a matrix agrees with its vector solve to roundoff.
     refine, a nonnegative int, adds iterative-refinement steps
-    (x += solve(b - A x)); a step that does not improve the residual is
-    rolled back. A non-finite right-hand side raises NonFiniteError.
+    (x += solve(b - A x)) to every column at once; each column keeps a step
+    only if it lowers that column's residual, and its first step that does
+    not is rolled back and ends the column's refinement. A non-finite
+    right-hand side raises NonFiniteError, and so does a solution or
+    residual that is not finite, naming its columns.
     """
     if not isinstance(factorization, SpaluFactorization):
         raise ConfigError("solve needs a SpaluFactorization")
-    if not isinstance(refine, (int, np.integer)) or refine < 0:
-        raise ConfigError(f"refine must be a nonnegative int, got {refine!r}")
+    check_int("refine", refine, 0)
     n = factorization.n
     csr = _as_csr(a_original, n)
     b_arr = np.asarray(b)
@@ -166,35 +186,30 @@ def solve(factorization, a_original, b, refine=0):
             f"rhs has shape {b_arr.shape}, expected ({n},) or ({n}, k)")
     if not np.all(np.isfinite(b_arr)):
         raise NonFiniteError("right-hand side holds a NaN or an infinity")
-    single = b_arr.ndim == 1
-    cols = b_arr[:, None] if single else b_arr
-    out_dtype = np.promote_types(cols.dtype, factorization.dtype)
-    x = np.empty((n, cols.shape[1]), dtype=out_dtype)
-    reports = []
-    fwd = factorization.order.fwd
+    b_arr = np.ascontiguousarray(
+        b_arr, dtype=np.promote_types(b_arr.dtype, factorization.dtype))
 
-    for j in range(cols.shape[1]):
-        t0 = time.perf_counter()
-        bj = cols[:, j].astype(out_dtype, copy=False)
-        xj = np.empty(n, dtype=out_dtype)
-        xj[fwd] = apply_factors(factorization, bj[fwd])
-        res, zero_rhs = residual_with_flag(csr, xj, bj)
-        steps = 0
-        for _ in range(refine):
-            correction = np.empty(n, dtype=out_dtype)
-            r = bj - csr @ xj
-            correction[fwd] = apply_factors(factorization, r[fwd])
-            candidate = xj + correction
-            cand_res, _ = residual_with_flag(csr, candidate, bj)
-            if cand_res < res:
-                xj, res = candidate, cand_res
-                steps += 1
-            else:
-                break
-        x[:, j] = xj
-        reports.append(SolveReport(residual=res,
-                                   apply_seconds=time.perf_counter() - t0,
-                                   refine_steps=steps, zero_rhs=zero_rhs))
-    if single:
-        return x[:, 0], reports[0]
+    x = _solve_passes(factorization, b_arr)
+    res, zero_rhs = residual_with_flag(csr, x, b_arr)
+    bad = np.flatnonzero(~(np.isfinite(x).all(axis=0) & np.isfinite(res)))
+    if bad.size:
+        raise NonFiniteError(
+            f"solution or residual not finite in column(s) {bad.tolist()}")
+    steps = np.zeros(np.shape(res), dtype=np.int64)
+    active = np.ones(np.shape(res), dtype=bool)
+    for _ in range(refine):
+        candidate = x + _solve_passes(factorization, b_arr - csr @ x)
+        cand_res, _ = residual_with_flag(csr, candidate, b_arr)
+        active &= cand_res < res
+        if not active.any():
+            break
+        x = np.where(active, candidate, x)
+        res = np.where(active, cand_res, res)
+        steps += active
+    reports = [SolveReport(residual=float(r), refine_steps=int(s),
+                           zero_rhs=bool(z))
+               for r, s, z in zip(np.atleast_1d(res), np.atleast_1d(steps),
+                                  np.atleast_1d(zero_rhs))]
+    if b_arr.ndim == 1:
+        return x, reports[0]
     return x, reports

@@ -81,6 +81,51 @@ class TestTriangularSolve:
         with pytest.raises(DimensionError):
             triangular_solve(np.eye(3), np.ones(4))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("trans", [False, True])
+    @pytest.mark.parametrize("unit_diag", [False, True])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_bitwise_equal_to_scipy(self, lower, unit_diag, trans, order, dtype):
+        rng = np.random.default_rng(3)
+
+        def sample(*shape):
+            out = rng.standard_normal(shape)
+            if dtype is np.complex128:
+                out = out + 1j * rng.standard_normal(shape)
+            return out
+
+        t = np.array(sample(20, 20) + 4 * np.eye(20), order=order)
+        for b in (sample(20), sample(20, 3), np.asfortranarray(sample(20, 3)),
+                  sample(20, 0)):
+            x = triangular_solve(t, b, lower=lower, unit_diag=unit_diag,
+                                 trans=trans)
+            ref = sla.solve_triangular(t, b, lower=lower,
+                                       unit_diagonal=unit_diag,
+                                       trans=int(trans))
+            assert x.shape == ref.shape and x.dtype == ref.dtype
+            assert x.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("b_dtype", [np.float64, np.complex128, np.int64])
+    def test_empty_cases_keep_their_shape_and_dtype(self, b_dtype):
+        empty = triangular_solve(np.eye(0), np.ones((0, 2), dtype=b_dtype))
+        assert empty.shape == (0, 2) and empty.dtype == b_dtype
+        no_cols = triangular_solve(np.eye(3), np.ones((3, 0), dtype=b_dtype))
+        ref = sla.solve_triangular(np.eye(3), np.ones((3, 0), dtype=b_dtype))
+        assert no_cols.shape == (3, 0) and no_cols.dtype == ref.dtype
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_zero_on_the_diagonal_raises_singular_block_error(self, lower, order):
+        t = np.array(np.tril(np.ones((4, 4))) if lower else np.triu(np.ones((4, 4))),
+                     order=order)
+        t[2, 2] = 0.0
+        with pytest.raises(SingularBlockError, match="position 2"):
+            triangular_solve(t, np.ones(4), lower=lower)
+        # a unit diagonal is not read
+        x = triangular_solve(t, np.ones(4), lower=lower, unit_diag=True)
+        assert np.all(np.isfinite(x))
+
 
 class TestContainers:
     def test_sparse_rejects_nonfinite(self):

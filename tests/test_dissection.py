@@ -283,6 +283,16 @@ class TestBuildDissection:
         with pytest.raises(ConfigError):
             build_dissection(grid_graph(4, 4), None, leaf_size=leaf_size)
 
+    @pytest.mark.parametrize("leaf_size", [None, "8", 2.5, True])
+    def test_leaf_size_that_is_not_an_int_rejected(self, leaf_size):
+        with pytest.raises(ConfigError):
+            build_dissection(grid_graph(4, 4), None, leaf_size=leaf_size)
+
+    def test_numpy_int_leaf_size_accepted(self):
+        g = grid_graph(8, 8)
+        assert np.array_equal(build_dissection(g, None, leaf_size=np.int64(16)).order.fwd,
+                              build_dissection(g, None, leaf_size=16).order.fwd)
+
     def test_non_finite_coordinates_rejected(self):
         a = sp.identity(3, format="csr")
         coords = np.array([(0.0, 0.0), (np.nan, 1.0), (1.0, 0.0)])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ndlu import (ConfigError, DimensionError, NonFiniteError,
+from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
                   SingularBlockError, SparseMatrix, assembly, dissection,
                   factor, mmio, solver)
 from ndlu.dissection import REGULAR, Graph
@@ -186,6 +186,37 @@ def test_refinement_never_raises_the_residual(problem):
         assert 0 <= after.refine_steps <= 3
 
 
+def test_block_solve_agrees_with_vector_solves(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    b = _columns(p)
+    b[:, 1] = 0.0
+    x, reports = solver.solve(fac, p.matrix, b)
+    for j, report in enumerate(reports):
+        xj, rj = solver.solve(fac, p.matrix, b[:, j])
+        assert np.linalg.norm(x[:, j] - xj) <= 1e-10 * np.linalg.norm(xj)
+        assert report.zero_rhs == rj.zero_rhs == (j == 1)
+        assert report.residual == pytest.approx(rj.residual, rel=1e-9,
+                                                abs=1e-300)
+
+
+def test_block_refinement_keeps_each_column_apart(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    b = _columns(p)
+    b[:, 1] = 0.0
+    _, plain = solver.solve(fac, p.matrix, b)
+    x, refined = solver.solve(fac, p.matrix, b, refine=3)
+    # the zero column solves exactly, so no step can lower its residual
+    assert [r.refine_steps > 0 for r in refined] == [True, False, True, True]
+    for j, (before, after) in enumerate(zip(plain, refined)):
+        assert after.residual <= before.residual
+        assert 0 <= after.refine_steps <= 3
+        # each column reports the residual of the solution it kept
+        res, _ = solver.residual_with_flag(p.matrix, x[:, j], b[:, j])
+        assert after.residual == pytest.approx(res, rel=1e-6, abs=1e-300)
+
+
 def test_factorization_is_deterministic(problem):
     p, tree = problem
     first, second = (factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
@@ -208,6 +239,36 @@ def test_solver_audit_finds_no_locality_violation(problem):
     y = p.rhs[fac.order.fwd]
     _, violations = solver.apply_factors(fac, y, audit=True)
     assert violations == []
+
+
+def test_solver_audit_on_a_block_finds_no_locality_violation(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    y = _columns(p)[fac.order.fwd]
+    _, violations = solver.apply_factors(fac, y, audit=True)
+    assert violations == []
+
+
+def test_solver_audit_reports_a_row_changed_in_one_column(monkeypatch):
+    p = assembly.build_problem(FAMILIES[3], SMALL_N)
+    fac = factor.factorize(p.matrix, dissection.build_dissection(
+        p.matrix, p.coords), 1e-4)
+    first = fac.factors[0]
+    outside = np.setdiff1d(np.arange(p.n), first.scope)[0]
+    left = solver.apply_factor_left
+
+    def leaky(f, y):
+        left(f, y)
+        if f is first:
+            y[outside, 1] += 1.0
+
+    monkeypatch.setattr(solver, "apply_factor_left", leaky)
+    y = _columns(p)[fac.order.fwd]
+    _, violations = solver.apply_factors(fac, y, audit=True)
+    assert len(violations) == 1
+    kind, level, rows = violations[0]
+    assert (kind, level) == (first.kind, first.level)
+    assert rows.tolist() == [outside]
 
 
 def test_store_audit_logs_no_violation_and_bounded_drops(problem):
@@ -347,7 +408,7 @@ def test_solve_rejects_a_non_finite_right_hand_side():
         solver.solve(fac, a, np.array([1.0, np.nan, 0.0]))
 
 
-@pytest.mark.parametrize("refine", [1.5, -1, "2"])
+@pytest.mark.parametrize("refine", [1.5, -1, "2", True])
 def test_solve_rejects_a_refine_that_is_not_a_nonnegative_int(refine):
     a, coords = _small_system(3, True)
     fac = factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
@@ -376,6 +437,51 @@ def test_singular_block_error_names_its_block(family, own_tree):
     else:
         assert err.level == err.segment[0]
         assert 5 in tree.segments[err.segment].vertices
+
+
+def _poisoned(family, coupled_rows):
+    """family's matrix at SMALL_N with two entries of one interior coupling
+    set to 1e308: between an interior vertex i of the fourth leaf and two of
+    its neighbours j1, j2 outside the leaf, entries (i, j1) and (j1, i)
+    when coupled_rows is False, (j1, i) and (j2, i) when it is True."""
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    leaf = tree.leaves[3]
+    inside = tree.order.fwd[leaf.span[0]:leaf.span[1]]
+    csr = p.matrix.csr
+    i = next(v for v in inside
+             if np.setdiff1d(csr[v].indices, inside).size >= 2)
+    j1, j2 = np.setdiff1d(csr[i].indices, inside)[:2]
+    lil = csr.tolil()
+    for r, c in ([(j1, i), (j2, i)] if coupled_rows else [(i, j1), (j1, i)]):
+        lil[r, c] = 1e308
+    return p, tree, leaf, SparseMatrix(sp.csr_matrix(lil))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_overflowing_elimination_names_its_block(family):
+    # the leaf's Schur update overflows
+    _, tree, leaf, a = _poisoned(family, coupled_rows=False)
+    with pytest.raises(SingularBlockError, match="non-finite") as info:
+        factor.factorize(a, tree, 1e-4)
+    assert (info.value.level, info.value.segment) == \
+        (tree.levels + 1, ("leaf", *leaf.span))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("family,error", [(FAMILIES[0], SingularBlockError),
+                                          (FAMILIES[3], NonFiniteError)])
+def test_non_finite_values_raise_an_ndlu_error(family, error):
+    # on laplace-aniso the factors stay finite and only the residual
+    # b - A x overflows
+    p, tree, _, a = _poisoned(family, coupled_rows=True)
+    with pytest.raises(error) as info:
+        fac = factor.factorize(a, tree, 1e-4)
+        solver.solve(fac, a, np.column_stack([p.rhs, p.rhs]))
+    assert isinstance(info.value, NdluError)
+    if error is NonFiniteError:
+        assert "column(s) [0, 1]" in str(info.value)
 
 
 def test_median_edge_length_samples_the_whole_graph():
