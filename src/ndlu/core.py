@@ -31,7 +31,8 @@ class Permutation:
     def __init__(self, fwd):
         fwd = np.asarray(fwd, dtype=np.int64)
         n = fwd.size
-        if n and (fwd.min() < 0 or fwd.max() >= n or np.unique(fwd).size != n):
+        if n and (fwd.min() < 0 or fwd.max() >= n
+                  or np.bincount(fwd, minlength=n).max() != 1):
             raise DimensionError("not a permutation of 0..n-1")
         self.fwd = fwd
         self._inv = None

@@ -557,15 +557,18 @@ class SchurState:
 
 def is_symmetric(a):
     """Whether a is factored with the symmetric kernels: a real matrix with
-    max|A - A^T| <= 1e-14 max|A|. A complex matrix never is."""
+    |A_ij - A_ji| <= 1e-14 (|A_ij| + |A_ji|) for every pair, so a large
+    symmetric pair cannot hide the unsymmetry of the rest. A complex matrix
+    never is."""
     csr = as_csr(a)
     if np.issubdtype(csr.dtype, np.complexfloating):
         return False
     if csr.nnz == 0:
         return True
-    gap = abs(csr - csr.T)
-    scale = np.abs(csr.data).max()
-    return bool(gap.nnz == 0 or gap.data.max() <= 1e-14 * scale)
+    t = csr.T
+    excess = abs(csr - t) - 1e-14 * (abs(csr) + abs(t))
+    # implicit zeros read 0, so the max is over every pair either stores
+    return bool(excess.max() <= 0)
 
 
 def _median_edge_length(graph, cap=200_000):

@@ -17,6 +17,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.spatial import cKDTree
 
+from .core import triangular_solve
 from .errors import DimensionError, InterpolationBoundError
 
 log = logging.getLogger(__name__)
@@ -130,7 +131,7 @@ def cpqr_id(block, eps):
     if k == n:
         return _sorted_id(n, piv, n, np.zeros((n, 0), dtype=dtype))
 
-    rank_t = sla.solve_triangular(r[:k, :k], r[:k, k:], lower=False)
+    rank_t = triangular_solve(r[:k, :k], r[:k, k:], lower=False)
     return _sorted_id(n, piv, k, rank_t)
 
 

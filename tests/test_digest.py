@@ -1,0 +1,73 @@
+"""The dissection trees are pinned bitwise, through the digest of
+scripts/factor_digest.py, and that script's report is kept working."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from scipy.spatial import Delaunay
+
+from ndlu import SparseMatrix, assembly, dissection, factor
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_digest_tool():
+    spec = importlib.util.spec_from_file_location(
+        "factor_digest", ROOT / "scripts" / "factor_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIGEST = _load_digest_tool()
+
+# tree= of `python scripts/factor_digest.py` for each family at n=4096. The
+# two structured-grid families with isotropic coefficients share one tree.
+TREES = {
+    "laplace-contrast:rho=100,seed=1": "b6d741cd916f7eaa596d5555",
+    "helmholtz:k=5": "b6d741cd916f7eaa596d5555",
+    "helmholtz-poly:k=20": "3800560be08c25aaa8321612",
+    "laplace-aniso:d12=1,d21=0": "eddec9359c8ecc9639e86681",
+}
+
+
+@pytest.mark.parametrize("family", sorted(TREES))
+def test_trees_are_bitwise_those_of_the_reference(family):
+    problem = assembly.build_problem(family, DIGEST.SMALL_N)
+    tree = dissection.build_dissection(problem.matrix, problem.coords)
+    assert DIGEST._digest([tree.order.fwd, *tree.events]) == TREES[family]
+    assert tree.validate_separation()
+
+
+def test_tree_of_a_random_delaunay_mesh_is_bitwise_the_reference(monkeypatch):
+    # The greedy edge cover never runs on the problem families; on a random
+    # Delaunay mesh with small leaves it runs on dozens of nodes.
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(size=(3000, 2))
+    tri = Delaunay(pts).simplices
+    edges = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    a = sp.coo_matrix((np.ones(len(edges)), edges.T), shape=(3000, 3000)).tocsr()
+    covers = []
+    cover = dissection._greedy_edge_cover
+
+    def counted_cover(src, dst):
+        covers.append(len(src))
+        return cover(src, dst)
+
+    monkeypatch.setattr(dissection, "_greedy_edge_cover", counted_cover)
+    tree = dissection.build_dissection(
+        SparseMatrix((a + a.T + sp.identity(3000)).tocsr()), pts, leaf_size=16)
+    assert len(covers) > 10
+    assert DIGEST._digest([tree.order.fwd, *tree.events]) == "c6cdc2d5bf6683f09df1703b"
+    assert tree.validate_separation()
+
+
+def test_digest_report_prints_every_digest(capsys):
+    problem = assembly.build_problem(DIGEST.FAMILIES[3], 256)
+    DIGEST.report("tiny", problem, 1e-4, factor.FactorOptions())
+    line = capsys.readouterr().out
+    for key in ("tree=", "digest=", "sol="):
+        assert key in line

@@ -8,10 +8,13 @@ from ndlu.dissection import (
     REGULAR,
     Graph,
     Segment,
+    _greedy_edge_cover,
+    _median_and_quartiles,
+    _step_bias,
     build_dissection,
-    degree_bias,
     find_separator,
     split_crossed_segments,
+    split_subset,
 )
 from ndlu.errors import ConfigError, DegenerateSeparatorError, NonFiniteError
 
@@ -74,30 +77,34 @@ class TestGraph:
 
     def test_degree(self):
         g = grid_graph(3, 3)
-        assert g.degree(4) == 4
-        assert g.degree(0) == 2
+        assert len(g.neighbors(4)) == 4
+        assert len(g.neighbors(0)) == 2
 
 
 class TestDegreeBias:
+    """The walk's step bias: step alignment plus THETA times the alignment
+    of u relative to the walk's center c."""
+
     def setup_method(self):
-        pts = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0)])
-        adj = sp.csr_matrix(np.ones((4, 4)) - np.eye(4))
-        self.g = Graph.from_matrix(adj, pts)
+        self.pts = np.array([(0.0, 0.0), (0.0, 1.0), (0.0, -1.0), (1.0, 1.0)])
+
+    def bias(self, u, v, c, direction):
+        p = self.pts
+        return _step_bias(p[u], p[v], p[c], direction)[0]
 
     def test_parallel_step_and_drift(self):
         d = np.array([0.0, 1.0])
         # step 0 -> 1 along d, u relative to center 2 also along d
-        assert degree_bias(self.g, 1, 0, 2, d) == pytest.approx(1.1)
+        assert self.bias(1, 0, 2, d) == pytest.approx(1.1)
 
     def test_perpendicular_step_at_center(self):
-        d = np.array([0.0, 1.0])
-        # u == c kills the drift term; step 1 -> ... use u=c case
-        val = degree_bias(self.g, 0, 3, 0, np.array([1.0, 0.0]))
+        # u == c has no drift term
+        val = self.bias(0, 3, 0, np.array([1.0, 0.0]))
         assert val == pytest.approx(-1.0 / np.sqrt(2.0))
 
     def test_antiparallel_step(self):
         d = np.array([0.0, 1.0])
-        assert degree_bias(self.g, 2, 1, 2, d) == pytest.approx(-1.0)
+        assert self.bias(2, 1, 2, d) == pytest.approx(-1.0)
 
 
 class TestFindSeparator:
@@ -153,10 +160,15 @@ class TestSplitBoundarySegments:
 
     def split(self, segs, walk):
         """(leaf segments, events) after splitting segs at the walk."""
-        segments = {seg.id: seg for seg in segs}
-        seg_of = {int(v): seg.id for seg in segs for v in seg.vertices}
+        segments = list(segs)
+        seg_of = np.full(self.g.n, -1, dtype=np.int64)
+        for k, seg in enumerate(segs):
+            seg_of[seg.vertices] = k
         events = split_crossed_segments(self.g, segments, seg_of, walk, 2, {})
-        return [seg for seg in segments.values() if not seg.children], events
+        for k, seg in enumerate(segments):
+            if not seg.children:
+                assert np.all(seg_of[seg.vertices] == k)
+        return [seg for seg in segments if not seg.children], events
 
     def test_untouched_segment_unchanged(self):
         seg = make_line_segment((1, 0), range(9))
@@ -329,3 +341,70 @@ class TestFillInCount:
         natural = fill_in_count(g, np.arange(g.n))
         nested = fill_in_count(g, tree.order)
         assert nested <= natural
+
+
+def _greedy_edge_cover_reference(edges):
+    """The cover by recounting every uncovered edge before each pick."""
+    edges = set(edges)
+    chosen = []
+    while edges:
+        count = {}
+        for u, w in edges:
+            count[u] = count.get(u, 0) + 1
+            count[w] = count.get(w, 0) + 1
+        pick = min(count, key=lambda v: (-count[v], v))
+        chosen.append(pick)
+        edges = {e for e in edges if pick not in e}
+    return sorted(chosen)
+
+
+def test_greedy_edge_cover_matches_recounting_every_pick():
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        n = int(rng.integers(2, 30))
+        pairs = rng.integers(0, n, size=(int(rng.integers(1, 60)), 2))
+        edges = sorted({(int(min(u, w)), int(max(u, w))) for u, w in pairs if u != w})
+        if not edges:
+            continue
+        src, dst = (np.array(col, dtype=np.int64) for col in zip(*edges))
+        cover = _greedy_edge_cover(src, dst).tolist()
+        assert cover == _greedy_edge_cover_reference(edges)
+        assert all(u in cover or w in cover for u, w in edges)
+
+
+def test_median_and_quartiles_are_bitwise_those_of_numpy():
+    rng = np.random.default_rng(4)
+    for m in list(range(3, 40)) + [255, 256, 1001]:
+        for pts in (rng.standard_normal((m, 2)) * 1e3,
+                    rng.integers(0, 4, size=(m, 2)) * 0.1,
+                    rng.uniform(size=(m, 2)) * 1e-300):
+            expected = (np.median(pts, axis=0),
+                        *np.percentile(pts, [25.0, 75.0], axis=0))
+            for got, want in zip(_median_and_quartiles(pts), expected):
+                assert got.tobytes() == want.tobytes()
+
+
+def test_split_assigns_components_by_lean_then_by_size_in_lowest_vertex_order():
+    # walk 0-1-2-3 along y=0; A = {4, 5, 6, 12} above it, B = {7} below;
+    # C = {8} and D = {9} touch the walk's ends on y=0 and E = {10},
+    # F = {11}, G = {13} are isolated on y=0, so C to G have zero lean
+    pts = np.array([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1), (1, 1), (2, 1),
+                    (1, -1), (4, 0), (-1, 0), (6, 0), (7, 0), (3, 1), (8, 0)],
+                   dtype=float)
+    pairs = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 12), (0, 4), (1, 5),
+             (2, 6), (3, 12), (1, 7), (3, 8), (0, 9)]
+    rows, cols = zip(*pairs)
+    a = sp.coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(14, 14))
+    g = Graph.from_matrix(a, pts)
+    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = src < g.indices
+    subset = np.arange(14)[::-1]
+    walk = np.array([0, 1, 2, 3])
+    [(v1, v2, extra)] = split_subset(g, [(subset, walk, np.array([1.0, 0.0]))],
+                                     (src[upper], g.indices[upper]))
+    # A leans up (side 2, 4 vertices) and B down (side 1); C to F have no
+    # lean and join side 1 while it is not the larger, so G joins side 2.
+    # Each side lists its components in that order, each in subset order.
+    assert v1.tolist() == [7, 8, 9, 10, 11]
+    assert v2.tolist() == [12, 6, 5, 4, 13]
+    assert extra == []

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
                   SingularBlockError, SparseMatrix, assembly, dissection,
@@ -125,6 +126,24 @@ def test_matrices_that_are_not_real_symmetric_take_the_lu_path(build,
     assert all(isinstance(f, factor.EliminationFactor) for f in fac.factors
                if f.kind != "sparsify")
     assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
+
+
+def test_one_large_symmetric_pair_does_not_hide_unsymmetry():
+    p = assembly.build_problem("laplace-aniso:d12=1,d21=0", SMALL_N)
+    a = p.matrix.csr.tolil()
+    a[419, 364] = a[364, 419] = 1e15
+    a = SparseMatrix(a.tocsr())
+    assert not factor.is_symmetric(a)
+    tree = dissection.build_dissection(a, p.coords)
+    fac = factor.factorize(a, tree, 1e-4, FactorOptions(min_sparsify_size=10**6))
+    assert not fac.symmetric
+    x, _ = solver.solve(fac, a, p.rhs)
+    exact = spla.spsolve(a.csr.tocsc(), p.rhs)
+    assert np.linalg.norm(x - exact) <= 1e-12 * np.linalg.norm(exact)
+    # the 1e15 pair magnifies roundoff in A x, so one refinement step
+    # brings the residual relative to b down to roundoff
+    _, report = solver.solve(fac, a, p.rhs, refine=1)
+    assert report.residual <= 1e-12
 
 
 def test_complex_copy_takes_the_unsymmetric_path(problem):
