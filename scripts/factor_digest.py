@@ -10,9 +10,10 @@ builds the matrix at its benchmark size, dissects and factors it with the
 default options on the package in ./src, and prints the factor nnz, the
 relative residual of the solve of the load vector (res_load, the benchmark's
 residual_load), a BLAKE2b digest of the dissection (tree: the nested order
-and every split event), one over every field of every factor in factor
-order, arrays by shape, dtype and bytes (digest), and one over the bytes of
-the load vector's solution (sol). With no workload named it
+and every split event), one over every field of every compiled stage in
+stage order, its factor records and its sparse operators included, arrays
+by shape, dtype and bytes (digest), and one over the bytes of the load
+vector's solution (sol). With no workload named it
 then does the same for the four problem families at n~4k under each of the
 OPTION_SETS below, so that a refactor can be checked on the sampling plans,
 the exact path and, through the complex copy (1+0.5j)A, the LU path on every
@@ -33,6 +34,7 @@ os.environ.update(dict.fromkeys(
 import hashlib  # noqa: E402
 
 import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
@@ -60,24 +62,40 @@ OPTION_SETS = {
 
 
 def _update(h, value):
+    """Hash an array by shape, dtype and bytes, a sparse matrix by its
+    format, shape and arrays, a list item by item, anything else by its
+    repr."""
     if isinstance(value, np.ndarray):
         h.update(f"{value.shape}{value.dtype}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
+    elif sp.issparse(value):
+        h.update(f"{value.format}{value.shape}".encode())
+        for arr in (value.data, value.indices, value.indptr):
+            _update(h, arr)
+    elif isinstance(value, list):
+        _update_items(h, value)
     else:
         h.update(repr(value).encode())
 
 
-def _digest(items):
-    """One digest over arrays and over every field of the other items."""
-    h = hashlib.blake2b(digest_size=12)
+def _update_items(h, items):
+    """Hash each item's type name, then the item itself if it is an array
+    or a sparse matrix, else each of its fields by name."""
     for item in items:
         h.update(type(item).__name__.encode())
-        if isinstance(item, np.ndarray):
+        if isinstance(item, np.ndarray) or sp.issparse(item):
             _update(h, item)
             continue
         for name, value in sorted(vars(item).items()):
             h.update(name.encode())
             _update(h, value)
+
+
+def _digest(items):
+    """One digest over arrays, sparse matrices and the fields of other
+    items."""
+    h = hashlib.blake2b(digest_size=12)
+    _update_items(h, items)
     return h.hexdigest()
 
 
@@ -91,7 +109,7 @@ def report(label, problem, eps, options, scale=1):
     print(f"{label} n={problem.n} factors={len(fac.factors)} "
           f"nnz={fac.factor_nnz} res_load={rep.residual:.9e} "
           f"tree={_digest([tree.order.fwd, *tree.events])} "
-          f"digest={_digest(fac.factors)} sol={_digest([x])}", flush=True)
+          f"digest={_digest(fac.stages)} sol={_digest([x])}", flush=True)
 
 
 def main(names):

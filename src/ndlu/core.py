@@ -21,6 +21,7 @@ __all__ = [
     "as_csr",
     "check_int",
     "lu_compact",
+    "triangular_inverse",
     "triangular_solve",
 ]
 
@@ -148,9 +149,17 @@ def lu_compact(block, level=None, segment=None):
     return lu, piv, perm
 
 
-# LAPACK trtrs handles by (matrix dtype, right-hand side dtype). Each entry
-# is a function of its key alone, so the cache is safe to share.
-_TRTRS = {}
+# LAPACK handles by (routine, dtypes of the arrays passed). Each entry is a
+# function of its key alone, so the cache is safe to share.
+_LAPACK = {}
+
+
+def _lapack(name, *arrays):
+    key = (name, *(a.dtype for a in arrays))
+    func = _LAPACK.get(key)
+    if func is None:
+        func = _LAPACK[key] = get_lapack_funcs((name,), arrays)[0]
+    return func
 
 
 def triangular_solve(t, b, lower=True, unit_diag=False, trans=False):
@@ -169,10 +178,7 @@ def triangular_solve(t, b, lower=True, unit_diag=False, trans=False):
         raise DimensionError("triangular_solve shape mismatch")
     if t.shape[0] == 0:
         return b.copy()
-    key = (t.dtype, b.dtype)
-    trtrs = _TRTRS.get(key)
-    if trtrs is None:
-        trtrs = _TRTRS[key] = get_lapack_funcs(("trtrs",), (t, b))[0]
+    trtrs = _lapack("trtrs", t, b)
     if b.size == 0:
         return np.empty_like(b, dtype=trtrs.dtype)
     if t.flags.f_contiguous:
@@ -180,10 +186,34 @@ def triangular_solve(t, b, lower=True, unit_diag=False, trans=False):
     else:
         x, info = trtrs(t.T, b, lower=not lower, trans=not trans,
                         unitdiag=unit_diag)
-    if info > 0:
-        raise SingularBlockError(
-            f"zero diagonal at position {info - 1} in "
-            f"{t.shape[0]}x{t.shape[0]} triangular block")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of trtrs")
+    _check_triangular(info, "trtrs", t.shape[0])
     return x
+
+
+def triangular_inverse(t, lower=True, unit_diag=False):
+    """Invert the lower (or upper) triangle of square t in one LAPACK trtri
+    call.
+
+    Returns a new F-ordered array holding the inverse in that triangle; the
+    other strict triangle keeps t's entries, and so does the diagonal when
+    unit_diag. Two calls therefore turn a compact LU into one array packing
+    L^-1 (strictly below the diagonal) and U^-1 (on and above it). Like
+    triangular_solve it does not check for NaNs and infinities. A zero on a
+    non-unit diagonal raises SingularBlockError.
+    """
+    t = np.asarray(t)
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
+        raise DimensionError("triangular_inverse needs a square block")
+    if t.shape[0] == 0:
+        return np.asfortranarray(t.copy())
+    inv, info = _lapack("trtri", t)(t, lower=lower, unitdiag=unit_diag)
+    _check_triangular(info, "trtri", t.shape[0])
+    return inv
+
+
+def _check_triangular(info, routine, k):
+    if info > 0:
+        raise SingularBlockError(f"zero diagonal at position {info - 1} "
+                                 f"in {k}x{k} triangular block")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")

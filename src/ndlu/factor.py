@@ -2,12 +2,13 @@
 
 The factorization sweeps the separator hierarchy bottom-up. Leaf interiors
 are eliminated densely first; the remaining unknowns live on separator
-segments. Each stage then (1) compresses every regular segment's coupling to
+segments. Each level then (1) compresses every regular segment's coupling to
 its neighbors with an interpolative decomposition so the redundant rows and
 columns of the segment decouple, (2) eliminates the decoupled remainders and
-every segment owned by the stage's separators, and (3) merges sibling
-segments back into their parents so the next, coarser stage sees whole
-segments again.
+then every segment owned by the level's separators, and (3) merges sibling
+segments back into their parents so the next, coarser level sees whole
+segments again. A segment with no neighbors left has nothing to compress
+and is eliminated whole.
 
 Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
@@ -22,30 +23,41 @@ kernel is chosen (LDL against LU, a one-sided against a joint interpolative
 decomposition). Every elimination gathers its self block and couplings from
 the buffer, runs that kernel and scatters its whole update back in one
 add_to_block call. Merges only relabel positions; the buffer is repacked once
-per stage, with room for the fill of the stage's eliminations: every pair
-among each eliminated segment's neighbors. The segments one stage eliminates
+per level, with room for the fill of the level's eliminations: every pair
+among each eliminated segment's neighbors. The segments one level eliminates
 lie in disjoint subtrees and never touch, so their order does not matter.
 
-Every transform is recorded as an elementary factor carrying explicit global
-index scopes and dense payloads. Applying the left actions forward, the
-block-diagonal middle actions (symmetric mode only), and the right actions in
-reverse order applies the inverse of the matrix; the solver module drives
-those passes.
+Every transform is recorded as an elementary factor: the positions it
+eliminates or decouples (idx) and the positions it couples them to (nbr).
+The factors of one step (the leaf interiors, or one level's
+sparsifications, its remainders or its whole segments) form a Stage, in
+which no factor's idx meets another factor's idx or nbr, so a stage acts as
+one block operation. factorize compiles each stage as soon as it is built:
+one gather and one scatter index, and scipy CSR operators for the
+block-diagonal triangular inverses (L^-1 P and U^-1 of each LU, L^-1 P and
+D^-1 of each LDL^T) and for the couplings. Those CSR arrays are the only
+copy of the payload; a factor keeps its indices and, for a sparsification,
+a view of its interpolation matrix. The solver module applies the stages:
+left actions forward, D^-1 (LDL^T only), then right actions in reverse.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import lowrank
 from .core import (Permutation, as_csr, check_int, lu_compact,
-                   triangular_solve)
+                   triangular_inverse, triangular_solve)
 from .dissection import JUNCTION, REGULAR
 from .errors import (ConfigError, DimensionError, NonFiniteError,
                      SingularBlockError)
@@ -100,7 +112,8 @@ class SparsifyFactor:
 
     Right action: x[skeleton] -= interp @ x[redundant]. Left action:
     y[redundant] -= interp.T @ y[skeleton]. The right action is exactly the
-    adjoint of the left one, in both symmetric and unsymmetric mode.
+    adjoint of the left one, in both symmetric and unsymmetric mode. Once
+    the stage is compiled, interp is a view into the stage's operator.
     """
 
     skeleton: np.ndarray
@@ -109,6 +122,7 @@ class SparsifyFactor:
     level: int
 
     kind = "sparsify"
+    tag = "sparsify"
 
     @property
     def scope(self):
@@ -119,8 +133,41 @@ class SparsifyFactor:
         return self.interp.size
 
 
+class _Payload(NamedTuple):
+    """An elimination's entries, laid out as its stage stores them.
+
+    lower and diag hold the entries of its diagonal blocks of Stage.lower
+    and Stage.diag, row by row: the strict lower triangle of L^-1, then the
+    upper triangle of U^-1 or, with diag_counts and diag_cols giving each
+    row's count and each entry's column, the nonzeros of D^-1. pull and push
+    are its C-ordered k x m blocks of Stage.pull and of the transpose of
+    Stage.push (LU only).
+    """
+
+    perm: np.ndarray
+    lower: np.ndarray
+    diag: np.ndarray
+    pull: np.ndarray
+    push: np.ndarray = None
+    diag_counts: np.ndarray = None
+    diag_cols: np.ndarray = None
+
+
+@dataclass
 class _Elimination:
-    """kind and scope shared by the two elimination factors."""
+    """Record of one block elimination of positions idx against nbr.
+
+    payload_nnz counts the entries the compiled stage stores for it, and
+    payload holds them from the kernel until the stage is compiled; then
+    it is None.
+    """
+
+    idx: np.ndarray
+    nbr: np.ndarray
+    level: int
+    tag: str
+    payload_nnz: int
+    payload: _Payload = field(default=None, repr=False)
 
     @property
     def kind(self):
@@ -131,56 +178,173 @@ class _Elimination:
         return np.concatenate([self.idx, self.nbr])
 
 
-@dataclass
 class EliminationFactor(_Elimination):
-    """Block elimination of `idx` against its neighbor set `nbr`.
+    """Pivoted-LU elimination: self_block[perm] = L @ U.
 
-    Payloads come from the pivoted LU self_block[perm] = L @ U:
-    compact_lu packs L (unit lower) and U; coupling_left = A[nbr, idx] U^-1;
-    coupling_right = L^-1 A[idx, nbr][perm]. Left action: t = L^-1 y[idx][perm];
-    y[nbr] -= coupling_left @ t; y[idx] = t. Right action:
-    x[idx] = U^-1 (x[idx] - coupling_right @ x[nbr]).
+    Left action: t = L^-1 y[idx][perm]; y[nbr] -= coupling_left @ t;
+    y[idx] = t, with coupling_left = A[nbr, idx] U^-1. Right action:
+    x[idx] = U^-1 (x[idx] - coupling_right @ x[nbr]), with coupling_right =
+    L^-1 A[idx, nbr][perm]. Stored: L^-1 below the diagonal (its unit
+    diagonal is implied), U^-1 on and above it, and both couplings, k^2 +
+    2 k m entries for k = |idx| and m = |nbr|.
     """
 
-    idx: np.ndarray
-    nbr: np.ndarray
-    compact_lu: np.ndarray
-    perm: np.ndarray
-    coupling_left: np.ndarray
-    coupling_right: np.ndarray
-    level: int
-    tag: str = "segment"
 
-    @property
-    def payload_nnz(self):
-        return (self.compact_lu.size + self.coupling_left.size
-                + self.coupling_right.size)
-
-
-@dataclass
 class SymEliminationFactor(_Elimination):
-    """Symmetric block elimination; the right action is the left's adjoint.
+    """Symmetric (LDL^T) elimination; the right action is the left's
+    adjoint.
 
-    Payloads come from self_block = lu @ d @ lu.T with lu[perm] unit lower
-    triangular (Bunch-Kaufman). lower_perm stores lu[perm]; coupling stores
-    A[nbr, idx] lu^-T d^-1; dinv stores d^-1. Left action:
-    t = lu^-1 y[idx]; y[nbr] -= coupling @ t; y[idx] = t. Middle action:
-    y[idx] = dinv @ y[idx]. Right action:
-    x[idx] = lu^-T (x[idx] - coupling.T @ x[nbr]).
+    From self_block = lu @ d @ lu.T with lower = lu[perm] unit lower
+    triangular (Bunch-Kaufman) and coupling = A[nbr, idx] lu^-T d^-1. Left
+    action: t = lower^-1 y[idx][perm]; y[nbr] -= coupling @ t; y[idx] = t.
+    Middle action: y[idx] = d^-1 y[idx]. Right action: q = lower^-T
+    (x[idx] - coupling.T @ x[nbr]), then x[idx][perm] = q. Stored: lower^-1
+    below the diagonal, the nonzeros of d^-1 (its 1x1 and 2x2 blocks) and
+    the coupling.
     """
 
-    idx: np.ndarray
-    nbr: np.ndarray
-    lower_perm: np.ndarray
-    perm: np.ndarray
-    coupling: np.ndarray
-    dinv: np.ndarray
-    level: int
-    tag: str = "segment"
+
+# ---------------------------------------------------------------------------
+# Compiled stages
+# ---------------------------------------------------------------------------
+
+
+class Stage:
+    """A run of factors with one level, kind and tag, compiled into sparse
+    operators.
+
+    The factors' scopes do not interfere: no factor's idx meets another
+    factor's idx or nbr, so the stage's left, middle and right actions each
+    act as one block operation. With K = |idx|:
+
+    - idx: the positions the factors eliminate (of a sparsification, its
+      redundant positions), factor after factor; gather: the same in each
+      factor's pivot order (eliminations only).
+    - nbr: the positions they couple to: the sorted union of the
+      eliminations' neighbors, or the sparsifications' skeletons, factor
+      after factor.
+    - lower (K x K, eliminations): the strict lower part of the
+      block-diagonal L^-1 (pivot order; the unit diagonal is implied), and
+      lower_t its transpose; diag (K x K): the block-diagonal U^-1 of LU,
+      or the nonzeros of D^-1 of LDL^T.
+    - pull (K x |nbr|): what the stage reads from nbr: coupling_right of
+      each LU, coupling.T of each LDL^T, interp.T of each sparsification.
+    - push (|nbr| x K): what it subtracts from nbr, as a transposed (CSC)
+      view: of pull where the two couplings are transposes (LDL^T and
+      sparsifications), of a CSR of the coupling_left.T blocks for LU. A
+      neighbor shared by several factors is one row of it, so their
+      updates sum within the product.
+
+    The arrays of these CSR matrices are the only copy of the payload; a
+    factor's payload_nnz counts its entries there.
+    """
+
+    def __init__(self, factors, idx, nbr, pull, gather=None, lower=None,
+                 diag=None, push_t=None):
+        first = factors[0]
+        self.level, self.kind, self.tag = first.level, first.kind, first.tag
+        self.symmetric = isinstance(first, SymEliminationFactor)
+        self.factors = factors
+        self.idx, self.nbr, self.gather = idx, nbr, gather
+        self.lower, self.diag, self.pull = lower, diag, pull
+        self.push = (pull if push_t is None else push_t).T
+        self.lower_t = None if lower is None else lower.T
 
     @property
-    def payload_nnz(self):
-        return self.lower_perm.size + self.coupling.size + self.dinv.size
+    def scope(self):
+        """Sorted union of the factors' scopes."""
+        return _unique(np.concatenate([f.scope for f in self.factors]))
+
+
+def _csr(data, counts, num_cols, first=None, cols=None, indices=None):
+    """CSR matrix holding data, counts[r] entries in row r: at the given
+    indices, or in the consecutive columns first[r], first[r] + 1, ...,
+    read through cols when given."""
+    itype = np.int32 if max(data.size, num_cols) < 2 ** 31 else np.int64
+    indptr = np.zeros(counts.size + 1, dtype=itype)
+    np.cumsum(counts, out=indptr[1:])
+    if indices is None:
+        indices = np.arange(data.size, dtype=itype) - np.repeat(
+            indptr[:-1] - first.astype(itype), counts)
+        if cols is not None:
+            indices = cols.astype(itype)[indices]
+    return sp.csr_matrix((data, indices.astype(itype, copy=False), indptr),
+                         shape=(counts.size, num_cols))
+
+
+@functools.lru_cache(maxsize=64)
+def _triangles(k):
+    """Masks of the strict lower and of the upper (diagonal included)
+    triangle of a k x k block."""
+    strict = np.tri(k, k, -1, dtype=bool)
+    return strict, ~strict
+
+
+def compile_stages(factors):
+    """One Stage per run of factors with equal (level, kind, tag), in
+    order. Each elimination's payload is dropped once copied, and each
+    sparsification's interp becomes a view into its stage."""
+    return [_compile(list(run)) for _, run in itertools.groupby(
+        factors, key=lambda f: (f.level, f.kind, f.tag))]
+
+
+def _compile(factors):
+    if factors[0].kind == "sparsify":
+        return _compile_sparsify(factors)
+    return _compile_elimination(factors)
+
+
+def _compile_sparsify(factors):
+    idx = np.concatenate([f.redundant for f in factors])
+    nbr = np.concatenate([f.skeleton for f in factors])
+    rows = np.array([f.redundant.size for f in factors])
+    width = np.array([f.skeleton.size for f in factors])
+    pull = _csr(np.concatenate([f.interp.T.ravel() for f in factors]),
+                np.repeat(width, rows), nbr.size,
+                first=np.repeat(np.cumsum(width) - width, rows))
+    ends = np.cumsum(rows * width).tolist()
+    for f, r, s, end in zip(factors, rows.tolist(), width.tolist(), ends):
+        f.interp = pull.data[end - r * s:end].reshape(r, s).T
+    return Stage(factors, idx, nbr, pull)
+
+
+def _compile_elimination(factors):
+    payloads = [f.payload for f in factors]
+    sizes = np.array([f.idx.size for f in factors])
+    offsets = np.cumsum(sizes) - sizes
+    rows = np.arange(sizes.sum())
+    local = rows - np.repeat(offsets, sizes)
+    lower = _csr(np.concatenate([b.lower for b in payloads]), local,
+                 rows.size, first=rows - local)
+    diag_values = np.concatenate([b.diag for b in payloads])
+    if payloads[0].diag_cols is None:
+        diag = _csr(diag_values, np.repeat(sizes, sizes) - local, rows.size,
+                    first=rows)
+    else:
+        cols = np.concatenate([b.diag_cols for b in payloads]) + np.repeat(
+            offsets, [b.diag.size for b in payloads])
+        diag = _csr(diag_values,
+                    np.concatenate([b.diag_counts for b in payloads]),
+                    rows.size, indices=cols)
+    # couplings: row r holds its factor's neighbors, as columns of nbr
+    every_nbr = np.concatenate([f.nbr for f in factors])
+    nbr = _unique(every_nbr)
+    width = np.array([f.nbr.size for f in factors])
+    pull = _csr(np.concatenate([b.pull.ravel() for b in payloads]),
+                np.repeat(width, sizes), nbr.size,
+                first=np.repeat(np.cumsum(width) - width, sizes),
+                cols=np.searchsorted(nbr, every_nbr))
+    push_t = None
+    if payloads[0].push is not None:
+        push_t = sp.csr_matrix(
+            (np.concatenate([b.push.ravel() for b in payloads]),
+             pull.indices, pull.indptr), shape=pull.shape)
+    gather = np.concatenate([f.idx[b.perm] for f, b in zip(factors,
+                                                            payloads)])
+    for f in factors:
+        f.payload = None
+    return Stage(factors, np.concatenate([f.idx for f in factors]), nbr,
+                 pull, gather=gather, lower=lower, diag=diag, push_t=push_t)
 
 
 # ---------------------------------------------------------------------------
@@ -629,10 +793,18 @@ def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
     t1 = triangular_solve(lower, a_nu.T[perm], lower=True, unit_diag=True)
     coupling = (dinv @ t1).T
     schur = coupling @ t1
-    _check_finite(k, level, segment, coupling, schur)
+    linv = triangular_inverse(lower, lower=True, unit_diag=True)
+    _check_finite(k, level, segment, coupling, schur, linv)
+    nonzero = dinv != 0
+    payload = _Payload(
+        perm=perm.astype(np.int64), lower=linv[_triangles(k)[0]],
+        diag=dinv[nonzero], pull=coupling.T,
+        diag_counts=np.count_nonzero(nonzero, axis=1),
+        diag_cols=np.nonzero(nonzero)[1])
     factor = SymEliminationFactor(
-        idx=idx, nbr=nbr, lower_perm=lower, perm=perm.astype(np.int64),
-        coupling=np.ascontiguousarray(coupling), dinv=dinv, level=level, tag=tag)
+        idx=idx, nbr=nbr, level=level, tag=tag,
+        payload_nnz=payload.lower.size + payload.diag.size + coupling.size,
+        payload=payload)
     return factor, schur
 
 
@@ -646,11 +818,18 @@ def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
     c_left = triangular_solve(lu, a_nu.T, lower=False, trans=True).T
     c_right = triangular_solve(lu, a_un[perm], lower=True, unit_diag=True)
     schur = c_left @ c_right
-    _check_finite(k, level, segment, lu, c_left, c_right, schur)
+    # L^-1 strictly below the diagonal, U^-1 on and above it
+    inverse = triangular_inverse(
+        triangular_inverse(lu, lower=True, unit_diag=True), lower=False)
+    _check_finite(k, level, segment, lu, c_left, c_right, schur, inverse)
+    strict, upper = _triangles(k)
     factor = EliminationFactor(
-        idx=idx, nbr=nbr, compact_lu=lu, perm=perm,
-        coupling_left=np.ascontiguousarray(c_left),
-        coupling_right=np.ascontiguousarray(c_right), level=level, tag=tag)
+        idx=idx, nbr=nbr, level=level, tag=tag,
+        payload_nnz=lu.size + c_left.size + c_right.size,
+        payload=_Payload(perm=perm, lower=inverse[strict],
+                         diag=inverse[upper],
+                         pull=np.ascontiguousarray(c_right),
+                         push=np.ascontiguousarray(c_left.T)))
     return factor, schur
 
 
@@ -684,7 +863,8 @@ def eliminate_interiors(a, tree, options=None):
     complement touches, so the store is packed once with the matrix's
     separator entries and all leaf fill. The second pass factors each leaf
     and adds its Schur complement onto the segments with one add_to_block
-    call; afterwards the active set is exactly the separator vertices. A
+    call; afterwards the active set is exactly the separator vertices. The
+    factors keep their payload until compile_stages takes it. A
     singular leaf block raises SingularBlockError naming the leaf's position
     span.
     """
@@ -810,7 +990,8 @@ def sparsify_segment(state, unit, eps, options=None):
     two-sided sparsify factor, applies it to the unit's self block, and
     zeroes both orientations of the decoupled coupling entries in storage.
     The skeleton keeps the unit's global positions that still couple
-    outward.
+    outward. A unit with no neighbors has no coupling to compress: it emits
+    no factor and keeps every position, to be eliminated whole.
     """
     opts = options or FactorOptions()
     if unit.kind == JUNCTION:
@@ -821,6 +1002,8 @@ def sparsify_segment(state, unit, eps, options=None):
     uid = unit.uid
     pos = unit.pos
     nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
+    if nbr_pos.size == 0:
+        return [], pos.copy()
     plan = _plan_for(state, unit, nbr_pos, opts.sampling)
     a_un = state.gather(pos, nbr_pos)
     if state.symmetric:
@@ -886,8 +1069,8 @@ def eliminate_segments(state, level):
     coupling is to its own skeleton). Segments owned by this level are then
     eliminated entirely, with Schur updates scattered only over their
     neighbor sets, into blocks the stage's pack allocated. Returns the
-    elimination factors in application order. The store must have been
-    packed for `level`.
+    elimination factors in application order, their payload kept for
+    compile_stages. The store must have been packed for `level`.
     """
     factors = []
     for uid in state.active_ids():
@@ -957,14 +1140,15 @@ def merge_segments(state, tree, level):
 
 @dataclass
 class SpaluFactorization:
-    """Ordered elementary factors plus the nested ordering and statistics.
+    """Compiled stages plus the nested ordering and statistics.
 
-    factors applies left actions in list order and right actions in reverse
-    list order; symmetric-mode factors also carry a block-diagonal middle
-    action. level_stats rows are JSON-ready per-stage dicts.
+    stages applies left actions in list order and right actions in reverse
+    list order; LDL^T stages also carry a block-diagonal middle action.
+    factors lists every stage's factor records in the same order.
+    level_stats rows are JSON-ready per-level dicts.
     """
 
-    factors: list
+    stages: list
     order: Permutation
     n: int
     eps: float
@@ -973,6 +1157,10 @@ class SpaluFactorization:
     level_stats: list = field(default_factory=list)
     interior_seconds: float = 0.0
     audit_log: list = field(default_factory=list)
+
+    @property
+    def factors(self):
+        return [f for stage in self.stages for f in stage.factors]
 
     @property
     def qtilde(self):
@@ -998,17 +1186,19 @@ class SpaluFactorization:
 def factorize(a, tree, eps, options=None):
     """Run the full pipeline and return the factorization.
 
-    Interiors first, then per stage from the deepest separator level to the
+    Interiors first, then per level from the deepest separator level to the
     root: sparsify every regular segment, eliminate remainders and the
-    stage's own segments, merge split segments back together. Singular
-    blocks raise SingularBlockError tagged with level and segment id.
+    level's own segments, merge split segments back together. Each stage is
+    compiled as soon as its factors exist. Singular blocks raise
+    SingularBlockError tagged with level and segment id.
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
     opts = options or FactorOptions()
 
     t0 = time.perf_counter()
-    state, factors = eliminate_interiors(a, tree, options=opts)
+    state, interiors = eliminate_interiors(a, tree, options=opts)
+    stages = compile_stages(interiors)
     interior_seconds = time.perf_counter() - t0
 
     level_stats = []
@@ -1024,6 +1214,7 @@ def factorize(a, tree, eps, options=None):
         # compression statistics.
         pre_sizes = []
         post_sizes = []
+        sparsified = []
         t_sp = time.perf_counter()
         for uid in regulars:
             unit = state.units[uid]
@@ -1032,14 +1223,18 @@ def factorize(a, tree, eps, options=None):
             pre_sizes.append(unit.size)
             new_factors, skeleton = sparsify_segment(state, unit, eps,
                                                      options=opts)
-            factors.extend(new_factors)
+            sparsified.extend(new_factors)
             post_sizes.append(len(skeleton))
+        stages.extend(compile_stages(sparsified))
         time_sparsify = time.perf_counter() - t_sp
 
         t_el = time.perf_counter()
-        factors.extend(eliminate_segments(state, level))
-        merge_segments(state, tree, level)
+        stages.extend(compile_stages(eliminate_segments(state, level)))
         time_eliminate = time.perf_counter() - t_el
+
+        t_mg = time.perf_counter()
+        merge_segments(state, tree, level)
+        time_merge = time.perf_counter() - t_mg
 
         level_stats.append({
             "l": level,
@@ -1048,6 +1243,7 @@ def factorize(a, tree, eps, options=None):
             "e_l_prime": max(post_sizes, default=0),
             "time_sparsify": time_sparsify,
             "time_eliminate": time_eliminate,
+            "time_merge": time_merge,
         })
 
     if state.units:
@@ -1055,7 +1251,7 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"active segments remain after the last stage: "
                           f"{leftover}")
     return SpaluFactorization(
-        factors=factors, order=tree.order, n=state.n, eps=eps,
+        stages=stages, order=tree.order, n=state.n, eps=eps,
         symmetric=state.symmetric, dtype=state.dtype,
         level_stats=level_stats, interior_seconds=interior_seconds,
         audit_log=state.audit_log)

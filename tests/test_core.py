@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from ndlu.core import Permutation, SparseMatrix, lu_compact, triangular_solve
+from ndlu.core import (Permutation, SparseMatrix, lu_compact, triangular_inverse,
+                       triangular_solve)
 from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
 
@@ -125,6 +126,50 @@ class TestTriangularSolve:
         # a unit diagonal is not read
         x = triangular_solve(t, np.ones(4), lower=lower, unit_diag=True)
         assert np.all(np.isfinite(x))
+
+
+class TestTriangularInverse:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("unit_diag", [False, True])
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_inverts_one_triangle_and_keeps_the_rest(self, lower, unit_diag,
+                                                     order, dtype):
+        rng = np.random.default_rng(4)
+        t = rng.standard_normal((12, 12)) + 4 * np.eye(12)
+        if dtype is np.complex128:
+            t = t + 1j * rng.standard_normal((12, 12))
+        t = np.array(t, order=order)
+        tri = np.tril(t) if lower else np.triu(t)
+        if unit_diag:
+            np.fill_diagonal(tri, 1.0)
+        inv = triangular_inverse(t, lower=lower, unit_diag=unit_diag)
+        assert inv.dtype == t.dtype and inv.flags.f_contiguous
+        part = np.tril(inv) if lower else np.triu(inv)
+        if unit_diag:
+            np.fill_diagonal(part, 1.0)
+        assert np.allclose(part @ tri, np.eye(12), atol=1e-13)
+        # the other triangle, and a unit diagonal, keep t's entries
+        keep = ~np.tri(12, 12, -1 if unit_diag else 0, dtype=bool)
+        keep = keep if lower else keep.T
+        assert np.array_equal(inv[keep], t[keep])
+
+    def test_both_triangles_of_a_compact_lu(self):
+        b = np.random.default_rng(8).standard_normal((10, 10))
+        lu, _, perm = lu_compact(b)
+        inv = triangular_inverse(triangular_inverse(lu, unit_diag=True),
+                                 lower=False)
+        l_inv = np.tril(inv, -1) + np.eye(10)
+        assert np.allclose(np.triu(inv) @ l_inv @ b[perm], np.eye(10))
+
+    def test_empty_block_and_zero_diagonal(self):
+        assert triangular_inverse(np.eye(0)).shape == (0, 0)
+        t = np.tril(np.ones((4, 4)))
+        t[1, 1] = 0.0
+        with pytest.raises(SingularBlockError, match="position 1"):
+            triangular_inverse(t)
+        # a unit diagonal is not read
+        assert np.all(np.isfinite(triangular_inverse(t, unit_diag=True)))
 
 
 class TestContainers:

@@ -3,6 +3,7 @@ determinism, the Schur store's write audit and edge-case sizes."""
 
 import importlib.util
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,111 @@ def test_block_refinement_keeps_each_column_apart(problem):
         assert after.residual == pytest.approx(res, rel=1e-6, abs=1e-300)
 
 
+def test_block_solve_is_bitwise_the_vector_solves(problem):
+    # scipy's sparse products sum each entry of a block in the order they
+    # sum it for a vector, and every other step acts on rows
+    p, tree = problem
+    for a in (p.matrix, SparseMatrix(p.matrix.csr * (1 + 0.5j))):
+        fac = factor.factorize(a, tree, 1e-4, COMPRESS)
+        b = _columns(p)
+        x, _ = solver.solve(fac, a, b)
+        for j in range(b.shape[1]):
+            xj, _ = solver.solve(fac, a, b[:, j])
+            assert np.array_equal(x[:, j], xj)
+
+
+def _stored(stage):
+    """The distinct value arrays of a stage's operators; a transposed view
+    shares its array."""
+    stored = []
+    for m in (stage.lower, stage.diag, stage.pull, stage.push):
+        if m is not None and not any(np.shares_memory(m.data, d)
+                                     for d in stored):
+            stored.append(m.data)
+    return stored
+
+
+def test_stages_hold_the_only_copy_of_every_payload(problem):
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    kinds = {(s.kind, s.tag) for s in fac.stages}
+    assert {("interior-lu", "interior"), ("sparsify", "sparsify"),
+            ("eliminate", "remainder"), ("eliminate", "segment")} <= kinds
+    for stage in fac.stages:
+        stored = _stored(stage)
+        assert sum(d.size for d in stored) == sum(f.payload_nnz
+                                                  for f in stage.factors)
+        for f in stage.factors:
+            assert getattr(f, "payload", None) is None
+            for name, value in vars(f).items():
+                if isinstance(value, np.ndarray) and value.dtype.kind in "fc":
+                    # a value array is a view into its stage's operator
+                    assert any(np.shares_memory(value, d) for d in stored), \
+                        name
+    assert sum(d.size for s in fac.stages for d in _stored(s)) == \
+        fac.factor_nnz
+
+
+def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
+    # a factor writes idx (a sparsification its redundant positions) and
+    # reads nbr (its skeleton)
+    p, tree = problem
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    for stage in fac.stages:
+        sets = [(f.redundant, f.skeleton) if f.kind == "sparsify"
+                else (f.idx, f.nbr) for f in stage.factors]
+        owner = np.full(p.n, -1)
+        for i, (idx, _) in enumerate(sets):
+            assert np.all(owner[idx] == -1)
+            owner[idx] = i
+        for _, nbr in sets:
+            assert np.all(owner[nbr] == -1), (stage.kind, stage.level)
+
+
+# factor_nnz of the complex copies (LU on every family) at n=4096, floor 16,
+# as counted before segments without neighbors stopped being sparsified
+LU_NNZ = {
+    "laplace-contrast:rho=100,seed=1": 398202,
+    "helmholtz:k=5": 400932,
+    "helmholtz-poly:k=20": 376427,
+    "laplace-aniso:d12=1,d21=0": 421107,
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_segments_without_neighbors_are_eliminated_whole(family):
+    p = assembly.build_problem(family, 4096)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    for a in (p.matrix, SparseMatrix(p.matrix.csr * (1 + 0.5j))):
+        fac = factor.factorize(a, tree, 1e-4, COMPRESS)
+        sparsified = [f for f in fac.factors if f.kind == "sparsify"]
+        assert sparsified
+        assert all(f.skeleton.size for f in sparsified)
+        # the root is eliminated once, whole
+        assert [f.tag for f in fac.factors if f.level == 1] == ["segment"]
+    # fac is the complex copy's; the root's remainder elimination stored
+    # as many entries as its whole elimination does now
+    assert fac.factor_nnz == LU_NNZ[family]
+
+
+def test_level_stats_time_the_merge_apart(monkeypatch):
+    p = assembly.build_problem(FAMILIES[3], 400)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    merge = factor.merge_segments
+
+    def slow_merge(*args):
+        time.sleep(0.05)
+        return merge(*args)
+
+    monkeypatch.setattr(factor, "merge_segments", slow_merge)
+    fac = factor.factorize(p.matrix, tree, 1e-4)
+    assert [row["l"] for row in fac.level_stats] == list(
+        range(tree.levels, 0, -1))
+    for row in fac.level_stats:
+        assert row["time_merge"] >= 0.05
+        assert row["time_eliminate"] < 0.05
+
+
 def test_factorization_is_deterministic(problem):
     p, tree = problem
     first, second = (factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
@@ -272,13 +378,15 @@ def test_solver_audit_reports_a_row_changed_in_one_column(monkeypatch):
     p = assembly.build_problem(FAMILIES[3], SMALL_N)
     fac = factor.factorize(p.matrix, dissection.build_dissection(
         p.matrix, p.coords), 1e-4)
-    first = fac.factors[0]
+    # the interior stage's scope covers every position, so the leak goes
+    # into the first stage that leaves a row out
+    first = next(s for s in fac.stages if s.scope.size < p.n)
     outside = np.setdiff1d(np.arange(p.n), first.scope)[0]
     left = solver.apply_factor_left
 
-    def leaky(f, y):
-        left(f, y)
-        if f is first:
+    def leaky(stage, y):
+        left(stage, y)
+        if stage is first:
             y[outside, 1] += 1.0
 
     monkeypatch.setattr(solver, "apply_factor_left", leaky)

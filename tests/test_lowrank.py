@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.interpolative as sli
 
 from ndlu.errors import DimensionError
 from ndlu.lowrank import (
@@ -91,6 +92,25 @@ class TestCpqrId:
         ident = cpqr_id(b, 1e-10)
         assert ident.rank == 5
         assert ident.reconstruction_error(b) <= recon_bound(ident, b, 1e-10)
+
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_rank_agrees_with_scipy_interpolative(self, dtype):
+        # scipy's deterministic ID (pivoted QR, relative precision eps) is
+        # an independent implementation of the same rank rule
+        rng = np.random.default_rng(11)
+        for _ in range(12):
+            m, n = int(rng.integers(20, 80)), int(rng.integers(10, 60))
+            r = int(rng.integers(1, min(m, n) // 2 + 1))
+            for noise in (1e-3, 1e-6, 1e-9):
+                b = (rng.standard_normal((m, r)) @ rng.standard_normal((r, n))
+                     + noise * rng.standard_normal((m, n))).astype(dtype)
+                if dtype == np.complex128:
+                    b += 1j * rng.standard_normal((m, r)) @ \
+                        rng.standard_normal((r, n))
+                for eps in (1e-2, 1e-5, 1e-8):
+                    oracle, _, _ = sli.interp_decomp(b, eps, rand=False)
+                    assert abs(cpqr_id(b, eps).rank - oracle) <= 1
 
 
 class TestPlans:
