@@ -15,9 +15,9 @@ stage order, its factor records and its sparse operators included, arrays
 by shape, dtype and bytes (digest), and one over the bytes of the load
 vector's solution (sol). With no workload named it
 then does the same for the four problem families at n~4k under each of the
-OPTION_SETS below, so that a refactor can be checked on the sampling plans,
-the exact path and, through the complex copy (1+0.5j)A, the LU path on every
-family as well. Two checkouts that
+OPTION_SETS below, so that a refactor can be checked at two size floors
+and, through the complex copy (1+0.5j)A, on the LU path of every family as
+well. Two checkouts that
 print the same digests on the same machine made bitwise-identical trees and
 factors; a change that moves the factors only at roundoff shows the same nnz
 and a res_load that agrees to many digits. BLAS runs one thread, as in the
@@ -50,13 +50,12 @@ FAMILIES = (
     "helmholtz-poly:k=20",
     "laplace-aniso:d12=1,d21=0",
 )
-# (matrix scale, options) per set. The floor of 8 on the exact-ID set runs
-# the decomposition on the most (and smallest) blocks; a complex matrix is
-# never symmetric, so the complex set takes the LU path on every family.
+# (matrix scale, options) per set. The floor of 8 runs the decomposition on
+# the most (and smallest) blocks; a complex matrix is never symmetric, so the
+# complex set takes the LU path on every family.
 OPTION_SETS = {
     "hybrid": (1, dict(min_sparsify_size=16)),
-    "gaussian": (1, dict(min_sparsify_size=16, sampling="gaussian")),
-    "none": (1, dict(min_sparsify_size=8, sampling="none")),
+    "floor8": (1, dict(min_sparsify_size=8)),
     "complex": (1 + 0.5j, dict(min_sparsify_size=16)),
 }
 

@@ -10,6 +10,11 @@ segments back into their parents so the next, coarser level sees whole
 segments again. A segment with no neighbors left has nothing to compress
 and is eliminated whole.
 
+Every decomposition sees its coupling block through one hybrid plan
+(lowrank.build_hybrid_plan): neighbor rows near the segment enter verbatim
+and the far ones through a Gaussian sketch seeded from the stage and the
+segment id, so a factorization repeats bit for bit.
+
 Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
 picks LDL^T or pivoted LU and scatters the Schur complement.
@@ -30,15 +35,17 @@ lie in disjoint subtrees and never touch, so their order does not matter.
 Every transform is recorded as an elementary factor: the positions it
 eliminates or decouples (idx) and the positions it couples them to (nbr).
 The factors of one step (the leaf interiors, or one level's
-sparsifications, its remainders or its whole segments) form a Stage, in
-which no factor's idx meets another factor's idx or nbr, so a stage acts as
-one block operation. factorize compiles each stage as soon as it is built:
-one gather and one scatter index, and scipy CSR operators for the
-block-diagonal triangular inverses (L^-1 P and U^-1 of each LU, L^-1 P and
-D^-1 of each LDL^T) and for the couplings. Those CSR arrays are the only
-copy of the payload; a factor keeps its indices and, for a sparsification,
-a view of its interpolation matrix. The solver module applies the stages:
-left actions forward, D^-1 (LDL^T only), then right actions in reverse.
+sparsifications, its remainders or its whole segments) form a Stage.
+factorize compiles each stage as soon as it is built: one gather and one
+scatter index, and scipy CSR operators for the block-diagonal triangular
+inverses (L^-1 P and U^-1 of each LU, L^-1 P and D^-1 of each LDL^T) and for
+the couplings. Compiling checks that no factor's idx meets another factor's
+idx or any factor's nbr (a sparsification writes both its redundant and its
+skeleton positions, so its skeleton counts as idx here too): that is what
+lets a stage act as one block operation. Those CSR arrays are the only copy
+of the payload; a factor keeps its indices and, for a sparsification, a view
+of its interpolation matrix. The solver module applies the stages: left
+actions forward, D^-1 (LDL^T only), then right actions in reverse.
 """
 
 from __future__ import annotations
@@ -62,8 +69,6 @@ from .dissection import JUNCTION, REGULAR
 from .errors import (ConfigError, DimensionError, NonFiniteError,
                      SingularBlockError)
 
-SAMPLING_CHOICES = ("hybrid", "gaussian", "none")
-
 # Entries moved per step when the Schur store is repacked; bounds the
 # transient index arrays of a pack.
 PACK_CHUNK = 1 << 16
@@ -73,31 +78,21 @@ PACK_CHUNK = 1 << 16
 class FactorOptions:
     """Knobs for factorize; defaults match the benchmark configuration.
 
-    sampling picks the rows of each coupling block that the interpolative
-    decomposition sees: "hybrid" keeps the rows within twice the median edge
-    length of the segment verbatim and mixes the others into as many
-    Gaussian combinations as the segment has unknowns, plus
-    lowrank.OVERSAMPLE; "gaussian" mixes every row that way, and "none"
-    decomposes the whole block. The sketches are seeded from the stage and
-    the segment id, so a factorization repeats bit for bit. Segments smaller
-    than min_sparsify_size skip compression: a rank-revealing decomposition
-    of a block that small costs more than it saves and such blocks sit at or
-    near full rank anyway, so they are eliminated or merged at full size
-    instead. audit checks every update of the Schur store and every merge
-    relabel against the segments its operation may touch (a repack only
-    moves entries) and logs, per operation, the violations found and, for
-    each sparsify, the largest dropped coupling entry next to its bound.
-    Options are checked when made and never change.
+    Segments smaller than min_sparsify_size skip compression: a
+    rank-revealing decomposition of a block that small costs more than it
+    saves and such blocks sit at or near full rank anyway, so they are
+    eliminated or merged at full size instead. audit checks every update of
+    the Schur store and every merge relabel against the segments its
+    operation may touch (a repack only moves entries) and logs, per
+    operation, the violations found and, for each sparsify, the largest
+    dropped coupling entry next to its bound. Options are checked when made
+    and never change.
     """
 
-    sampling: str = "hybrid"
     min_sparsify_size: int = 64
     audit: bool = False
 
     def __post_init__(self):
-        if self.sampling not in SAMPLING_CHOICES:
-            raise ConfigError(f"sampling must be one of {SAMPLING_CHOICES}, "
-                              f"got {self.sampling!r}")
         check_int("min_sparsify_size", self.min_sparsify_size, 0)
 
 
@@ -123,10 +118,6 @@ class SparsifyFactor:
 
     kind = "sparsify"
     tag = "sparsify"
-
-    @property
-    def scope(self):
-        return np.concatenate([self.skeleton, self.redundant])
 
     @property
     def payload_nnz(self):
@@ -173,10 +164,6 @@ class _Elimination:
     def kind(self):
         return "interior-lu" if self.tag == "interior" else "eliminate"
 
-    @property
-    def scope(self):
-        return np.concatenate([self.idx, self.nbr])
-
 
 class EliminationFactor(_Elimination):
     """Pivoted-LU elimination: self_block[perm] = L @ U.
@@ -213,9 +200,10 @@ class Stage:
     """A run of factors with one level, kind and tag, compiled into sparse
     operators.
 
-    The factors' scopes do not interfere: no factor's idx meets another
-    factor's idx or nbr, so the stage's left, middle and right actions each
-    act as one block operation. With K = |idx|:
+    No factor's idx meets another factor's idx or any factor's nbr, and no
+    two sparsifications share a skeleton position (compile_stages checks
+    both), so the stage's left, middle and right actions each act as one
+    block operation. With K = |idx|:
 
     - idx: the positions the factors eliminate (of a sparsification, its
       redundant positions), factor after factor; gather: the same in each
@@ -250,11 +238,6 @@ class Stage:
         self.push = (pull if push_t is None else push_t).T
         self.lower_t = None if lower is None else lower.T
 
-    @property
-    def scope(self):
-        """Sorted union of the factors' scopes."""
-        return _unique(np.concatenate([f.scope for f in self.factors]))
-
 
 def _csr(data, counts, num_cols, first=None, cols=None, indices=None):
     """CSR matrix holding data, counts[r] entries in row r: at the given
@@ -283,15 +266,27 @@ def _triangles(k):
 def compile_stages(factors):
     """One Stage per run of factors with equal (level, kind, tag), in
     order. Each elimination's payload is dropped once copied, and each
-    sparsification's interp becomes a view into its stage."""
+    sparsification's interp becomes a view into its stage. Factors of one
+    stage that overlap raise DimensionError."""
     return [_compile(list(run)) for _, run in itertools.groupby(
         factors, key=lambda f: (f.level, f.kind, f.tag))]
 
 
 def _compile(factors):
     if factors[0].kind == "sparsify":
-        return _compile_sparsify(factors)
-    return _compile_elimination(factors)
+        stage = _compile_sparsify(factors)
+    else:
+        stage = _compile_elimination(factors)
+    # stage.nbr holds each elimination neighbor once and every
+    # sparsification's skeleton in full, so a position seen twice is an
+    # overlap that the one-shot stage actions would get wrong
+    both = np.sort(np.concatenate([stage.idx, stage.nbr]))
+    twice = both[1:][both[1:] == both[:-1]]
+    if twice.size:
+        raise DimensionError(
+            f"factors of the {stage.tag} stage at level {stage.level} "
+            f"overlap at position {twice[0]}")
+    return stage
 
 
 def _compile_sparsify(factors):
@@ -772,6 +767,30 @@ def _check_finite(k, level, segment, *payload):
             level=level, segment=segment)
 
 
+def _block_inverse(d, k, level, segment):
+    """Inverse of the block-diagonal D of an LDL^T, whose blocks are 1x1 or
+    2x2: a reciprocal per 1x1 block, one stacked inverse over the 2x2 ones.
+    A zero pivot or a singular 2x2 block raises SingularBlockError."""
+    pairs = np.flatnonzero(np.diagonal(d, -1))
+    single = np.ones(k, dtype=bool)
+    single[pairs] = single[pairs + 1] = False
+    ones = np.flatnonzero(single)
+    rows = pairs[:, None, None] + np.arange(2)[:, None]
+    cols = pairs[:, None, None] + np.arange(2)
+    pivots = d[ones, ones]
+    try:
+        blocks = np.linalg.inv(d[rows, cols])
+    except np.linalg.LinAlgError:
+        blocks = None
+    if blocks is None or np.any(pivots == 0):
+        raise SingularBlockError(
+            f"singular diagonal in {k}x{k} block", level=level, segment=segment)
+    dinv = np.zeros_like(d)
+    dinv[ones, ones] = 1.0 / pivots
+    dinv[rows, cols] = blocks
+    return dinv
+
+
 def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
     """LDL-based elimination of a symmetric self block; (factor, Schur
     complement)."""
@@ -784,11 +803,7 @@ def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
         raise SingularBlockError(str(exc), level=level, segment=segment)
     lower = lu[perm]
     _check_finite(k, level, segment, lower, d)
-    try:
-        dinv = np.linalg.inv(d)
-    except np.linalg.LinAlgError:
-        raise SingularBlockError(
-            f"singular diagonal in {k}x{k} block", level=level, segment=segment)
+    dinv = _block_inverse(d, k, level, segment)
     # t1 = lu^-1 A[idx, nbr]; coupling = (dinv @ t1).T = A[nbr, idx] lu^-T d^-1
     t1 = triangular_solve(lower, a_nu.T[perm], lower=True, unit_diag=True)
     coupling = (dinv @ t1).T
@@ -981,7 +996,7 @@ def _front(state, unit):
     return nbrs, nbr_pos, front[:unit.size], front[unit.size:]
 
 
-def sparsify_segment(state, unit, eps, options=None):
+def sparsify_segment(state, unit, eps):
     """Compress one active regular unit's coupling; returns (factors,
     skeleton).
 
@@ -989,11 +1004,13 @@ def sparsify_segment(state, unit, eps, options=None):
     neighbors (of the stacked in/out coupling in unsymmetric mode), emits the
     two-sided sparsify factor, applies it to the unit's self block, and
     zeroes both orientations of the decoupled coupling entries in storage.
-    The skeleton keeps the unit's global positions that still couple
-    outward. A unit with no neighbors has no coupling to compress: it emits
-    no factor and keeps every position, to be eliminated whole.
+    The decomposition sees the neighbor rows within near_radius of the unit
+    verbatim and the others mixed into unit.size + lowrank.OVERSAMPLE
+    Gaussian rows, or the whole block when too few rows are far. The
+    skeleton keeps the unit's global positions that still couple outward. A
+    unit with no neighbors has no coupling to compress: it emits no factor
+    and keeps every position, to be eliminated whole.
     """
-    opts = options or FactorOptions()
     if unit.kind == JUNCTION:
         raise ConfigError("junction segments are merged, never sparsified")
     if unit.size == 0:
@@ -1004,7 +1021,13 @@ def sparsify_segment(state, unit, eps, options=None):
     nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
     if nbr_pos.size == 0:
         return [], pos.copy()
-    plan = _plan_for(state, unit, nbr_pos, opts.sampling)
+    # One fixed stream per stage and segment, so factorizations repeat bit
+    # for bit; the leading 0 is part of the seed material.
+    seed = int(np.random.SeedSequence(
+        [0, state.level, *uid]).generate_state(1)[0])
+    plan = lowrank.build_hybrid_plan(state.coords[nbr_pos],
+                                     state.coords[pos], state.near_radius,
+                                     unit.size, seed)
     a_un = state.gather(pos, nbr_pos)
     if state.symmetric:
         ident = lowrank.sampled_id(a_nu, plan, eps)
@@ -1045,21 +1068,6 @@ def sparsify_segment(state, unit, eps, options=None):
 
 def _maxabs(arr):
     return float(np.abs(arr).max()) if arr.size else 0.0
-
-
-def _plan_for(state, unit, row_pos, sampling):
-    num_rows = row_pos.size
-    if sampling == "none" or num_rows == 0:
-        return lowrank.plan_dense(num_rows)
-    # One fixed stream per stage and segment, so factorizations repeat bit
-    # for bit; the leading 0 is part of the seed material.
-    seed = int(np.random.SeedSequence(
-        [0, state.level, *unit.uid]).generate_state(1)[0])
-    if sampling == "gaussian":
-        return lowrank.plan_gaussian(num_rows, unit.size, seed)
-    return lowrank.build_hybrid_plan(
-        state.coords[row_pos], state.coords[unit.pos], state.near_radius,
-        unit.size, seed)
 
 
 def eliminate_segments(state, level):
@@ -1155,7 +1163,6 @@ class SpaluFactorization:
     symmetric: bool
     dtype: object
     level_stats: list = field(default_factory=list)
-    interior_seconds: float = 0.0
     audit_log: list = field(default_factory=list)
 
     @property
@@ -1163,24 +1170,8 @@ class SpaluFactorization:
         return [f for stage in self.stages for f in stage.factors]
 
     @property
-    def qtilde(self):
-        ratios = [row["e_l_prime"] / row["e_l"]
-                  for row in self.level_stats if row["e_l"] > 0]
-        return max(ratios) if ratios else 1.0
-
-    @property
     def factor_nnz(self):
         return int(sum(f.payload_nnz for f in self.factors))
-
-    def stats_json(self):
-        return {
-            "levels": self.level_stats,
-            "qtilde": self.qtilde,
-            "factor_nnz": self.factor_nnz,
-            "interior_seconds": self.interior_seconds,
-            "symmetric": self.symmetric,
-            "eps": self.eps,
-        }
 
 
 def factorize(a, tree, eps, options=None):
@@ -1196,10 +1187,8 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
     opts = options or FactorOptions()
 
-    t0 = time.perf_counter()
     state, interiors = eliminate_interiors(a, tree, options=opts)
     stages = compile_stages(interiors)
-    interior_seconds = time.perf_counter() - t0
 
     level_stats = []
     for level in range(tree.levels, 0, -1):
@@ -1221,8 +1210,7 @@ def factorize(a, tree, eps, options=None):
             if unit.size < opts.min_sparsify_size:
                 continue
             pre_sizes.append(unit.size)
-            new_factors, skeleton = sparsify_segment(state, unit, eps,
-                                                     options=opts)
+            new_factors, skeleton = sparsify_segment(state, unit, eps)
             sparsified.extend(new_factors)
             post_sizes.append(len(skeleton))
         stages.extend(compile_stages(sparsified))
@@ -1253,5 +1241,4 @@ def factorize(a, tree, eps, options=None):
     return SpaluFactorization(
         stages=stages, order=tree.order, n=state.n, eps=eps,
         symmetric=state.symmetric, dtype=state.dtype,
-        level_stats=level_stats, interior_seconds=interior_seconds,
-        audit_log=state.audit_log)
+        level_stats=level_stats, audit_log=state.audit_log)

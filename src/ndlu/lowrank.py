@@ -1,10 +1,11 @@
-"""Interpolative decompositions with optional randomized row sampling.
+"""Interpolative decompositions with hybrid randomized row sampling.
 
 A block B of separator coupling is compressed by expressing most of its
 columns (the redundant set) as combinations of a few kept columns (the
 skeleton): B[:, redundant] ~= B[:, skeleton] @ interp. The skeleton is found
-by column-pivoted QR, either on B itself or on a short sketch of B that keeps
-nearby rows verbatim and compresses distant rows through a Gaussian matrix.
+by column-pivoted QR on a short sketch of B that keeps nearby rows verbatim
+and compresses distant rows through a Gaussian matrix (build_hybrid_plan),
+or on B itself when too few rows are far to shrink it (plan_dense).
 """
 
 from __future__ import annotations
@@ -139,15 +140,6 @@ def plan_dense(num_rows):
     """Plan that applies no sampling at all: every row is near."""
     return SamplingPlan(np.arange(num_rows, dtype=np.int64),
                         np.empty(0, dtype=np.int64), 0, 0)
-
-
-def plan_gaussian(num_rows, rank_guess, seed):
-    """Pure randomized plan: every row is mixed through the Gaussian sketch."""
-    h = min(num_rows, rank_guess + OVERSAMPLE)
-    if h >= num_rows:
-        return plan_dense(num_rows)
-    return SamplingPlan(np.empty(0, dtype=np.int64),
-                        np.arange(num_rows, dtype=np.int64), h, seed)
 
 
 def build_hybrid_plan(row_points, segment_points, radius, rank_guess, seed):

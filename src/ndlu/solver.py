@@ -3,7 +3,8 @@
 The factorization is a list of compiled stages (factor.Stage). They apply in
 three passes: every stage's left action in list order, the block-diagonal
 D^-1 of every LDL^T stage, then every stage's right action in reverse list
-order. A stage's factors never write where another of its factors reads, so
+order. A stage's factors never write where another of its factors reads or
+writes (factor.compile_stages refuses a stage whose factors overlap), so
 each action is a handful of numpy and scipy calls on the whole stage: a
 gather, a product with a block-diagonal triangular inverse, a coupling
 product and a scatter. Each pass runs once over the whole right-hand side:
@@ -78,36 +79,20 @@ def apply_factor_right(stage, y):
         y[stage.idx] = stage.diag @ v
 
 
-def apply_factors(factorization, vec, audit=False):
+def apply_factors(factorization, vec):
     """All three passes on a nested-order vector or n x k block; returns a
-    new C-ordered array.
-
-    With audit=True also returns a list of locality violations, one
-    (kind, level, rows) per stage action that changed rows outside the
-    union of its factors' scopes (there should be none).
-    """
+    new C-ordered array."""
     y = np.array(vec, dtype=np.promote_types(vec.dtype, factorization.dtype),
                  order="C")
-    violations = []
-
-    def run(action, stages):
-        for stage in stages:
-            if not audit:
-                action(stage, y)
-                continue
-            before = y.copy()
-            action(stage, y)
-            changed = np.flatnonzero(
-                (before != y).reshape(len(y), -1).any(axis=1))
-            outside = np.setdiff1d(changed, stage.scope, assume_unique=True)
-            if outside.size:
-                violations.append((stage.kind, stage.level, outside))
-
     stages = factorization.stages
-    run(apply_factor_left, stages)
-    run(apply_factor_middle, [s for s in stages if s.symmetric])
-    run(apply_factor_right, stages[::-1])
-    return (y, violations) if audit else y
+    for stage in stages:
+        apply_factor_left(stage, y)
+    for stage in stages:
+        if stage.symmetric:
+            apply_factor_middle(stage, y)
+    for stage in reversed(stages):
+        apply_factor_right(stage, y)
+    return y
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -165,22 +166,6 @@ def test_compressed_path_stays_within_the_benchmark_target(name):
     assert _worst_residual(fac, p.matrix, _columns(p)) <= workload.accuracy_target
 
 
-@pytest.mark.parametrize("name", ["contrast-sym", "aniso-unsym"])
-def test_every_sampling_plan_stays_within_the_benchmark_target(name):
-    workload = WORKLOADS[name]
-    p = assembly.build_problem(workload.descriptor, 4096)
-    tree = dissection.build_dissection(p.matrix, p.coords)
-    nnz = set()
-    for sampling in factor.SAMPLING_CHOICES:
-        fac = factor.factorize(p.matrix, tree, workload.eps, FactorOptions(
-            sampling=sampling, min_sparsify_size=16))
-        nnz.add(fac.factor_nnz)
-        assert (_worst_residual(fac, p.matrix, _columns(p))
-                <= workload.accuracy_target), sampling
-    # each plan picks its own skeletons
-    assert len(nnz) == len(factor.SAMPLING_CHOICES)
-
-
 @pytest.mark.parametrize("family", FAMILIES)
 def test_interpolation_coefficients_stay_within_two(family):
     # Column-pivoted QR alone meets the strong rank-revealing bound of 2 on
@@ -282,6 +267,39 @@ def test_stages_hold_the_only_copy_of_every_payload(problem):
         fac.factor_nnz
 
 
+def _elimination(idx, nbr, seed=0):
+    """An LU elimination of positions idx against nbr, payload kept."""
+    rng = np.random.default_rng(seed)
+    k, m = len(idx), len(nbr)
+    self_block = rng.standard_normal((k, k)) + 4 * np.eye(k)
+    f, _ = factor._unsymmetric_elimination(
+        np.array(idx), np.array(nbr), self_block, rng.standard_normal((m, k)),
+        rng.standard_normal((k, m)), 2, (2, 0, 2, seed), "segment")
+    return f
+
+
+def _sparsification(skeleton, redundant):
+    return factor.SparsifyFactor(
+        skeleton=np.array(skeleton), redundant=np.array(redundant),
+        interp=np.ones((len(skeleton), len(redundant))), level=2)
+
+
+@pytest.mark.parametrize("factors,position", [
+    (lambda: [_elimination([0, 1], [4, 5]), _elimination([1, 2], [6], 1)], 1),
+    (lambda: [_elimination([0, 1], [4, 5]), _elimination([4], [6], 1)], 4),
+    (lambda: [_sparsification([0, 1], [2]), _sparsification([1, 5], [3])], 1),
+], ids=["shared-idx", "idx-in-nbr", "shared-skeleton"])
+def test_compile_rejects_factors_of_one_stage_that_overlap(factors, position):
+    with pytest.raises(DimensionError, match=f"overlap at position {position}"):
+        factor.compile_stages(factors())
+
+
+def test_compile_accepts_eliminations_that_share_a_neighbor():
+    stage, = factor.compile_stages([_elimination([0, 1], [4, 5]),
+                                    _elimination([2, 3], [5, 6], 1)])
+    assert stage.nbr.tolist() == [4, 5, 6]
+
+
 def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
     # a factor writes idx (a sparsification its redundant positions) and
     # reads nbr (its skeleton)
@@ -356,46 +374,6 @@ def test_factorization_is_deterministic(problem):
                 assert value.tobytes() == other.tobytes(), name
             else:
                 assert value == other, name
-
-
-def test_solver_audit_finds_no_locality_violation(problem):
-    p, tree = problem
-    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
-    y = p.rhs[fac.order.fwd]
-    _, violations = solver.apply_factors(fac, y, audit=True)
-    assert violations == []
-
-
-def test_solver_audit_on_a_block_finds_no_locality_violation(problem):
-    p, tree = problem
-    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
-    y = _columns(p)[fac.order.fwd]
-    _, violations = solver.apply_factors(fac, y, audit=True)
-    assert violations == []
-
-
-def test_solver_audit_reports_a_row_changed_in_one_column(monkeypatch):
-    p = assembly.build_problem(FAMILIES[3], SMALL_N)
-    fac = factor.factorize(p.matrix, dissection.build_dissection(
-        p.matrix, p.coords), 1e-4)
-    # the interior stage's scope covers every position, so the leak goes
-    # into the first stage that leaves a row out
-    first = next(s for s in fac.stages if s.scope.size < p.n)
-    outside = np.setdiff1d(np.arange(p.n), first.scope)[0]
-    left = solver.apply_factor_left
-
-    def leaky(stage, y):
-        left(stage, y)
-        if stage is first:
-            y[outside, 1] += 1.0
-
-    monkeypatch.setattr(solver, "apply_factor_left", leaky)
-    y = _columns(p)[fac.order.fwd]
-    _, violations = solver.apply_factors(fac, y, audit=True)
-    assert len(violations) == 1
-    kind, level, rows = violations[0]
-    assert (kind, level) == (first.kind, first.level)
-    assert rows.tolist() == [outside]
 
 
 def test_store_audit_logs_no_violation_and_bounded_drops(problem):
@@ -566,6 +544,24 @@ def test_singular_block_error_names_its_block(family, own_tree):
         assert 5 in tree.segments[err.segment].vertices
 
 
+def test_ldl_diagonal_inverse_is_bitwise_the_dense_inverse():
+    # an indefinite block, so Bunch-Kaufman takes 1x1 and 2x2 pivots
+    b = np.random.default_rng(4).standard_normal((40, 40))
+    _, d, _ = sla.ldl(b + b.T)
+    pairs = np.flatnonzero(np.diagonal(d, -1))
+    single = np.setdiff1d(np.arange(40), np.concatenate([pairs, pairs + 1]))
+    assert pairs.size and single.size
+    assert np.array_equal(factor._block_inverse(d, 40, 1, "s"),
+                          np.linalg.inv(d))
+    zero_pivot, singular_pair = d.copy(), d.copy()
+    zero_pivot[single[0], single[0]] = 0.0
+    i = pairs[0]
+    singular_pair[i:i + 2, i:i + 2] = [[1.0, 2.0], [2.0, 4.0]]
+    for bad in (zero_pivot, singular_pair):
+        with pytest.raises(SingularBlockError, match="singular diagonal"):
+            factor._block_inverse(bad, 40, 1, "s")
+
+
 def _poisoned(family, coupled_rows):
     """family's matrix at SMALL_N with two entries of one interior coupling
     set to 1e308: between an interior vertex i of the fourth leaf and two of
@@ -714,7 +710,10 @@ def test_factor_options_reject_a_floor_that_is_not_a_nonnegative_int(floor):
 
 def test_factor_options_are_checked_once_and_frozen():
     with pytest.raises(ConfigError):
-        FactorOptions(sampling="sobol")
+        FactorOptions(min_sparsify_size=-1)
+    # every segment is compressed through the one hybrid plan
+    with pytest.raises(TypeError):
+        FactorOptions(sampling="hybrid")
     opts = FactorOptions()
     with pytest.raises(AttributeError):
         opts.min_sparsify_size = 8

@@ -4,11 +4,12 @@ import scipy.linalg.interpolative as sli
 
 from ndlu.errors import DimensionError
 from ndlu.lowrank import (
+    OVERSAMPLE,
+    SamplingPlan,
     build_hybrid_plan,
     cpqr_id,
     joint_unsymmetric_id,
     plan_dense,
-    plan_gaussian,
     sampled_id,
 )
 
@@ -17,6 +18,14 @@ def recon_bound(ident, block, eps):
     """The library-wide reconstruction promise for an ID of `block`."""
     c = 10.0 * (1.0 + np.linalg.norm(ident.interp))
     return c * eps * np.linalg.norm(block)
+
+
+def all_far(num_rows, rank_guess, seed):
+    """The plan build_hybrid_plan makes when every row is far: all of them
+    mixed into rank_guess + OVERSAMPLE Gaussian rows."""
+    return SamplingPlan(np.empty(0, dtype=np.int64),
+                        np.arange(num_rows, dtype=np.int64),
+                        rank_guess + OVERSAMPLE, seed)
 
 
 def decaying_matrix(m, n, sigma, seed):
@@ -121,11 +130,18 @@ class TestPlans:
         assert plan.num_rows == 7
 
     def test_gaussian_plan_degrades_when_tiny(self):
-        assert plan_gaussian(6, rank_guess=10, seed=0).h == 0
-        plan = plan_gaussian(100, rank_guess=10, seed=0)
-        assert plan.h == 15
-        assert len(plan.near) == 0
-        assert plan.far.tolist() == list(range(100))
+        # with every row far the hybrid plan is the pure Gaussian sketch,
+        # unless that sketch would not be shorter than the block
+        seg = np.zeros((3, 2))
+        far_rows = np.full((100, 2), 9.0)
+        assert build_hybrid_plan(far_rows[:6], seg, radius=2.0, rank_guess=10,
+                                 seed=0).h == 0
+        plan = build_hybrid_plan(far_rows, seg, radius=2.0, rank_guess=10,
+                                 seed=3)
+        expected = all_far(100, rank_guess=10, seed=3)
+        assert plan.h == expected.h == 15
+        assert len(plan.near) == 0 and plan.seed == expected.seed
+        assert plan.far.tolist() == expected.far.tolist() == list(range(100))
 
     def test_hybrid_split_by_distance(self):
         # segment on the line y=0; rows: a touching parallel line y=1 plus a
@@ -163,7 +179,7 @@ class TestSampledId:
 
     def test_seed_determinism(self):
         b = decaying_matrix(120, 30, 2.0 ** -np.arange(8, dtype=float), seed=3)
-        plan = plan_gaussian(120, rank_guess=12, seed=77)
+        plan = all_far(120, rank_guess=12, seed=77)
         a1 = sampled_id(b, plan, 1e-8)
         a2 = sampled_id(b, plan, 1e-8)
         assert np.array_equal(a1.skeleton, a2.skeleton)
@@ -177,7 +193,7 @@ class TestSampledId:
         failures = 0
         eps = 1e-8
         for trial in range(1000):
-            plan = plan_gaussian(200, rank_guess=3, seed=trial)
+            plan = all_far(200, rank_guess=3, seed=trial)
             ident = sampled_id(base, plan, eps)
             ok = (
                 abs(ident.rank - 3) <= 2
@@ -190,7 +206,7 @@ class TestSampledId:
         sigma = 2.0 ** -np.arange(40, dtype=float)
         b = decaying_matrix(300, 40, sigma, seed=5)
         dense = cpqr_id(b, 1e-8)
-        plan = plan_gaussian(300, rank_guess=dense.rank, seed=1)
+        plan = all_far(300, rank_guess=dense.rank, seed=1)
         sampled = sampled_id(b, plan, 1e-8)
         assert abs(sampled.rank - dense.rank) <= 2
 
@@ -218,7 +234,7 @@ class TestSampledId:
         b = decaying_matrix(150, 36, sigma, seed=13)
         dense = cpqr_id(b, 1e-3)
         for seed in range(100):
-            plan = plan_gaussian(150, rank_guess=dense.rank, seed=seed)
+            plan = all_far(150, rank_guess=dense.rank, seed=seed)
             ident = sampled_id(b, plan, 1e-3)
             assert abs(ident.rank - dense.rank) <= 2
 
