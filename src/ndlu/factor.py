@@ -31,6 +31,8 @@ add_to_block call. Merges only relabel positions; the buffer is repacked once
 per level, with room for the fill of the level's eliminations: every pair
 among each eliminated segment's neighbors. The segments one level eliminates
 lie in disjoint subtrees and never touch, so their order does not matter.
+Every pack checks that the segments and the store's position table agree on
+which segment owns each live position (SchurState).
 
 Every transform is recorded as an elementary factor: the positions it
 eliminates or decouples (idx) and the positions it couples them to (nbr).
@@ -50,7 +52,6 @@ actions forward, D^-1 (LDL^T only), then right actions in reverse.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import numbers
@@ -81,16 +82,12 @@ class FactorOptions:
     Segments smaller than min_sparsify_size skip compression: a
     rank-revealing decomposition of a block that small costs more than it
     saves and such blocks sit at or near full rank anyway, so they are
-    eliminated or merged at full size instead. audit checks every update of
-    the Schur store and every merge relabel against the segments its
-    operation may touch (a repack only moves entries) and logs, per
-    operation, the violations found and, for each sparsify, the largest
-    dropped coupling entry next to its bound. Options are checked when made
-    and never change.
+    eliminated or merged at full size instead. Options are checked when
+    made and never change. The Schur store's ownership check runs at every
+    pack whatever the options (SchurState).
     """
 
     min_sparsify_size: int = 64
-    audit: bool = False
 
     def __post_init__(self):
         check_int("min_sparsify_size", self.min_sparsify_size, 0)
@@ -427,11 +424,16 @@ class SchurState:
     pair among the neighbors of each unit the stage owns (_with_fill). A
     fill block counts as a coupling only once an elimination writes it, so
     the stage's sparsification, which runs first, sees the structure
-    without it. No object is kept per block. Invariants: eliminated
-    positions never retain coupling to active ones, unit position lists
-    stay disjoint under merges, and no two units owned by one stage are
-    coupled (checked at every pack), so one stage's eliminations touch
-    disjoint self blocks and may run in any order.
+    without it. No object is kept per block. Eliminated positions never
+    retain coupling to active ones (an access to one raises). Every pack
+    checks two invariants and raises DimensionError on either: each active
+    unit's positions map back to it in pos_unit and no other position is
+    live (_check_owners), so unit position lists stay disjoint under merges;
+    and no two units owned by one stage are coupled (_with_fill), so one
+    stage's eliminations touch disjoint self blocks and may run in any
+    order. Every write addresses positions read from the units, so a write
+    outside the segments its operation owns needs the units and pos_unit to
+    disagree, which the pack that ends the stage sees.
     """
 
     def __init__(self, n, dtype, symmetric, unit_ids, coords=None,
@@ -462,9 +464,6 @@ class SchurState:
         self._slot_serial = np.empty(0, dtype=np.int64)
         self._slot_base = np.zeros(r, dtype=np.int64)
         self.level = 0
-        self.audit = False
-        self.audit_log = []
-        self._scope = None
 
     # -- unit bookkeeping ---------------------------------------------------
 
@@ -502,7 +501,6 @@ class SchurState:
         if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise DimensionError(
                 f"merged segment {parent} has out-of-order positions")
-        self._check_scope(self.pos_unit[pos])
         for kid in kids:
             self._retire(kid)
         return self.add_unit(parent, pos, kind)
@@ -564,8 +562,6 @@ class SchurState:
             return
         flat, k = self._grid(rows, cols)
         self._pending[k] = False
-        if self._scope is not None:
-            self._check_scope(self.pos_unit[rows], self.pos_unit[cols])
         self.values[flat] += delta
 
     def total_block_entries(self):
@@ -595,6 +591,8 @@ class SchurState:
         sizes = width[active]
         slot_pos = (np.concatenate([u.pos for u in units]) if units
                     else np.empty(0, np.int64))
+        slot_serial = np.repeat(active, sizes)
+        self._check_owners(slot_pos, slot_serial)
         slot_base = np.zeros(r, dtype=np.int64)
         slot_base[active] = np.cumsum(sizes) - sizes
         self.local_pos[slot_pos] = (np.arange(slot_pos.size)
@@ -631,7 +629,7 @@ class SchurState:
         self._pending = pending
         self.width = width
         self._slot_pos = slot_pos
-        self._slot_serial = np.repeat(active, sizes)
+        self._slot_serial = slot_serial
         self._slot_base = slot_base
         if entries is not None:
             rows, cols, vals = entries
@@ -663,6 +661,21 @@ class SchurState:
             values[dst_off[blk] + lp * stride[blk] + lq] = \
                 self.values[src_off[blk] + within]
 
+    def _check_owners(self, slot_pos, slot_serial):
+        """DimensionError unless the active units' positions slot_pos, held
+        by the units slot_serial, map back to them in pos_unit and no other
+        position is live."""
+        wrong = np.flatnonzero(self.pos_unit[slot_pos] != slot_serial)
+        if wrong.size:
+            p, s = slot_pos[wrong[0]], slot_serial[wrong[0]]
+            raise DimensionError(f"position {p} of segment "
+                                 f"{self.unit_ids[s]} is owned by another")
+        if np.count_nonzero(self.pos_unit >= 0) != slot_pos.size:
+            live = self.pos_unit >= 0
+            live[slot_pos] = False
+            raise DimensionError(f"position {np.flatnonzero(live)[0]} is live "
+                                 f"outside every active segment")
+
     def _locate(self, rows, cols):
         """Buffer index of the position pairs (rows[i], cols[i])."""
         r = len(self.unit_ids)
@@ -684,34 +697,6 @@ class SchurState:
                 f"two segments owned by level {level} are coupled")
         fa, fb = _group_pairs(a[row], b[row])
         return _unique(np.concatenate([keys, fa * r + fb]))
-
-    # -- write audit ----------------------------------------------------------
-
-    @contextlib.contextmanager
-    def write_scope(self, op, allowed):
-        """With audit on, check every write inside against the allowed unit
-        serials and log op with its violations; yields the log record."""
-        if not self.audit:
-            yield {}
-            return
-        mask = np.zeros(len(self.unit_ids), dtype=bool)
-        mask[np.asarray(allowed, dtype=np.int64)] = True
-        record = {"op": op, "violations": []}
-        outer, self._scope = self._scope, (mask, record["violations"])
-        try:
-            yield record
-        finally:
-            self._scope = outer
-        self.audit_log.append(record)
-
-    def _check_scope(self, *serials):
-        if self._scope is None:
-            return
-        allowed, violations = self._scope
-        s = np.concatenate(serials)
-        s = s[s >= 0]
-        for bad in np.unique(s[~allowed[s]]).tolist():
-            violations.append(("write", self.unit_ids[bad]))
 
 
 def is_symmetric(a):
@@ -848,21 +833,17 @@ def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
     return factor, schur
 
 
-def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag,
-               allowed):
+def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag):
     """Eliminate positions idx against nbr and return the factor: LDL^T on
     a symmetric store (a_un = A[idx, nbr] unused), pivoted LU otherwise; the
-    Schur complement goes onto nbr x nbr in a write scope over the allowed
-    unit serials (op "eliminate" for tag "segment", else the tag)."""
+    Schur complement goes onto nbr x nbr."""
     if state.symmetric:
         factor, schur = _symmetric_elimination(idx, nbr, self_block, a_nu,
                                                level, segment, tag)
     else:
         factor, schur = _unsymmetric_elimination(idx, nbr, self_block, a_nu,
                                                  a_un, level, segment, tag)
-    op = "eliminate" if tag == "segment" else tag
-    with state.write_scope((op, segment), allowed):
-        state.add_to_block(nbr, nbr, -schur)
+    state.add_to_block(nbr, nbr, -schur)
     return factor
 
 
@@ -871,7 +852,7 @@ def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag,
 # ---------------------------------------------------------------------------
 
 
-def eliminate_interiors(a, tree, options=None):
+def eliminate_interiors(a, tree):
     """Eliminate every leaf interior; returns (SchurState, factors).
 
     A first pass collects, for every leaf, the separator segments its Schur
@@ -883,7 +864,6 @@ def eliminate_interiors(a, tree, options=None):
     singular leaf block raises SingularBlockError naming the leaf's position
     span.
     """
-    opts = options or FactorOptions()
     csr = _as_csr(a)
     n = csr.shape[0]
     if tree.order is None or tree.order.n != n:
@@ -894,7 +874,6 @@ def eliminate_interiors(a, tree, options=None):
     state = SchurState(n, nested.dtype, is_symmetric(csr), tree.segments,
                        coords=coords,
                        near_radius=2.0 * _median_edge_length(tree.graph))
-    state.audit = opts.audit
     state.level = tree.levels + 1
     for seg in tree.segments_at_stage(tree.levels):
         pos = np.sort(tree.position[seg.vertices])
@@ -917,8 +896,7 @@ def eliminate_interiors(a, tree, options=None):
         ii, a_ie, a_ei = _extract_leaf(nested, csc, s, e, ext)
         factors.append(_eliminate(
             state, np.arange(s, e, dtype=np.int64), ext, ii, a_ei, a_ie,
-            interior_level, ("leaf", int(s), int(e)), "interior",
-            state.pos_unit[ext]))
+            interior_level, ("leaf", int(s), int(e)), "interior"))
     return state, factors
 
 
@@ -988,12 +966,11 @@ def _extract_leaf(csr, csc, s, e, ext):
 
 
 def _front(state, unit):
-    """(neighbor serials, their positions, self block, in-coupling) of a
-    unit, gathered in one pass over the store."""
-    nbrs = state.neighbors(unit)
-    nbr_pos = state.positions(nbrs)
+    """(neighbor positions, self block, in-coupling) of a unit, gathered in
+    one pass over the store."""
+    nbr_pos = state.positions(state.neighbors(unit))
     front = state.gather(np.concatenate([unit.pos, nbr_pos]), unit.pos)
-    return nbrs, nbr_pos, front[:unit.size], front[unit.size:]
+    return nbr_pos, front[:unit.size], front[unit.size:]
 
 
 def sparsify_segment(state, unit, eps):
@@ -1018,7 +995,7 @@ def sparsify_segment(state, unit, eps):
 
     uid = unit.uid
     pos = unit.pos
-    nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
+    nbr_pos, self_block, a_nu = _front(state, unit)
     if nbr_pos.size == 0:
         return [], pos.copy()
     # One fixed stream per stage and segment, so factorizations repeat bit
@@ -1046,28 +1023,15 @@ def sparsify_segment(state, unit, eps):
     red = pos[red_l]
     factor = SparsifyFactor(skeleton=skeleton, redundant=red, interp=interp,
                             level=state.level)
-    with state.write_scope(("sparsify", uid),
-                           np.append(nbrs, unit.serial)) as record:
-        rows_update = interp.T @ self_block[skel_l, :]
-        self_block[red_l, :] -= rows_update
-        cols_update = self_block[:, skel_l] @ interp
-        state.add_to_block(red, pos, -rows_update)
-        state.add_to_block(pos, red, -cols_update)
-        if state.audit:
-            coupling_norm = np.linalg.norm(a_nu) if a_nu.size else 0.0
-            record["drop_bound"] = (10.0 * (1.0 + np.linalg.norm(interp))
-                                    * eps * coupling_norm)
-            record["dropped_max"] = max(
-                _maxabs(a_nu[:, red_l] - a_nu[:, skel_l] @ interp),
-                _maxabs(a_un[red_l, :] - interp.T @ a_un[skel_l, :]))
-        # adding the negated values leaves every stored entry at exactly +0
-        state.add_to_block(nbr_pos, red, -a_nu[:, red_l])
-        state.add_to_block(red, nbr_pos, -a_un[red_l, :])
+    rows_update = interp.T @ self_block[skel_l, :]
+    self_block[red_l, :] -= rows_update
+    cols_update = self_block[:, skel_l] @ interp
+    state.add_to_block(red, pos, -rows_update)
+    state.add_to_block(pos, red, -cols_update)
+    # adding the negated values leaves every stored entry at exactly +0
+    state.add_to_block(nbr_pos, red, -a_nu[:, red_l])
+    state.add_to_block(red, nbr_pos, -a_un[red_l, :])
     return [factor], skeleton
-
-
-def _maxabs(arr):
-    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
 def eliminate_segments(state, level):
@@ -1102,7 +1066,7 @@ def _eliminate_remainder(state, unit, level):
     factor = _eliminate(state, unit.pos[red], unit.pos[keep],
                         block[np.ix_(red, red)], block[np.ix_(keep, red)],
                         block[np.ix_(red, keep)], level, unit.uid,
-                        "remainder", [unit.serial])
+                        "remainder")
     state.keep_positions(unit, keep)
     unit.redundant_local = None
     unit.skeleton_local = None
@@ -1110,10 +1074,10 @@ def _eliminate_remainder(state, unit, level):
 
 
 def _eliminate_whole(state, unit, level):
-    nbrs, nbr_pos, self_block, a_nu = _front(state, unit)
+    nbr_pos, self_block, a_nu = _front(state, unit)
     a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
     factor = _eliminate(state, unit.pos.copy(), nbr_pos, self_block, a_nu,
-                        a_un, level, unit.uid, "segment", nbrs)
+                        a_un, level, unit.uid, "segment")
     state.remove_unit(unit)
     return factor
 
@@ -1133,10 +1097,7 @@ def merge_segments(state, tree, level):
             if kid.redundant_local is not None:
                 raise ConfigError(
                     f"segment {kid.uid} merged with a pending remainder")
-        with state.write_scope(("merge", event.parent),
-                               [k.serial for k in kids]):
-            state.merge_units(kids, event.parent,
-                              tree.segments[event.parent].kind)
+        state.merge_units(kids, event.parent, tree.segments[event.parent].kind)
     state.pack(level - 1)
     return state
 
@@ -1159,11 +1120,9 @@ class SpaluFactorization:
     stages: list
     order: Permutation
     n: int
-    eps: float
     symmetric: bool
     dtype: object
     level_stats: list = field(default_factory=list)
-    audit_log: list = field(default_factory=list)
 
     @property
     def factors(self):
@@ -1187,7 +1146,7 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
     opts = options or FactorOptions()
 
-    state, interiors = eliminate_interiors(a, tree, options=opts)
+    state, interiors = eliminate_interiors(a, tree)
     stages = compile_stages(interiors)
 
     level_stats = []
@@ -1239,6 +1198,5 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"active segments remain after the last stage: "
                           f"{leftover}")
     return SpaluFactorization(
-        stages=stages, order=tree.order, n=state.n, eps=eps,
-        symmetric=state.symmetric, dtype=state.dtype,
-        level_stats=level_stats, audit_log=state.audit_log)
+        stages=stages, order=tree.order, n=state.n, symmetric=state.symmetric,
+        dtype=state.dtype, level_stats=level_stats)

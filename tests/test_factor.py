@@ -1,6 +1,8 @@
 """Factorization and solve: exactness, accuracy under compression,
-determinism, the Schur store's write audit and edge-case sizes."""
+determinism, the sparsify drop bound, the Schur store's ownership check at
+every pack and edge-case sizes."""
 
+import dataclasses
 import importlib.util
 import sys
 import time
@@ -14,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
                   SingularBlockError, SparseMatrix, assembly, dissection,
-                  factor, mmio, solver)
+                  factor, lowrank, mmio, solver)
 from ndlu.dissection import REGULAR, Graph
 from ndlu.factor import FactorOptions
 
@@ -376,34 +378,70 @@ def test_factorization_is_deterministic(problem):
                 assert value == other, name
 
 
-def test_store_audit_logs_no_violation_and_bounded_drops(problem):
+def _dropped(block, ident):
+    """Largest entry the decomposition drops from block: its redundant
+    columns less their interpolation from the skeleton columns."""
+    gap = block[:, ident.redundant] - block[:, ident.skeleton] @ ident.interp
+    return np.abs(gap).max(initial=0.0)
+
+
+def test_sparsify_drops_stay_within_the_bound(problem, monkeypatch):
+    # every entry a decomposition drops is at most 10 (1 + ||interp||) eps
+    # ||coupling_in||, on both halves of a joint decomposition
     p, tree = problem
-    opts = FactorOptions(min_sparsify_size=16, audit=True)
-    fac = factor.factorize(p.matrix, tree, 1e-4, opts)
-    ops = {entry["op"][0] for entry in fac.audit_log}
-    assert {"interior", "merge", "eliminate", "sparsify"} <= ops
-    assert all(entry["violations"] == [] for entry in fac.audit_log)
-    # one record per leaf, naming it by its position span
-    interiors = [e["op"][1] for e in fac.audit_log if e["op"][0] == "interior"]
-    assert interiors == [("leaf", *leaf.span) for leaf in tree.leaves
-                         if leaf.span[1] > leaf.span[0]]
-    drops = [e for e in fac.audit_log if "dropped_max" in e]
-    assert drops
-    assert all(e["dropped_max"] <= e["drop_bound"] for e in drops)
+    eps = 1e-4
+    calls = []
+
+    def checked(decompose):
+        def wrapper(coupling_in, *args):
+            ident = decompose(coupling_in, *args)
+            *coupling_out, _, _ = args  # (plan, eps) come last
+            bound = (10.0 * (1.0 + np.linalg.norm(ident.interp)) * eps
+                     * np.linalg.norm(coupling_in))
+            calls.append([(_dropped(half, ident), bound) for half in
+                          [coupling_in] + [c.T for c in coupling_out]])
+            return ident
+        return wrapper
+
+    monkeypatch.setattr(lowrank, "sampled_id", checked(lowrank.sampled_id))
+    monkeypatch.setattr(lowrank, "joint_unsymmetric_id",
+                        checked(lowrank.joint_unsymmetric_id))
+    fac = factor.factorize(p.matrix, tree, eps, COMPRESS)
+    assert calls
+    assert all(len(halves) == (1 if fac.symmetric else 2) for halves in calls)
+    assert all(dropped <= bound for halves in calls for dropped, bound in halves)
 
 
-def test_store_audit_reports_an_out_of_scope_write():
+@pytest.fixture
+def interiors_done():
     p = assembly.build_problem(FAMILIES[3], SMALL_N)
     tree = dissection.build_dissection(p.matrix, p.coords)
-    state, _ = factor.eliminate_interiors(p.matrix, tree,
-                                          FactorOptions(audit=True))
-    mine, other = (state.units[uid] for uid in state.active_ids()[:2])
-    with state.write_scope(("test",), [mine.serial]):
-        for unit in (mine, other):
-            state.add_to_block(unit.pos, unit.pos,
-                               np.zeros((unit.size, unit.size)))
-    assert state.audit_log[-1] == {"op": ("test",),
-                                   "violations": [("write", other.uid)]}
+    state, _ = factor.eliminate_interiors(p.matrix, tree)
+    return state, tree.levels
+
+
+def _relabel_to_a_neighbor(state):
+    unit = next(u for u in state.units.values()
+                if state.neighbors(u).size)
+    state.pos_unit[unit.pos[0]] = state.neighbors(unit)[0]
+
+
+def _leave_a_retired_position_live(state):
+    unit = next(iter(state.units.values()))
+    state.remove_unit(unit)
+    state.pos_unit[unit.pos[-1]] = unit.serial
+
+
+@pytest.mark.parametrize("fault,message", [
+    (_relabel_to_a_neighbor, "is owned by another"),
+    (_leave_a_retired_position_live, "live outside every active segment"),
+], ids=["relabelled", "retired-live"])
+def test_pack_rejects_broken_ownership(interiors_done, fault, message):
+    state, level = interiors_done
+    state.pack(level)
+    fault(state)
+    with pytest.raises(DimensionError, match=message):
+        state.pack(level)
 
 
 def test_symmetric_store_holds_both_orientations_of_every_coupling():
@@ -679,7 +717,7 @@ def _fill_by_loop(written, owned, r):
 
 def test_every_pack_adds_the_fill_of_the_stage_loop_by_loop(problem):
     p, tree = problem
-    state, _ = factor.eliminate_interiors(p.matrix, tree, _exact(p.n))
+    state, _ = factor.eliminate_interiors(p.matrix, tree)
     for level in range(tree.levels, 0, -1):
         # right after a pack, the keys no elimination has written are fill
         written = state.keys[~state._pending]
@@ -711,9 +749,13 @@ def test_factor_options_reject_a_floor_that_is_not_a_nonnegative_int(floor):
 def test_factor_options_are_checked_once_and_frozen():
     with pytest.raises(ConfigError):
         FactorOptions(min_sparsify_size=-1)
-    # every segment is compressed through the one hybrid plan
-    with pytest.raises(TypeError):
-        FactorOptions(sampling="hybrid")
+    # every segment is compressed through the one hybrid plan, and the
+    # store's ownership check runs at every pack with no switch
+    for removed in ("sampling", "audit"):
+        with pytest.raises(TypeError):
+            FactorOptions(**{removed: True})
+    assert [f.name for f in dataclasses.fields(FactorOptions)] == [
+        "min_sparsify_size"]
     opts = FactorOptions()
     with pytest.raises(AttributeError):
         opts.min_sparsify_size = 8
