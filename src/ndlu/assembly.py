@@ -14,7 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .core import SparseMatrix
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, ParseError
 from .fields import CoefficientField, make_contrast_field
 from .meshing import (
     DIRICHLET,
@@ -24,7 +24,6 @@ from .meshing import (
     make_polygon_mesh,
     make_structured_mesh,
 )
-from . import mmio
 
 __all__ = [
     "ProblemInstance",
@@ -237,21 +236,49 @@ def build_problem(descriptor, target_n):
 
 
 def read_matrix_market(path_matrix, path_coords, path_rhs=None):
-    """ProblemInstance from a matrix file plus 'x y' coordinate sidecar.
+    """ProblemInstance from a Matrix Market matrix file, an 'x y' coordinate
+    file and an optional right-hand-side file.
 
-    The rhs defaults to all ones when no rhs file is given.
+    The matrix file is anything scipy.io.mmread reads: coordinate or array
+    layout; a real, integer, complex or pattern field; general, symmetric,
+    skew-symmetric or hermitian storage (stored triangles are mirrored). An
+    integer or pattern field reads as float64. The coordinate file holds one
+    'x y' pair per unknown. The rhs file holds one value per line, or one
+    're im' pair per line for a complex rhs; without it the rhs is all ones.
+    In the two text files, lines starting with '%' or '#' are comments. A
+    file that cannot be read raises ParseError naming the file.
     """
-    csr = mmio.read_matrix_market_file(path_matrix)
-    coords = mmio.read_coords_file(path_coords)
+    import scipy.io  # on first use: building and solving never load it
+
+    path, comments = path_matrix, ("%", "#")
+    try:
+        csr = sp.csr_matrix(scipy.io.mmread(path))
+        path = path_coords
+        coords = np.loadtxt(path, comments=comments, ndmin=2)
+        path = path_rhs
+        rhs = None if path is None else np.loadtxt(path, comments=comments, ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    csr = csr.astype(np.promote_types(csr.dtype, np.float64), copy=False)
     n = csr.shape[0]
     if csr.shape[0] != csr.shape[1]:
         raise DimensionError(f"matrix is {csr.shape[0]}x{csr.shape[1]}, expected square")
+    if coords.size == 0:  # np.loadtxt reads an empty file as shape (0, 1)
+        coords = coords.reshape(0, 2)
+    if coords.shape[1] != 2:
+        raise ParseError(f"{path_coords}: expected 'x y' per line, "
+                         f"got {coords.shape[1]} values")
     if len(coords) != n:
         raise DimensionError(
             f"coordinate file holds {len(coords)} points for a {n}-row matrix"
         )
-    if path_rhs is not None:
-        rhs = mmio.read_vector_file(path_rhs)
+    if rhs is not None:
+        if rhs.shape[1] == 2:
+            rhs = rhs.view(np.complex128)
+        elif rhs.shape[1] != 1:
+            raise ParseError(f"{path_rhs}: expected one value or 're im' per "
+                             f"line, got {rhs.shape[1]} values")
+        rhs = rhs[:, 0]
         if len(rhs) != n:
             raise DimensionError(f"rhs length {len(rhs)} does not match n={n}")
     else:

@@ -1,7 +1,12 @@
-"""Core sparse/dense containers and the small dense kernels.
+"""Core containers, the one CSR coercion and the small dense kernels.
 
-SparseMatrix is a validated CSR wrapper; Permutation pairs a forward map with
-a lazily computed inverse. Dense blocks are plain float64/complex128 ndarrays.
+SparseMatrix holds a validated, canonical CSR copy (finite entries,
+duplicates summed, sorted indices) as .csr; as_csr is the one place the
+package turns any other input into CSR, and it never changes the caller's
+arrays. Permutation pairs a forward map with a lazily computed inverse.
+check_int is the one integer rule for options. The dense kernels (pivoted
+LU, triangular solve and inverse) call LAPACK directly on plain
+float64/complex128 ndarrays.
 """
 
 from __future__ import annotations
@@ -50,11 +55,6 @@ class Permutation:
             self._inv = inv
         return self._inv
 
-    def inverse(self):
-        p = Permutation(self.inv)
-        p._inv = self.fwd
-        return p
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and np.array_equal(self.fwd, other.fwd)
 
@@ -79,38 +79,23 @@ class SparseMatrix:
             raise NonFiniteError("matrix entries must be finite")
         self.csr = csr
 
-    @classmethod
-    def from_coo(cls, shape, rows, cols, vals, dtype=None):
-        m = sp.coo_matrix((vals, (rows, cols)), shape=shape, dtype=dtype)
-        return cls(m.tocsr())
-
-    @classmethod
-    def from_dense(cls, a):
-        return cls(sp.csr_matrix(np.asarray(a)))
-
     @property
     def shape(self):
         return self.csr.shape
 
-    @property
-    def nnz(self):
-        return self.csr.nnz
-
-    @property
-    def dtype(self):
-        return self.csr.dtype
-
-    def to_dense(self):
-        return self.csr.toarray()
-
-    def __matmul__(self, x):
-        return self.csr @ x
-
 
 def as_csr(a):
     """The scipy CSR matrix of a: .csr of a SparseMatrix, otherwise a
-    conversion of a (sparse or dense) to CSR."""
-    return a.csr if isinstance(a, SparseMatrix) else sp.csr_matrix(a)
+    conversion of a (sparse or dense) to CSR. A CSR that is not canonical
+    (duplicate or unsorted entries) is copied and summed: callers see each
+    entry once, and the caller's arrays are left as they were."""
+    if isinstance(a, SparseMatrix):
+        return a.csr
+    csr = sp.csr_matrix(a)
+    if not csr.has_canonical_format:
+        csr = csr.copy()
+        csr.sum_duplicates()
+    return csr
 
 
 def check_int(name, value, lowest):

@@ -553,7 +553,7 @@ class _Builder:
             parts.append(part)
         fwd = np.concatenate(parts) if parts else np.empty(0, np.int64)
         tree.order = Permutation(fwd)
-        tree.position = tree.order.inverse().fwd
+        tree.position = tree.order.inv
         return tree
 
     def _split_level(self, level):

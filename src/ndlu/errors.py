@@ -14,13 +14,8 @@ class GeometryError(NdluError):
 
 
 class ParseError(NdluError):
-    """A text input could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, message, line=None):
-        self.line = line
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
+    """A text input could not be parsed; the message starts with the file's
+    path and goes on with the reader's account of where it failed."""
 
 
 class NonFiniteError(NdluError, ValueError):

@@ -33,22 +33,16 @@ OVERSAMPLE = 5
 class InterpolativeDecomposition:
     """skeleton/redundant partition the column positions 0..n-1; interp has
     one row per skeleton column and one column per redundant column, both in
-    ascending-position order. pivots preserves the raw pivot sequence."""
+    ascending-position order."""
 
     skeleton: np.ndarray
     redundant: np.ndarray
     interp: np.ndarray
     rank: int
-    pivots: np.ndarray
 
     @property
     def num_columns(self):
         return len(self.skeleton) + len(self.redundant)
-
-    def reconstruction_error(self, block):
-        """Frobenius error of interpolating the redundant columns."""
-        approx = block[:, self.skeleton] @ self.interp
-        return float(np.linalg.norm(block[:, self.redundant] - approx))
 
 
 @dataclass
@@ -100,7 +94,6 @@ def _sorted_id(n, piv, k, rank_t):
         redundant=np.sort(redundant_piv).astype(np.int64),
         interp=np.ascontiguousarray(interp),
         rank=k,
-        pivots=np.asarray(piv, dtype=np.int64),
     )
     _check_interp_norm(ident.interp, n, k)
     return ident

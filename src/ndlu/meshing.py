@@ -45,24 +45,6 @@ class Mesh2D:
     def num_vertices(self):
         return len(self.vertices)
 
-    @property
-    def num_triangles(self):
-        return len(self.triangles)
-
-    def edges(self):
-        """All unique undirected edges of the triangulation."""
-        t = self.triangles
-        e = np.vstack([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
-
-    def triangle_areas(self):
-        p = self.vertices[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
-
 
 def derive_vertex_markers(n, boundary_edges, edge_marker):
     marker = np.zeros(n, dtype=np.uint8)

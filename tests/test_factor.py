@@ -10,13 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
                   SingularBlockError, SparseMatrix, assembly, dissection,
-                  factor, lowrank, mmio, solver)
+                  factor, lowrank, solver)
 from ndlu.dissection import REGULAR, Graph
 from ndlu.factor import FactorOptions
 
@@ -87,14 +88,42 @@ def _disconnected_copy(p):
 @pytest.mark.parametrize("build", [_unsymmetric_copy, _disconnected_copy])
 def test_exact_path_solves_matrix_market_input(build, tmp_path):
     a, coords = build(assembly.build_problem(FAMILIES[0], 400))
-    mmio.write_matrix_market_file(tmp_path / "a.mtx", a)
-    mmio.write_coords_file(tmp_path / "a.xy", coords)
+    scipy.io.mmwrite(tmp_path / "a.mtx", a)
+    np.savetxt(tmp_path / "a.xy", coords, fmt="%.17g")
     p = assembly.read_matrix_market(tmp_path / "a.mtx", tmp_path / "a.xy")
     assert (p.matrix.csr != a).nnz == 0
     tree = dissection.build_dissection(p.matrix, p.coords)
     fac = factor.factorize(p.matrix, tree, 1e-4, _exact(p.n))
     assert fac.symmetric == (build is _disconnected_copy)
     assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
+
+
+def _diagonal_in_two_halves(a):
+    """a as a CSR that stores each diagonal entry twice, as two halves whose
+    sum is the entry, with column indices sorted within each row."""
+    coo = a.tocoo()
+    n = a.shape[0]
+    rows = np.concatenate([coo.row, np.arange(n)])
+    cols = np.concatenate([coo.col, np.arange(n)])
+    vals = np.concatenate([np.where(coo.row == coo.col, coo.data / 2, coo.data),
+                           a.diagonal() / 2])
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=a.shape)
+
+
+def test_duplicate_entries_are_summed_and_the_callers_csr_is_kept():
+    p = assembly.build_problem("laplace-contrast:rho=1", 600)
+    dup = _diagonal_in_two_halves(p.matrix.csr)
+    assert not dup.has_canonical_format
+    kept = [arr.copy() for arr in (dup.data, dup.indices, dup.indptr)]
+    tree = dissection.build_dissection(dup, p.coords)
+    fac = factor.factorize(dup, tree, 1e-4, _exact(p.n))
+    x, _ = solver.solve(fac, dup, p.rhs)
+    residual = p.rhs - p.matrix.csr @ x
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(p.rhs)
+    for before, after in zip(kept, (dup.data, dup.indices, dup.indptr)):
+        assert np.array_equal(before, after)
 
 
 def _complex_symmetric_file(tmp_path):
@@ -107,7 +136,7 @@ def _complex_symmetric_file(tmp_path):
         fh.write(f"{p.n} {p.n} {lower.nnz}\n")
         for i, j, v in zip(lower.row, lower.col, lower.data):
             fh.write(f"{i + 1} {j + 1} {v.real:.17g} {v.imag:.17g}\n")
-    mmio.write_coords_file(tmp_path / "a.xy", p.coords)
+    np.savetxt(tmp_path / "a.xy", p.coords, fmt="%.17g")
     return assembly.read_matrix_market(tmp_path / "a.mtx", tmp_path / "a.xy")
 
 
