@@ -107,7 +107,7 @@ def report(label, problem, eps, options, scale=1):
     x, rep = solver.solve(fac, matrix, problem.rhs)
     print(f"{label} n={problem.n} factors={len(fac.factors)} "
           f"nnz={fac.factor_nnz} res_load={rep.residual:.9e} "
-          f"tree={_digest([tree.order.fwd, *tree.events])} "
+          f"tree={_digest([tree.order, *tree.events])} "
           f"digest={_digest(fac.stages)} sol={_digest([x])}", flush=True)
 
 

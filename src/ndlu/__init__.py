@@ -3,7 +3,7 @@ skeleton compression of separator segments."""
 
 __version__ = "0.1.0"
 
-from .core import SparseMatrix, Permutation, triangular_solve
+from .core import SparseMatrix
 from .errors import (
     ConfigError,
     DegenerateSeparatorError,
@@ -18,8 +18,6 @@ from .errors import (
 
 __all__ = [
     "SparseMatrix",
-    "Permutation",
-    "triangular_solve",
     "NdluError",
     "ConfigError",
     "GeometryError",

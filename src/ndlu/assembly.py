@@ -48,7 +48,6 @@ class ProblemInstance:
     descriptor: str
     mesh: Mesh2D = None
     free: np.ndarray = None              # mesh vertex index per unknown
-    boundary_values: np.ndarray = None   # dirichlet values on all mesh vertices
 
     def __post_init__(self):
         n = self.matrix.shape[0]
@@ -203,7 +202,6 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
         descriptor=pde,
         mesh=mesh,
         free=free,
-        boundary_values=g,
     )
 
 

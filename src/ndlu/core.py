@@ -3,9 +3,8 @@
 SparseMatrix holds a validated, canonical CSR copy (finite entries,
 duplicates summed, sorted indices) as .csr; as_csr is the one place the
 package turns any other input into CSR, and it never changes the caller's
-arrays. Permutation pairs a forward map with a lazily computed inverse.
-check_int is the one integer rule for options. The dense kernels (pivoted
-LU, triangular solve and inverse) call LAPACK directly on plain
+arrays. check_int is the one integer rule for options. The dense kernels
+(pivoted LU, triangular solve and inverse) call LAPACK directly on plain
 float64/complex128 ndarrays.
 """
 
@@ -22,44 +21,12 @@ from .errors import (ConfigError, DimensionError, NonFiniteError,
 
 __all__ = [
     "SparseMatrix",
-    "Permutation",
     "as_csr",
     "check_int",
     "lu_compact",
     "triangular_inverse",
     "triangular_solve",
 ]
-
-
-class Permutation:
-    """Bijection on [0, n) stored as the forward map; inverse is lazy."""
-
-    def __init__(self, fwd):
-        fwd = np.asarray(fwd, dtype=np.int64)
-        n = fwd.size
-        if n and (fwd.min() < 0 or fwd.max() >= n
-                  or np.bincount(fwd, minlength=n).max() != 1):
-            raise DimensionError("not a permutation of 0..n-1")
-        self.fwd = fwd
-        self._inv = None
-
-    @property
-    def n(self):
-        return self.fwd.size
-
-    @property
-    def inv(self):
-        if self._inv is None:
-            inv = np.empty_like(self.fwd)
-            inv[self.fwd] = np.arange(self.fwd.size, dtype=np.int64)
-            self._inv = inv
-        return self._inv
-
-    def __eq__(self, other):
-        return isinstance(other, Permutation) and np.array_equal(self.fwd, other.fwd)
-
-    def __repr__(self):
-        return f"Permutation({self.fwd.tolist()})"
 
 
 class SparseMatrix:

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .core import Permutation, as_csr, check_int
+from .core import as_csr, check_int
 from .errors import DegenerateSeparatorError, DimensionError, NonFiniteError
 
 REGULAR = "regular"
@@ -436,11 +436,15 @@ def _split_one(parent, lo, hi, level, counters):
 
 
 class DissectionTree:
-    """Output of build_dissection: nested order, separators, segments, events."""
+    """Output of build_dissection: nested order, separators, segments, events.
 
-    def __init__(self, graph, leaf_size):
+    order lists the vertex ids in nested order as an int64 array and position
+    is its inverse. The segments no split replaced (no children) are the
+    units the deepest elimination stage starts from.
+    """
+
+    def __init__(self, graph):
         self.graph = graph
-        self.leaf_size = leaf_size
         self.levels = 0
         self.roots = []
         self.nodes = []
@@ -451,25 +455,6 @@ class DissectionTree:
         self.order = None
         self.position = None
 
-    def segments_at_stage(self, stage):
-        """Segments alive at the start of elimination stage `stage`: leaves of
-        the split forest once only crossings at levels <= stage are applied,
-        for separators not yet eliminated (level <= stage)."""
-        out = []
-        for sep in self.separators:
-            if sep.level > stage:
-                continue
-            root = self.segments[(sep.level, sep.index, sep.level, 0)]
-            stack = [root]
-            while stack:
-                seg = stack.pop()
-                kids = [self.segments[c] for c in seg.children]
-                if kids and kids[0].id[2] <= stage:
-                    stack.extend(reversed(kids))
-                else:
-                    out.append(seg)
-        return out
-
     def validate_separation(self):
         """Check that no edge joins the two sides of any internal node."""
         g = self.graph
@@ -478,9 +463,9 @@ class DissectionTree:
                 continue
             a, b = node.children[0].span, node.children[1].span
             side = np.zeros(g.n, dtype=np.int8)
-            side[self.order.fwd[a[0] : a[1]]] = 1
-            side[self.order.fwd[b[0] : b[1]]] = 2
-            for v in self.order.fwd[a[0] : a[1]]:
+            side[self.order[a[0] : a[1]]] = 1
+            side[self.order[b[0] : b[1]]] = 2
+            for v in self.order[a[0] : a[1]]:
                 nb = side[g.neighbors(v)]
                 if np.any(nb == 2):
                     return False
@@ -523,7 +508,7 @@ class _Builder:
         self.segments = []
         self.seg_of = np.full(n, -1, dtype=np.int64)
         self.split_counters = {}
-        self.tree = DissectionTree(graph, leaf_size)
+        self.tree = DissectionTree(graph)
 
     def build(self):
         g = self.g
@@ -551,9 +536,12 @@ class _Builder:
             part = self._emit(root, offset)
             offset += len(part)
             parts.append(part)
-        fwd = np.concatenate(parts) if parts else np.empty(0, np.int64)
-        tree.order = Permutation(fwd)
-        tree.position = tree.order.inv
+        order = np.concatenate(parts) if parts else np.empty(0, np.int64)
+        if len(order) != g.n or np.any(np.bincount(order, minlength=g.n) != 1):
+            raise DimensionError("nested order misses or repeats a vertex")
+        tree.order = order
+        tree.position = np.empty_like(order)
+        tree.position[order] = np.arange(g.n, dtype=np.int64)
         return tree
 
     def _split_level(self, level):

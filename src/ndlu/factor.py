@@ -64,8 +64,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import lowrank
-from .core import (Permutation, as_csr, check_int, lu_compact,
-                   triangular_inverse, triangular_solve)
+from .core import (as_csr, check_int, lu_compact, triangular_inverse,
+                   triangular_solve)
 from .dissection import JUNCTION, REGULAR
 from .errors import (ConfigError, DimensionError, NonFiniteError,
                      SingularBlockError)
@@ -777,13 +777,11 @@ def _block_inverse(d, k, level, segment):
 
 
 def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
-    """LDL-based elimination of a symmetric self block; (factor, Schur
-    complement)."""
+    """LDL-based elimination of a real symmetric self block (is_symmetric
+    never holds for a complex matrix); (factor, Schur complement)."""
     k = self_block.shape[0]
-    hermitian = not np.issubdtype(self_block.dtype, np.complexfloating)
     try:
-        lu, d, perm = sla.ldl(self_block, hermitian=hermitian,
-                              check_finite=False)
+        lu, d, perm = sla.ldl(self_block, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
         raise SingularBlockError(str(exc), level=level, segment=segment)
     lower = lu[perm]
@@ -866,16 +864,16 @@ def eliminate_interiors(a, tree):
     """
     csr = _as_csr(a)
     n = csr.shape[0]
-    if tree.order is None or tree.order.n != n:
+    if len(tree.order) != n:
         raise DimensionError("dissection tree does not match the matrix size")
-    nested = csr[tree.order.fwd][:, tree.order.fwd].tocsr()
+    nested = csr[tree.order][:, tree.order].tocsr()
     nested.sort_indices()
-    coords = tree.graph.coords[tree.order.fwd]
+    coords = tree.graph.coords[tree.order]
     state = SchurState(n, nested.dtype, is_symmetric(csr), tree.segments,
                        coords=coords,
                        near_radius=2.0 * _median_edge_length(tree.graph))
     state.level = tree.levels + 1
-    for seg in tree.segments_at_stage(tree.levels):
+    for seg in [s for s in tree.segments.values() if not s.children]:
         pos = np.sort(tree.position[seg.vertices])
         state.add_unit(seg.id, pos, seg.kind)
 
@@ -1109,7 +1107,9 @@ def merge_segments(state, tree, level):
 
 @dataclass
 class SpaluFactorization:
-    """Compiled stages plus the nested ordering and statistics.
+    """Compiled stages plus the nested order and statistics.
+
+    order is the tree's int64 array of vertex ids in nested order.
 
     stages applies left actions in list order and right actions in reverse
     list order; LDL^T stages also carry a block-diagonal middle action.
@@ -1118,7 +1118,7 @@ class SpaluFactorization:
     """
 
     stages: list
-    order: Permutation
+    order: np.ndarray
     n: int
     symmetric: bool
     dtype: object
@@ -1144,7 +1144,9 @@ def factorize(a, tree, eps, options=None):
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
-    opts = options or FactorOptions()
+    options = FactorOptions() if options is None else options
+    if not isinstance(options, FactorOptions):
+        raise ConfigError(f"options must be a FactorOptions, got {options!r}")
 
     state, interiors = eliminate_interiors(a, tree)
     stages = compile_stages(interiors)
@@ -1166,7 +1168,7 @@ def factorize(a, tree, eps, options=None):
         t_sp = time.perf_counter()
         for uid in regulars:
             unit = state.units[uid]
-            if unit.size < opts.min_sparsify_size:
+            if unit.size < options.min_sparsify_size:
                 continue
             pre_sizes.append(unit.size)
             new_factors, skeleton = sparsify_segment(state, unit, eps)

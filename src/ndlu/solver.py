@@ -126,9 +126,9 @@ def residual_with_flag(a, x, b):
 
 def _solve_passes(factorization, b):
     """The three passes on b, permuted to nested order and back."""
-    fwd = factorization.order.fwd
+    order = factorization.order
     x = np.empty_like(b)
-    x[fwd] = apply_factors(factorization, b[fwd])
+    x[order] = apply_factors(factorization, b[order])
     return x
 
 

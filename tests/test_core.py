@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ndlu.core import (Permutation, SparseMatrix, lu_compact, triangular_inverse,
+from ndlu.core import (SparseMatrix, lu_compact, triangular_inverse,
                        triangular_solve)
 from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
@@ -184,16 +184,6 @@ class TestContainers:
         a = SparseMatrix(sp.coo_matrix(([1.0, 2.0], ([0, 0], [0, 0])), shape=(2, 2)))
         assert a.csr.nnz == 1
         assert a.csr[0, 0] == 3.0
-
-    def test_permutation_validates(self):
-        with pytest.raises(DimensionError):
-            Permutation([0, 0, 2])
-
-    def test_permutation_inverse(self):
-        p = Permutation([2, 0, 1])
-        assert np.array_equal(p.inv, [1, 2, 0])
-        v = np.array([10.0, 20.0, 30.0])
-        assert np.array_equal(v[p.fwd][p.inv], v)
 
     def test_complex_supported(self):
         rng = np.random.default_rng(1)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ndlu.core import Permutation, SparseMatrix
+from ndlu import dissection, factor
+from ndlu.core import SparseMatrix
 from ndlu.dissection import (
     JUNCTION,
     REGULAR,
@@ -16,17 +17,17 @@ from ndlu.dissection import (
     split_crossed_segments,
     split_subset,
 )
-from ndlu.errors import ConfigError, DegenerateSeparatorError, NonFiniteError
+from ndlu.errors import (ConfigError, DegenerateSeparatorError, DimensionError,
+                         NonFiniteError)
 
 
 def fill_in_count(graph, order):
     """New edges created by symbolic elimination in the given order; the
     oracle for how good an ordering is."""
-    fwd = order.fwd if isinstance(order, Permutation) else np.asarray(order)
     adj = [set(map(int, graph.neighbors(v))) for v in range(graph.n)]
     eliminated = np.zeros(graph.n, dtype=bool)
     fill = 0
-    for v in map(int, fwd):
+    for v in map(int, order):
         nbrs = [u for u in adj[v] if not eliminated[u]]
         for a in range(len(nbrs)):
             for b in range(a + 1, len(nbrs)):
@@ -39,8 +40,9 @@ def fill_in_count(graph, order):
     return fill
 
 
-def grid_graph(nx, ny):
-    """5-point grid graph with unit spacing, vertex k = j*nx + i."""
+def grid_matrix(nx, ny):
+    """5-point Laplacian (4 on the diagonal) of the grid with unit spacing,
+    vertex k = j*nx + i, and the vertex coordinates."""
     rows, cols = [], []
     for j in range(ny):
         for i in range(nx):
@@ -52,10 +54,15 @@ def grid_graph(nx, ny):
                 rows += [k, k + nx]
                 cols += [k + nx, k]
     n = nx * ny
-    a = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    a = sp.coo_matrix((-np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float))
     coords = np.column_stack([xs.ravel(), ys.ravel()])
-    return Graph.from_matrix(a + sp.identity(n), coords)
+    return (a + 4.0 * sp.identity(n)).tocsr(), coords
+
+
+def grid_graph(nx, ny):
+    """5-point grid graph with unit spacing, vertex k = j*nx + i."""
+    return Graph.from_matrix(*grid_matrix(nx, ny))
 
 
 def star_graph(n):
@@ -212,7 +219,7 @@ class TestBuildDissection:
         tree = build_dissection(g, None, leaf_size=16)
         assert len(tree.leaves) == 1
         assert tree.separators == []
-        assert np.array_equal(tree.order.fwd, np.arange(9))
+        assert np.array_equal(tree.order, np.arange(9))
 
     def test_7x7_leaf16_splits_21_21(self):
         g = grid_graph(7, 7)
@@ -225,7 +232,7 @@ class TestBuildDissection:
     def test_order_is_permutation_with_separators_last(self):
         g = grid_graph(16, 16)
         tree = build_dissection(g, None, leaf_size=16)
-        assert sorted(tree.order.fwd.tolist()) == list(range(256))
+        assert sorted(tree.order.tolist()) == list(range(256))
         for node in tree.nodes:
             if node.is_leaf:
                 continue
@@ -245,7 +252,7 @@ class TestBuildDissection:
         a = sp.csr_matrix(
             (np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)
         )
-        b = a[tree.order.fwd][:, tree.order.fwd].toarray()
+        b = a[tree.order][:, tree.order].toarray()
         for node in tree.nodes:
             if node.is_leaf or len(node.children) < 2:
                 continue
@@ -255,15 +262,35 @@ class TestBuildDissection:
             assert np.all(b[s2, s1] == 0)
 
     def test_segments_partition_separators(self):
-        g = grid_graph(32, 32)
-        tree = build_dissection(g, None, leaf_size=16)
-        for stage in range(1, tree.levels + 1):
-            segs = tree.segments_at_stage(stage)
-            seen = np.concatenate([s.vertices for s in segs])
-            expected = np.concatenate(
-                [s.order for s in tree.separators if s.level <= stage]
-            )
-            assert sorted(seen.tolist()) == sorted(expected.tolist())
+        # on the exact path the factorization starts from the segments no
+        # split replaced; after each level's merge the active units are
+        # segments of the separators not yet eliminated, each holding the
+        # nested positions of its vertices, and together they hold all of
+        # those separators' positions
+        a, coords = grid_matrix(32, 32)
+        tree = build_dissection(a, coords, leaf_size=16)
+        assert tree.events
+        state, _ = factor.eliminate_interiors(a, tree)
+
+        def check(remaining):
+            for uid, unit in state.units.items():
+                vertices = tree.segments[uid].vertices
+                assert np.array_equal(unit.pos,
+                                      np.sort(tree.position[vertices]))
+            held = [unit.pos for unit in state.units.values()]
+            kept = [tree.position[s.order] for s in tree.separators
+                    if s.level <= remaining]
+            none = [np.empty(0, dtype=np.int64)]
+            assert np.array_equal(np.sort(np.concatenate(held + none)),
+                                  np.sort(np.concatenate(kept + none)))
+
+        check(tree.levels)
+        for level in range(tree.levels, 0, -1):
+            state.level = level
+            factor.eliminate_segments(state, level)
+            factor.merge_segments(state, tree, level)
+            check(level - 1)
+        assert not state.units
 
     def test_fig3_junction_in_root_separator(self):
         # on a 15x15 grid with small leaves the level-2 separators cross the
@@ -274,12 +301,28 @@ class TestBuildDissection:
         junctions = [s for s in root_segs if s.kind == JUNCTION]
         assert junctions, "expected the root separator to be crossed"
         segs_final = [
-            s for s in tree.segments_at_stage(tree.levels) if s.owner == (1, 0)
+            s for s in tree.segments.values()
+            if not s.children and s.owner == (1, 0)
         ]
         assert any(s.kind == JUNCTION for s in segs_final)
         # pieces partition the separator
         allv = np.concatenate([s.vertices for s in segs_final])
         assert sorted(allv.tolist()) == sorted(tree.separators[0].order.tolist())
+
+    @pytest.mark.parametrize("fault", ["repeat", "drop"])
+    def test_order_that_misses_or_repeats_a_vertex_is_rejected(self, fault,
+                                                               monkeypatch):
+        emit = dissection._Builder._emit
+
+        def faulty(builder, node, base):
+            # a root's part is the whole order of its component
+            part = emit(builder, node, base)
+            faults = {"repeat": np.append(part[:-1], part[0]), "drop": part[:-1]}
+            return faults[fault] if node.depth == 1 else part
+
+        monkeypatch.setattr(dissection._Builder, "_emit", faulty)
+        with pytest.raises(DimensionError):
+            build_dissection(grid_graph(8, 8), None, leaf_size=16)
 
     def test_disconnected_input_two_components(self):
         a = sp.block_diag(
@@ -288,7 +331,7 @@ class TestBuildDissection:
         coords = np.column_stack([np.tile(np.arange(4.0), 2), np.repeat([0.0, 5.0], 4)])
         tree = build_dissection(SparseMatrix(a), coords, leaf_size=2)
         assert len(tree.roots) == 2
-        assert sorted(tree.order.fwd.tolist()) == list(range(8))
+        assert sorted(tree.order.tolist()) == list(range(8))
 
     @pytest.mark.parametrize("leaf_size", [0, -1])
     def test_leaf_size_below_one_rejected(self, leaf_size):
@@ -302,8 +345,9 @@ class TestBuildDissection:
 
     def test_numpy_int_leaf_size_accepted(self):
         g = grid_graph(8, 8)
-        assert np.array_equal(build_dissection(g, None, leaf_size=np.int64(16)).order.fwd,
-                              build_dissection(g, None, leaf_size=16).order.fwd)
+        assert np.array_equal(
+            build_dissection(g, None, leaf_size=np.int64(16)).order,
+            build_dissection(g, None, leaf_size=16).order)
 
     def test_non_finite_coordinates_rejected(self):
         a = sp.identity(3, format="csr")
@@ -326,13 +370,13 @@ class TestFillInCount:
     def test_star_center_first(self):
         n = 12
         g = star_graph(n)
-        order = Permutation(np.arange(n))
+        order = np.arange(n)
         assert fill_in_count(g, order) == (n - 1) * (n - 2) // 2
 
     def test_star_leaves_first(self):
         n = 12
         g = star_graph(n)
-        order = Permutation(np.array(list(range(1, n)) + [0]))
+        order = np.array(list(range(1, n)) + [0])
         assert fill_in_count(g, order) == 0
 
     def test_nested_beats_natural_on_grid(self):
