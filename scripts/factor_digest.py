@@ -9,11 +9,12 @@ For each workload of perfbench/workloads.py (all of them by default) this
 builds the matrix at its benchmark size, dissects and factors it with the
 default options on the package in ./src, and prints the factor nnz, the
 relative residual of the solve of the load vector (res_load, the benchmark's
-residual_load), a BLAKE2b digest of the dissection (tree: the nested order
-and every split event), one over every field of every compiled stage in
-stage order, its factor records and its sparse operators included, arrays
-by shape, dtype and bytes (digest), and one over the bytes of the load
-vector's solution (sol). With no workload named it
+residual_load) and four BLAKE2b digests: one of the problem (problem: the
+matrix's CSR arrays, the rhs and the coordinates), one of the dissection
+(tree: the nested order and every split event), one over every field of
+every compiled stage in stage order, its factor records and its sparse
+operators included, arrays by shape, dtype and bytes (digest), and one over
+the bytes of the load vector's solution (sol). With no workload named it
 then does the same for the four problem families at n~4k under each of the
 OPTION_SETS below, so that a refactor can be checked at two size floors
 and, through the complex copy (1+0.5j)A, on the LU path of every family as
@@ -98,6 +99,11 @@ def _digest(items):
     return h.hexdigest()
 
 
+def problem_digest(problem):
+    """Digest of a problem's matrix (CSR arrays), rhs and coordinates."""
+    return _digest([problem.matrix.csr, problem.rhs, problem.coords])
+
+
 def report(label, problem, eps, options, scale=1):
     matrix = problem.matrix
     if scale != 1:
@@ -107,6 +113,7 @@ def report(label, problem, eps, options, scale=1):
     x, rep = solver.solve(fac, matrix, problem.rhs)
     print(f"{label} n={problem.n} factors={len(fac.factors)} "
           f"nnz={fac.factor_nnz} res_load={rep.residual:.9e} "
+          f"problem={problem_digest(problem)} "
           f"tree={_digest([tree.order, *tree.events])} "
           f"digest={_digest(fac.stages)} sol={_digest([x])}", flush=True)
 

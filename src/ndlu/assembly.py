@@ -59,29 +59,51 @@ class ProblemInstance:
         return self.matrix.shape[0]
 
 
+# The keys each family reads, with their defaults. A value parses as the
+# type of its default.
+FAMILY_DEFAULTS = {
+    "laplace-contrast": {"rho": 1.0, "seed": 0},
+    "helmholtz": {"k": float(np.sqrt(2.0))},
+    "helmholtz-poly": {"k": float(np.sqrt(2.0))},
+    "laplace-aniso": {"d11": 1.0, "d12": 1.0, "d21": 0.0, "d22": 1.0},
+}
+
+
 def parse_descriptor(descriptor):
-    """Parse 'family:key=val,key=val' into (family, params dict)."""
-    if ":" in descriptor:
-        family, _, rest = descriptor.partition(":")
-        params = {}
-        for item in rest.split(","):
-            if not item:
-                continue
-            if "=" not in item:
-                raise ConfigError(f"bad descriptor item {item!r} in {descriptor!r}")
-            k, _, v = item.partition("=")
-            params[k.strip()] = v.strip()
-    else:
-        family, params = descriptor, {}
+    """Parse 'family:key=val,key=val' into (family, params dict).
+
+    params holds every key the family reads, parsed, with the family's
+    default where the descriptor leaves a key out. An unknown family, a key
+    the family does not read and a value that does not parse raise
+    ConfigError.
+    """
+    family, _, rest = descriptor.partition(":")
     family = family.strip()
-    known = {"laplace-contrast", "helmholtz", "helmholtz-poly", "laplace-aniso"}
-    if family not in known:
+    if family not in FAMILY_DEFAULTS:
         raise ConfigError(f"unknown problem family {family!r}")
+    params = dict(FAMILY_DEFAULTS[family])
+    for item in rest.split(","):
+        if not item:
+            continue
+        if "=" not in item:
+            raise ConfigError(f"bad descriptor item {item!r} in {descriptor!r}")
+        k, _, v = item.partition("=")
+        k, v = k.strip(), v.strip()
+        if k not in params:
+            raise ConfigError(f"{family} reads no key {k!r} (in {descriptor!r}); "
+                              f"it accepts {', '.join(sorted(params))}")
+        kind = type(params[k])
+        try:
+            params[k] = kind(v)
+        except ValueError:
+            raise ConfigError(f"{family}: {k}={v!r} is not a valid {kind.__name__} "
+                              f"(in {descriptor!r})") from None
     return family, params
 
 
-def _p1_matrices(mesh, coeff):
-    """Element-assembled stiffness (with coefficient) and mass matrices."""
+def _p1_stiffness(mesh, coeff):
+    """Element-assembled stiffness matrix (with coefficient) and the
+    triangle areas."""
     tris = mesh.triangles
     p = mesh.vertices[tris]                      # (m, 3, 2)
     # edge vectors opposite each vertex
@@ -100,16 +122,21 @@ def _p1_matrices(mesh, coeff):
     else:
         a_t = coeff(p.mean(axis=1))
         k_loc = np.einsum("mia,mja,m->mij", grads, grads, area * a_t)
+    return _assemble(mesh, k_loc), area
 
+
+def _p1_mass(mesh, area):
+    """Element-assembled mass matrix, from the triangle areas."""
     m_pattern = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    m_loc = area[:, None, None] * m_pattern
+    return _assemble(mesh, area[:, None, None] * m_pattern)
 
-    n = mesh.num_vertices
+
+def _assemble(mesh, local):
+    """Sum the (m, 3, 3) element matrices into an n x n CSR matrix."""
+    tris, n = mesh.triangles, mesh.num_vertices
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
-    stiff = sp.coo_matrix((k_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    mass = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    return stiff, mass, area
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
 
 
 def _load_vector(mesh, f, area):
@@ -117,24 +144,23 @@ def _load_vector(mesh, f, area):
     cent = mesh.vertices[mesh.triangles].mean(axis=1)
     fv = f(cent) if callable(f) else np.full(len(cent), float(f))
     contrib = fv * area / 3.0
-    b = np.zeros(mesh.num_vertices)
-    for k in range(3):
-        np.add.at(b, mesh.triangles[:, k], contrib)
-    return b
+    # corner 0 of every triangle, then corner 1, then corner 2
+    return np.bincount(mesh.triangles.T.ravel(), weights=np.tile(contrib, 3),
+                       minlength=mesh.num_vertices)
 
 
 def _neumann_load(mesh, h):
     """b_i += integral over neumann edges of h phi_i (exact for linear h)."""
-    b = np.zeros(mesh.num_vertices)
-    sel = mesh.edge_marker == NEUMANN
-    for i, j in mesh.boundary_edges[sel]:
-        pi, pj = mesh.vertices[i], mesh.vertices[j]
-        length = float(np.hypot(*(pj - pi)))
-        hi = float(h(pi.reshape(1, 2))[0]) if callable(h) else float(h)
-        hj = float(h(pj.reshape(1, 2))[0]) if callable(h) else float(h)
-        b[i] += length * (2 * hi + hj) / 6.0
-        b[j] += length * (hi + 2 * hj) / 6.0
-    return b
+    ends = mesh.boundary_edges[mesh.edge_marker == NEUMANN]
+    p = mesh.vertices[ends]                       # (e, 2, 2)
+    d = p[:, 1] - p[:, 0]
+    length = np.hypot(d[:, 0], d[:, 1])
+    if callable(h):
+        hi, hj = h(p.reshape(-1, 2)).reshape(-1, 2).T
+    else:
+        hi = hj = np.full(len(ends), float(h))
+    terms = np.column_stack([length * (2 * hi + hj) / 6.0, length * (hi + 2 * hj) / 6.0])
+    return np.bincount(ends.ravel(), weights=terms.ravel(), minlength=mesh.num_vertices)
 
 
 def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
@@ -147,16 +173,14 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
 
     helm_k = 0.0
     if family == "laplace-contrast":
-        rho = float(params.get("rho", 1))
-        seed = int(params.get("seed", 0))
         if coeff is None:
-            coeff = make_contrast_field(rho, seed)
+            coeff = make_contrast_field(params["rho"], params["seed"])
         if f is None:
             f = -4.0
         if dirichlet is None:
             dirichlet = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0
     elif family in ("helmholtz", "helmholtz-poly"):
-        helm_k = float(params.get("k", np.sqrt(2.0)))
+        helm_k = params["k"]
         if coeff is None:
             coeff = CoefficientField.constant(1.0)
         if f is None:
@@ -164,12 +188,7 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
         if dirichlet is None:
             dirichlet = lambda p: np.exp(p[:, 0] + p[:, 1])
     elif family == "laplace-aniso":
-        d = np.array(
-            [
-                [float(params.get("d11", 1.0)), float(params.get("d12", 1.0))],
-                [float(params.get("d21", 0.0)), float(params.get("d22", 1.0))],
-            ]
-        )
+        d = np.array([[params["d11"], params["d12"]], [params["d21"], params["d22"]]])
         if coeff is None:
             coeff = CoefficientField.tensor(d)
         if f is None:
@@ -179,8 +198,9 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
         if neumann_h is None:
             neumann_h = lambda p: 2.0 * p[:, 1]
 
-    stiff, mass, area = _p1_matrices(mesh, coeff)
-    a_full = stiff if helm_k == 0.0 else (stiff - (helm_k ** 2) * mass).tocsr()
+    a_full, area = _p1_stiffness(mesh, coeff)
+    if helm_k != 0.0:
+        a_full = (a_full - (helm_k ** 2) * _p1_mass(mesh, area)).tocsr()
     b_full = _load_vector(mesh, f, area)
     if np.any(mesh.edge_marker == NEUMANN):
         b_full += _neumann_load(mesh, neumann_h)
@@ -192,8 +212,9 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
     if len(fixed):
         g[fixed] = dirichlet(mesh.vertices[fixed])
 
-    a_ff = a_full[free][:, free].tocsr()
-    b_red = b_full[free] - a_full[free][:, fixed] @ g[fixed]
+    a_rows = a_full[free]
+    a_ff = a_rows[:, free].tocsr()
+    b_red = b_full[free] - a_rows[:, fixed] @ g[fixed]
 
     return ProblemInstance(
         matrix=SparseMatrix(a_ff),

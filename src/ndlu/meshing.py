@@ -69,11 +69,20 @@ def _orient_ccw(vertices, triangles):
 
 
 def _boundary_edges_of(triangles):
-    """Edges used by exactly one triangle, as sorted vertex pairs."""
-    e = np.vstack([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    e.sort(axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    return uniq[counts == 1]
+    """Edges used by exactly one triangle, as sorted vertex pairs in
+    lexicographic order, with the dtype of triangles.
+
+    Edge (lo, hi) of an n-vertex mesh is counted as the int64 key
+    lo * n + hi, which orders as the pairs do and holds any n below 3e9.
+    """
+    if not len(triangles):
+        return np.empty((0, 2), dtype=np.int64)
+    t = triangles.astype(np.int64, copy=False)
+    nxt = t[:, [1, 2, 0]]
+    n = int(t.max()) + 1
+    key, count = np.unique(np.minimum(t, nxt) * n + np.maximum(t, nxt), return_counts=True)
+    lo, hi = np.divmod(key[count == 1], n)
+    return np.column_stack([lo, hi]).astype(triangles.dtype, copy=False)
 
 
 def make_structured_mesh(nx, ny, domain=(-1.0, 1.0, 0.0, 1.0)):

@@ -1,5 +1,6 @@
-"""The dissection trees are pinned bitwise, through the digest of
-scripts/factor_digest.py, and that script's report is kept working."""
+"""The assembled problems and the dissection trees are pinned bitwise,
+through the digest of scripts/factor_digest.py, and that script's report is
+kept working."""
 
 import importlib.util
 from pathlib import Path
@@ -32,6 +33,21 @@ TREES = {
     "helmholtz-poly:k=20": "3800560be08c25aaa8321612",
     "laplace-aniso:d12=1,d21=0": "eddec9359c8ecc9639e86681",
 }
+
+# problem= of `python scripts/factor_digest.py` for each family at n=4096:
+# the matrix's CSR arrays, the rhs and the coordinates.
+PROBLEMS = {
+    "laplace-contrast:rho=100,seed=1": "22299895a34e6fa448b50215",
+    "helmholtz:k=5": "6ddd88a4348755e7adcc73de",
+    "helmholtz-poly:k=20": "ecad681423a3b3decd1ff14d",
+    "laplace-aniso:d12=1,d21=0": "82e910573bf55ac696f39995",
+}
+
+
+@pytest.mark.parametrize("family", sorted(PROBLEMS))
+def test_problems_are_bitwise_those_of_the_reference(family):
+    problem = assembly.build_problem(family, DIGEST.SMALL_N)
+    assert DIGEST.problem_digest(problem) == PROBLEMS[family]
 
 
 @pytest.mark.parametrize("family", sorted(TREES))
@@ -69,5 +85,5 @@ def test_digest_report_prints_every_digest(capsys):
     problem = assembly.build_problem(DIGEST.FAMILIES[3], 256)
     DIGEST.report("tiny", problem, 1e-4, factor.FactorOptions())
     line = capsys.readouterr().out
-    for key in ("tree=", "digest=", "sol="):
+    for key in ("problem=", "tree=", "digest=", "sol="):
         assert key in line

@@ -1,13 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Delaunay
 
 from ndlu.assembly import (
     ProblemInstance,
-    _p1_matrices,
+    _load_vector,
+    _neumann_load,
+    _p1_mass,
+    _p1_stiffness,
     assemble_fem,
     build_problem,
     parse_descriptor,
@@ -20,6 +26,7 @@ from ndlu.meshing import (
     DIRICHLET,
     NEUMANN,
     Mesh2D,
+    _boundary_edges_of,
     apply_neumann_region,
     make_polygon_mesh,
     make_structured_mesh,
@@ -71,6 +78,45 @@ class TestStructuredMesh:
     def test_areas_tile_domain(self):
         m = make_structured_mesh(9, 6, domain=(-1, 1, 0, 1))
         assert np.isclose(signed_areas(m).sum(), 2.0)
+
+
+def boundary_edges_by_count(triangles):
+    """Reference for _boundary_edges_of: count every sorted vertex pair and
+    keep those used once, in lexicographic order."""
+    count = Counter(
+        tuple(sorted((int(t[a]), int(t[b]))))
+        for t in triangles
+        for a, b in ((0, 1), (1, 2), (2, 0))
+    )
+    once = sorted(pair for pair, c in count.items() if c == 1)
+    return np.array(once, dtype=np.int64).reshape(-1, 2)
+
+
+class TestBoundaryEdges:
+    @pytest.mark.parametrize(
+        "triangles",
+        [
+            make_structured_mesh(3, 3).triangles,
+            make_structured_mesh(40, 17).triangles,
+            Delaunay(np.random.default_rng(3).uniform(size=(300, 2))).simplices,
+            np.array([[4, 0, 9]]),
+            np.array([[0, 1, 2], [2, 1, 3]]),
+            # keys lo * n + hi above 2^31: an int32 product would wrap
+            np.array([[70000, 0, 140000], [140000, 0, 200000]], dtype=np.int32),
+        ],
+        ids=["grid3x3", "grid40x17", "delaunay", "one", "two-sharing", "ids-over-2^16"],
+    )
+    def test_matches_the_count_of_sorted_pairs(self, triangles):
+        got = _boundary_edges_of(triangles)
+        want = boundary_edges_by_count(triangles)
+        assert got.dtype == triangles.dtype
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_no_triangles_give_no_edges(self):
+        got = _boundary_edges_of(np.empty((0, 3), dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.shape == (0, 2)
 
 
 class TestPolygonMesh:
@@ -156,17 +202,16 @@ def hand_p1_matrices():
 class TestAssembly:
     def test_two_triangle_helmholtz_matches_hand_matrices(self):
         verts, tris, K, M = hand_p1_matrices()
-        from ndlu.meshing import _boundary_edges_of
-
         be = _boundary_edges_of(tris)
         mesh = Mesh2D(verts, tris, be, np.full(len(be), DIRICHLET, np.uint8))
-        stiff, mass, _ = _p1_matrices(mesh, CoefficientField.constant(1.0))
+        stiff, area = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        mass = _p1_mass(mesh, area)
         assert np.allclose(stiff.toarray(), K, atol=1e-14)
         assert np.allclose(mass.toarray(), M, atol=1e-14)
 
     def test_full_stiffness_rows_sum_to_zero(self):
         mesh = make_structured_mesh(6, 5)
-        stiff, _, _ = _p1_matrices(mesh, CoefficientField.constant(1.0))
+        stiff, _ = _p1_stiffness(mesh, CoefficientField.constant(1.0))
         assert np.allclose(stiff @ np.ones(mesh.num_vertices), 0.0, atol=1e-12)
 
     def test_contrast_symmetric_and_connected(self):
@@ -180,7 +225,8 @@ class TestAssembly:
 
     def test_helmholtz_is_stiffness_minus_k2_mass(self):
         mesh = make_structured_mesh(8, 6)
-        stiff, mass, _ = _p1_matrices(mesh, CoefficientField.constant(1.0))
+        stiff, area = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        mass = _p1_mass(mesh, area)
         prob = assemble_fem(mesh, "helmholtz:k=1.4142135623730951")
         free = prob.free
         want = (stiff - 2.0 * mass).tocsr()[free][:, free]
@@ -207,6 +253,88 @@ class TestAssembly:
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError):
             parse_descriptor("wave:k=2")
+
+    @pytest.mark.parametrize(
+        "descriptor, key, accepted",
+        [
+            ("helmholtz:kk=5", "kk", "k"),
+            ("helmholtz-poly:k=20,rho=3", "rho", "k"),
+            ("laplace-aniso:d12=1,d21=0,rho=3", "rho", "d11, d12, d21, d22"),
+            ("laplace-contrast:rho=100,k=2", "k", "rho, seed"),
+            ("laplace-contrast:=4", "", "rho, seed"),
+        ],
+    )
+    def test_key_the_family_does_not_read_is_rejected(self, descriptor, key, accepted):
+        with pytest.raises(ConfigError, match=f"reads no key '{key}'.*accepts {accepted}$"):
+            assemble_fem(make_structured_mesh(4, 3), descriptor)
+
+    @pytest.mark.parametrize(
+        "descriptor, item",
+        [
+            ("helmholtz:k=abc", "k='abc' is not a valid float"),
+            ("helmholtz-poly:k=", "k='' is not a valid float"),
+            ("laplace-contrast:rho=100,seed=1.5", "seed='1.5' is not a valid int"),
+            ("laplace-aniso:d12=one", "d12='one' is not a valid float"),
+        ],
+    )
+    def test_value_that_does_not_parse_is_rejected(self, descriptor, item):
+        with pytest.raises(ConfigError, match=item):
+            parse_descriptor(descriptor)
+
+    def test_descriptor_values_are_parsed_over_the_defaults(self):
+        assert parse_descriptor("laplace-contrast:seed=3") == (
+            "laplace-contrast", {"rho": 1.0, "seed": 3})
+        assert parse_descriptor("helmholtz") == ("helmholtz", {"k": np.sqrt(2.0)})
+        assert parse_descriptor(" laplace-aniso : d12 = 2 ,")[1]["d12"] == 2.0
+
+
+def load_vector_by_loop(mesh, f, area):
+    """Reference for _load_vector: one np.add.at per triangle corner."""
+    cent = mesh.vertices[mesh.triangles].mean(axis=1)
+    fv = f(cent) if callable(f) else np.full(len(cent), float(f))
+    contrib = fv * area / 3.0
+    b = np.zeros(mesh.num_vertices)
+    for k in range(3):
+        np.add.at(b, mesh.triangles[:, k], contrib)
+    return b
+
+
+def neumann_load_by_loop(mesh, h):
+    """Reference for _neumann_load: one Python step per neumann edge."""
+    b = np.zeros(mesh.num_vertices)
+    sel = mesh.edge_marker == NEUMANN
+    for i, j in mesh.boundary_edges[sel]:
+        pi, pj = mesh.vertices[i], mesh.vertices[j]
+        length = float(np.hypot(*(pj - pi)))
+        hi = float(h(pi.reshape(1, 2))[0]) if callable(h) else float(h)
+        hj = float(h(pj.reshape(1, 2))[0]) if callable(h) else float(h)
+        b[i] += length * (2 * hi + hj) / 6.0
+        b[j] += length * (hi + 2 * hj) / 6.0
+    return b
+
+
+class TestLoadVectors:
+    @pytest.mark.parametrize("f", [-4.0, lambda p: np.sin(3 * p[:, 0]) * np.exp(p[:, 1])])
+    @pytest.mark.parametrize("polygon", [False, True])
+    def test_load_vector_is_bitwise_the_loop(self, f, polygon):
+        mesh = make_polygon_mesh(L_SHAPED, 0.13) if polygon else make_structured_mesh(23, 11)
+        _, area = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        got = _load_vector(mesh, f, area)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, load_vector_by_loop(mesh, f, area))
+
+    @pytest.mark.parametrize("h", [0.7, lambda p: np.cos(p[:, 0]) + 2.0 * p[:, 1]])
+    def test_neumann_load_is_bitwise_the_loop(self, h):
+        # neumann on the top and the right side: the vertices inside each side
+        # and the corner between them are each shared by two neumann edges
+        mesh = make_structured_mesh(19, 7)
+        mesh = apply_neumann_region(mesh, lambda m: (m[:, 1] > 1 - 1e-12) | (m[:, 0] > 1 - 1e-12))
+        ends = mesh.boundary_edges[mesh.edge_marker == NEUMANN]
+        assert np.bincount(ends.ravel()).max() == 2
+        got = _neumann_load(mesh, h)
+        want = neumann_load_by_loop(mesh, h)
+        assert np.count_nonzero(want) == len(np.unique(ends))
+        assert np.array_equal(got, want)
 
 
 def solve_reduced(prob):
