@@ -45,7 +45,6 @@ class ProblemInstance:
     matrix: SparseMatrix
     rhs: np.ndarray
     coords: np.ndarray
-    descriptor: str
     mesh: Mesh2D = None
     free: np.ndarray = None              # mesh vertex index per unknown
 
@@ -220,7 +219,6 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
         matrix=SparseMatrix(a_ff),
         rhs=b_red,
         coords=mesh.vertices[free],
-        descriptor=pde,
         mesh=mesh,
         free=free,
     )
@@ -306,5 +304,4 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
         matrix=SparseMatrix(csr),
         rhs=rhs,
         coords=coords,
-        descriptor=f"file:{path_matrix}",
     )

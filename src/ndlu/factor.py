@@ -3,12 +3,12 @@
 The factorization sweeps the separator hierarchy bottom-up. Leaf interiors
 are eliminated densely first; the remaining unknowns live on separator
 segments. Each level then (1) compresses every regular segment's coupling to
-its neighbors with an interpolative decomposition so the redundant rows and
-columns of the segment decouple, (2) eliminates the decoupled remainders and
-then every segment owned by the level's separators, and (3) merges sibling
-segments back into their parents so the next, coarser level sees whole
-segments again. A segment with no neighbors left has nothing to compress
-and is eliminated whole.
+its neighbors with an interpolative decomposition, so the redundant rows and
+columns of the segment decouple, and eliminates those remainders against the
+segment's skeleton in the same step, (2) eliminates every segment owned by
+the level's separators, and (3) merges sibling segments back into their
+parents so the next, coarser level sees whole segments again. A segment with
+no neighbors left has nothing to compress and is eliminated whole.
 
 Every decomposition sees its coupling block through one hybrid plan
 (lowrank.build_hybrid_plan): neighbor rows near the segment enter verbatim
@@ -26,11 +26,13 @@ orientations, whether or not the matrix is symmetric, so the store's
 bookkeeping is the same in both modes; symmetry is used only where the dense
 kernel is chosen (LDL against LU, a one-sided against a joint interpolative
 decomposition). Every elimination gathers its self block and couplings from
-the buffer, runs that kernel and scatters its whole update back in one
-add_to_block call. Merges only relabel positions; the buffer is repacked once
-per level, with room for the fill of the level's eliminations: every pair
-among each eliminated segment's neighbors. The segments one level eliminates
-lie in disjoint subtrees and never touch, so their order does not matter.
+the buffer (a remainder takes them from its sparsification's gather), runs
+that kernel and scatters its whole update back in one add_to_block call, the
+buffer's only write outside a pack. Merges only relabel positions; the
+buffer is repacked once per level, with room for the fill of the level's
+eliminations: every pair among each eliminated segment's neighbors. The
+segments one level eliminates lie in disjoint subtrees and never touch, so
+their order does not matter.
 Every pack checks that the segments and the store's position table agree on
 which segment owns each live position (SchurState).
 
@@ -345,18 +347,15 @@ def _compile_elimination(factors):
 
 
 class _Unit:
-    """One active segment: its serial, current global positions, bookkeeping."""
+    """One active segment: its serial, current global positions and kind."""
 
-    __slots__ = ("uid", "serial", "pos", "kind", "redundant_local",
-                 "skeleton_local")
+    __slots__ = ("uid", "serial", "pos", "kind")
 
     def __init__(self, uid, serial, pos, kind):
         self.uid = uid
         self.serial = serial
         self.pos = np.asarray(pos, dtype=np.int64)
         self.kind = kind
-        self.redundant_local = None
-        self.skeleton_local = None
 
     @property
     def owner_level(self):
@@ -972,19 +971,23 @@ def _front(state, unit):
 
 
 def sparsify_segment(state, unit, eps):
-    """Compress one active regular unit's coupling; returns (factors,
-    skeleton).
+    """Compress one active regular unit's coupling and eliminate what the
+    compression decouples; returns (factors, skeleton).
 
     Computes an interpolative decomposition of the unit's coupling to its
-    neighbors (of the stacked in/out coupling in unsymmetric mode), emits the
-    two-sided sparsify factor, applies it to the unit's self block, and
-    zeroes both orientations of the decoupled coupling entries in storage.
-    The decomposition sees the neighbor rows within near_radius of the unit
-    verbatim and the others mixed into unit.size + lowrank.OVERSAMPLE
-    Gaussian rows, or the whole block when too few rows are far. The
-    skeleton keeps the unit's global positions that still couple outward. A
-    unit with no neighbors has no coupling to compress: it emits no factor
-    and keeps every position, to be eliminated whole.
+    neighbors (of the stacked in/out coupling in unsymmetric mode) and emits
+    the two-sided sparsify factor. Applied to the unit's self block, rows
+    first and then columns, the transform leaves the redundant positions
+    coupled to the skeleton alone, up to the dropped entries, so they are
+    eliminated against the skeleton at once (a remainder elimination, whose
+    Schur update is the only store write) and leave the unit, which keeps
+    its skeleton. The dropped coupling is never written: no live position
+    reads it again. factors is [sparsify, remainder], or empty when nothing
+    was decoupled. The decomposition sees the neighbor rows within
+    near_radius of the unit verbatim and the others mixed into unit.size +
+    lowrank.OVERSAMPLE Gaussian rows, or the whole block when too few rows
+    are far. A unit with no neighbors has no coupling to compress: it emits
+    no factor and keeps every position, to be eliminated whole.
     """
     if unit.kind == JUNCTION:
         raise ConfigError("junction segments are merged, never sparsified")
@@ -1003,72 +1006,45 @@ def sparsify_segment(state, unit, eps):
     plan = lowrank.build_hybrid_plan(state.coords[nbr_pos],
                                      state.coords[pos], state.near_radius,
                                      unit.size, seed)
-    a_un = state.gather(pos, nbr_pos)
     if state.symmetric:
         ident = lowrank.sampled_id(a_nu, plan, eps)
     else:
-        ident = lowrank.joint_unsymmetric_id(a_nu, a_un, plan, eps)
+        ident = lowrank.joint_unsymmetric_id(
+            a_nu, state.gather(pos, nbr_pos), plan, eps)
 
-    skel_l = ident.skeleton
-    red_l = ident.redundant
-    unit.redundant_local = red_l
-    unit.skeleton_local = skel_l
+    skel_l, red_l, interp = ident.skeleton, ident.redundant, ident.interp
     skeleton = pos[skel_l]
     if red_l.size == 0:
         return [], skeleton
 
-    interp = ident.interp
     red = pos[red_l]
-    factor = SparsifyFactor(skeleton=skeleton, redundant=red, interp=interp,
-                            level=state.level)
-    rows_update = interp.T @ self_block[skel_l, :]
-    self_block[red_l, :] -= rows_update
-    cols_update = self_block[:, skel_l] @ interp
-    state.add_to_block(red, pos, -rows_update)
-    state.add_to_block(pos, red, -cols_update)
-    # adding the negated values leaves every stored entry at exactly +0
-    state.add_to_block(nbr_pos, red, -a_nu[:, red_l])
-    state.add_to_block(red, nbr_pos, -a_un[red_l, :])
-    return [factor], skeleton
+    sparsify = SparsifyFactor(skeleton=skeleton, redundant=red,
+                              interp=interp, level=state.level)
+    self_block[red_l, :] -= interp.T @ self_block[skel_l, :]
+    self_block[:, red_l] -= self_block[:, skel_l] @ interp
+    remainder = _eliminate(state, red, skeleton,
+                           self_block[np.ix_(red_l, red_l)],
+                           self_block[np.ix_(skel_l, red_l)],
+                           self_block[np.ix_(red_l, skel_l)], state.level,
+                           uid, "remainder")
+    state.keep_positions(unit, skel_l)
+    return [sparsify, remainder], skeleton
 
 
 def eliminate_segments(state, level):
-    """Eliminate decoupled remainders, then whole level-`level` segments.
+    """Eliminate every level-`level` segment whole.
 
-    Remainder elimination is internal to each segment (its only remaining
-    coupling is to its own skeleton). Segments owned by this level are then
-    eliminated entirely, with Schur updates scattered only over their
-    neighbor sets, into blocks the stage's pack allocated. Returns the
-    elimination factors in application order, their payload kept for
-    compile_stages. The store must have been packed for `level`.
+    Each segment's Schur update is scattered only over its neighbor set,
+    into blocks the stage's pack allocated. Returns the elimination factors
+    in id order, their payload kept for compile_stages. The store must have
+    been packed for `level`.
     """
     factors = []
     for uid in state.active_ids():
         unit = state.units[uid]
-        if unit.redundant_local is None or unit.redundant_local.size == 0:
-            unit.redundant_local = None
-            unit.skeleton_local = None
-            continue
-        factors.append(_eliminate_remainder(state, unit, level))
-    for uid in state.active_ids():
-        unit = state.units[uid]
-        if unit.owner_level != level:
-            continue
-        factors.append(_eliminate_whole(state, unit, level))
+        if unit.owner_level == level:
+            factors.append(_eliminate_whole(state, unit, level))
     return factors
-
-
-def _eliminate_remainder(state, unit, level):
-    red, keep = unit.redundant_local, unit.skeleton_local
-    block = state.gather(unit.pos, unit.pos)
-    factor = _eliminate(state, unit.pos[red], unit.pos[keep],
-                        block[np.ix_(red, red)], block[np.ix_(keep, red)],
-                        block[np.ix_(red, keep)], level, unit.uid,
-                        "remainder")
-    state.keep_positions(unit, keep)
-    unit.redundant_local = None
-    unit.skeleton_local = None
-    return factor
 
 
 def _eliminate_whole(state, unit, level):
@@ -1091,10 +1067,6 @@ def merge_segments(state, tree, level):
     """
     for event in reversed([e for e in tree.events if e.level == level]):
         kids = [state.units[cid] for cid in event.children]
-        for kid in kids:
-            if kid.redundant_local is not None:
-                raise ConfigError(
-                    f"segment {kid.uid} merged with a pending remainder")
         state.merge_units(kids, event.parent, tree.segments[event.parent].kind)
     state.pack(level - 1)
     return state
@@ -1137,10 +1109,12 @@ def factorize(a, tree, eps, options=None):
     """Run the full pipeline and return the factorization.
 
     Interiors first, then per level from the deepest separator level to the
-    root: sparsify every regular segment, eliminate remainders and the
-    level's own segments, merge split segments back together. Each stage is
-    compiled as soon as its factors exist. Singular blocks raise
-    SingularBlockError tagged with level and segment id.
+    root: sparsify every regular segment and eliminate its remainder,
+    eliminate the level's own segments, merge split segments back together.
+    The sparsifications and the remainders of a level each form one stage,
+    in that order. Each stage is compiled as soon as its factors exist.
+    Singular blocks raise SingularBlockError tagged with level and segment
+    id.
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
@@ -1165,6 +1139,7 @@ def factorize(a, tree, eps, options=None):
         pre_sizes = []
         post_sizes = []
         sparsified = []
+        remainders = []
         t_sp = time.perf_counter()
         for uid in regulars:
             unit = state.units[uid]
@@ -1172,9 +1147,11 @@ def factorize(a, tree, eps, options=None):
                 continue
             pre_sizes.append(unit.size)
             new_factors, skeleton = sparsify_segment(state, unit, eps)
-            sparsified.extend(new_factors)
+            sparsified.extend(new_factors[:1])
+            remainders.extend(new_factors[1:])
             post_sizes.append(len(skeleton))
         stages.extend(compile_stages(sparsified))
+        stages.extend(compile_stages(remainders))
         time_sparsify = time.perf_counter() - t_sp
 
         t_el = time.perf_counter()

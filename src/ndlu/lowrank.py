@@ -38,7 +38,6 @@ class InterpolativeDecomposition:
     skeleton: np.ndarray
     redundant: np.ndarray
     interp: np.ndarray
-    rank: int
 
     @property
     def num_columns(self):
@@ -93,7 +92,6 @@ def _sorted_id(n, piv, k, rank_t):
         skeleton=np.sort(skeleton_piv).astype(np.int64),
         redundant=np.sort(redundant_piv).astype(np.int64),
         interp=np.ascontiguousarray(interp),
-        rank=k,
     )
     _check_interp_norm(ident.interp, n, k)
     return ident

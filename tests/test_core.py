@@ -190,3 +190,13 @@ class TestContainers:
         b = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         l, u, p = split_lu(b)
         assert np.linalg.norm(b[p] - l @ u) / np.linalg.norm(b) < 1e-13
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: SparseMatrix(np.eye(3)), "scipy sparse matrix"),
+    (lambda: lu_compact(np.ones((2, 3))), "square block"),
+    (lambda: triangular_inverse(np.ones((2, 3))), "square block"),
+], ids=["dense-sparse-matrix", "lu-not-square", "inverse-not-square"])
+def test_core_input_checks_raise_dimension_error(call, message):
+    with pytest.raises(DimensionError, match=message):
+        call()

@@ -1,8 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from ndlu import dissection, factor
+from ndlu import dissection, factor, solver
 from ndlu.core import SparseMatrix
 from ndlu.dissection import (
     JUNCTION,
@@ -245,6 +247,42 @@ class TestBuildDissection:
         g = grid_graph(64, 64)
         tree = build_dissection(g, None, leaf_size=64)
         assert tree.validate_separation()
+
+    def test_vertex_moved_across_a_separator_fails_validation(self):
+        a, coords = grid_matrix(32, 32)
+        tree = build_dissection(a, coords, leaf_size=16)
+        assert tree.validate_separation()
+        (s1, _), (s2, _) = (child.span for child in tree.roots[0].children)
+        broken = copy.copy(tree)
+        broken.order = tree.order.copy()
+        broken.order[[s1, s2]] = tree.order[[s2, s1]]
+        assert not broken.validate_separation()
+        assert tree.validate_separation()
+
+    def test_node_whose_walk_fails_becomes_a_leaf(self, monkeypatch):
+        # calls run breadth first, so on a connected graph the second is the
+        # first node at depth 2
+        a, coords = grid_matrix(32, 32)
+        find = dissection.find_separator
+        subsets = []
+
+        def failing(g, subset, views):
+            subsets.append(np.sort(subset))
+            if len(subsets) == 2:
+                raise DegenerateSeparatorError("no walk")
+            return find(g, subset, views)
+
+        monkeypatch.setattr(dissection, "find_separator", failing)
+        tree = build_dissection(a, coords, leaf_size=16)
+        leaves = [node for node in tree.leaves if node.depth == 2]
+        assert len(leaves) == 1
+        assert np.array_equal(leaves[0].leaf_vertices, subsets[1])
+        assert np.array_equal(np.sort(tree.order), np.arange(a.shape[0]))
+        assert tree.validate_separation()
+        fac = factor.factorize(a, tree, 1e-4,
+                               factor.FactorOptions(min_sparsify_size=2000))
+        b = np.random.default_rng(0).standard_normal(a.shape[0])
+        assert solver.solve(fac, a, b)[1].residual <= 1e-12
 
     def test_arrow_pattern_zero_sibling_blocks(self):
         g = grid_graph(16, 16)

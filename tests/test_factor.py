@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
                   SingularBlockError, SparseMatrix, assembly, dissection,
                   factor, lowrank, solver)
-from ndlu.dissection import REGULAR, Graph
+from ndlu.dissection import JUNCTION, REGULAR, Graph
 from ndlu.factor import FactorOptions
 
 SMALL_N = 1500
@@ -347,13 +347,12 @@ def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
             assert np.all(owner[nbr] == -1), (stage.kind, stage.level)
 
 
-# factor_nnz of the complex copies (LU on every family) at n=4096, floor 16,
-# as counted before segments without neighbors stopped being sparsified
+# factor_nnz of the complex copies (LU on every family) at n=4096, floor 16
 LU_NNZ = {
-    "laplace-contrast:rho=100,seed=1": 398202,
+    "laplace-contrast:rho=100,seed=1": 398262,
     "helmholtz:k=5": 400932,
-    "helmholtz-poly:k=20": 376427,
-    "laplace-aniso:d12=1,d21=0": 421107,
+    "helmholtz-poly:k=20": 376349,
+    "laplace-aniso:d12=1,d21=0": 420939,
 }
 
 
@@ -493,18 +492,49 @@ def test_symmetric_store_holds_both_orientations_of_every_coupling():
 
 
 @pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
-def test_sparsify_zeroes_both_orientations_of_the_dropped_coupling(family):
-    p = assembly.build_problem(family, SMALL_N)
+def test_sparsify_eliminates_what_it_decouples(family, monkeypatch):
+    # the redundant positions leave the store at once, and the one store
+    # write is the remainder's Schur update on the skeleton's self block:
+    # -T_sr T_rr^-1 T_rs of the transformed self block T
+    p = assembly.build_problem(family, 4096)
     tree = dissection.build_dissection(p.matrix, p.coords)
     state, _ = factor.eliminate_interiors(p.matrix, tree)
+    state.level = tree.levels
     unit = max((u for u in state.units.values() if u.kind == REGULAR),
                key=lambda u: u.size)
-    factor.sparsify_segment(state, unit, 1e-2)
-    red = unit.pos[unit.redundant_local]
-    nbr_pos = state.positions(state.neighbors(unit))
-    assert red.size and nbr_pos.size
-    assert not state.gather(nbr_pos, red).any()
-    assert not state.gather(red, nbr_pos).any()
+    pos = unit.pos.copy()
+    before = state.gather(pos, pos)
+    writes = []
+    add = factor.SchurState.add_to_block
+
+    def counted(self, rows, cols, delta):
+        writes.append((rows.copy(), cols.copy()))
+        return add(self, rows, cols, delta)
+
+    monkeypatch.setattr(factor.SchurState, "add_to_block", counted)
+    (sparsify, remainder), skeleton = factor.sparsify_segment(state, unit,
+                                                              1e-2)
+    red = sparsify.redundant
+    assert red.size and skeleton.size
+    assert (remainder.tag, remainder.level) == ("remainder", tree.levels)
+    assert np.array_equal(remainder.idx, red)
+    assert np.array_equal(remainder.nbr, skeleton)
+    assert np.all(state.pos_unit[red] == -1)
+    assert np.array_equal(unit.pos, skeleton)
+    assert np.array_equal(np.union1d(red, skeleton), pos)
+    assert len(writes) == 1
+    assert all(np.array_equal(w, skeleton) for w in writes[0])
+
+    r, s = np.searchsorted(pos, red), np.searchsorted(pos, skeleton)
+    left = np.eye(pos.size)
+    left[np.ix_(r, s)] = -sparsify.interp.T
+    t = left @ before @ left.T
+    change = -t[np.ix_(s, r)] @ np.linalg.solve(t[np.ix_(r, r)],
+                                                t[np.ix_(r, s)])
+    got = state.gather(skeleton, skeleton) - before[np.ix_(s, s)]
+    assert np.abs(change).max() > 0
+    assert np.allclose(got, change, rtol=0,
+                       atol=1e-12 * np.abs(change).max())
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -772,6 +802,36 @@ def test_units_of_one_stage_that_touch_are_rejected():
         _store(dense, slots, ids, True, 2)
     # the same units pack for a stage that owns only one of them
     _store(dense, slots, ids, True, 1)
+
+
+def test_store_rejects_access_and_merges_it_cannot_serve():
+    ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1),
+           "D": (1, 0, 1, 2), "P": (1, 0, 1, 0)}
+    slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
+    dense = _coupled(slots, [("A", "C"), ("B", "D")], False)
+    state = _store(dense, slots, ids, False, 1)
+    a, b, c, d = (state.units[ids[name]] for name in "ABCD")
+    # A and B are not coupled, so no block between them is stored
+    with pytest.raises(DimensionError, match="outside the stored blocks"):
+        state.gather(a.pos, b.pos)
+    with pytest.raises(DimensionError, match="out-of-order positions"):
+        state.merge_units([d, c], ids["P"], REGULAR)
+    state.keep_positions(a, np.array([1]))
+    with pytest.raises(DimensionError, match="touches an eliminated"):
+        state.gather(np.array([0]), c.pos)
+    # the live half of A still reads as stored
+    assert np.array_equal(state.gather(a.pos, c.pos), dense[1:2, 4:6])
+
+
+def test_sparsify_refuses_a_junction_and_passes_over_an_empty_unit():
+    ids = [(1, 0, 1, 1), (1, 0, 1, 2)]
+    state = factor.SchurState(2, np.float64, True, ids)
+    junction = state.add_unit(ids[0], np.array([0, 1]), JUNCTION)
+    empty = state.add_unit(ids[1], np.empty(0, np.int64), REGULAR)
+    with pytest.raises(ConfigError, match="junction"):
+        factor.sparsify_segment(state, junction, 1e-4)
+    factors, skeleton = factor.sparsify_segment(state, empty, 1e-4)
+    assert factors == [] and skeleton.size == 0
 
 
 @pytest.mark.parametrize("floor", [None, "8", -1, 2.5])

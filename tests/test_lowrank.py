@@ -58,7 +58,6 @@ def kahan(n, theta):
 class TestCpqrId:
     def test_zero_matrix(self):
         ident = cpqr_id(np.zeros((6, 5)), 1e-10)
-        assert ident.rank == 0
         assert len(ident.skeleton) == 0
         assert ident.redundant.tolist() == [0, 1, 2, 3, 4]
         assert ident.interp.shape == (0, 5)
@@ -66,7 +65,7 @@ class TestCpqrId:
     def test_orthogonal_columns_full_rank(self):
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((8, 8)))
         ident = cpqr_id(q, 1e-8)
-        assert ident.rank == 8
+        assert len(ident.skeleton) == 8
         assert ident.interp.shape == (8, 0)
         assert len(ident.redundant) == 0
 
@@ -76,7 +75,7 @@ class TestCpqrId:
         v = rng.standard_normal(12)
         b = np.outer(u, v)
         ident = cpqr_id(b, 1e-10)
-        assert ident.rank == 1
+        assert len(ident.skeleton) == 1
         assert reconstruction_error(ident, b) < 1e-10 * np.linalg.norm(b)
 
     def test_partition_and_sorted_indices(self):
@@ -86,7 +85,8 @@ class TestCpqrId:
         assert sorted(both.tolist()) == list(range(25))
         assert np.all(np.diff(ident.skeleton) > 0)
         assert np.all(np.diff(ident.redundant) > 0)
-        assert ident.interp.shape == (ident.rank, 25 - ident.rank)
+        assert ident.interp.shape == (ident.skeleton.size,
+                                      ident.redundant.size)
 
     def test_geometric_decay_rank(self):
         sigma = 2.0 ** -np.arange(40, dtype=float)
@@ -94,7 +94,7 @@ class TestCpqrId:
         ident = cpqr_id(b, 1e-8)
         # singular values cross 1e-8 at index 27; pivoted-QR diagonals track
         # them to within a small slack factor
-        assert abs(ident.rank - 27) <= 2
+        assert abs(len(ident.skeleton) - 27) <= 2
         assert reconstruction_error(ident, b) <= recon_bound(ident, b, 1e-8)
 
     def test_reconstruction_invariant_many_random(self):
@@ -112,14 +112,14 @@ class TestCpqrId:
     def test_eps_one_drops_everything_but_pivot(self):
         b = np.eye(4)
         ident = cpqr_id(b, 1.0)
-        assert ident.rank == 0
+        assert len(ident.skeleton) == 0
 
     def test_complex_input(self):
         rng = np.random.default_rng(5)
         b = (rng.standard_normal((20, 10)) + 1j * rng.standard_normal((20, 10)))
         b[:, 5:] = b[:, :5] @ (rng.standard_normal((5, 5)) * 0.1)
         ident = cpqr_id(b, 1e-10)
-        assert ident.rank == 5
+        assert len(ident.skeleton) == 5
         assert reconstruction_error(ident, b) <= recon_bound(ident, b, 1e-10)
 
 
@@ -139,12 +139,12 @@ class TestCpqrId:
                         rng.standard_normal((r, n))
                 for eps in (1e-2, 1e-5, 1e-8):
                     oracle, _, _ = sli.interp_decomp(b, eps, rand=False)
-                    assert abs(cpqr_id(b, eps).rank - oracle) <= 1
+                    assert abs(len(cpqr_id(b, eps).skeleton) - oracle) <= 1
 
     def test_interpolation_above_the_stable_bound_warns(self, caplog):
         with caplog.at_level(logging.WARNING, logger="ndlu.lowrank"):
             ident = cpqr_id(kahan(6, 0.3), 1e-2)
-        n, k = 6, ident.rank
+        n, k = 6, len(ident.skeleton)
         bound = np.sqrt(n * k * (n - k))
         assert bound < np.linalg.norm(ident.interp) <= 10 * bound  # 11.7 > 6.9
         assert [r.levelno for r in caplog.records] == [logging.WARNING]
@@ -229,7 +229,7 @@ class TestSampledId:
             plan = all_far(200, rank_guess=3, seed=trial)
             ident = sampled_id(base, plan, eps)
             ok = (
-                abs(ident.rank - 3) <= 2
+                abs(len(ident.skeleton) - 3) <= 2
                 and reconstruction_error(ident, base) <= 10.0 * eps * np.linalg.norm(base)
             )
             failures += not ok
@@ -239,9 +239,9 @@ class TestSampledId:
         sigma = 2.0 ** -np.arange(40, dtype=float)
         b = decaying_matrix(300, 40, sigma, seed=5)
         dense = cpqr_id(b, 1e-8)
-        plan = all_far(300, rank_guess=dense.rank, seed=1)
+        plan = all_far(300, rank_guess=len(dense.skeleton), seed=1)
         sampled = sampled_id(b, plan, 1e-8)
-        assert abs(sampled.rank - dense.rank) <= 2
+        assert abs(len(sampled.skeleton) - len(dense.skeleton)) <= 2
 
     def test_hybrid_plan_end_to_end(self):
         rng = np.random.default_rng(8)
@@ -267,9 +267,9 @@ class TestSampledId:
         b = decaying_matrix(150, 36, sigma, seed=13)
         dense = cpqr_id(b, 1e-3)
         for seed in range(100):
-            plan = all_far(150, rank_guess=dense.rank, seed=seed)
+            plan = all_far(150, rank_guess=len(dense.skeleton), seed=seed)
             ident = sampled_id(b, plan, 1e-3)
-            assert abs(ident.rank - dense.rank) <= 2
+            assert abs(len(ident.skeleton) - len(dense.skeleton)) <= 2
 
 
 class TestJointUnsymmetricId:
@@ -296,7 +296,7 @@ class TestJointUnsymmetricId:
         svd_rank = int((np.linalg.svd(stack, compute_uv=False) > 1e-9).sum())
         assert svd_rank == 4
         joint = joint_unsymmetric_id(left, right, plan_dense(50), 1e-9)
-        assert joint.rank == 4
+        assert len(joint.skeleton) == 4
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
@@ -317,3 +317,8 @@ class TestJointUnsymmetricId:
         joint = joint_unsymmetric_id(incoming, outgoing, plan, 1e-10)
         stack = np.vstack([incoming, outgoing.T])
         assert reconstruction_error(joint, stack) <= recon_bound(joint, stack, 1e-10)
+
+
+def test_plan_that_does_not_cover_the_block_is_rejected():
+    with pytest.raises(DimensionError, match="plan covers 5 rows, block has 4"):
+        sampled_id(np.ones((4, 3)), plan_dense(5), 1e-4)

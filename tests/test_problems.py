@@ -407,10 +407,46 @@ class TestProblemInstanceContract:
                 matrix=SparseMatrix(sp.identity(3, format="csr")),
                 rhs=np.ones(2),
                 coords=np.zeros((3, 2)),
-                descriptor="helmholtz:k=1",
             )
 
     def test_build_sizes_near_target(self):
         for desc in ("helmholtz:k=1.41", "laplace-contrast:rho=10,seed=1"):
             prob = build_problem(desc, 4096)
             assert 0.7 * 4096 <= prob.n <= 1.3 * 4096
+
+
+def _clockwise_triangle():
+    mesh = Mesh2D(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[0, 1, 2]]), np.array([[0, 1], [1, 2], [2, 0]]),
+                  np.full(3, DIRICHLET, dtype=np.uint8))
+    return assemble_fem(mesh, "helmholtz:k=1")
+
+
+# (call, error, message) of input checks on the way to a problem
+SETUP_CHECKS = {
+    "structured-1x5": (lambda: make_structured_mesh(1, 5), ConfigError,
+                       "nx, ny >= 2"),
+    "empty-domain": (lambda: make_structured_mesh(3, 3, (1.0, 1.0, 0.0, 1.0)),
+                     GeometryError, "rectangle is empty"),
+    "two-vertex-polygon": (lambda: make_polygon_mesh([(0, 0), (1, 0)], 0.2),
+                           GeometryError, "at least 3 vertices"),
+    "zero-spacing": (lambda: make_polygon_mesh(L_SHAPED, 0), ConfigError,
+                     "target_h must be positive"),
+    # vertex 3 lies on edge 0, which is not adjacent to edge 2 ending there
+    "vertex-on-an-edge": (
+        lambda: make_polygon_mesh([(0, 0), (4, 0), (4, 4), (2, 0)], 0.5),
+        GeometryError, "edges 0 and 2 intersect"),
+    "item-without-value": (lambda: parse_descriptor("helmholtz:k"),
+                           ConfigError, "bad descriptor item 'k'"),
+    "clockwise-triangle": (_clockwise_triangle, DimensionError,
+                           "CCW with positive area"),
+    "3x3-tensor": (lambda: CoefficientField.tensor(np.eye(3)), ConfigError,
+                   "must be 2x2"),
+}
+
+
+@pytest.mark.parametrize("case", SETUP_CHECKS)
+def test_setup_input_checks_raise_their_ndlu_error(case):
+    call, error, message = SETUP_CHECKS[case]
+    with pytest.raises(error, match=message):
+        call()
