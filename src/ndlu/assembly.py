@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .core import SparseMatrix
+from .core import SparseMatrix, check_int
 from .errors import ConfigError, DimensionError, ParseError
 from .fields import CoefficientField, make_contrast_field
 from .meshing import (
@@ -229,7 +229,9 @@ ASPECT = 2.0
 
 
 def build_problem(descriptor, target_n):
-    """Build a benchmark instance with roughly target_n unknowns."""
+    """Build a benchmark instance with roughly target_n unknowns; target_n
+    is an int of at least 1."""
+    check_int("target_n", target_n, 1)
     family, params = parse_descriptor(descriptor)
     if family == "helmholtz-poly":
         poly = IRREGULAR_POLYGON

@@ -17,7 +17,8 @@ segment id, so a factorization repeats bit for bit.
 
 Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
-picks LDL^T or pivoted LU and scatters the Schur complement.
+picks LDL^T or pivoted LU and returns the factor with its update: the
+negated Schur complement on the elimination's front, its neighbor positions.
 
 The active Schur complement lives in a SchurState: per stage, one flat value
 buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
@@ -26,13 +27,17 @@ orientations, whether or not the matrix is symmetric, so the store's
 bookkeeping is the same in both modes; symmetry is used only where the dense
 kernel is chosen (LDL against LU, a one-sided against a joint interpolative
 decomposition). Every elimination gathers its self block and couplings from
-the buffer (a remainder takes them from its sparsification's gather), runs
-that kernel and scatters its whole update back in one add_to_block call, the
-buffer's only write outside a pack. Merges only relabel positions; the
-buffer is repacked once per level, with room for the fill of the level's
-eliminations: every pair among each eliminated segment's neighbors. The
-segments one level eliminates lie in disjoint subtrees and never touch, so
-their order does not matter.
+the buffer (a remainder takes them from its sparsification's gather) and
+runs that kernel; its update is added in one add_to_block call, the buffer's
+only write outside a pack. Besides the self blocks and the matrix's own
+couplings, a block exists only where an update writes it: each pack makes
+the blocks of the fronts whose updates follow it. The leaf interiors share
+one pack and each adds its update straight after its elimination; a
+remainder writes only its segment's own self block, which exists. The
+whole segments of a level lie in disjoint subtrees and never touch, so
+their eliminations read nothing another writes: merge_segments relabels
+the merged positions, packs once with the level's fronts and then adds the
+updates in elimination order.
 Every pack checks that the segments and the store's position table agree on
 which segment owns each live position (SchurState).
 
@@ -68,7 +73,7 @@ import scipy.sparse as sp
 from . import lowrank
 from .core import (as_csr, check_int, lu_compact, triangular_inverse,
                    triangular_solve)
-from .dissection import JUNCTION, REGULAR
+from .dissection import JUNCTION, REGULAR, DissectionTree
 from .errors import (ConfigError, DimensionError, NonFiniteError,
                      SingularBlockError)
 
@@ -85,8 +90,9 @@ class FactorOptions:
     rank-revealing decomposition of a block that small costs more than it
     saves and such blocks sit at or near full rank anyway, so they are
     eliminated or merged at full size instead. Options are checked when
-    made and never change. The Schur store's ownership check runs at every
-    pack whatever the options (SchurState).
+    made and never change. No option reaches the Schur store: its
+    ownership check runs at every pack, and compile_stages rejects a stage
+    whose factors overlap.
     """
 
     min_sparsify_size: int = 64
@@ -418,21 +424,17 @@ class SchurState:
     Outside pack, add_to_block is the only value write; it never creates a
     block. The structure changes only in pack, which runs once per stage
     after the merges: it carries every live entry over to the unit now
-    holding its positions, renumbers slots densely, and preallocates the
-    fill that the stage's whole-segment eliminations will create: every
-    pair among the neighbors of each unit the stage owns (_with_fill). A
-    fill block counts as a coupling only once an elimination writes it, so
-    the stage's sparsification, which runs first, sees the structure
-    without it. No object is kept per block. Eliminated positions never
-    retain coupling to active ones (an access to one raises). Every pack
-    checks two invariants and raises DimensionError on either: each active
-    unit's positions map back to it in pos_unit and no other position is
-    live (_check_owners), so unit position lists stay disjoint under merges;
-    and no two units owned by one stage are coupled (_with_fill), so one
-    stage's eliminations touch disjoint self blocks and may run in any
-    order. Every write addresses positions read from the units, so a write
-    outside the segments its operation owns needs the units and pos_unit to
-    disagree, which the pack that ends the stage sees.
+    holding its positions, renumbers slots densely, and makes a block for
+    every unit pair within each front whose update the caller adds next.
+    So every stored block is a coupling: the matrix's, or one an update
+    wrote. No object is kept per block. Eliminated positions never retain
+    coupling to active ones (an access to one raises). Every pack checks
+    that each active unit's positions map back to it in pos_unit and that no
+    other position is live (_check_owners), so unit position lists stay
+    disjoint under merges; it raises DimensionError otherwise. Every write
+    addresses positions read from the units, so a write outside the
+    segments its operation owns needs the units and pos_unit to disagree,
+    which the pack that ends the stage sees.
     """
 
     def __init__(self, n, dtype, symmetric, unit_ids, coords=None,
@@ -448,16 +450,12 @@ class SchurState:
         self.units = {}
         self._by_serial = [None] * r
         self._active = np.zeros(r, dtype=bool)
-        self._owner_level = np.array([uid[0] for uid in self.unit_ids],
-                                     dtype=np.int64)
         self.pos_unit = np.full(n, -1, dtype=np.int64)
         self.local_pos = np.full(n, -1, dtype=np.int64)
         self.width = np.zeros(r, dtype=np.int64)
         self.keys = np.empty(0, dtype=np.int64)
         self.offsets = np.empty(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=dtype)
-        # per key: preallocated fill that no elimination has written yet
-        self._pending = np.zeros(0, dtype=bool)
         # slot -> position and slot -> serial as of the last pack
         self._slot_pos = np.empty(0, dtype=np.int64)
         self._slot_serial = np.empty(0, dtype=np.int64)
@@ -513,8 +511,7 @@ class SchurState:
         lo, hi = np.searchsorted(self.keys, [unit.serial * r,
                                              (unit.serial + 1) * r])
         nb = self.keys[lo:hi] - unit.serial * r
-        return nb[(nb != unit.serial) & self._active[nb]
-                  & ~self._pending[lo:hi]]
+        return nb[(nb != unit.serial) & self._active[nb]]
 
     def positions(self, serials):
         """Active positions of the given units, unit after unit."""
@@ -525,8 +522,7 @@ class SchurState:
     # -- block access ---------------------------------------------------------
 
     def _grid(self, rows, cols):
-        """(buffer index of every (row, col) position pair, key index of
-        every unit pair involved)."""
+        """Buffer index of every (row, col) position pair."""
         square = cols is rows
         ur, ir = _runs(self.pos_unit[rows])
         uc, ic = (ur, ir) if square else _runs(self.pos_unit[cols])
@@ -541,13 +537,13 @@ class SchurState:
                                  "blocks")
         ci = self.local_pos[cols]
         ri = (ci if square else self.local_pos[rows])[:, None]
-        return self.offsets[k][ir][:, ic] + (ri * self.width[uc][ic] + ci), k
+        return self.offsets[k][ir][:, ic] + (ri * self.width[uc][ic] + ci)
 
     def gather(self, rows, cols):
         """Dense copy of the active submatrix at positions rows x cols."""
         if len(rows) == 0 or len(cols) == 0:
             return np.zeros((len(rows), len(cols)), dtype=self.dtype)
-        return self.values[self._grid(rows, cols)[0]]
+        return self.values[self._grid(rows, cols)]
 
     def add_to_block(self, rows, cols, delta):
         """Accumulate delta into the active submatrix at rows x cols.
@@ -559,9 +555,7 @@ class SchurState:
         """
         if len(rows) == 0 or len(cols) == 0:
             return
-        flat, k = self._grid(rows, cols)
-        self._pending[k] = False
-        self.values[flat] += delta
+        self.values[self._grid(rows, cols)] += delta
 
     def total_block_entries(self):
         """Entries allocated in the value buffer."""
@@ -569,13 +563,14 @@ class SchurState:
 
     # -- repacking ------------------------------------------------------------
 
-    def pack(self, fill_level, entries=None, extra_keys=None):
+    def pack(self, entries=None, fronts=()):
         """Rebuild index and buffer for the active units.
 
-        The index holds the carried pairs, `extra_keys`, a self block per
-        nonempty unit and the fill of eliminating, in id order, every unit
-        owned by fill_level; every key gets its own row-major block, laid
-        out in key order. Live entries move to the unit now holding their
+        The index holds the carried pairs, a self block per nonempty unit,
+        the pairs `entries` address and, for each of `fronts` (the positions
+        of a Schur update about to be added), every unit pair within it in
+        both orientations; every key gets its own row-major block, laid out
+        in key order. Live entries move to the unit now holding their
         positions (a merged parent in place of its children) at densely
         renumbered slots, so the blocks between two children of one parent,
         one per orientation, become the off-diagonal parts of the parent's
@@ -603,20 +598,21 @@ class SchurState:
         moved_to[self._slot_serial[live]] = self.pos_unit[self._slot_pos[live]]
         old_a, old_b = np.divmod(self.keys, r)
         new_a, new_b = moved_to[old_a], moved_to[old_b]
-        carried = (new_a >= 0) & (new_b >= 0) & ~self._pending
+        carried = (new_a >= 0) & (new_b >= 0)
 
+        # carried, self and front pairs already come in both orientations
         parts = [new_a[carried] * r + new_b[carried],
                  active[sizes > 0] * (r + 1)]
-        if extra_keys is not None:
-            parts.append(extra_keys)
         if entries is not None:
             ea, eb = self.pos_unit[entries[0]], self.pos_unit[entries[1]]
             parts += [ea * r + eb, eb * r + ea]
-        # carried, self and leaf pairs already come in both orientations
-        written = _unique(np.concatenate(parts))
-        keys = self._with_fill(written, fill_level)
-        pending = np.ones(keys.size, dtype=bool)
-        pending[np.searchsorted(keys, written)] = False
+        if len(fronts):
+            group = np.repeat(np.arange(len(fronts)), [f.size for f in fronts])
+            group, unit = np.divmod(_unique(
+                group * r + self.pos_unit[np.concatenate(fronts)]), r)
+            fa, fb = _group_pairs(group, unit)
+            parts.append(fa * r + fb)
+        keys = _unique(np.concatenate(parts))
 
         a, b = np.divmod(keys, r)
         block_sizes = width[a] * width[b]
@@ -625,7 +621,6 @@ class SchurState:
         self._carry(values, keys, offsets, width, np.flatnonzero(carried),
                     new_a, new_b)
         self.keys, self.offsets, self.values = keys, offsets, values
-        self._pending = pending
         self.width = width
         self._slot_pos = slot_pos
         self._slot_serial = slot_serial
@@ -681,21 +676,6 @@ class SchurState:
         sa, sb = self.pos_unit[rows], self.pos_unit[cols]
         off = self.offsets[np.searchsorted(self.keys, sa * r + sb)]
         return off + self.local_pos[rows] * self.width[sb] + self.local_pos[cols]
-
-    def _with_fill(self, keys, level):
-        """keys plus every pair among the neighbors of each unit owned by
-        level. Owned units lie in disjoint subtrees and never touch, so no
-        elimination adds a neighbor to another, in any order; two that touch
-        raise DimensionError."""
-        r = len(self.unit_ids)
-        owned = self._active & (self._owner_level == level)
-        a, b = np.divmod(keys, r)
-        row = owned[a] & (a != b)
-        if np.any(owned[b[row]]):
-            raise DimensionError(
-                f"two segments owned by level {level} are coupled")
-        fa, fb = _group_pairs(a[row], b[row])
-        return _unique(np.concatenate([keys, fa * r + fb]))
 
 
 def is_symmetric(a):
@@ -831,17 +811,16 @@ def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
 
 
 def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag):
-    """Eliminate positions idx against nbr and return the factor: LDL^T on
-    a symmetric store (a_un = A[idx, nbr] unused), pivoted LU otherwise; the
-    Schur complement goes onto nbr x nbr."""
+    """Eliminate positions idx against nbr: LDL^T on a symmetric store (a_un
+    = A[idx, nbr] unused), pivoted LU otherwise. Returns the factor and its
+    update (nbr, -Schur complement), which the caller adds onto nbr x nbr."""
     if state.symmetric:
         factor, schur = _symmetric_elimination(idx, nbr, self_block, a_nu,
                                                level, segment, tag)
     else:
         factor, schur = _unsymmetric_elimination(idx, nbr, self_block, a_nu,
                                                  a_un, level, segment, tag)
-    state.add_to_block(nbr, nbr, -schur)
-    return factor
+    return factor, (nbr, -schur)
 
 
 # ---------------------------------------------------------------------------
@@ -852,14 +831,13 @@ def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag):
 def eliminate_interiors(a, tree):
     """Eliminate every leaf interior; returns (SchurState, factors).
 
-    A first pass collects, for every leaf, the separator segments its Schur
-    complement touches, so the store is packed once with the matrix's
-    separator entries and all leaf fill. The second pass factors each leaf
-    and adds its Schur complement onto the segments with one add_to_block
-    call; afterwards the active set is exactly the separator vertices. The
-    factors keep their payload until compile_stages takes it. A
-    singular leaf block raises SingularBlockError naming the leaf's position
-    span.
+    A first pass collects every leaf's front, the separator positions it
+    couples to, so the store is packed once with the matrix's separator
+    entries and the blocks of every front. The second pass factors each leaf
+    and adds its update onto its front with one add_to_block call straight
+    away; afterwards the active set is exactly the separator vertices. The
+    factors keep their payload until compile_stages takes it. A singular
+    leaf block raises SingularBlockError naming the leaf's position span.
     """
     csr = _as_csr(a)
     n = csr.shape[0]
@@ -878,22 +856,22 @@ def eliminate_interiors(a, tree):
 
     leaves = [leaf for leaf in tree.leaves if leaf.span[1] > leaf.span[0]]
     coo_rows = np.repeat(np.arange(n), np.diff(nested.indptr))
-    bounds, externals, fill = _leaf_fronts(state, nested, coo_rows, leaves)
-    state.pack(tree.levels,
-               entries=_separator_entries(state, nested, coo_rows),
-               extra_keys=fill)
+    fronts = _leaf_fronts(state, nested, coo_rows, leaves)
+    state.pack(entries=_separator_entries(state, nested, coo_rows),
+               fronts=fronts)
 
     csc = nested.tocsc()
     csc.sort_indices()
     factors = []
     interior_level = tree.levels + 1
-    for leaf, lo, hi in zip(leaves, bounds[:-1], bounds[1:]):
+    for leaf, ext in zip(leaves, fronts):
         s, e = leaf.span
-        ext = externals[lo:hi]
         ii, a_ie, a_ei = _extract_leaf(nested, csc, s, e, ext)
-        factors.append(_eliminate(
+        fac, (nbr, delta) = _eliminate(
             state, np.arange(s, e, dtype=np.int64), ext, ii, a_ei, a_ie,
-            interior_level, ("leaf", int(s), int(e)), "interior"))
+            interior_level, ("leaf", int(s), int(e)), "interior")
+        state.add_to_block(nbr, nbr, delta)
+        factors.append(fac)
     return state, factors
 
 
@@ -906,13 +884,9 @@ def _separator_entries(state, nested, coo_rows):
 
 
 def _leaf_fronts(state, nested, coo_rows, leaves):
-    """(bounds, externals, pair keys) of the leaves' Schur updates.
-
-    Leaf i couples, in either direction, to the ascending positions
-    externals[bounds[i]:bounds[i + 1]]; the pair keys are every unit pair,
-    in both orientations, among the units holding one leaf's externals.
-    """
-    n, r = max(state.n, 1), len(state.unit_ids)
+    """Front of every leaf: the ascending positions it couples to, in
+    either direction."""
+    n = max(state.n, 1)
     spans = np.array([leaf.span for leaf in leaves], dtype=np.int64)
     spans = spans.reshape(-1, 2)
     lens = spans[:, 1] - spans[:, 0]
@@ -928,13 +902,11 @@ def _leaf_fronts(state, nested, coo_rows, leaves):
     inner = leaf >= 0
     leaf, externals = np.divmod(_unique(leaf[inner] * n + outside[inner]), n)
     bounds = np.searchsorted(leaf, np.arange(len(leaves) + 1))
-    unit = state.pos_unit[externals]
-    if np.any(unit < 0):
+    if np.any(state.pos_unit[externals] < 0):
         raise DimensionError("a leaf couples to a position outside every "
                              "separator segment")
-    group, unit = np.divmod(_unique(leaf * r + unit), r)
-    a, b = _group_pairs(group, unit)
-    return bounds.tolist(), externals, a * r + b
+    return [externals[lo:hi] for lo, hi in zip(bounds[:-1].tolist(),
+                                                bounds[1:].tolist())]
 
 
 def _extract_leaf(csr, csc, s, e, ext):
@@ -1022,53 +994,58 @@ def sparsify_segment(state, unit, eps):
                               interp=interp, level=state.level)
     self_block[red_l, :] -= interp.T @ self_block[skel_l, :]
     self_block[:, red_l] -= self_block[:, skel_l] @ interp
-    remainder = _eliminate(state, red, skeleton,
-                           self_block[np.ix_(red_l, red_l)],
-                           self_block[np.ix_(skel_l, red_l)],
-                           self_block[np.ix_(red_l, skel_l)], state.level,
-                           uid, "remainder")
+    remainder, (nbr, delta) = _eliminate(
+        state, red, skeleton, self_block[np.ix_(red_l, red_l)],
+        self_block[np.ix_(skel_l, red_l)], self_block[np.ix_(red_l, skel_l)],
+        state.level, uid, "remainder")
+    state.add_to_block(nbr, nbr, delta)
     state.keep_positions(unit, skel_l)
     return [sparsify, remainder], skeleton
 
 
 def eliminate_segments(state, level):
-    """Eliminate every level-`level` segment whole.
+    """Eliminate every level-`level` segment whole; returns (factors,
+    updates).
 
-    Each segment's Schur update is scattered only over its neighbor set,
-    into blocks the stage's pack allocated. Returns the elimination factors
-    in id order, their payload kept for compile_stages. The store must have
-    been packed for `level`.
+    The factors come in id order, their payload kept for compile_stages,
+    and updates holds each one's (nbr, -Schur complement), which
+    merge_segments adds once the store has blocks for it. Nothing is
+    written here: the segments of one level lie in disjoint subtrees and
+    never touch (compile_stages rejects a stage whose factors do), so no
+    elimination reads what another one's update would write.
     """
-    factors = []
+    factors, updates = [], []
     for uid in state.active_ids():
         unit = state.units[uid]
-        if unit.owner_level == level:
-            factors.append(_eliminate_whole(state, unit, level))
-    return factors
+        if unit.owner_level != level:
+            continue
+        nbr_pos, self_block, a_nu = _front(state, unit)
+        a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
+        fac, update = _eliminate(state, unit.pos.copy(), nbr_pos, self_block,
+                                 a_nu, a_un, level, unit.uid, "segment")
+        state.remove_unit(unit)
+        factors.append(fac)
+        updates.append(update)
+    return factors, updates
 
 
-def _eliminate_whole(state, unit, level):
-    nbr_pos, self_block, a_nu = _front(state, unit)
-    a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
-    factor = _eliminate(state, unit.pos.copy(), nbr_pos, self_block, a_nu,
-                        a_un, level, unit.uid, "segment")
-    state.remove_unit(unit)
-    return factor
-
-
-def merge_segments(state, tree, level):
-    """Undo this level's split events: children rejoin their parents.
+def merge_segments(state, tree, level, updates):
+    """Undo this level's split events, then add the level's updates.
 
     Events are undone in reverse creation order so nested splits unwind
     cleanly; junction children are absorbed into the parent along with the
     sibling skeletons. A merge only relabels the children's positions as
-    the parent's; the store is then repacked for stage level - 1. Returns
-    the state.
+    the parent's. The store is then repacked with the blocks of every
+    update's front, and the updates (eliminate_segments) are added in
+    order, so each entry sums its carried value first and then the updates
+    in elimination order. Returns the state.
     """
     for event in reversed([e for e in tree.events if e.level == level]):
         kids = [state.units[cid] for cid in event.children]
         state.merge_units(kids, event.parent, tree.segments[event.parent].kind)
-    state.pack(level - 1)
+    state.pack(fronts=[nbr for nbr, _ in updates])
+    for nbr, delta in updates:
+        state.add_to_block(nbr, nbr, delta)
     return state
 
 
@@ -1086,7 +1063,12 @@ class SpaluFactorization:
     stages applies left actions in list order and right actions in reverse
     list order; LDL^T stages also carry a block-diagonal middle action.
     factors lists every stage's factor records in the same order.
-    level_stats rows are JSON-ready per-level dicts.
+    level_stats rows are JSON-ready per-level dicts: the level l, its
+    num_segments regular segments, the largest_segment sparsified and the
+    largest_skeleton it kept, and the seconds of its three steps.
+    time_sparsify includes the remainder eliminations; time_eliminate covers
+    the whole-segment kernels and time_merge the relabelling, the pack and
+    the scatter of those eliminations' updates.
     """
 
     stages: list
@@ -1110,17 +1092,20 @@ def factorize(a, tree, eps, options=None):
 
     Interiors first, then per level from the deepest separator level to the
     root: sparsify every regular segment and eliminate its remainder,
-    eliminate the level's own segments, merge split segments back together.
-    The sparsifications and the remainders of a level each form one stage,
-    in that order. Each stage is compiled as soon as its factors exist.
-    Singular blocks raise SingularBlockError tagged with level and segment
-    id.
+    eliminate the level's own segments, merge split segments back together
+    and add the eliminations' updates. The sparsifications and the
+    remainders of a level each form one stage, in that order. Each stage is
+    compiled as soon as its factors exist. tree must be the
+    DissectionTree of a, or ConfigError is raised. Singular blocks raise
+    SingularBlockError tagged with level and segment id.
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
     options = FactorOptions() if options is None else options
     if not isinstance(options, FactorOptions):
         raise ConfigError(f"options must be a FactorOptions, got {options!r}")
+    if not isinstance(tree, DissectionTree):
+        raise ConfigError(f"tree must be a DissectionTree, got {tree!r}")
 
     state, interiors = eliminate_interiors(a, tree)
     stages = compile_stages(interiors)
@@ -1131,11 +1116,6 @@ def factorize(a, tree, eps, options=None):
         regulars = [uid for uid in state.active_ids()
                     if state.units[uid].kind == REGULAR]
 
-        # Segment sizes are recorded around the actual compression step:
-        # segments below the size floor skip the decomposition entirely (the
-        # factorization stays exact on them; they are eliminated or merged at
-        # full size) and therefore contribute nothing to this stage's
-        # compression statistics.
         pre_sizes = []
         post_sizes = []
         sparsified = []
@@ -1155,18 +1135,19 @@ def factorize(a, tree, eps, options=None):
         time_sparsify = time.perf_counter() - t_sp
 
         t_el = time.perf_counter()
-        stages.extend(compile_stages(eliminate_segments(state, level)))
+        factors, updates = eliminate_segments(state, level)
+        stages.extend(compile_stages(factors))
         time_eliminate = time.perf_counter() - t_el
 
         t_mg = time.perf_counter()
-        merge_segments(state, tree, level)
+        merge_segments(state, tree, level, updates)
         time_merge = time.perf_counter() - t_mg
 
         level_stats.append({
             "l": level,
             "num_segments": len(regulars),
-            "e_l": max(pre_sizes, default=0),
-            "e_l_prime": max(post_sizes, default=0),
+            "largest_segment": max(pre_sizes, default=0),
+            "largest_skeleton": max(post_sizes, default=0),
             "time_sparsify": time_sparsify,
             "time_eliminate": time_eliminate,
             "time_merge": time_merge,

@@ -113,7 +113,8 @@ def residual_with_flag(a, x, b):
     of a block: relative unless the column of b is exactly zero, then
     absolute."""
     csr = as_csr(a)
-    if csr.shape[1] != len(x) or csr.shape[0] != len(b):
+    if (csr.shape[1] != len(x) or csr.shape[0] != len(b)
+            or np.shape(x)[1:] != np.shape(b)[1:]):
         raise DimensionError("residual: dimensions do not match")
     r = b - csr @ x
     axis = 0 if r.ndim == 2 else None

@@ -325,8 +325,8 @@ class TestBuildDissection:
         check(tree.levels)
         for level in range(tree.levels, 0, -1):
             state.level = level
-            factor.eliminate_segments(state, level)
-            factor.merge_segments(state, tree, level)
+            _, updates = factor.eliminate_segments(state, level)
+            factor.merge_segments(state, tree, level, updates)
             check(level - 1)
         assert not state.units
 

@@ -4,9 +4,11 @@ every pack and edge-case sizes."""
 
 import dataclasses
 import importlib.util
+import itertools
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -450,7 +452,7 @@ def interiors_done():
     p = assembly.build_problem(FAMILIES[3], SMALL_N)
     tree = dissection.build_dissection(p.matrix, p.coords)
     state, _ = factor.eliminate_interiors(p.matrix, tree)
-    return state, tree.levels
+    return state
 
 
 def _relabel_to_a_neighbor(state):
@@ -470,11 +472,11 @@ def _leave_a_retired_position_live(state):
     (_leave_a_retired_position_live, "live outside every active segment"),
 ], ids=["relabelled", "retired-live"])
 def test_pack_rejects_broken_ownership(interiors_done, fault, message):
-    state, level = interiors_done
-    state.pack(level)
+    state = interiors_done
+    state.pack()
     fault(state)
     with pytest.raises(DimensionError, match=message):
-        state.pack(level)
+        state.pack()
 
 
 def test_symmetric_store_holds_both_orientations_of_every_coupling():
@@ -545,7 +547,7 @@ def test_store_adds_each_entry_where_it_is_addressed(symmetric):
                     for uid, pos in zip(ids, ([0, 1], [2, 3])))
     dense = np.arange(16.0).reshape(4, 4)
     rows, cols = np.nonzero(np.ones((4, 4)))
-    state.pack(0, entries=(rows, cols, dense[rows, cols]))
+    state.pack(entries=(rows, cols, dense[rows, cols]))
 
     # a write one way lands only in the orientation it addresses
     delta = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -722,14 +724,14 @@ def test_median_edge_length_samples_the_whole_graph():
     assert abs(factor._median_edge_length(graph, cap=100) - full) <= 10
 
 
-def _store(dense, slots, ids, symmetric, level):
-    """A SchurState over units holding the given slots of dense, packed for
-    level."""
+def _store(dense, slots, ids, symmetric):
+    """A SchurState over units holding the given slots of dense, packed with
+    its entries."""
     state = factor.SchurState(len(dense), np.float64, symmetric, ids.values())
     for name, pos in slots.items():
         state.add_unit(ids[name], np.array(pos), "regular")
     rows, cols = np.nonzero(dense)
-    state.pack(level, entries=(rows, cols, dense[rows, cols]))
+    state.pack(entries=(rows, cols, dense[rows, cols]))
     return state
 
 
@@ -749,48 +751,67 @@ def _coupled(slots, pairs, symmetric, seed=3):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
     # Units A and B (owned by level 2) do not touch. Eliminating A puts fill
-    # between C and D, which are not coupled in the matrix, so the pack must
-    # have preallocated it. C and D then merge into P, whose self block must
-    # be the dense Schur complement of A and B.
+    # between C and D, which are not coupled in the matrix, so the pack after
+    # the eliminations must make the C-D block. The merge relabels C and D as
+    # P before that pack, and P's self block must then be the dense Schur
+    # complement of A and B.
     ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1),
            "D": (1, 0, 1, 2), "P": (1, 0, 1, 0)}
     slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
     dense = _coupled(slots, [("A", "C"), ("A", "D"), ("B", "D")], symmetric)
-    state = _store(dense, slots, ids, symmetric, 2)
-    factors = factor.eliminate_segments(state, 2)
+    state = _store(dense, slots, ids, symmetric)
+    factors, updates = factor.eliminate_segments(state, 2)
     assert [list(f.nbr) for f in factors] == [[4, 5, 6, 7], [6, 7]]
 
-    kids = [state.units[ids["C"]], state.units[ids["D"]]]
-    parent = state.merge_units(kids, ids["P"], "regular")
-    state.pack(1)
+    event = SimpleNamespace(level=2, parent=ids["P"],
+                            children=[ids["C"], ids["D"]])
+    tree = SimpleNamespace(events=[event],
+                           segments={ids["P"]: SimpleNamespace(kind=REGULAR)})
+    factor.merge_segments(state, tree, 2, updates)
+    parent = state.units[ids["P"]]
     schur = dense[4:, 4:] - dense[4:, :4] @ np.linalg.solve(dense[:4, :4],
                                                             dense[:4, 4:])
     got = state.gather(parent.pos, parent.pos)
     assert np.allclose(got, schur, rtol=0, atol=1e-12)
 
 
-def _fill_by_loop(written, owned, r):
-    """Sorted keys of written plus, unit by owned unit, every pair among its
-    neighbors."""
-    keys = set(written.tolist())
-    for s in owned:
-        nb = (written[written // r == s] % r).tolist()
-        keys.update(a * r + b for a in nb for b in nb if a != s and b != s)
-    return sorted(keys)
+def _assert_store_is_the_dense_schur_complement(state, dense):
+    """The stored blocks of state agree with the dense Schur complement of
+    its live positions, and every unit pair coupled there is stored."""
+    live = np.flatnonzero(state.pos_unit >= 0)
+    gone = np.flatnonzero(state.pos_unit < 0)
+    schur = dense[np.ix_(live, live)] - dense[np.ix_(live, gone)] @ \
+        np.linalg.solve(dense[np.ix_(gone, gone)], dense[np.ix_(gone, live)])
+    tol = 1e-10 * np.abs(schur).max(initial=1.0)
+    r = len(state.unit_ids)
+    by_serial = {u.serial: u for u in state.units.values()}
+    at = {s: np.searchsorted(live, u.pos) for s, u in by_serial.items()}
+    stored = np.zeros_like(schur)
+    for a, b in zip(*np.divmod(state.keys, r)):
+        rows, cols = by_serial[a].pos, by_serial[b].pos
+        stored[np.ix_(at[a], at[b])] = state.gather(rows, cols)
+    assert np.allclose(stored, schur, rtol=0, atol=tol)
+    keys = set(state.keys.tolist())
+    for a, b in itertools.product(at, repeat=2):
+        if np.abs(schur[np.ix_(at[a], at[b])]).max(initial=0.0) > tol:
+            assert a * r + b in keys, (by_serial[a].uid, by_serial[b].uid)
 
 
-def test_every_pack_adds_the_fill_of_the_stage_loop_by_loop(problem):
-    p, tree = problem
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_store_holds_the_schur_complement_per_stage(family):
+    # the exact path: no segment is sparsified, so after the leaf stage and
+    # after each merge the store holds the Schur complement of everything
+    # eliminated so far, in a block for every coupled unit pair
+    p = assembly.build_problem(family, 800)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    dense = p.matrix.csr[tree.order][:, tree.order].toarray()
     state, _ = factor.eliminate_interiors(p.matrix, tree)
+    assert state.symmetric == (family == FAMILIES[0])
+    _assert_store_is_the_dense_schur_complement(state, dense)
     for level in range(tree.levels, 0, -1):
-        # right after a pack, the keys no elimination has written are fill
-        written = state.keys[~state._pending]
-        owned = [u.serial for u in state.units.values()
-                 if u.owner_level == level]
-        assert state.keys.tolist() == _fill_by_loop(
-            written, owned, len(state.unit_ids))
-        factor.eliminate_segments(state, level)
-        factor.merge_segments(state, tree, level)
+        _, updates = factor.eliminate_segments(state, level)
+        factor.merge_segments(state, tree, level, updates)
+        _assert_store_is_the_dense_schur_complement(state, dense)
     assert not state.units
 
 
@@ -798,10 +819,13 @@ def test_units_of_one_stage_that_touch_are_rejected():
     ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1)}
     slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5]}
     dense = _coupled(slots, [("A", "B"), ("A", "C")], True)
+    # A's factor couples to B's positions, which B's factor eliminates
+    state = _store(dense, slots, ids, True)
     with pytest.raises(DimensionError, match="level 2"):
-        _store(dense, slots, ids, True, 2)
-    # the same units pack for a stage that owns only one of them
-    _store(dense, slots, ids, True, 1)
+        factor.compile_stages(factor.eliminate_segments(state, 2)[0])
+    # a stage that owns only one of two coupled units compiles
+    state = _store(dense, slots, ids, True)
+    factor.compile_stages(factor.eliminate_segments(state, 1)[0])
 
 
 def test_store_rejects_access_and_merges_it_cannot_serve():
@@ -809,7 +833,7 @@ def test_store_rejects_access_and_merges_it_cannot_serve():
            "D": (1, 0, 1, 2), "P": (1, 0, 1, 0)}
     slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
     dense = _coupled(slots, [("A", "C"), ("B", "D")], False)
-    state = _store(dense, slots, ids, False, 1)
+    state = _store(dense, slots, ids, False)
     a, b, c, d = (state.units[ids[name]] for name in "ABCD")
     # A and B are not coupled, so no block between them is stored
     with pytest.raises(DimensionError, match="outside the stored blocks"):
@@ -908,6 +932,9 @@ INPUT_CHECKS = {
     "factorize-non-square": (
         DimensionError, "needs a square matrix",
         lambda _: factor.factorize(WIDE, _tree(3), 1e-4)),
+    "factorize-not-a-tree": (
+        ConfigError, "must be a DissectionTree",
+        lambda _: factor.factorize(SQUARE, None, 1e-4)),
     "factorize-tree-size": (
         DimensionError, "tree does not match",
         lambda _: factor.factorize(SQUARE, _tree(5), 1e-4)),
@@ -920,6 +947,10 @@ INPUT_CHECKS = {
     "residual-dimensions": (
         DimensionError, "dimensions do not match",
         lambda _: solver.residual_with_flag(SQUARE, np.ones(4), np.ones(3))),
+    "residual-block-against-vector": (
+        DimensionError, "dimensions do not match",
+        lambda _: solver.residual_with_flag(SQUARE, np.ones((3, 2)),
+                                            np.ones(3))),
     "dissection-coords-shape": (
         DimensionError, "coords shape",
         lambda _: dissection.build_dissection(SQUARE, np.zeros((3, 3)))),

@@ -442,6 +442,12 @@ SETUP_CHECKS = {
                            "CCW with positive area"),
     "3x3-tensor": (lambda: CoefficientField.tensor(np.eye(3)), ConfigError,
                    "must be 2x2"),
+    "negative-size": (lambda: build_problem("helmholtz:k=5", -5), ConfigError,
+                      "target_n must be an int >= 1"),
+    "size-as-text": (lambda: build_problem("helmholtz:k=5", "9"), ConfigError,
+                     "target_n must be an int >= 1"),
+    "fractional-size": (lambda: build_problem("laplace-aniso", 2.5),
+                        ConfigError, "target_n must be an int >= 1"),
 }
 
 
