@@ -18,6 +18,7 @@ from .errors import ConfigError, DimensionError, ParseError
 from .fields import CoefficientField, make_contrast_field
 from .meshing import (
     DIRICHLET,
+    DOMAIN,
     NEUMANN,
     Mesh2D,
     apply_neumann_region,
@@ -224,8 +225,8 @@ def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
     )
 
 
-# width over height of the structured meshes' domain (see BBOX in fields)
-ASPECT = 2.0
+# width over height of the structured meshes' DOMAIN
+ASPECT = (DOMAIN[1] - DOMAIN[0]) / (DOMAIN[3] - DOMAIN[2])
 
 
 def build_problem(descriptor, target_n):

@@ -76,16 +76,16 @@ def check_int(name, value, lowest):
 def lu_compact(block, level=None, segment=None):
     """Partial-pivoting LU in LAPACK's compact form.
 
-    Returns (lu, piv, perm) where lu packs the unit-lower L below the
-    diagonal and U on/above it, piv is the raw pivot vector, and perm is the
-    row permutation with block[perm] = L @ U. An exactly singular block
-    raises SingularBlockError tagged with level/segment.
+    Returns (lu, perm) where lu packs the unit-lower L below the diagonal
+    and U on/above it, and perm is the row permutation with block[perm] =
+    L @ U. An exactly singular block raises SingularBlockError tagged with
+    level/segment.
     """
     block = np.ascontiguousarray(block)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
         raise DimensionError("dense LU needs a square block")
     if block.size == 0:
-        return block.copy(), np.empty(0, np.int32), np.empty(0, np.int64)
+        return block.copy(), np.empty(0, np.int64)
     getrf, = get_lapack_funcs(("getrf",), (block,))
     lu, piv, info = getrf(block, overwrite_a=False)
     if info > 0:
@@ -98,7 +98,7 @@ def lu_compact(block, level=None, segment=None):
     for k, pk in enumerate(piv):
         if pk != k:
             perm[k], perm[pk] = perm[pk], perm[k]
-    return lu, piv, perm
+    return lu, perm
 
 
 # LAPACK handles by (routine, dtypes of the arrays passed). Each entry is a

@@ -76,35 +76,21 @@ class Graph:
 class Segment:
     """A contiguous run of a separator's walk order.
 
-    id is (owner level, owner index, creating level, ordinal); the root
-    segment of a separator uses the separator's own level as creating level.
+    id is (owner level, owner index, creating level, ordinal), so id[:2]
+    names the separator that owns it. A separator is its root segment, with
+    id (level, index, level, 0) and its whole walk order as vertices. Where a
+    deeper walk crosses a segment, a SplitEvent names the segment as the
+    parent of the pieces, which the segment lists as its children.
     """
 
     id: tuple
-    owner: tuple
     vertices: np.ndarray
     kind: str = REGULAR
-    parent: tuple | None = None
     children: tuple = ()
 
     @property
     def size(self):
         return len(self.vertices)
-
-
-@dataclass
-class Separator:
-    level: int
-    index: int
-    order: np.ndarray
-
-    @property
-    def size(self):
-        return len(self.order)
-
-    @property
-    def key(self):
-        return (self.level, self.index)
 
 
 @dataclass
@@ -118,7 +104,7 @@ class SplitEvent:
 class TreeNode:
     depth: int
     span: tuple = (0, 0)
-    separator: Separator | None = None
+    separator: Segment | None = None
     children: list = field(default_factory=list)
     leaf_vertices: np.ndarray | None = None
 
@@ -416,22 +402,14 @@ def split_crossed_segments(graph, segments, seg_of, walk, level, counters):
 def _split_one(parent, lo, hi, level, counters):
     """Children of `parent` split at local positions [lo, hi): left regular,
     junction, right regular, empties dropped."""
-    l, i = parent.owner
+    l, i = parent.id[:2]
     children = []
     for a, b, kind in ((0, lo, REGULAR), (lo, hi, JUNCTION), (hi, parent.size, REGULAR)):
         if b <= a:
             continue
         k = counters.get((l, i, level), 0)
         counters[(l, i, level)] = k + 1
-        children.append(
-            Segment(
-                id=(l, i, level, k),
-                owner=parent.owner,
-                vertices=parent.vertices[a:b],
-                kind=kind,
-                parent=parent.id,
-            )
-        )
+        children.append(Segment(id=(l, i, level, k), vertices=parent.vertices[a:b], kind=kind))
     return children
 
 
@@ -439,7 +417,8 @@ class DissectionTree:
     """Output of build_dissection: nested order, separators, segments, events.
 
     order lists the vertex ids in nested order as an int64 array and position
-    is its inverse. The segments no split replaced (no children) are the
+    is its inverse. separators lists each separator as its root segment, in
+    creation order. The segments no split replaced (no children) are the
     units the deepest elimination stage starts from.
     """
 
@@ -481,8 +460,8 @@ class _Builder:
        level;
     2. split_subset for the whole level: side values, greedy edge covers,
        one component labelling and the lean rule;
-    3. per node, in queue order: the separator, its root segment, the split
-       of the segments its walk crosses, and the children.
+    3. per node, in queue order: the separator as its root segment, the
+       split of the segments its walk crosses, and the children.
     A walk never reads the segments and the subsets of one level share no
     edge, so running phase 3 after the whole of phases 1 and 2 builds the
     same tree as finishing one node before starting the next. Breadth-first
@@ -572,16 +551,14 @@ class _Builder:
         out = []
         for index, ((node, _, walk, _), (v1, v2, extra)) in enumerate(zip(cuts, sides)):
             depth = node.depth
-            sep_order = _insert_extras(walk, extra)
-            sep = Separator(level=depth, index=index, order=sep_order)
+            sep = Segment(id=(depth, index, depth, 0), vertices=_insert_extras(walk, extra))
             tree.separators.append(sep)
             root_at = len(self.segments)
-            self.segments.append(Segment(id=(depth, index, depth, 0), owner=sep.key,
-                                         vertices=sep_order))
+            self.segments.append(sep)
             tree.events += split_crossed_segments(
                 g, self.segments, self.seg_of, walk, depth, self.split_counters
             )
-            self.seg_of[sep_order] = root_at
+            self.seg_of[sep.vertices] = root_at
             node.separator = sep
             for side in (v1, v2):
                 if len(side):
@@ -601,7 +578,7 @@ class _Builder:
             part = self._emit(child, cursor)
             cursor += len(part)
             parts.append(part)
-        parts.append(node.separator.order)
+        parts.append(node.separator.vertices)
         node.span = (base, cursor + node.separator.size)
         return np.concatenate(parts)
 

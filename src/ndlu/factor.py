@@ -44,14 +44,14 @@ which segment owns each live position (SchurState).
 Every transform is recorded as an elementary factor: the positions it
 eliminates or decouples (idx) and the positions it couples them to (nbr).
 The factors of one step (the leaf interiors, or one level's
-sparsifications, its remainders or its whole segments) form a Stage.
-factorize compiles each stage as soon as it is built: one gather and one
-scatter index, and scipy CSR operators for the block-diagonal triangular
-inverses (L^-1 P and U^-1 of each LU, L^-1 P and D^-1 of each LDL^T) and for
-the couplings. Compiling checks that no factor's idx meets another factor's
-idx or any factor's nbr (a sparsification writes both its redundant and its
-skeleton positions, so its skeleton counts as idx here too): that is what
-lets a stage act as one block operation. Those CSR arrays are the only copy
+sparsifications, its remainders or its whole segments) form a Stage, and
+factorize compiles each step with compile_stage as soon as it is built: one
+gather and one scatter index, and scipy CSR operators for the block-diagonal
+triangular inverses (L^-1 P and U^-1 of each LU, L^-1 P and D^-1 of each
+LDL^T) and for the couplings. Compiling checks that no factor's idx meets
+another factor's idx or any factor's nbr (a sparsification writes both its
+redundant and its skeleton positions, so its skeleton counts as idx here
+too): that is what lets a stage act as one block operation. Those CSR arrays are the only copy
 of the payload; a factor keeps its indices and, for a sparsification, a view
 of its interpolation matrix. The solver module applies the stages: left
 actions forward, D^-1 (LDL^T only), then right actions in reverse.
@@ -60,7 +60,6 @@ actions forward, D^-1 (LDL^T only), then right actions in reverse.
 from __future__ import annotations
 
 import functools
-import itertools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -91,7 +90,7 @@ class FactorOptions:
     saves and such blocks sit at or near full rank anyway, so they are
     eliminated or merged at full size instead. Options are checked when
     made and never change. No option reaches the Schur store: its
-    ownership check runs at every pack, and compile_stages rejects a stage
+    ownership check runs at every pack, and compile_stage rejects a stage
     whose factors overlap.
     """
 
@@ -202,11 +201,11 @@ class SymEliminationFactor(_Elimination):
 
 
 class Stage:
-    """A run of factors with one level, kind and tag, compiled into sparse
-    operators.
+    """The factors of one step of factorize, which share their level, kind
+    and tag, compiled into sparse operators.
 
     No factor's idx meets another factor's idx or any factor's nbr, and no
-    two sparsifications share a skeleton position (compile_stages checks
+    two sparsifications share a skeleton position (compile_stage checks
     both), so the stage's left, middle and right actions each act as one
     block operation. With K = |idx|:
 
@@ -268,16 +267,11 @@ def _triangles(k):
     return strict, ~strict
 
 
-def compile_stages(factors):
-    """One Stage per run of factors with equal (level, kind, tag), in
-    order. Each elimination's payload is dropped once copied, and each
-    sparsification's interp becomes a view into its stage. Factors of one
-    stage that overlap raise DimensionError."""
-    return [_compile(list(run)) for _, run in itertools.groupby(
-        factors, key=lambda f: (f.level, f.kind, f.tag))]
-
-
-def _compile(factors):
+def compile_stage(factors):
+    """The Stage of one step's factors, a nonempty list that shares one
+    level, kind and tag. Each elimination's payload is dropped once copied,
+    and each sparsification's interp becomes a view into the stage. Factors
+    that overlap raise DimensionError."""
     if factors[0].kind == "sparsify":
         stage = _compile_sparsify(factors)
     else:
@@ -364,10 +358,6 @@ class _Unit:
         self.kind = kind
 
     @property
-    def owner_level(self):
-        return self.uid[0]
-
-    @property
     def size(self):
         return self.pos.size
 
@@ -448,7 +438,6 @@ class SchurState:
         self.serial_of = {uid: s for s, uid in enumerate(self.unit_ids)}
         r = len(self.unit_ids)
         self.units = {}
-        self._by_serial = [None] * r
         self._active = np.zeros(r, dtype=bool)
         self.pos_unit = np.full(n, -1, dtype=np.int64)
         self.local_pos = np.full(n, -1, dtype=np.int64)
@@ -456,18 +445,15 @@ class SchurState:
         self.keys = np.empty(0, dtype=np.int64)
         self.offsets = np.empty(0, dtype=np.int64)
         self.values = np.zeros(0, dtype=dtype)
-        # slot -> position and slot -> serial as of the last pack
+        # slot -> position as of the last pack; the slots run unit after
+        # unit in serial order, width[s] of them for unit s
         self._slot_pos = np.empty(0, dtype=np.int64)
-        self._slot_serial = np.empty(0, dtype=np.int64)
-        self._slot_base = np.zeros(r, dtype=np.int64)
-        self.level = 0
 
     # -- unit bookkeeping ---------------------------------------------------
 
     def add_unit(self, uid, pos, kind):
         unit = _Unit(uid, self.serial_of[uid], pos, kind)
         self.units[uid] = unit
-        self._by_serial[unit.serial] = unit
         self._active[unit.serial] = True
         self.pos_unit[unit.pos] = unit.serial
         self.local_pos[unit.pos] = np.arange(unit.pos.size)
@@ -475,7 +461,6 @@ class SchurState:
 
     def _retire(self, unit):
         del self.units[unit.uid]
-        self._by_serial[unit.serial] = None
         self._active[unit.serial] = False
 
     def remove_unit(self, unit):
@@ -492,9 +477,9 @@ class SchurState:
         unit.pos = unit.pos[keep]
 
     def merge_units(self, kids, parent, kind):
-        """Relabel the kids' positions, in kid order, as one parent unit."""
-        pos = (np.concatenate([k.pos for k in kids]) if kids
-               else np.empty(0, np.int64))
+        """Relabel the kids' positions, in kid order, as one parent unit;
+        there is at least one kid."""
+        pos = np.concatenate([k.pos for k in kids])
         if pos.size > 1 and np.any(np.diff(pos) <= 0):
             raise DimensionError(
                 f"merged segment {parent} has out-of-order positions")
@@ -517,7 +502,8 @@ class SchurState:
         """Active positions of the given units, unit after unit."""
         if len(serials) == 0:
             return np.empty(0, np.int64)
-        return np.concatenate([self._by_serial[s].pos for s in serials])
+        return np.concatenate([self.units[self.unit_ids[s]].pos
+                               for s in serials])
 
     # -- block access ---------------------------------------------------------
 
@@ -579,23 +565,21 @@ class SchurState:
         """
         r = len(self.unit_ids)
         active = np.flatnonzero(self._active)
-        units = [self._by_serial[s] for s in active]
+        units = [self.units[self.unit_ids[s]] for s in active]
         width = np.zeros(r, dtype=np.int64)
         width[active] = [u.size for u in units]
         sizes = width[active]
         slot_pos = (np.concatenate([u.pos for u in units]) if units
                     else np.empty(0, np.int64))
-        slot_serial = np.repeat(active, sizes)
-        self._check_owners(slot_pos, slot_serial)
-        slot_base = np.zeros(r, dtype=np.int64)
-        slot_base[active] = np.cumsum(sizes) - sizes
-        self.local_pos[slot_pos] = (np.arange(slot_pos.size)
-                                    - np.repeat(slot_base[active], sizes))
+        self._check_owners(slot_pos, np.repeat(active, sizes))
+        self.local_pos[slot_pos] = (np.arange(slot_pos.size) - np.repeat(
+            np.cumsum(sizes) - sizes, sizes))
 
         # serial that now holds each old unit's live positions, or -1
         live = self.pos_unit[self._slot_pos] >= 0
         moved_to = np.full(r, -1, dtype=np.int64)
-        moved_to[self._slot_serial[live]] = self.pos_unit[self._slot_pos[live]]
+        moved_to[np.repeat(np.arange(r), self.width)[live]] = \
+            self.pos_unit[self._slot_pos[live]]
         old_a, old_b = np.divmod(self.keys, r)
         new_a, new_b = moved_to[old_a], moved_to[old_b]
         carried = (new_a >= 0) & (new_b >= 0)
@@ -623,15 +607,14 @@ class SchurState:
         self.keys, self.offsets, self.values = keys, offsets, values
         self.width = width
         self._slot_pos = slot_pos
-        self._slot_serial = slot_serial
-        self._slot_base = slot_base
         if entries is not None:
             rows, cols, vals = entries
             self.values[self._locate(rows, cols)] = vals
 
     def _carry(self, values, keys, offsets, width, blocks, new_a, new_b):
         """Copy the live entries of the old buffer's blocks into the new
-        layout, entry by entry through the slot tables."""
+        layout, entry by entry through the old slot table, whose units start
+        where the old widths put them."""
         if blocks.size == 0:
             return
         r = len(self.unit_ids)
@@ -640,7 +623,8 @@ class SchurState:
         dst_off = offsets[np.searchsorted(keys, new_a[blocks] * r + nb)]
         src_off = self.offsets[blocks]
         stride = width[nb]
-        row_base, col_base = self._slot_base[a], self._slot_base[b]
+        slot_base = np.cumsum(self.width) - self.width
+        row_base, col_base = slot_base[a], slot_base[b]
         col_width = self.width[b]
         counts = self.width[a] * col_width
         for lo, hi in _chunks(counts):
@@ -790,7 +774,7 @@ def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
     """Pivoted-LU elimination of a general self block; (factor, Schur
     complement). lu_compact raises on an exactly zero pivot."""
     k = self_block.shape[0]
-    lu, _, perm = lu_compact(self_block, level=level, segment=segment)
+    lu, perm = lu_compact(self_block, level=level, segment=segment)
     # coupling_left = A[nbr, idx] U^-1; coupling_right = L^-1 A[idx, nbr][perm]
     c_left = triangular_solve(lu, a_nu.T, lower=False, trans=True).T
     c_right = triangular_solve(lu, a_un[perm], lower=True, unit_diag=True)
@@ -836,8 +820,9 @@ def eliminate_interiors(a, tree):
     entries and the blocks of every front. The second pass factors each leaf
     and adds its update onto its front with one add_to_block call straight
     away; afterwards the active set is exactly the separator vertices. The
-    factors keep their payload until compile_stages takes it. A singular
-    leaf block raises SingularBlockError naming the leaf's position span.
+    factors form one step and keep their payload until compile_stage takes
+    it. A singular leaf block raises SingularBlockError naming the leaf's
+    position span.
     """
     csr = _as_csr(a)
     n = csr.shape[0]
@@ -849,7 +834,6 @@ def eliminate_interiors(a, tree):
     state = SchurState(n, nested.dtype, is_symmetric(csr), tree.segments,
                        coords=coords,
                        near_radius=2.0 * _median_edge_length(tree.graph))
-    state.level = tree.levels + 1
     for seg in [s for s in tree.segments.values() if not s.children]:
         pos = np.sort(tree.position[seg.vertices])
         state.add_unit(seg.id, pos, seg.kind)
@@ -942,9 +926,9 @@ def _front(state, unit):
     return nbr_pos, front[:unit.size], front[unit.size:]
 
 
-def sparsify_segment(state, unit, eps):
-    """Compress one active regular unit's coupling and eliminate what the
-    compression decouples; returns (factors, skeleton).
+def sparsify_segment(state, unit, eps, level):
+    """Compress one active regular unit's coupling at the given level and
+    eliminate what the compression decouples; returns (factors, skeleton).
 
     Computes an interpolative decomposition of the unit's coupling to its
     neighbors (of the stacked in/out coupling in unsymmetric mode) and emits
@@ -974,7 +958,7 @@ def sparsify_segment(state, unit, eps):
     # One fixed stream per stage and segment, so factorizations repeat bit
     # for bit; the leading 0 is part of the seed material.
     seed = int(np.random.SeedSequence(
-        [0, state.level, *uid]).generate_state(1)[0])
+        [0, level, *uid]).generate_state(1)[0])
     plan = lowrank.build_hybrid_plan(state.coords[nbr_pos],
                                      state.coords[pos], state.near_radius,
                                      unit.size, seed)
@@ -991,13 +975,13 @@ def sparsify_segment(state, unit, eps):
 
     red = pos[red_l]
     sparsify = SparsifyFactor(skeleton=skeleton, redundant=red,
-                              interp=interp, level=state.level)
+                              interp=interp, level=level)
     self_block[red_l, :] -= interp.T @ self_block[skel_l, :]
     self_block[:, red_l] -= self_block[:, skel_l] @ interp
     remainder, (nbr, delta) = _eliminate(
         state, red, skeleton, self_block[np.ix_(red_l, red_l)],
         self_block[np.ix_(skel_l, red_l)], self_block[np.ix_(red_l, skel_l)],
-        state.level, uid, "remainder")
+        level, uid, "remainder")
     state.add_to_block(nbr, nbr, delta)
     state.keep_positions(unit, skel_l)
     return [sparsify, remainder], skeleton
@@ -1007,17 +991,17 @@ def eliminate_segments(state, level):
     """Eliminate every level-`level` segment whole; returns (factors,
     updates).
 
-    The factors come in id order, their payload kept for compile_stages,
-    and updates holds each one's (nbr, -Schur complement), which
-    merge_segments adds once the store has blocks for it. Nothing is
+    The factors form one step in id order, their payload kept for
+    compile_stage, and updates holds each one's (nbr, -Schur complement),
+    which merge_segments adds once the store has blocks for it. Nothing is
     written here: the segments of one level lie in disjoint subtrees and
-    never touch (compile_stages rejects a stage whose factors do), so no
+    never touch (compile_stage rejects a stage whose factors do), so no
     elimination reads what another one's update would write.
     """
     factors, updates = [], []
     for uid in state.active_ids():
         unit = state.units[uid]
-        if unit.owner_level != level:
+        if uid[0] != level:
             continue
         nbr_pos, self_block, a_nu = _front(state, unit)
         a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
@@ -1093,10 +1077,11 @@ def factorize(a, tree, eps, options=None):
     Interiors first, then per level from the deepest separator level to the
     root: sparsify every regular segment and eliminate its remainder,
     eliminate the level's own segments, merge split segments back together
-    and add the eliminations' updates. The sparsifications and the
-    remainders of a level each form one stage, in that order. Each stage is
-    compiled as soon as its factors exist. tree must be the
-    DissectionTree of a, or ConfigError is raised. Singular blocks raise
+    and add the eliminations' updates. Each step (the interiors, then per
+    level the sparsifications, the remainders and the whole segments) is
+    one stage, compiled by compile_stage as soon as its factors exist; an
+    empty step adds none. tree must be the DissectionTree of a, or
+    ConfigError is raised. Singular blocks raise
     SingularBlockError tagged with level and segment id.
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
@@ -1108,11 +1093,10 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"tree must be a DissectionTree, got {tree!r}")
 
     state, interiors = eliminate_interiors(a, tree)
-    stages = compile_stages(interiors)
+    stages = [compile_stage(interiors)] if interiors else []
 
     level_stats = []
     for level in range(tree.levels, 0, -1):
-        state.level = level
         regulars = [uid for uid in state.active_ids()
                     if state.units[uid].kind == REGULAR]
 
@@ -1126,17 +1110,18 @@ def factorize(a, tree, eps, options=None):
             if unit.size < options.min_sparsify_size:
                 continue
             pre_sizes.append(unit.size)
-            new_factors, skeleton = sparsify_segment(state, unit, eps)
+            new_factors, skeleton = sparsify_segment(state, unit, eps, level)
             sparsified.extend(new_factors[:1])
             remainders.extend(new_factors[1:])
             post_sizes.append(len(skeleton))
-        stages.extend(compile_stages(sparsified))
-        stages.extend(compile_stages(remainders))
+        stages += [compile_stage(step) for step in (sparsified, remainders)
+                   if step]
         time_sparsify = time.perf_counter() - t_sp
 
         t_el = time.perf_counter()
         factors, updates = eliminate_segments(state, level)
-        stages.extend(compile_stages(factors))
+        if factors:
+            stages.append(compile_stage(factors))
         time_eliminate = time.perf_counter() - t_el
 
         t_mg = time.perf_counter()

@@ -6,6 +6,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
+from .meshing import DOMAIN
 
 __all__ = ["CoefficientField", "make_contrast_field"]
 
@@ -36,25 +37,24 @@ class CoefficientField:
         return cls("tensor", lambda p: d)
 
 
-# noise lattice spacing, and the box it covers (the structured meshes' domain)
+# noise lattice spacing; the lattice covers the structured meshes' DOMAIN
 SMOOTHING_RADIUS = 0.1
-BBOX = (-1.0, 1.0, 0.0, 1.0)
 
 
 def make_contrast_field(rho, seed):
     """Two-valued field: rho where a smoothed noise field exceeds 1/2, else 1/rho.
 
-    Noise is white on a coarse lattice of spacing SMOOTHING_RADIUS over BBOX,
-    box-blurred once with a 3x3 stencil, then interpolated bilinearly;
-    threshold at 0.5. rho = 1 yields the constant-1 field. Deterministic per
-    seed.
+    Noise is white on a coarse lattice of spacing SMOOTHING_RADIUS over
+    meshing.DOMAIN, box-blurred once with a 3x3 stencil, then interpolated
+    bilinearly; threshold at 0.5. rho = 1 yields the constant-1 field.
+    Deterministic per seed.
     """
     if rho < 1:
         raise ConfigError("contrast rho must be >= 1")
     if rho == 1:
         return CoefficientField.constant(1.0)
 
-    x0, x1, y0, y1 = BBOX
+    x0, x1, y0, y1 = DOMAIN
     nx = max(4, int(np.ceil((x1 - x0) / SMOOTHING_RADIUS)) + 1)
     ny = max(4, int(np.ceil((y1 - y0) / SMOOTHING_RADIUS)) + 1)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), nx, ny]))

@@ -16,6 +16,9 @@ from .errors import ConfigError, GeometryError
 
 INTERIOR, DIRICHLET, NEUMANN = 0, 1, 2
 
+# (x0, x1, y0, y1) of the rectangle every structured mesh covers
+DOMAIN = (-1.0, 1.0, 0.0, 1.0)
+
 __all__ = [
     "Mesh2D",
     "make_structured_mesh",
@@ -85,14 +88,12 @@ def _boundary_edges_of(triangles):
     return np.column_stack([lo, hi]).astype(triangles.dtype, copy=False)
 
 
-def make_structured_mesh(nx, ny, domain=(-1.0, 1.0, 0.0, 1.0)):
-    """Tensor grid on [x0,x1]x[y0,y1]: nx*ny vertices, two CCW triangles per
-    cell; all boundary edges marked dirichlet."""
+def make_structured_mesh(nx, ny):
+    """Tensor grid on DOMAIN = [x0,x1]x[y0,y1]: nx*ny vertices, two CCW
+    triangles per cell; all boundary edges marked dirichlet."""
     if nx < 2 or ny < 2:
         raise ConfigError("structured mesh needs nx, ny >= 2")
-    x0, x1, y0, y1 = domain
-    if not (x1 > x0 and y1 > y0):
-        raise GeometryError("domain rectangle is empty")
+    x0, x1, y0, y1 = DOMAIN
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
     X, Y = np.meshgrid(xs, ys)            # row j is y = ys[j]

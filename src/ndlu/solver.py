@@ -1,16 +1,17 @@
 """Applying a factorization: solve Ax = b with residual reporting.
 
-The factorization is a list of compiled stages (factor.Stage). They apply in
-three passes: every stage's left action in list order, the block-diagonal
-D^-1 of every LDL^T stage, then every stage's right action in reverse list
-order. A stage's factors never write where another of its factors reads or
-writes (factor.compile_stages refuses a stage whose factors overlap), so
-each action is a handful of numpy and scipy calls on the whole stage: a
-gather, a product with a block-diagonal triangular inverse, a coupling
-product and a scatter. Each pass runs once over the whole right-hand side:
-the actions index rows only, and scipy's sparse products on an n x k block
-sum each entry in the same order as on a vector, so the passes give every
-column of a block bitwise what they give that vector alone.
+The factorization is a list of compiled stages (factor.Stage), one per step
+of factorize. They apply in three passes: every stage's left action in list
+order, the block-diagonal D^-1 of every LDL^T stage, then every stage's
+right action in reverse list order. A stage's factors never write where
+another of its factors reads or writes (factor.compile_stage refuses a
+stage whose factors overlap), so each action is a handful of numpy and
+scipy calls on the whole stage: a gather, a product with a block-diagonal
+triangular inverse, a coupling product and a scatter. Each pass runs once
+over the whole right-hand side: the actions index rows only, and scipy's
+sparse products on an n x k block sum each entry in the same order as on a
+vector, so the passes give every column of a block bitwise what they give
+that vector alone.
 """
 
 from __future__ import annotations

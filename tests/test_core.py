@@ -10,7 +10,7 @@ from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
 def split_lu(block, level=None, segment=None):
     """(l, u, perm) unpacked from lu_compact: block[perm] = l @ u."""
-    lu, _, perm = lu_compact(block, level=level, segment=segment)
+    lu, perm = lu_compact(block, level=level, segment=segment)
     l = np.tril(lu, -1)
     np.fill_diagonal(l, 1.0)
     return l, np.triu(lu), perm
@@ -157,7 +157,7 @@ class TestTriangularInverse:
 
     def test_both_triangles_of_a_compact_lu(self):
         b = np.random.default_rng(8).standard_normal((10, 10))
-        lu, _, perm = lu_compact(b)
+        lu, perm = lu_compact(b)
         inv = triangular_inverse(triangular_inverse(lu, unit_diag=True),
                                  lower=False)
         l_inv = np.tril(inv, -1) + np.eye(10)

@@ -157,8 +157,7 @@ class TestFindSeparator:
 
 def make_line_segment(owner, verts):
     v = np.asarray(verts, dtype=np.int64)
-    return Segment(id=(owner[0], owner[1], owner[0], 0), owner=owner,
-                   vertices=v)
+    return Segment(id=(owner[0], owner[1], owner[0], 0), vertices=v)
 
 
 class TestSplitBoundarySegments:
@@ -196,7 +195,10 @@ class TestSplitBoundarySegments:
         assert kinds == [(JUNCTION, 1), (REGULAR, 4), (REGULAR, 4)]
         junction = next(s for s in updated if s.kind == JUNCTION)
         assert junction.vertices.tolist() == [4]
-        assert all(s.parent == seg.id for s in updated)
+        event, = events
+        assert event.parent == seg.id
+        assert sorted(event.children) == sorted(s.id for s in updated)
+        assert seg.children == event.children
 
     def test_endpoint_crossing_no_empty_segments(self):
         seg = make_line_segment((1, 0), range(9))
@@ -238,7 +240,7 @@ class TestBuildDissection:
         for node in tree.nodes:
             if node.is_leaf:
                 continue
-            sep_positions = tree.position[node.separator.order]
+            sep_positions = tree.position[node.separator.vertices]
             child_end = max(c.span[1] for c in node.children)
             assert sep_positions.min() == child_end
             assert sep_positions.max() == node.span[1] - 1
@@ -316,15 +318,14 @@ class TestBuildDissection:
                 assert np.array_equal(unit.pos,
                                       np.sort(tree.position[vertices]))
             held = [unit.pos for unit in state.units.values()]
-            kept = [tree.position[s.order] for s in tree.separators
-                    if s.level <= remaining]
+            kept = [tree.position[s.vertices] for s in tree.separators
+                    if s.id[0] <= remaining]
             none = [np.empty(0, dtype=np.int64)]
             assert np.array_equal(np.sort(np.concatenate(held + none)),
                                   np.sort(np.concatenate(kept + none)))
 
         check(tree.levels)
         for level in range(tree.levels, 0, -1):
-            state.level = level
             _, updates = factor.eliminate_segments(state, level)
             factor.merge_segments(state, tree, level, updates)
             check(level - 1)
@@ -335,17 +336,17 @@ class TestBuildDissection:
         # root separator, leaving a junction piece between two regular pieces
         g = grid_graph(15, 15)
         tree = build_dissection(g, None, leaf_size=16)
-        root_segs = [s for s in tree.segments.values() if s.owner == (1, 0)]
+        root_segs = [s for s in tree.segments.values() if s.id[:2] == (1, 0)]
         junctions = [s for s in root_segs if s.kind == JUNCTION]
         assert junctions, "expected the root separator to be crossed"
         segs_final = [
             s for s in tree.segments.values()
-            if not s.children and s.owner == (1, 0)
+            if not s.children and s.id[:2] == (1, 0)
         ]
         assert any(s.kind == JUNCTION for s in segs_final)
         # pieces partition the separator
         allv = np.concatenate([s.vertices for s in segs_final])
-        assert sorted(allv.tolist()) == sorted(tree.separators[0].order.tolist())
+        assert sorted(allv.tolist()) == sorted(tree.separators[0].vertices.tolist())
 
     @pytest.mark.parametrize("fault", ["repeat", "drop"])
     def test_order_that_misses_or_repeats_a_vertex_is_rejected(self, fault,

@@ -324,12 +324,12 @@ def _sparsification(skeleton, redundant):
 ], ids=["shared-idx", "idx-in-nbr", "shared-skeleton"])
 def test_compile_rejects_factors_of_one_stage_that_overlap(factors, position):
     with pytest.raises(DimensionError, match=f"overlap at position {position}"):
-        factor.compile_stages(factors())
+        factor.compile_stage(factors())
 
 
 def test_compile_accepts_eliminations_that_share_a_neighbor():
-    stage, = factor.compile_stages([_elimination([0, 1], [4, 5]),
-                                    _elimination([2, 3], [5, 6], 1)])
+    stage = factor.compile_stage([_elimination([0, 1], [4, 5]),
+                                  _elimination([2, 3], [5, 6], 1)])
     assert stage.nbr.tolist() == [4, 5, 6]
 
 
@@ -501,7 +501,6 @@ def test_sparsify_eliminates_what_it_decouples(family, monkeypatch):
     p = assembly.build_problem(family, 4096)
     tree = dissection.build_dissection(p.matrix, p.coords)
     state, _ = factor.eliminate_interiors(p.matrix, tree)
-    state.level = tree.levels
     unit = max((u for u in state.units.values() if u.kind == REGULAR),
                key=lambda u: u.size)
     pos = unit.pos.copy()
@@ -514,8 +513,8 @@ def test_sparsify_eliminates_what_it_decouples(family, monkeypatch):
         return add(self, rows, cols, delta)
 
     monkeypatch.setattr(factor.SchurState, "add_to_block", counted)
-    (sparsify, remainder), skeleton = factor.sparsify_segment(state, unit,
-                                                              1e-2)
+    (sparsify, remainder), skeleton = factor.sparsify_segment(
+        state, unit, 1e-2, tree.levels)
     red = sparsify.redundant
     assert red.size and skeleton.size
     assert (remainder.tag, remainder.level) == ("remainder", tree.levels)
@@ -815,6 +814,43 @@ def test_store_holds_the_schur_complement_per_stage(family):
     assert not state.units
 
 
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_pack_carries_every_live_entry_bitwise(family, monkeypatch):
+    # a dense mirror takes every store write: the matrix entries a pack
+    # stores and each add_to_block. After every pack, each stored block
+    # reads exactly the mirror at its live positions, also once
+    # sparsifications have shrunk units (keep_positions) before the pack
+    # carries their entries.
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    mirror = np.zeros((p.n, p.n))
+    pack, add = factor.SchurState.pack, factor.SchurState.add_to_block
+    compared = []
+
+    def mirrored_pack(self, entries=None, fronts=()):
+        if entries is not None:
+            rows, cols, values = entries
+            mirror[rows, cols] = values
+        pack(self, entries, fronts)
+        units = {u.serial: u.pos for u in self.units.values()}
+        for a, b in zip(*np.divmod(self.keys, len(self.unit_ids))):
+            rows, cols = units[a], units[b]
+            assert np.array_equal(self.gather(rows, cols),
+                                  mirror[np.ix_(rows, cols)])
+        compared.append(self.keys.size)
+
+    def mirrored_add(self, rows, cols, delta):
+        mirror[np.ix_(rows, cols)] += delta
+        add(self, rows, cols, delta)
+
+    monkeypatch.setattr(factor.SchurState, "pack", mirrored_pack)
+    monkeypatch.setattr(factor.SchurState, "add_to_block", mirrored_add)
+    fac = factor.factorize(p.matrix, tree, 1e-4,
+                           FactorOptions(min_sparsify_size=8))
+    assert any(f.kind == "sparsify" for f in fac.factors)
+    assert len(compared) == tree.levels + 1 and sum(compared) > 1000
+
+
 def test_units_of_one_stage_that_touch_are_rejected():
     ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1)}
     slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5]}
@@ -822,10 +858,10 @@ def test_units_of_one_stage_that_touch_are_rejected():
     # A's factor couples to B's positions, which B's factor eliminates
     state = _store(dense, slots, ids, True)
     with pytest.raises(DimensionError, match="level 2"):
-        factor.compile_stages(factor.eliminate_segments(state, 2)[0])
+        factor.compile_stage(factor.eliminate_segments(state, 2)[0])
     # a stage that owns only one of two coupled units compiles
     state = _store(dense, slots, ids, True)
-    factor.compile_stages(factor.eliminate_segments(state, 1)[0])
+    factor.compile_stage(factor.eliminate_segments(state, 1)[0])
 
 
 def test_store_rejects_access_and_merges_it_cannot_serve():
@@ -853,8 +889,8 @@ def test_sparsify_refuses_a_junction_and_passes_over_an_empty_unit():
     junction = state.add_unit(ids[0], np.array([0, 1]), JUNCTION)
     empty = state.add_unit(ids[1], np.empty(0, np.int64), REGULAR)
     with pytest.raises(ConfigError, match="junction"):
-        factor.sparsify_segment(state, junction, 1e-4)
-    factors, skeleton = factor.sparsify_segment(state, empty, 1e-4)
+        factor.sparsify_segment(state, junction, 1e-4, 1)
+    factors, skeleton = factor.sparsify_segment(state, empty, 1e-4, 1)
     assert factors == [] and skeleton.size == 0
 
 

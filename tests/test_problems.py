@@ -76,7 +76,7 @@ class TestStructuredMesh:
         assert np.all(signed_areas(m) > 0)
 
     def test_areas_tile_domain(self):
-        m = make_structured_mesh(9, 6, domain=(-1, 1, 0, 1))
+        m = make_structured_mesh(9, 6)
         assert np.isclose(signed_areas(m).sum(), 2.0)
 
 
@@ -426,8 +426,6 @@ def _clockwise_triangle():
 SETUP_CHECKS = {
     "structured-1x5": (lambda: make_structured_mesh(1, 5), ConfigError,
                        "nx, ny >= 2"),
-    "empty-domain": (lambda: make_structured_mesh(3, 3, (1.0, 1.0, 0.0, 1.0)),
-                     GeometryError, "rectangle is empty"),
     "two-vertex-polygon": (lambda: make_polygon_mesh([(0, 0), (1, 0)], 0.2),
                            GeometryError, "at least 3 vertices"),
     "zero-spacing": (lambda: make_polygon_mesh(L_SHAPED, 0), ConfigError,
