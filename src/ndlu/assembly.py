@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .core import SparseMatrix, check_int
 from .errors import ConfigError, DimensionError, ParseError
-from .fields import CoefficientField, make_contrast_field
+from .fields import make_contrast_field
 from .meshing import (
     DIRICHLET,
     DOMAIN,
@@ -75,8 +75,10 @@ def parse_descriptor(descriptor):
     params holds every key the family reads, parsed, with the family's
     default where the descriptor leaves a key out. An unknown family, a key
     the family does not read and a value that does not parse raise
-    ConfigError.
+    ConfigError, and so does a descriptor that is not a str.
     """
+    if not isinstance(descriptor, str):
+        raise ConfigError(f"descriptor must be a str, got {descriptor!r}")
     family, _, rest = descriptor.partition(":")
     family = family.strip()
     if family not in FAMILY_DEFAULTS:
@@ -102,8 +104,8 @@ def parse_descriptor(descriptor):
 
 
 def _p1_stiffness(mesh, coeff):
-    """Element-assembled stiffness matrix (with coefficient) and the
-    triangle areas."""
+    """Element-assembled stiffness matrix and the triangle areas. coeff is
+    a 2x2 tensor, a number or a function of the triangle centroids."""
     tris = mesh.triangles
     p = mesh.vertices[tris]                      # (m, 3, 2)
     # edge vectors opposite each vertex
@@ -115,12 +117,11 @@ def _p1_stiffness(mesh, coeff):
     # grad(lambda_i) = rot90(e_i) / (2 area)
     grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) / area2[:, None, None]
 
-    if coeff.is_tensor:
-        d = coeff(p.mean(axis=1))
-        dg = np.einsum("ab,mjb->mja", d, grads)
+    if np.ndim(coeff) == 2:
+        dg = np.einsum("ab,mjb->mja", coeff, grads)
         k_loc = np.einsum("mia,mja,m->mij", grads, dg, area)
     else:
-        a_t = coeff(p.mean(axis=1))
+        a_t = coeff(p.mean(axis=1)) if callable(coeff) else coeff
         k_loc = np.einsum("mia,mja,m->mij", grads, grads, area * a_t)
     return _assemble(mesh, k_loc), area
 
@@ -163,47 +164,44 @@ def _neumann_load(mesh, h):
     return np.bincount(ends.ravel(), weights=terms.ravel(), minlength=mesh.num_vertices)
 
 
-def assemble_fem(mesh, pde, coeff=None, f=None, dirichlet=None, neumann_h=None):
+def assemble_fem(mesh, pde, f=None, dirichlet=None):
     """Assemble a ProblemInstance for a descriptor on the given mesh.
 
-    pde is a descriptor string (see parse_descriptor). Family defaults follow
-    the benchmark setups; f / dirichlet / neumann_h override the data.
+    pde is a descriptor string (see parse_descriptor); it sets the
+    coefficient. The volume load f (a number or a function of points) and
+    the dirichlet values (a function of points) default to the family's
+    benchmark data. Only laplace-aniso has flux data for Neumann edges; a
+    mesh with Neumann edges under another family raises ConfigError.
     """
     family, params = parse_descriptor(pde)
 
-    helm_k = 0.0
+    quadratic = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0
+    helm_k, flux = 0.0, None
     if family == "laplace-contrast":
-        if coeff is None:
-            coeff = make_contrast_field(params["rho"], params["seed"])
-        if f is None:
-            f = -4.0
-        if dirichlet is None:
-            dirichlet = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0
+        coeff = make_contrast_field(params["rho"], params["seed"])
+        f_default, g_default = -4.0, quadratic
     elif family in ("helmholtz", "helmholtz-poly"):
         helm_k = params["k"]
-        if coeff is None:
-            coeff = CoefficientField.constant(1.0)
-        if f is None:
-            f = -1.0
-        if dirichlet is None:
-            dirichlet = lambda p: np.exp(p[:, 0] + p[:, 1])
-    elif family == "laplace-aniso":
-        d = np.array([[params["d11"], params["d12"]], [params["d21"], params["d22"]]])
-        if coeff is None:
-            coeff = CoefficientField.tensor(d)
-        if f is None:
-            f = -4.0
-        if dirichlet is None:
-            dirichlet = lambda p: p[:, 0] ** 2 + p[:, 1] ** 2 - 1.0
-        if neumann_h is None:
-            neumann_h = lambda p: 2.0 * p[:, 1]
+        coeff = 1.0
+        f_default, g_default = -1.0, lambda p: np.exp(p[:, 0] + p[:, 1])
+    else:  # laplace-aniso
+        coeff = np.array([[params["d11"], params["d12"]],
+                          [params["d21"], params["d22"]]])
+        f_default, g_default = -4.0, quadratic
+        flux = lambda p: 2.0 * p[:, 1]
+    f = f_default if f is None else f
+    dirichlet = g_default if dirichlet is None else dirichlet
+    neumann = np.count_nonzero(mesh.edge_marker == NEUMANN)
+    if neumann and flux is None:
+        raise ConfigError(f"{family} has no flux data for the mesh's "
+                          f"{neumann} Neumann edges")
 
     a_full, area = _p1_stiffness(mesh, coeff)
     if helm_k != 0.0:
         a_full = (a_full - (helm_k ** 2) * _p1_mass(mesh, area)).tocsr()
     b_full = _load_vector(mesh, f, area)
-    if np.any(mesh.edge_marker == NEUMANN):
-        b_full += _neumann_load(mesh, neumann_h)
+    if neumann:
+        b_full += _neumann_load(mesh, flux)
 
     marker = mesh.vertex_marker
     free = np.flatnonzero(marker != DIRICHLET)

@@ -26,18 +26,19 @@ the multifrontal method, every coupled pair of segments is stored in both
 orientations, whether or not the matrix is symmetric, so the store's
 bookkeeping is the same in both modes; symmetry is used only where the dense
 kernel is chosen (LDL against LU, a one-sided against a joint interpolative
-decomposition). Every elimination gathers its self block and couplings from
-the buffer (a remainder takes them from its sparsification's gather) and
-runs that kernel; its update is added in one add_to_block call, the buffer's
-only write outside a pack. Besides the self blocks and the matrix's own
+decomposition). A leaf's elimination takes its blocks from the matrix, a
+remainder's from its sparsification's gather, and any other from the
+buffer; each adds its update in one add_to_block call, the buffer's only
+write outside a pack. Besides the self blocks and the matrix's own
 couplings, a block exists only where an update writes it: each pack makes
-the blocks of the fronts whose updates follow it. The leaf interiors share
-one pack and each adds its update straight after its elimination; a
-remainder writes only its segment's own self block, which exists. The
-whole segments of a level lie in disjoint subtrees and never touch, so
-their eliminations read nothing another writes: merge_segments relabels
-the merged positions, packs once with the level's fronts and then adds the
-updates in elimination order.
+the blocks of the fronts whose updates follow it. The leaf stage reads the
+matrix once, sorted by leaf: the separator entries come first and fill the
+stage's one pack, then each leaf's entries form one run; each leaf adds its
+update straight after its elimination. A remainder writes only its
+segment's own self block, which exists. The whole segments of a level lie
+in disjoint subtrees and never touch, so their eliminations read nothing
+another writes: merge_segments relabels the merged positions, packs once
+with the level's fronts and then adds the updates in elimination order.
 Every pack checks that the segments and the store's position table agree on
 which segment owns each live position (SchurState).
 
@@ -815,115 +816,96 @@ def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag):
 def eliminate_interiors(a, tree):
     """Eliminate every leaf interior; returns (SchurState, factors).
 
-    A first pass collects every leaf's front, the separator positions it
-    couples to, so the store is packed once with the matrix's separator
-    entries and the blocks of every front. The second pass factors each leaf
-    and adds its update onto its front with one add_to_block call straight
-    away; afterwards the active set is exactly the separator vertices. The
-    factors form one step and keep their payload until compile_stage takes
-    it. A singular leaf block raises SingularBlockError naming the leaf's
-    position span.
+    Each stored entry, in nested positions, belongs to the leaf it touches
+    (to none between two separator positions), and a leaf's front is the
+    outside ends of its entries, explicit zeros included. One stable sort
+    by leaf puts the separator entries first, and the store is packed once
+    with them and the blocks of every front; each later run holds one
+    leaf's entries. Each leaf is factored from its run and adds its update
+    onto its front with one add_to_block call straight away; afterwards the
+    active set is exactly the separator vertices. The factors form one
+    step and keep their payload until compile_stage takes it. A singular
+    leaf block raises SingularBlockError naming the leaf's position span.
     """
     csr = _as_csr(a)
     n = csr.shape[0]
     if len(tree.order) != n:
         raise DimensionError("dissection tree does not match the matrix size")
-    nested = csr[tree.order][:, tree.order].tocsr()
-    nested.sort_indices()
-    coords = tree.graph.coords[tree.order]
-    state = SchurState(n, nested.dtype, is_symmetric(csr), tree.segments,
-                       coords=coords,
+    state = SchurState(n, csr.dtype, is_symmetric(csr), tree.segments,
+                       coords=tree.graph.coords[tree.order],
                        near_radius=2.0 * _median_edge_length(tree.graph))
     for seg in [s for s in tree.segments.values() if not s.children]:
         pos = np.sort(tree.position[seg.vertices])
         state.add_unit(seg.id, pos, seg.kind)
 
     leaves = [leaf for leaf in tree.leaves if leaf.span[1] > leaf.span[0]]
-    coo_rows = np.repeat(np.arange(n), np.diff(nested.indptr))
-    fronts = _leaf_fronts(state, nested, coo_rows, leaves)
-    state.pack(entries=_separator_entries(state, nested, coo_rows),
-               fronts=fronts)
+    leaf_of = np.full(n, -1, dtype=np.int64)
+    for i, leaf in enumerate(leaves):
+        leaf_of[leaf.span[0]:leaf.span[1]] = i
+    rows = tree.position[np.repeat(np.arange(n), np.diff(csr.indptr))]
+    cols = tree.position[csr.indices]
+    lr, lc = leaf_of[rows], leaf_of[cols]
+    owner = np.maximum(lr, lc)
 
-    csc = nested.tocsc()
-    csc.sort_indices()
+    # the front of a leaf: the outside ends of its entries, ascending
+    cross = lr != lc
+    outside = np.where(lr == owner, cols, rows)[cross]
+    front_of, ext = np.divmod(_unique(owner[cross] * n + outside), n)
+    if np.any(state.pos_unit[ext] < 0):
+        raise DimensionError("a leaf couples to a position outside every "
+                             "separator segment")
+    cuts = np.searchsorted(front_of, np.arange(len(leaves) + 1)).tolist()
+    fronts = [ext[lo:hi] for lo, hi in zip(cuts[:-1], cuts[1:])]
+
+    order = np.argsort(owner, kind="stable")
+    rows, cols, vals = rows[order], cols[order], csr.data[order]
+    ends = np.searchsorted(owner[order], np.arange(len(leaves) + 1)).tolist()
+    # the pack allocates the store: only the sorted entries stay alive
+    del lr, lc, owner, cross, outside, order
+    sep = ends[0]
+    state.pack(entries=(rows[:sep], cols[:sep], vals[:sep]), fronts=fronts)
+
     factors = []
     interior_level = tree.levels + 1
-    for leaf, ext in zip(leaves, fronts):
+    for leaf, front, lo, hi in zip(leaves, fronts, ends[:-1], ends[1:]):
         s, e = leaf.span
-        ii, a_ie, a_ei = _extract_leaf(nested, csc, s, e, ext)
+        ii, a_ie, a_ei = _leaf_blocks(s, e, front, rows[lo:hi], cols[lo:hi],
+                                      vals[lo:hi])
         fac, (nbr, delta) = _eliminate(
-            state, np.arange(s, e, dtype=np.int64), ext, ii, a_ei, a_ie,
+            state, np.arange(s, e, dtype=np.int64), front, ii, a_ei, a_ie,
             interior_level, ("leaf", int(s), int(e)), "interior")
         state.add_to_block(nbr, nbr, delta)
         factors.append(fac)
     return state, factors
 
 
-def _separator_entries(state, nested, coo_rows):
-    """(rows, cols, values) of every matrix entry between two separator
-    positions."""
-    keep = ((state.pos_unit[coo_rows] >= 0)
-            & (state.pos_unit[nested.indices] >= 0))
-    return coo_rows[keep], nested.indices[keep], nested.data[keep]
-
-
-def _leaf_fronts(state, nested, coo_rows, leaves):
-    """Front of every leaf: the ascending positions it couples to, in
-    either direction."""
-    n = max(state.n, 1)
-    spans = np.array([leaf.span for leaf in leaves], dtype=np.int64)
-    spans = spans.reshape(-1, 2)
-    lens = spans[:, 1] - spans[:, 0]
-    leaf_of = np.full(state.n, -1, dtype=np.int64)
-    leaf_of[np.arange(lens.sum()) + np.repeat(spans[:, 0] - np.cumsum(lens)
-                                              + lens, lens)] = \
-        np.repeat(np.arange(len(leaves)), lens)
-    cols = nested.indices
-    lr, lc = leaf_of[coo_rows], leaf_of[cols]
-    cross = lr != lc
-    leaf = np.concatenate([lr[cross], lc[cross]])
-    outside = np.concatenate([cols[cross], coo_rows[cross]])
-    inner = leaf >= 0
-    leaf, externals = np.divmod(_unique(leaf[inner] * n + outside[inner]), n)
-    bounds = np.searchsorted(leaf, np.arange(len(leaves) + 1))
-    if np.any(state.pos_unit[externals] < 0):
-        raise DimensionError("a leaf couples to a position outside every "
-                             "separator segment")
-    return [externals[lo:hi] for lo, hi in zip(bounds[:-1].tolist(),
-                                                bounds[1:].tolist())]
-
-
-def _extract_leaf(csr, csc, s, e, ext):
-    """Dense interior block of positions [s, e) and its couplings to the
-    ascending outside positions ext."""
+def _leaf_blocks(s, e, ext, rows, cols, vals):
+    """Dense interior block of positions [s, e) and its couplings to and from
+    the ascending outside positions ext, from the entries (rows, cols,
+    vals) that touch the leaf."""
     m = e - s
-    lo, hi = csr.indptr[s], csr.indptr[e]
-    cols = csr.indices[lo:hi]
-    vals = csr.data[lo:hi]
-    rows = np.repeat(np.arange(m), np.diff(csr.indptr[s:e + 1]))
-    inside = (cols >= s) & (cols < e)
-    ii = np.zeros((m, m), dtype=csr.dtype)
-    ii[rows[inside], cols[inside] - s] = vals[inside]
-    out = ~inside
-    a_ie = np.zeros((m, ext.size), dtype=csr.dtype)
-    a_ie[rows[out], np.searchsorted(ext, cols[out])] = vals[out]
-
-    lo, hi = csc.indptr[s], csc.indptr[e]
-    rws = csc.indices[lo:hi]
-    vls = csc.data[lo:hi]
-    ccols = np.repeat(np.arange(m), np.diff(csc.indptr[s:e + 1]))
-    out = (rws < s) | (rws >= e)
-    a_ei = np.zeros((ext.size, m), dtype=csr.dtype)
-    a_ei[np.searchsorted(ext, rws[out]), ccols[out]] = vls[out]
+    row_in = (rows >= s) & (rows < e)
+    col_in = (cols >= s) & (cols < e)
+    ii = np.zeros((m, m), dtype=vals.dtype)
+    both = row_in & col_in
+    ii[rows[both] - s, cols[both] - s] = vals[both]
+    a_ie = np.zeros((m, ext.size), dtype=vals.dtype)
+    out = ~col_in
+    a_ie[rows[out] - s, np.searchsorted(ext, cols[out])] = vals[out]
+    a_ei = np.zeros((ext.size, m), dtype=vals.dtype)
+    out = ~row_in
+    a_ei[np.searchsorted(ext, rows[out]), cols[out] - s] = vals[out]
     return ii, a_ie, a_ei
 
 
 def _front(state, unit):
-    """(neighbor positions, self block, in-coupling) of a unit, gathered in
-    one pass over the store."""
+    """(neighbor positions, self block, in-coupling, out-coupling) of a
+    unit, the first three gathered in one pass over the store; the
+    out-coupling is None on a symmetric store."""
     nbr_pos = state.positions(state.neighbors(unit))
     front = state.gather(np.concatenate([unit.pos, nbr_pos]), unit.pos)
-    return nbr_pos, front[:unit.size], front[unit.size:]
+    a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
+    return nbr_pos, front[:unit.size], front[unit.size:], a_un
 
 
 def sparsify_segment(state, unit, eps, level):
@@ -952,7 +934,7 @@ def sparsify_segment(state, unit, eps, level):
 
     uid = unit.uid
     pos = unit.pos
-    nbr_pos, self_block, a_nu = _front(state, unit)
+    nbr_pos, self_block, a_nu, a_un = _front(state, unit)
     if nbr_pos.size == 0:
         return [], pos.copy()
     # One fixed stream per stage and segment, so factorizations repeat bit
@@ -965,8 +947,7 @@ def sparsify_segment(state, unit, eps, level):
     if state.symmetric:
         ident = lowrank.sampled_id(a_nu, plan, eps)
     else:
-        ident = lowrank.joint_unsymmetric_id(
-            a_nu, state.gather(pos, nbr_pos), plan, eps)
+        ident = lowrank.joint_unsymmetric_id(a_nu, a_un, plan, eps)
 
     skel_l, red_l, interp = ident.skeleton, ident.redundant, ident.interp
     skeleton = pos[skel_l]
@@ -1003,8 +984,7 @@ def eliminate_segments(state, level):
         unit = state.units[uid]
         if uid[0] != level:
             continue
-        nbr_pos, self_block, a_nu = _front(state, unit)
-        a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
+        nbr_pos, self_block, a_nu, a_un = _front(state, unit)
         fac, update = _eliminate(state, unit.pos.copy(), nbr_pos, self_block,
                                  a_nu, a_un, level, unit.uid, "segment")
         state.remove_unit(unit)

@@ -1,5 +1,6 @@
-"""Coefficient fields for the PDE assembly: constants, 2x2 tensors, and the
-thresholded random high-contrast field."""
+"""The thresholded random high-contrast coefficient field of the
+laplace-contrast family. assembly takes every coefficient as a number, a
+2x2 array or a function of points; this module makes the one function."""
 
 from __future__ import annotations
 
@@ -8,33 +9,7 @@ import numpy as np
 from .errors import ConfigError
 from .meshing import DOMAIN
 
-__all__ = ["CoefficientField", "make_contrast_field"]
-
-
-class CoefficientField:
-    """Scalar or 2x2-tensor coefficient sampled at points of the domain."""
-
-    def __init__(self, kind, eval_fn):
-        self.kind = kind
-        self._eval = eval_fn
-
-    def __call__(self, points):
-        return self._eval(np.asarray(points, dtype=np.float64))
-
-    @property
-    def is_tensor(self):
-        return self.kind == "tensor"
-
-    @classmethod
-    def constant(cls, value=1.0):
-        return cls("constant", lambda p: np.full(len(p), float(value)))
-
-    @classmethod
-    def tensor(cls, d):
-        d = np.asarray(d, dtype=np.float64)
-        if d.shape != (2, 2):
-            raise ConfigError("tensor coefficient must be 2x2")
-        return cls("tensor", lambda p: d)
+__all__ = ["make_contrast_field"]
 
 
 # noise lattice spacing; the lattice covers the structured meshes' DOMAIN
@@ -42,7 +17,8 @@ SMOOTHING_RADIUS = 0.1
 
 
 def make_contrast_field(rho, seed):
-    """Two-valued field: rho where a smoothed noise field exceeds 1/2, else 1/rho.
+    """Two-valued field, a function of (m, 2) points returning m values: rho
+    where a smoothed noise field exceeds 1/2, else 1/rho.
 
     Noise is white on a coarse lattice of spacing SMOOTHING_RADIUS over
     meshing.DOMAIN, box-blurred once with a 3x3 stencil, then interpolated
@@ -52,7 +28,7 @@ def make_contrast_field(rho, seed):
     if rho < 1:
         raise ConfigError("contrast rho must be >= 1")
     if rho == 1:
-        return CoefficientField.constant(1.0)
+        return lambda points: np.full(len(points), 1.0)
 
     x0, x1, y0, y1 = DOMAIN
     nx = max(4, int(np.ceil((x1 - x0) / SMOOTHING_RADIUS)) + 1)
@@ -70,7 +46,7 @@ def make_contrast_field(rho, seed):
 
     lo, hi = 1.0 / rho, float(rho)
 
-    def eval_fn(points):
+    def field(points):
         gx = np.clip((points[:, 0] - x0) / (x1 - x0) * (nx - 1), 0, nx - 1)
         gy = np.clip((points[:, 1] - y0) / (y1 - y0) * (ny - 1), 0, ny - 1)
         ix = np.minimum(gx.astype(np.int64), nx - 2)
@@ -84,4 +60,4 @@ def make_contrast_field(rho, seed):
         )
         return np.where(v > 0.5, hi, lo)
 
-    return CoefficientField("contrast", eval_fn)
+    return field

@@ -7,11 +7,13 @@ is dirichlet (the dirichlet part of the boundary is closed).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import Delaunay, cKDTree
 
+from .core import check_int
 from .errors import ConfigError, GeometryError
 
 INTERIOR, DIRICHLET, NEUMANN = 0, 1, 2
@@ -90,9 +92,10 @@ def _boundary_edges_of(triangles):
 
 def make_structured_mesh(nx, ny):
     """Tensor grid on DOMAIN = [x0,x1]x[y0,y1]: nx*ny vertices, two CCW
-    triangles per cell; all boundary edges marked dirichlet."""
-    if nx < 2 or ny < 2:
-        raise ConfigError("structured mesh needs nx, ny >= 2")
+    triangles per cell; all boundary edges marked dirichlet. nx and ny are
+    ints of at least 2."""
+    check_int("nx", nx, 2)
+    check_int("ny", ny, 2)
     x0, x1, y0, y1 = DOMAIN
     xs = np.linspace(x0, x1, nx)
     ys = np.linspace(y0, y1, ny)
@@ -188,11 +191,12 @@ def make_polygon_mesh(polygon, target_h):
 
     Boundary is sampled at target_h; interior points sit on a staggered
     lattice kept clear of the boundary; triangles with centroids outside the
-    polygon are dropped. All boundary edges are marked dirichlet.
+    polygon are dropped. All boundary edges are marked dirichlet. target_h
+    is a finite real number above 0.
     """
     poly = np.asarray(polygon, dtype=np.float64)
-    if target_h <= 0:
-        raise ConfigError("target_h must be positive")
+    if not (isinstance(target_h, numbers.Real) and 0 < target_h < np.inf):
+        raise ConfigError(f"target_h must be positive and finite: {target_h!r}")
     _validate_polygon(poly)
 
     # boundary samples, in order around the polygon

@@ -145,8 +145,9 @@ def solve(factorization, a_original, b, refine=0):
     refine, a nonnegative int, adds iterative-refinement steps
     (x += solve(b - A x)) to every column at once; each column keeps a step
     only if it lowers that column's residual, and its first step that does
-    not is rolled back and ends the column's refinement. A non-finite
-    right-hand side raises NonFiniteError, and so does a solution or
+    not is rolled back and ends the column's refinement. A right-hand side
+    that does not hold booleans, integers, reals or complex numbers raises
+    ConfigError, a non-finite one NonFiniteError, and so does a solution or
     residual that is not finite, naming its columns.
     """
     if not isinstance(factorization, SpaluFactorization):
@@ -155,6 +156,8 @@ def solve(factorization, a_original, b, refine=0):
     n = factorization.n
     csr = _as_csr(a_original, n)
     b_arr = np.asarray(b)
+    if b_arr.dtype.kind not in "biufc":
+        raise ConfigError(f"rhs must hold numbers, got dtype {b_arr.dtype}")
     if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
         raise DimensionError(
             f"rhs has shape {b_arr.shape}, expected ({n},) or ({n}, k)")

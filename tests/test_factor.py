@@ -100,6 +100,52 @@ def test_exact_path_solves_matrix_market_input(build, tmp_path):
     assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
 
 
+def _one_way_couplings(p, tree):
+    """p's matrix without the separator -> leaf entries of its first
+    nonempty leaf and the leaf -> separator entries of its second, and
+    those two leaves' spans."""
+    spans = [leaf.span for leaf in tree.leaves if leaf.span[1] > leaf.span[0]]
+    (s1, e1), (s2, e2) = spans[:2]
+    in_leaf = np.zeros(p.n, dtype=bool)
+    for s, e in spans:
+        in_leaf[s:e] = True
+    coo = p.matrix.csr.tocoo()
+    r, c = tree.position[coo.row], tree.position[coo.col]
+    drop = (((c >= s1) & (c < e1) & ~in_leaf[r])
+            | ((r >= s2) & (r < e2) & ~in_leaf[c]))
+    keep = ~drop
+    a = sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                      shape=coo.shape)
+    return a, [(s1, e1), (s2, e2)]
+
+
+@pytest.mark.parametrize("family", [FAMILIES[3], FAMILIES[0]])
+def test_leaf_fronts_follow_couplings_in_either_direction(family):
+    # one leaf couples to its separators through its rows only, another
+    # through its columns only; each front must still hold every outside
+    # position the leaf's stored entries touch
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    a, spans = _one_way_couplings(p, tree)
+    # the dissection reads the symmetrized pattern, which is unchanged
+    assert np.array_equal(dissection.build_dissection(a, p.coords).order,
+                          tree.order)
+    fac = factor.factorize(a, tree, 1e-4, _exact(p.n))
+    nested = a[tree.order][:, tree.order]
+    for (s, e), through_rows in zip(spans, (True, False)):
+        out_of_rows = np.setdiff1d(nested[s:e].indices, np.arange(s, e))
+        out_of_cols = np.setdiff1d(nested[:, s:e].tocoo().row,
+                                   np.arange(s, e))
+        assert (out_of_rows.size > 0, out_of_cols.size > 0) == \
+            (through_rows, not through_rows)
+        leaf, = [f for f in fac.factors
+                 if f.tag == "interior" and f.idx[0] == s]
+        assert np.array_equal(leaf.idx, np.arange(s, e))
+        assert np.array_equal(leaf.nbr, np.union1d(out_of_rows, out_of_cols))
+    b = _columns(p)
+    assert _worst_residual(fac, a, b) <= 1e-12
+
+
 def _diagonal_in_two_halves(a):
     """a as a CSR that stores each diagonal entry twice, as two halves whose
     sum is the entry, with column indices sorted within each row."""
@@ -980,6 +1026,14 @@ INPUT_CHECKS = {
     "solve-not-a-factorization": (
         ConfigError, "needs a SpaluFactorization",
         lambda _: solver.solve(None, SQUARE, np.ones(3))),
+    "solve-text-rhs": (
+        ConfigError, "rhs must hold numbers, got dtype <U1",
+        lambda _: solver.solve(_factorization(3), SQUARE,
+                               np.array(["1", "2", "3"]))),
+    "solve-object-rhs": (
+        ConfigError, "rhs must hold numbers, got dtype object",
+        lambda _: solver.solve(_factorization(3), SQUARE,
+                               np.array([1.0, 2.0, 3.0], dtype=object))),
     "residual-dimensions": (
         DimensionError, "dimensions do not match",
         lambda _: solver.residual_with_flag(SQUARE, np.ones(4), np.ones(3))),

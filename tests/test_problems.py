@@ -21,7 +21,7 @@ from ndlu.assembly import (
 )
 from ndlu.errors import ConfigError, DimensionError, GeometryError
 from ndlu.factor import is_symmetric
-from ndlu.fields import CoefficientField, make_contrast_field
+from ndlu.fields import make_contrast_field
 from ndlu.meshing import (
     DIRICHLET,
     NEUMANN,
@@ -204,14 +204,14 @@ class TestAssembly:
         verts, tris, K, M = hand_p1_matrices()
         be = _boundary_edges_of(tris)
         mesh = Mesh2D(verts, tris, be, np.full(len(be), DIRICHLET, np.uint8))
-        stiff, area = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        stiff, area = _p1_stiffness(mesh, 1.0)
         mass = _p1_mass(mesh, area)
         assert np.allclose(stiff.toarray(), K, atol=1e-14)
         assert np.allclose(mass.toarray(), M, atol=1e-14)
 
     def test_full_stiffness_rows_sum_to_zero(self):
         mesh = make_structured_mesh(6, 5)
-        stiff, _ = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        stiff, _ = _p1_stiffness(mesh, 1.0)
         assert np.allclose(stiff @ np.ones(mesh.num_vertices), 0.0, atol=1e-12)
 
     def test_contrast_symmetric_and_connected(self):
@@ -225,7 +225,7 @@ class TestAssembly:
 
     def test_helmholtz_is_stiffness_minus_k2_mass(self):
         mesh = make_structured_mesh(8, 6)
-        stiff, area = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        stiff, area = _p1_stiffness(mesh, 1.0)
         mass = _p1_mass(mesh, area)
         prob = assemble_fem(mesh, "helmholtz:k=1.4142135623730951")
         free = prob.free
@@ -318,7 +318,7 @@ class TestLoadVectors:
     @pytest.mark.parametrize("polygon", [False, True])
     def test_load_vector_is_bitwise_the_loop(self, f, polygon):
         mesh = make_polygon_mesh(L_SHAPED, 0.13) if polygon else make_structured_mesh(23, 11)
-        _, area = _p1_stiffness(mesh, CoefficientField.constant(1.0))
+        _, area = _p1_stiffness(mesh, 1.0)
         got = _load_vector(mesh, f, area)
         assert got.dtype == np.float64
         assert np.array_equal(got, load_vector_by_loop(mesh, f, area))
@@ -422,14 +422,33 @@ def _clockwise_triangle():
     return assemble_fem(mesh, "helmholtz:k=1")
 
 
+def _neumann_top():
+    mesh = make_structured_mesh(5, 4)
+    return apply_neumann_region(mesh, lambda m: m[:, 1] > 1 - 1e-12)
+
+
 # (call, error, message) of input checks on the way to a problem
 SETUP_CHECKS = {
     "structured-1x5": (lambda: make_structured_mesh(1, 5), ConfigError,
-                       "nx, ny >= 2"),
+                       "nx must be an int >= 2"),
+    "fractional-nx": (lambda: make_structured_mesh(2.5, 3), ConfigError,
+                      "nx must be an int >= 2"),
+    "nx-as-text": (lambda: make_structured_mesh("3", 3), ConfigError,
+                   "nx must be an int >= 2"),
+    "nx-none": (lambda: make_structured_mesh(None, 3), ConfigError,
+                "nx must be an int >= 2"),
+    "ny-one": (lambda: make_structured_mesh(3, 1), ConfigError,
+               "ny must be an int >= 2"),
     "two-vertex-polygon": (lambda: make_polygon_mesh([(0, 0), (1, 0)], 0.2),
                            GeometryError, "at least 3 vertices"),
     "zero-spacing": (lambda: make_polygon_mesh(L_SHAPED, 0), ConfigError,
                      "target_h must be positive"),
+    "spacing-as-text": (lambda: make_polygon_mesh(L_SHAPED, "a"), ConfigError,
+                        "target_h must be positive"),
+    "spacing-none": (lambda: make_polygon_mesh(L_SHAPED, None), ConfigError,
+                     "target_h must be positive"),
+    "spacing-nan": (lambda: make_polygon_mesh(L_SHAPED, float("nan")),
+                    ConfigError, "target_h must be positive"),
     # vertex 3 lies on edge 0, which is not adjacent to edge 2 ending there
     "vertex-on-an-edge": (
         lambda: make_polygon_mesh([(0, 0), (4, 0), (4, 4), (2, 0)], 0.5),
@@ -438,8 +457,17 @@ SETUP_CHECKS = {
                            ConfigError, "bad descriptor item 'k'"),
     "clockwise-triangle": (_clockwise_triangle, DimensionError,
                            "CCW with positive area"),
-    "3x3-tensor": (lambda: CoefficientField.tensor(np.eye(3)), ConfigError,
-                   "must be 2x2"),
+    "descriptor-not-a-str": (lambda: parse_descriptor(5), ConfigError,
+                             "descriptor must be a str"),
+    "build-without-descriptor": (lambda: build_problem(None, 100), ConfigError,
+                                 "descriptor must be a str"),
+    # the 5 x 4 mesh has 4 top edges; only laplace-aniso has flux data
+    "neumann-on-contrast": (
+        lambda: assemble_fem(_neumann_top(), "laplace-contrast"), ConfigError,
+        "laplace-contrast has no flux data for the mesh's 4 Neumann edges"),
+    "neumann-on-helmholtz": (
+        lambda: assemble_fem(_neumann_top(), "helmholtz"), ConfigError,
+        "helmholtz has no flux data for the mesh's 4 Neumann edges"),
     "negative-size": (lambda: build_problem("helmholtz:k=5", -5), ConfigError,
                       "target_n must be an int >= 1"),
     "size-as-text": (lambda: build_problem("helmholtz:k=5", "9"), ConfigError,
