@@ -151,15 +151,13 @@ def _load_vector(mesh, f, area):
 
 
 def _neumann_load(mesh, h):
-    """b_i += integral over neumann edges of h phi_i (exact for linear h)."""
+    """b_i += integral over neumann edges of h phi_i (exact for linear h),
+    for a flux h given as a function of (m, 2) points."""
     ends = mesh.boundary_edges[mesh.edge_marker == NEUMANN]
     p = mesh.vertices[ends]                       # (e, 2, 2)
     d = p[:, 1] - p[:, 0]
     length = np.hypot(d[:, 0], d[:, 1])
-    if callable(h):
-        hi, hj = h(p.reshape(-1, 2)).reshape(-1, 2).T
-    else:
-        hi = hj = np.full(len(ends), float(h))
+    hi, hj = h(p.reshape(-1, 2)).reshape(-1, 2).T
     terms = np.column_stack([length * (2 * hi + hj) / 6.0, length * (hi + 2 * hj) / 6.0])
     return np.bincount(ends.ravel(), weights=terms.ravel(), minlength=mesh.num_vertices)
 
@@ -275,7 +273,7 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
         coords = np.loadtxt(path, comments=comments, ndmin=2)
         path = path_rhs
         rhs = None if path is None else np.loadtxt(path, comments=comments, ndmin=2)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     csr = csr.astype(np.promote_types(csr.dtype, np.float64), copy=False)
     n = csr.shape[0]

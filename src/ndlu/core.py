@@ -55,9 +55,15 @@ def as_csr(a):
     """The scipy CSR matrix of a: .csr of a SparseMatrix, otherwise a
     conversion of a (sparse or dense) to CSR. A CSR that is not canonical
     (duplicate or unsorted entries) is copied and summed: callers see each
-    entry once, and the caller's arrays are left as they were."""
+    entry once, and the caller's arrays are left as they were. Input that
+    does not hold booleans, integers, reals or complex numbers raises
+    ConfigError."""
     if isinstance(a, SparseMatrix):
         return a.csr
+    if not sp.issparse(a):
+        a = np.asarray(a)
+        if a.dtype.kind not in "biufc":
+            raise ConfigError(f"matrix must hold numbers, got dtype {a.dtype}")
     csr = sp.csr_matrix(a)
     if not csr.has_canonical_format:
         csr = csr.copy()
@@ -86,8 +92,7 @@ def lu_compact(block, level=None, segment=None):
         raise DimensionError("dense LU needs a square block")
     if block.size == 0:
         return block.copy(), np.empty(0, np.int64)
-    getrf, = get_lapack_funcs(("getrf",), (block,))
-    lu, piv, info = getrf(block, overwrite_a=False)
+    lu, piv, info = _lapack("getrf", block)(block, overwrite_a=False)
     if info > 0:
         raise SingularBlockError(
             f"zero pivot at position {info - 1} in {block.shape[0]}x{block.shape[0]} block",

@@ -27,7 +27,8 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
 from .core import as_csr, check_int
-from .errors import DegenerateSeparatorError, DimensionError, NonFiniteError
+from .errors import (ConfigError, DegenerateSeparatorError, DimensionError,
+                     NonFiniteError)
 
 REGULAR = "regular"
 JUNCTION = "junction"
@@ -46,7 +47,10 @@ class Graph:
     def __init__(self, indptr, indices, coords):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        self.coords = np.asarray(coords, dtype=np.float64)
+        try:
+            self.coords = np.asarray(coords, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"coords must hold numbers: {exc}") from exc
         self.n = len(self.indptr) - 1
         if self.coords.shape != (self.n, 2):
             raise DimensionError(
@@ -360,8 +364,6 @@ def _greedy_edge_cover(src, dst):
 
 def _insert_extras(walk, extra):
     """Insert absorbed vertices just after their anchor walk position."""
-    if not extra:
-        return walk
     out = list(walk)
     for anchor, v in sorted(extra, key=lambda t: (-t[0], t[1])):
         out.insert(anchor + 1, v)

@@ -151,7 +151,8 @@ class _Payload(NamedTuple):
 
 @dataclass
 class _Elimination:
-    """Record of one block elimination of positions idx against nbr.
+    """Record of one block elimination of positions idx against nbr, made
+    by _eliminate only.
 
     payload_nnz counts the entries the compiled stage stores for it, and
     payload holds them from the kernel until the stage is compiled; then
@@ -406,11 +407,12 @@ class SchurState:
     array of coupled unit pairs (row serial * num_serials + column serial),
     in both orientations; block k is row-major in `values` from
     `offsets[k]`, sized by its units' slot counts (`width`) at the last
-    pack. Position p sits in unit `pos_unit[p]` at slot `local_pos[p]`, both
-    -1 once p is eliminated. The layout does not depend on `symmetric`,
-    which only records the mode for the kernels that use the store: in
-    symmetric mode the two orientations of a pair agree to roundoff, each
-    holding the values its own updates computed.
+    pack. Position p sits in unit `pos_unit[p]` at slot `local_pos[p]`, as
+    numbered by the last pack; both are -1 once p is eliminated. The layout
+    does not depend on `symmetric`, which only records the mode for the
+    kernels that use the store: in symmetric mode the two orientations of a
+    pair agree to roundoff, each holding the values its own updates
+    computed.
 
     Outside pack, add_to_block is the only value write; it never creates a
     block. The structure changes only in pack, which runs once per stage
@@ -457,7 +459,6 @@ class SchurState:
         self.units[uid] = unit
         self._active[unit.serial] = True
         self.pos_unit[unit.pos] = unit.serial
-        self.local_pos[unit.pos] = np.arange(unit.pos.size)
         return unit
 
     def _retire(self, unit):
@@ -616,8 +617,6 @@ class SchurState:
         """Copy the live entries of the old buffer's blocks into the new
         layout, entry by entry through the old slot table, whose units start
         where the old widths put them."""
-        if blocks.size == 0:
-            return
         r = len(self.unit_ids)
         a, b = np.divmod(self.keys[blocks], r)
         nb = new_b[blocks]
@@ -740,9 +739,10 @@ def _block_inverse(d, k, level, segment):
     return dinv
 
 
-def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
+def _symmetric_elimination(self_block, a_nu, level, segment):
     """LDL-based elimination of a real symmetric self block (is_symmetric
-    never holds for a complex matrix); (factor, Schur complement)."""
+    never holds for a complex matrix) coupled in from the front by a_nu;
+    returns (payload, Schur complement)."""
     k = self_block.shape[0]
     try:
         lu, d, perm = sla.ldl(self_block, check_finite=False)
@@ -758,21 +758,16 @@ def _symmetric_elimination(idx, nbr, self_block, a_nu, level, segment, tag):
     linv = triangular_inverse(lower, lower=True, unit_diag=True)
     _check_finite(k, level, segment, coupling, schur, linv)
     nonzero = dinv != 0
-    payload = _Payload(
+    return _Payload(
         perm=perm.astype(np.int64), lower=linv[_triangles(k)[0]],
         diag=dinv[nonzero], pull=coupling.T,
         diag_counts=np.count_nonzero(nonzero, axis=1),
-        diag_cols=np.nonzero(nonzero)[1])
-    factor = SymEliminationFactor(
-        idx=idx, nbr=nbr, level=level, tag=tag,
-        payload_nnz=payload.lower.size + payload.diag.size + coupling.size,
-        payload=payload)
-    return factor, schur
+        diag_cols=np.nonzero(nonzero)[1]), schur
 
 
-def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
-                             segment, tag):
-    """Pivoted-LU elimination of a general self block; (factor, Schur
+def _unsymmetric_elimination(self_block, a_nu, a_un, level, segment):
+    """Pivoted-LU elimination of a general self block coupled in from the
+    front by a_nu and out to it by a_un; returns (payload, Schur
     complement). lu_compact raises on an exactly zero pivot."""
     k = self_block.shape[0]
     lu, perm = lu_compact(self_block, level=level, segment=segment)
@@ -785,27 +780,30 @@ def _unsymmetric_elimination(idx, nbr, self_block, a_nu, a_un, level,
         triangular_inverse(lu, lower=True, unit_diag=True), lower=False)
     _check_finite(k, level, segment, lu, c_left, c_right, schur, inverse)
     strict, upper = _triangles(k)
-    factor = EliminationFactor(
-        idx=idx, nbr=nbr, level=level, tag=tag,
-        payload_nnz=lu.size + c_left.size + c_right.size,
-        payload=_Payload(perm=perm, lower=inverse[strict],
-                         diag=inverse[upper],
-                         pull=np.ascontiguousarray(c_right),
-                         push=np.ascontiguousarray(c_left.T)))
-    return factor, schur
+    return _Payload(perm=perm, lower=inverse[strict], diag=inverse[upper],
+                    pull=np.ascontiguousarray(c_right),
+                    push=np.ascontiguousarray(c_left.T)), schur
 
 
 def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag):
     """Eliminate positions idx against nbr: LDL^T on a symmetric store (a_un
-    = A[idx, nbr] unused), pivoted LU otherwise. Returns the factor and its
+    = A[idx, nbr] unused), pivoted LU otherwise. The one place that builds
+    an elimination record: the kernels return only the payload, whose
+    entries it counts (k^2 + 2 k m for LU). Returns the record and its
     update (nbr, -Schur complement), which the caller adds onto nbr x nbr."""
     if state.symmetric:
-        factor, schur = _symmetric_elimination(idx, nbr, self_block, a_nu,
-                                               level, segment, tag)
+        record = SymEliminationFactor
+        payload, schur = _symmetric_elimination(self_block, a_nu, level,
+                                                segment)
     else:
-        factor, schur = _unsymmetric_elimination(idx, nbr, self_block, a_nu,
-                                                 a_un, level, segment, tag)
-    return factor, (nbr, -schur)
+        record = EliminationFactor
+        payload, schur = _unsymmetric_elimination(self_block, a_nu, a_un,
+                                                  level, segment)
+    nnz = sum(part.size for part in (payload.lower, payload.diag,
+                                     payload.pull, payload.push)
+              if part is not None)
+    return record(idx=idx, nbr=nbr, level=level, tag=tag, payload_nnz=nnz,
+                  payload=payload), (nbr, -schur)
 
 
 # ---------------------------------------------------------------------------
@@ -838,7 +836,7 @@ def eliminate_interiors(a, tree):
         pos = np.sort(tree.position[seg.vertices])
         state.add_unit(seg.id, pos, seg.kind)
 
-    leaves = [leaf for leaf in tree.leaves if leaf.span[1] > leaf.span[0]]
+    leaves = tree.leaves
     leaf_of = np.full(n, -1, dtype=np.int64)
     for i, leaf in enumerate(leaves):
         leaf_of[leaf.span[0]:leaf.span[1]] = i
@@ -925,12 +923,11 @@ def sparsify_segment(state, unit, eps, level):
     near_radius of the unit verbatim and the others mixed into unit.size +
     lowrank.OVERSAMPLE Gaussian rows, or the whole block when too few rows
     are far. A unit with no neighbors has no coupling to compress: it emits
-    no factor and keeps every position, to be eliminated whole.
+    no factor and keeps every position, to be eliminated whole. An empty
+    unit is one of these, since no pack gives it a block.
     """
     if unit.kind == JUNCTION:
         raise ConfigError("junction segments are merged, never sparsified")
-    if unit.size == 0:
-        return [], unit.pos.copy()
 
     uid = unit.uid
     pos = unit.pos

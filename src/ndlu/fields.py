@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .core import check_int
 from .errors import ConfigError
 from .meshing import DOMAIN
 
@@ -22,13 +23,13 @@ def make_contrast_field(rho, seed):
 
     Noise is white on a coarse lattice of spacing SMOOTHING_RADIUS over
     meshing.DOMAIN, box-blurred once with a 3x3 stencil, then interpolated
-    bilinearly; threshold at 0.5. rho = 1 yields the constant-1 field.
-    Deterministic per seed.
+    bilinearly; threshold at 0.5. rho = 1 yields the constant-1 field, as
+    both values are then 1. Deterministic per seed. rho must be a number of
+    at least 1 and seed an int of at least 0, or ConfigError is raised.
     """
-    if rho < 1:
-        raise ConfigError("contrast rho must be >= 1")
-    if rho == 1:
-        return lambda points: np.full(len(points), 1.0)
+    if not rho >= 1:  # a NaN rho fails this too
+        raise ConfigError(f"contrast rho must be >= 1, got {rho!r}")
+    check_int("seed", seed, 0)
 
     x0, x1, y0, y1 = DOMAIN
     nx = max(4, int(np.ceil((x1 - x0) / SMOOTHING_RADIUS)) + 1)

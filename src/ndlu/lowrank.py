@@ -65,8 +65,6 @@ class SamplingPlan:
 
 
 def _check_interp_norm(interp, n, k):
-    if interp.size == 0 or k == 0:
-        return
     tf = float(np.linalg.norm(interp))
     soft = math.sqrt(float(n) * k * (n - k))
     if tf > 10.0 * soft:
@@ -87,7 +85,7 @@ def _sorted_id(n, piv, k, rank_t):
     redundant_piv = piv[k:]
     row_order = np.argsort(skeleton_piv)
     col_order = np.argsort(redundant_piv)
-    interp = rank_t[row_order][:, col_order] if rank_t.size else rank_t
+    interp = rank_t[row_order][:, col_order]
     ident = InterpolativeDecomposition(
         skeleton=np.sort(skeleton_piv).astype(np.int64),
         redundant=np.sort(redundant_piv).astype(np.int64),
@@ -101,7 +99,8 @@ def cpqr_id(block, eps):
     """Interpolative decomposition by column-pivoted Householder QR.
 
     Columns are kept while |R[k,k]| > eps * |R[0,0]|; the interpolation
-    matrix solves R1 @ interp = R2 by back substitution. Column pivoting
+    matrix solves R1 @ interp = R2 by back substitution, which gives an empty
+    (0, n) or (n, 0) one at rank 0 (eps >= 1) or n. Column pivoting
     alone keeps the coefficients small on the blocks the factorization
     compresses (at most 2 in magnitude, the strong rank-revealing bound, as
     a test checks on every problem family); _check_interp_norm guards the
@@ -118,11 +117,6 @@ def cpqr_id(block, eps):
     cutoff = eps * diag[0]
     below = np.flatnonzero(diag <= cutoff)
     k = int(below[0]) if len(below) else len(diag)
-    if k == 0:
-        return _sorted_id(n, np.arange(n), 0, np.zeros((0, n), dtype=dtype))
-    if k == n:
-        return _sorted_id(n, piv, n, np.zeros((n, 0), dtype=dtype))
-
     rank_t = triangular_solve(r[:k, :k], r[:k, k:], lower=False)
     return _sorted_id(n, piv, k, rank_t)
 
@@ -134,13 +128,12 @@ def plan_dense(num_rows):
 
 
 def build_hybrid_plan(row_points, segment_points, radius, rank_guess, seed):
-    """Split rows into near (within `radius` of any segment point, kept
-    verbatim) and far (sketched down to rank_guess + OVERSAMPLE Gaussian
-    rows). Degrades to no sampling when the far set is too small to shrink."""
+    """Split the (m, 2) row points into near (within `radius` of any
+    segment point, kept verbatim) and far (sketched down to rank_guess +
+    OVERSAMPLE Gaussian rows). Degrades to no sampling when the far set is
+    too small to shrink, and so to a plan of no rows when m = 0."""
     row_points = np.asarray(row_points, dtype=np.float64)
     m = len(row_points)
-    if m == 0:
-        return plan_dense(0)
     tree = cKDTree(np.asarray(segment_points, dtype=np.float64))
     dist, _ = tree.query(row_points)
     near = np.flatnonzero(dist <= radius).astype(np.int64)

@@ -53,12 +53,11 @@ class Mesh2D:
 
 def derive_vertex_markers(n, boundary_edges, edge_marker):
     marker = np.zeros(n, dtype=np.uint8)
-    if len(boundary_edges):
-        neu = boundary_edges[edge_marker == NEUMANN]
-        marker[neu.ravel()] = NEUMANN
-        # dirichlet closure wins at shared vertices
-        dir_ = boundary_edges[edge_marker == DIRICHLET]
-        marker[dir_.ravel()] = DIRICHLET
+    neu = boundary_edges[edge_marker == NEUMANN]
+    marker[neu.ravel()] = NEUMANN
+    # dirichlet closure wins at shared vertices
+    dir_ = boundary_edges[edge_marker == DIRICHLET]
+    marker[dir_.ravel()] = DIRICHLET
     return marker
 
 

@@ -351,9 +351,10 @@ def _elimination(idx, nbr, seed=0):
     rng = np.random.default_rng(seed)
     k, m = len(idx), len(nbr)
     self_block = rng.standard_normal((k, k)) + 4 * np.eye(k)
-    f, _ = factor._unsymmetric_elimination(
-        np.array(idx), np.array(nbr), self_block, rng.standard_normal((m, k)),
-        rng.standard_normal((k, m)), 2, (2, 0, 2, seed), "segment")
+    f, _ = factor._eliminate(
+        SimpleNamespace(symmetric=False), np.array(idx), np.array(nbr),
+        self_block, rng.standard_normal((m, k)), rng.standard_normal((k, m)),
+        2, (2, 0, 2, seed), "segment")
     return f
 
 
@@ -1047,6 +1048,18 @@ INPUT_CHECKS = {
     "dissection-non-square": (
         DimensionError, "needs a square matrix",
         lambda _: dissection.build_dissection(WIDE, np.zeros((3, 2)))),
+    "dissection-text-matrix": (
+        ConfigError, "matrix must hold numbers, got dtype <U1",
+        lambda _: dissection.build_dissection("x", np.zeros((1, 2)))),
+    "dissection-text-coords": (
+        ConfigError, "coords must hold numbers",
+        lambda _: dissection.build_dissection(SQUARE, "x")),
+    "factorize-text-matrix": (
+        ConfigError, "matrix must hold numbers, got dtype <U1",
+        lambda _: factor.factorize("x", _tree(3), 1e-4)),
+    "solve-text-matrix": (
+        ConfigError, "matrix must hold numbers, got dtype <U1",
+        lambda _: solver.solve(_factorization(3), "x", np.ones(3))),
     "read-non-square": (
         DimensionError, "expected square",
         lambda tmp: _read_written(tmp, WIDE)),

@@ -113,6 +113,8 @@ class TestCpqrId:
         b = np.eye(4)
         ident = cpqr_id(b, 1.0)
         assert len(ident.skeleton) == 0
+        assert ident.redundant.tolist() == [0, 1, 2, 3]
+        assert ident.interp.shape == (0, 4)
 
     def test_complex_input(self):
         rng = np.random.default_rng(5)
@@ -194,6 +196,11 @@ class TestPlans:
         rows = np.full((5, 2), 0.1)
         plan = build_hybrid_plan(rows, seg, radius=2.0, rank_guess=2, seed=0)
         assert plan.h == 0 and plan.near.tolist() == list(range(5))
+
+    def test_no_rows_give_a_plan_of_no_rows(self):
+        plan = build_hybrid_plan(np.empty((0, 2)), np.zeros((3, 2)),
+                                 radius=2.0, rank_guess=4, seed=0)
+        assert plan.num_rows == 0 and plan.h == 0
 
     def test_small_far_set_degrades(self):
         seg = np.zeros((3, 2))

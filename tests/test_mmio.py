@@ -70,6 +70,16 @@ def test_malformed_input_names_the_file(tmp_path, case):
         read_matrix_market(paths["matrix"], paths["coords"], paths["rhs"])
 
 
+@pytest.mark.parametrize("role", ["matrix", "coords", "rhs"])
+def test_missing_file_names_the_file(tmp_path, role):
+    files = {"matrix": IDENTITY, "coords": TWO_POINTS, "rhs": "1\n1\n"}
+    paths = {name: write(tmp_path / name, content)
+             for name, content in files.items()}
+    paths[role] = tmp_path / "missing"
+    with pytest.raises(ParseError, match=re.escape(str(paths[role]))):
+        read_matrix_market(paths["matrix"], paths["coords"], paths["rhs"])
+
+
 @pytest.mark.parametrize("text", [
     "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n2 2 -4\n",
     "%%MatrixMarket matrix coordinate pattern general\n2 2 2\n1 1\n2 2\n",

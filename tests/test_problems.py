@@ -114,9 +114,13 @@ class TestBoundaryEdges:
         assert np.array_equal(got, want)
 
     def test_no_triangles_give_no_edges(self):
-        got = _boundary_edges_of(np.empty((0, 3), dtype=np.int64))
+        tris = np.empty((0, 3), dtype=np.int64)
+        got = _boundary_edges_of(tris)
         assert got.dtype == np.int64
         assert got.shape == (0, 2)
+        # with no boundary edge, no vertex is marked
+        mesh = Mesh2D(np.zeros((3, 2)), tris, got, np.empty(0, np.uint8))
+        assert mesh.vertex_marker.tolist() == [0, 0, 0]
 
 
 class TestPolygonMesh:
@@ -323,7 +327,9 @@ class TestLoadVectors:
         assert got.dtype == np.float64
         assert np.array_equal(got, load_vector_by_loop(mesh, f, area))
 
-    @pytest.mark.parametrize("h", [0.7, lambda p: np.cos(p[:, 0]) + 2.0 * p[:, 1]])
+    @pytest.mark.parametrize("h", [
+        pytest.param(lambda p: np.full(len(p), 0.7), id="0.7"),
+        lambda p: np.cos(p[:, 0]) + 2.0 * p[:, 1]])
     def test_neumann_load_is_bitwise_the_loop(self, h):
         # neumann on the top and the right side: the vertices inside each side
         # and the corner between them are each shared by two neumann edges
@@ -474,6 +480,15 @@ SETUP_CHECKS = {
                      "target_n must be an int >= 1"),
     "fractional-size": (lambda: build_problem("laplace-aniso", 2.5),
                         ConfigError, "target_n must be an int >= 1"),
+    "contrast-negative-seed": (
+        lambda: build_problem("laplace-contrast:rho=100,seed=-1", 50),
+        ConfigError, "seed must be an int >= 0, got -1"),
+    "constant-contrast-negative-seed": (
+        lambda: build_problem("laplace-contrast:rho=1,seed=-1", 50),
+        ConfigError, "seed must be an int >= 0, got -1"),
+    "contrast-nan-rho": (
+        lambda: build_problem("laplace-contrast:rho=nan", 50), ConfigError,
+        "contrast rho must be >= 1, got nan"),
 }
 
 
