@@ -50,8 +50,7 @@ class ProblemInstance:
     free: np.ndarray = None              # mesh vertex index per unknown
 
     def __post_init__(self):
-        n = self.matrix.shape[0]
-        if self.matrix.shape[1] != n or len(self.rhs) != n or len(self.coords) != n:
+        if len(self.rhs) != self.n or len(self.coords) != self.n:
             raise DimensionError("matrix, rhs and coords sizes must agree")
 
     @property
@@ -74,8 +73,8 @@ def parse_descriptor(descriptor):
 
     params holds every key the family reads, parsed, with the family's
     default where the descriptor leaves a key out. An unknown family, a key
-    the family does not read and a value that does not parse raise
-    ConfigError, and so does a descriptor that is not a str.
+    the family does not read, a value that does not parse or is not finite
+    and a descriptor that is not a str raise ConfigError.
     """
     if not isinstance(descriptor, str):
         raise ConfigError(f"descriptor must be a str, got {descriptor!r}")
@@ -100,6 +99,8 @@ def parse_descriptor(descriptor):
         except ValueError:
             raise ConfigError(f"{family}: {k}={v!r} is not a valid {kind.__name__} "
                               f"(in {descriptor!r})") from None
+        if kind is float and not np.isfinite(params[k]):
+            raise ConfigError(f"{family}: {k}={v!r} must be finite (in {descriptor!r})")
     return family, params
 
 
@@ -275,10 +276,8 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
         rhs = None if path is None else np.loadtxt(path, comments=comments, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    csr = csr.astype(np.promote_types(csr.dtype, np.float64), copy=False)
-    n = csr.shape[0]
-    if csr.shape[0] != csr.shape[1]:
-        raise DimensionError(f"matrix is {csr.shape[0]}x{csr.shape[1]}, expected square")
+    matrix = SparseMatrix(csr)
+    n = matrix.shape[0]
     if coords.size == 0:  # np.loadtxt reads an empty file as shape (0, 1)
         coords = coords.reshape(0, 2)
     if coords.shape[1] != 2:
@@ -298,9 +297,9 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
         if len(rhs) != n:
             raise DimensionError(f"rhs length {len(rhs)} does not match n={n}")
     else:
-        rhs = np.ones(n, dtype=csr.dtype)
+        rhs = np.ones(n, dtype=matrix.csr.dtype)
     return ProblemInstance(
-        matrix=SparseMatrix(csr),
+        matrix=matrix,
         rhs=rhs,
         coords=coords,
     )

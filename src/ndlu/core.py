@@ -1,9 +1,10 @@
-"""Core containers, the one CSR coercion and the small dense kernels.
+"""Core containers, the one matrix gate and the small dense kernels.
 
-SparseMatrix holds a validated, canonical CSR copy (finite entries,
-duplicates summed, sorted indices) as .csr; as_csr is the one place the
-package turns any other input into CSR, and it never changes the caller's
-arrays. check_int is the one integer rule for options. The dense kernels
+as_csr is the one gate for matrices: it returns the canonical CSR (finite
+entries, duplicates summed, sorted indices, float64 or complex128) of a
+square matrix or raises, and never changes the caller's arrays; a
+SparseMatrix holds a copy of what it returned. as_numbers is the one rule
+for arrays of numbers, check_int for integer options. The dense kernels
 (pivoted LU, triangular solve and inverse) call LAPACK directly on plain
 float64/complex128 ndarrays.
 """
@@ -22,6 +23,7 @@ from .errors import (ConfigError, DimensionError, NonFiniteError,
 __all__ = [
     "SparseMatrix",
     "as_csr",
+    "as_numbers",
     "check_int",
     "lu_compact",
     "triangular_inverse",
@@ -30,45 +32,55 @@ __all__ = [
 
 
 class SparseMatrix:
-    """CSR matrix with finite entries and strictly increasing column indices.
-
-    Thin wrapper over scipy CSR; the scipy object is reachable as .csr for
-    matvec-style plumbing.
+    """A matrix that has passed as_csr, as its canonical CSR .csr: square,
+    finite, float64 or complex128, duplicates summed and indices sorted.
+    The CSR is a copy, so changing the caller's arrays leaves it as it was.
     """
 
     def __init__(self, csr):
         if not sp.issparse(csr):
             raise DimensionError("expected a scipy sparse matrix")
-        csr = csr.tocsr().copy()
-        csr.sum_duplicates()
-        csr.sort_indices()
-        if csr.data.size and not np.all(np.isfinite(csr.data)):
-            raise NonFiniteError("matrix entries must be finite")
-        self.csr = csr
+        self.csr = as_csr(csr).copy()
 
     @property
     def shape(self):
         return self.csr.shape
 
 
+def as_numbers(name, a):
+    """a as an ndarray; ConfigError unless it is a regular array of
+    booleans, integers, reals or complex numbers."""
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:  # a ragged nested sequence
+        raise ConfigError(f"{name} must hold numbers: {exc}") from exc
+    if a.dtype.kind not in "biufc":
+        raise ConfigError(f"{name} must hold numbers, got dtype {a.dtype}")
+    return a
+
+
 def as_csr(a):
-    """The scipy CSR matrix of a: .csr of a SparseMatrix, otherwise a
-    conversion of a (sparse or dense) to CSR. A CSR that is not canonical
-    (duplicate or unsorted entries) is copied and summed: callers see each
-    entry once, and the caller's arrays are left as they were. Input that
-    does not hold booleans, integers, reals or complex numbers raises
-    ConfigError."""
+    """The canonical CSR of the square matrix a in float64 or complex128;
+    .csr of a SparseMatrix, which passed this gate, comes back unchecked.
+    Dense a must be a 2-D array of numbers (as_numbers). A non-canonical
+    CSR is copied and summed, so the caller's arrays are left as they were.
+    A non-square a raises DimensionError, a NaN or infinity NonFiniteError.
+    """
     if isinstance(a, SparseMatrix):
         return a.csr
     if not sp.issparse(a):
-        a = np.asarray(a)
-        if a.dtype.kind not in "biufc":
-            raise ConfigError(f"matrix must hold numbers, got dtype {a.dtype}")
+        a = as_numbers("matrix", a)
+        if a.ndim != 2:
+            raise DimensionError(f"matrix must be 2-D, got shape {a.shape}")
     csr = sp.csr_matrix(a)
+    if csr.shape[0] != csr.shape[1]:
+        raise DimensionError(f"the solver needs a square matrix, got {csr.shape}")
     if not csr.has_canonical_format:
         csr = csr.copy()
         csr.sum_duplicates()
-    return csr
+    if not np.all(np.isfinite(csr.data)):
+        raise NonFiniteError("matrix entries must be finite")
+    return csr.astype(np.promote_types(csr.dtype, np.float64), copy=False)
 
 
 def check_int(name, value, lowest):

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .core import as_csr, check_int
+from .core import as_csr, as_numbers, check_int
 from .errors import (ConfigError, DegenerateSeparatorError, DimensionError,
                      NonFiniteError)
 
@@ -42,15 +42,16 @@ class Graph:
     """Symmetrized adjacency structure of a sparse matrix plus coordinates.
 
     Self-loops are dropped; an edge (i, j) always appears in both rows.
+    coords hold one finite real (x, y) per vertex; complex ones raise ConfigError.
     """
 
     def __init__(self, indptr, indices, coords):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
-        try:
-            self.coords = np.asarray(coords, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"coords must hold numbers: {exc}") from exc
+        coords = as_numbers("coords", coords)
+        if coords.dtype.kind == "c":
+            raise ConfigError(f"coords must be real, got dtype {coords.dtype}")
+        self.coords = coords.astype(np.float64, copy=False)
         self.n = len(self.indptr) - 1
         if self.coords.shape != (self.n, 2):
             raise DimensionError(
@@ -62,10 +63,7 @@ class Graph:
 
     @classmethod
     def from_matrix(cls, a, coords):
-        csr = as_csr(a)
-        if csr.shape[0] != csr.shape[1]:
-            raise DimensionError(f"adjacency needs a square matrix, got {csr.shape}")
-        pattern = csr.copy()
+        pattern = as_csr(a).copy()
         pattern.data = np.ones_like(pattern.data, dtype=np.int8)
         sym = (pattern + pattern.T).tocsr()
         sym.setdiag(0)

@@ -74,8 +74,7 @@ from . import lowrank
 from .core import (as_csr, check_int, lu_compact, triangular_inverse,
                    triangular_solve)
 from .dissection import JUNCTION, REGULAR, DissectionTree
-from .errors import (ConfigError, DimensionError, NonFiniteError,
-                     SingularBlockError)
+from .errors import ConfigError, DimensionError, SingularBlockError
 
 # Entries moved per step when the Schur store is repacked; bounds the
 # transient index arrays of a pack.
@@ -694,18 +693,6 @@ def _median_edge_length(graph, cap=200_000):
     return float(np.median(np.hypot(d[:, 0], d[:, 1])))
 
 
-def _as_csr(a):
-    csr = as_csr(a)
-    if csr.shape[0] != csr.shape[1]:
-        raise DimensionError("factorization needs a square matrix")
-    if not np.all(np.isfinite(csr.data)):
-        raise NonFiniteError("matrix entries must be finite")
-    dtype = np.promote_types(csr.dtype, np.float64)
-    if csr.dtype != dtype:
-        csr = csr.astype(dtype)
-    return csr
-
-
 def _check_finite(k, level, segment, *payload):
     """SingularBlockError unless every array is finite. The dense kernels
     check each payload once here; the triangular solves do not check."""
@@ -825,11 +812,11 @@ def eliminate_interiors(a, tree):
     step and keep their payload until compile_stage takes it. A singular
     leaf block raises SingularBlockError naming the leaf's position span.
     """
-    csr = _as_csr(a)
+    csr = as_csr(a)
     n = csr.shape[0]
     if len(tree.order) != n:
         raise DimensionError("dissection tree does not match the matrix size")
-    state = SchurState(n, csr.dtype, is_symmetric(csr), tree.segments,
+    state = SchurState(n, csr.dtype, is_symmetric(a), tree.segments,
                        coords=tree.graph.coords[tree.order],
                        near_radius=2.0 * _median_edge_length(tree.graph))
     for seg in [s for s in tree.segments.values() if not s.children]:

@@ -191,9 +191,17 @@ def make_polygon_mesh(polygon, target_h):
     Boundary is sampled at target_h; interior points sit on a staggered
     lattice kept clear of the boundary; triangles with centroids outside the
     polygon are dropped. All boundary edges are marked dirichlet. target_h
-    is a finite real number above 0.
+    is a finite real number above 0. polygon is an (m, 2) array of finite
+    real numbers, or GeometryError is raised.
     """
-    poly = np.asarray(polygon, dtype=np.float64)
+    try:
+        poly = np.asarray(polygon)
+    except ValueError as exc:  # a ragged nested sequence
+        raise GeometryError(f"polygon must be an (m, 2) array: {exc}") from exc
+    if poly.dtype.kind not in "biuf" or poly.shape[1:] != (2,) or not np.isfinite(poly).all():
+        raise GeometryError("polygon must be an (m, 2) array of finite real "
+                            f"numbers, got shape {poly.shape}, dtype {poly.dtype}")
+    poly = poly.astype(np.float64)
     if not (isinstance(target_h, numbers.Real) and 0 < target_h < np.inf):
         raise ConfigError(f"target_h must be positive and finite: {target_h!r}")
     _validate_polygon(poly)

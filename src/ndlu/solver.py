@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_csr, check_int
+from .core import as_csr, as_numbers, check_int
 # The solve makes no triangular solve; the name stays in this namespace
 # because perfbench's smoke test checks that tracing restores it here.
 from .core import triangular_solve  # noqa: F401
@@ -101,19 +101,12 @@ def apply_factors(factorization, vec):
 # ---------------------------------------------------------------------------
 
 
-def _as_csr(a, n):
-    csr = as_csr(a)
-    if csr.shape != (n, n):
-        raise DimensionError(
-            f"matrix is {csr.shape}, factorization covers {n} unknowns")
-    return csr
-
-
 def residual_with_flag(a, x, b):
     """(residual, zero_rhs) of a vector, or arrays of both over the columns
     of a block: relative unless the column of b is exactly zero, then
-    absolute."""
+    absolute. x and b must hold numbers (core.as_numbers)."""
     csr = as_csr(a)
+    x, b = as_numbers("x", x), as_numbers("b", b)
     if (csr.shape[1] != len(x) or csr.shape[0] != len(b)
             or np.shape(x)[1:] != np.shape(b)[1:]):
         raise DimensionError("residual: dimensions do not match")
@@ -145,19 +138,21 @@ def solve(factorization, a_original, b, refine=0):
     refine, a nonnegative int, adds iterative-refinement steps
     (x += solve(b - A x)) to every column at once; each column keeps a step
     only if it lowers that column's residual, and its first step that does
-    not is rolled back and ends the column's refinement. A right-hand side
-    that does not hold booleans, integers, reals or complex numbers raises
-    ConfigError, a non-finite one NonFiniteError, and so does a solution or
-    residual that is not finite, naming its columns.
+    not is rolled back and ends the column's refinement. a_original passes
+    core.as_csr, which hands a SparseMatrix back unchecked. A right-hand
+    side that is not a regular array of booleans, integers, reals or complex
+    numbers raises ConfigError, a non-finite one NonFiniteError, and so does
+    a solution or residual that is not finite, naming its columns.
     """
     if not isinstance(factorization, SpaluFactorization):
         raise ConfigError("solve needs a SpaluFactorization")
     check_int("refine", refine, 0)
     n = factorization.n
-    csr = _as_csr(a_original, n)
-    b_arr = np.asarray(b)
-    if b_arr.dtype.kind not in "biufc":
-        raise ConfigError(f"rhs must hold numbers, got dtype {b_arr.dtype}")
+    csr = as_csr(a_original)
+    if csr.shape != (n, n):
+        raise DimensionError(
+            f"matrix is {csr.shape}, factorization covers {n} unknowns")
+    b_arr = as_numbers("rhs", b)
     if b_arr.ndim not in (1, 2) or b_arr.shape[0] != n:
         raise DimensionError(
             f"rhs has shape {b_arr.shape}, expected ({n},) or ({n}, k)")
@@ -167,7 +162,7 @@ def solve(factorization, a_original, b, refine=0):
         b_arr, dtype=np.promote_types(b_arr.dtype, factorization.dtype))
 
     x = _solve_passes(factorization, b_arr)
-    res, zero_rhs = residual_with_flag(csr, x, b_arr)
+    res, zero_rhs = residual_with_flag(a_original, x, b_arr)
     bad = np.flatnonzero(~(np.isfinite(x).all(axis=0) & np.isfinite(res)))
     if bad.size:
         raise NonFiniteError(
@@ -176,7 +171,7 @@ def solve(factorization, a_original, b, refine=0):
     active = np.ones(np.shape(res), dtype=bool)
     for _ in range(refine):
         candidate = x + _solve_passes(factorization, b_arr - csr @ x)
-        cand_res, _ = residual_with_flag(csr, candidate, b_arr)
+        cand_res, _ = residual_with_flag(a_original, candidate, b_arr)
         active &= cand_res < res
         if not active.any():
             break

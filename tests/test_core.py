@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ndlu.core import (SparseMatrix, lu_compact, triangular_inverse,
+from ndlu.core import (SparseMatrix, as_csr, lu_compact, triangular_inverse,
                        triangular_solve)
 from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
@@ -179,6 +179,13 @@ class TestContainers:
             SparseMatrix(sp.csr_matrix([[np.inf, 0.0], [0.0, 1.0]]))
         with pytest.raises(NonFiniteError):
             SparseMatrix(sp.csr_matrix([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_a_sparse_matrix_passes_the_gate_once_and_owns_its_arrays(self):
+        csr = sp.csr_matrix([[2.0, 1.0], [0.0, 3.0]])
+        m = SparseMatrix(csr)
+        assert as_csr(m) is m.csr
+        csr.data[:] = np.nan
+        assert np.array_equal(m.csr.toarray(), [[2.0, 1.0], [0.0, 3.0]])
 
     def test_sparse_sums_duplicates(self):
         a = SparseMatrix(sp.coo_matrix(([1.0, 2.0], ([0, 0], [0, 0])), shape=(2, 2)))

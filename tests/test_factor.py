@@ -974,9 +974,14 @@ def test_factorize_rejects_a_raw_matrix_holding_a_nan():
     p = assembly.build_problem(FAMILIES[0], 400)
     a = p.matrix.csr.copy()
     a.data[a.indptr[3]] = np.nan
-    tree = dissection.build_dissection(a, p.coords)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    with pytest.raises(NonFiniteError):
+        dissection.build_dissection(a, p.coords)
     with pytest.raises(NonFiniteError):
         factor.factorize(a, tree, 1e-4)
+    fac = factor.factorize(p.matrix, tree, 1e-4)
+    with pytest.raises(NonFiniteError):
+        solver.solve(fac, a, p.rhs)
 
 
 def _tree(n):
@@ -1001,6 +1006,10 @@ def _read_written(tmp_path, a, rhs=None):
 
 WIDE = sp.csr_matrix(np.ones((3, 4)))
 SQUARE = sp.identity(3, format="csr")
+RAGGED = [[1.0, 2.0, 3.0], [4.0], [5.0, 6.0, 7.0]]
+RAGGED_WORDS = "matrix must hold numbers: setting an array element"
+CUBE = np.ones((3, 3, 3))
+CUBE_WORDS = r"matrix must be 2-D, got shape \(3, 3, 3\)"
 
 
 @pytest.mark.parametrize("options", [{}, {"min_sparsify_size": 8}, 8],
@@ -1061,11 +1070,47 @@ INPUT_CHECKS = {
         ConfigError, "matrix must hold numbers, got dtype <U1",
         lambda _: solver.solve(_factorization(3), "x", np.ones(3))),
     "read-non-square": (
-        DimensionError, "expected square",
+        DimensionError, r"needs a square matrix, got \(3, 4\)",
         lambda tmp: _read_written(tmp, WIDE)),
     "read-rhs-length": (
         DimensionError, "rhs length 4",
         lambda tmp: _read_written(tmp, SQUARE, np.ones(4))),
+    "solve-ragged-rhs": (
+        ConfigError, "rhs must hold numbers: setting an array element",
+        lambda _: solver.solve(_factorization(3), SQUARE,
+                               [[1.0], [2.0, 3.0], [1.0]])),
+    "residual-text-x": (
+        ConfigError, "x must hold numbers, got dtype <U1",
+        lambda _: solver.residual_with_flag(SQUARE, np.array(list("abc")),
+                                            np.ones(3))),
+    "dissection-complex-coords": (
+        ConfigError, "coords must be real, got dtype complex128",
+        lambda _: dissection.build_dissection(SQUARE, np.zeros((3, 2)) + 1j)),
+    # every entry point that takes a matrix goes through core.as_csr
+    "dissection-ragged-matrix": (
+        ConfigError, RAGGED_WORDS,
+        lambda _: dissection.build_dissection(RAGGED, np.zeros((3, 2)))),
+    "factorize-ragged-matrix": (
+        ConfigError, RAGGED_WORDS,
+        lambda _: factor.factorize(RAGGED, _tree(3), 1e-4)),
+    "solve-ragged-matrix": (
+        ConfigError, RAGGED_WORDS,
+        lambda _: solver.solve(_factorization(3), RAGGED, np.ones(3))),
+    "residual-ragged-matrix": (
+        ConfigError, RAGGED_WORDS,
+        lambda _: solver.residual_with_flag(RAGGED, np.ones(3), np.ones(3))),
+    "dissection-3d-matrix": (
+        DimensionError, CUBE_WORDS,
+        lambda _: dissection.build_dissection(CUBE, np.zeros((3, 2)))),
+    "factorize-3d-matrix": (
+        DimensionError, CUBE_WORDS,
+        lambda _: factor.factorize(CUBE, _tree(3), 1e-4)),
+    "solve-3d-matrix": (
+        DimensionError, CUBE_WORDS,
+        lambda _: solver.solve(_factorization(3), CUBE, np.ones(3))),
+    "residual-3d-matrix": (
+        DimensionError, CUBE_WORDS,
+        lambda _: solver.residual_with_flag(CUBE, np.ones(3), np.ones(3))),
 }
 
 
@@ -1077,7 +1122,7 @@ def test_input_checks_raise_their_ndlu_error(case, tmp_path):
 
 
 def test_integer_matrix_is_cast_and_solves_exactly():
-    # a 24 x 12 grid Laplacian held as int64: factor._as_csr casts it to
+    # a 24 x 12 grid Laplacian held as int64: core.as_csr casts it to
     # float64 before it is factored
     nx, ny = 24, 12
     lap = lambda m: sp.diags([-1, 2, -1], [-1, 0, 1], shape=(m, m),

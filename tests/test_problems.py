@@ -488,7 +488,36 @@ SETUP_CHECKS = {
         ConfigError, "seed must be an int >= 0, got -1"),
     "contrast-nan-rho": (
         lambda: build_problem("laplace-contrast:rho=nan", 50), ConfigError,
+        "laplace-contrast: rho='nan' must be finite"),
+    "contrast-field-nan-rho": (
+        lambda: make_contrast_field(float("nan"), 0), ConfigError,
         "contrast rho must be >= 1, got nan"),
+    "contrast-inf-rho": (
+        lambda: build_problem("laplace-contrast:rho=inf", 50), ConfigError,
+        "laplace-contrast: rho='inf' must be finite"),
+    "helmholtz-nan-k": (
+        lambda: build_problem("helmholtz:k=nan", 50), ConfigError,
+        "helmholtz: k='nan' must be finite"),
+    "helmholtz-inf-k": (
+        lambda: build_problem("helmholtz:k=inf", 50), ConfigError,
+        "helmholtz: k='inf' must be finite"),
+    "aniso-nan-d11": (
+        lambda: build_problem("laplace-aniso:d11=nan", 50), ConfigError,
+        "laplace-aniso: d11='nan' must be finite"),
+    "one-dimensional-polygon": (
+        lambda: make_polygon_mesh([0.0, 1.0, 2.0], 0.2), GeometryError,
+        r"polygon must be an \(m, 2\) array of finite real numbers, "
+        r"got shape \(3,\), dtype float64"),
+    "polygon-as-text": (
+        lambda: make_polygon_mesh("abc", 0.2), GeometryError,
+        r"polygon must be an \(m, 2\) array of finite real numbers, "
+        r"got shape \(\), dtype <U3"),
+    "ragged-polygon": (
+        lambda: make_polygon_mesh([(0, 0), (1, 0), (1,)], 0.2), GeometryError,
+        r"polygon must be an \(m, 2\) array: setting an array element"),
+    "polygon-nan-vertex": (
+        lambda: make_polygon_mesh([(0, 0), (1, 0), (np.nan, 1)], 0.2),
+        GeometryError, r"polygon must be an \(m, 2\) array of finite real"),
 }
 
 
