@@ -50,8 +50,12 @@ class ProblemInstance:
     free: np.ndarray = None              # mesh vertex index per unknown
 
     def __post_init__(self):
-        if len(self.rhs) != self.n or len(self.coords) != self.n:
-            raise DimensionError("matrix, rhs and coords sizes must agree")
+        n = self.n
+        if len(self.coords) != n:
+            raise DimensionError(
+                f"{len(self.coords)} coordinate points for a {n}-row matrix")
+        if len(self.rhs) != n:
+            raise DimensionError(f"rhs length {len(self.rhs)} does not match n={n}")
 
     @property
     def n(self):
@@ -263,7 +267,8 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
     'x y' pair per unknown. The rhs file holds one value per line, or one
     're im' pair per line for a complex rhs; without it the rhs is all ones.
     In the two text files, lines starting with '%' or '#' are comments. A
-    file that cannot be read raises ParseError naming the file.
+    file that cannot be read raises ParseError naming the file, and one of
+    the wrong length DimensionError (ProblemInstance).
     """
     import scipy.io  # on first use: building and solving never load it
 
@@ -283,10 +288,6 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
     if coords.shape[1] != 2:
         raise ParseError(f"{path_coords}: expected 'x y' per line, "
                          f"got {coords.shape[1]} values")
-    if len(coords) != n:
-        raise DimensionError(
-            f"coordinate file holds {len(coords)} points for a {n}-row matrix"
-        )
     if rhs is not None:
         if rhs.shape[1] == 2:
             rhs = rhs.view(np.complex128)
@@ -294,8 +295,6 @@ def read_matrix_market(path_matrix, path_coords, path_rhs=None):
             raise ParseError(f"{path_rhs}: expected one value or 're im' per "
                              f"line, got {rhs.shape[1]} values")
         rhs = rhs[:, 0]
-        if len(rhs) != n:
-            raise DimensionError(f"rhs length {len(rhs)} does not match n={n}")
     else:
         rhs = np.ones(n, dtype=matrix.csr.dtype)
     return ProblemInstance(

@@ -1,12 +1,13 @@
 """Geometric nested dissection with hierarchical separator segments.
 
 Builds a binary dissection tree over the adjacency graph of a sparse matrix
-whose vertices carry 2D coordinates. Each internal node stores a separator
-found by a directional walk from the subset's center; separators are kept in
-walk order so that the pieces created when deeper separators cross them are
-contiguous index ranges. The tree records every such split as an event, which
-the factorization later undoes level by level when it merges segments back
-together.
+whose vertices carry 2D coordinates. A subset of at most LEAF_SIZE vertices
+is a leaf. Each internal node stores a separator found by a directional walk
+from the subset's center; separators are kept in walk order so that the
+pieces created when deeper separators cross them are contiguous index
+ranges. The tree records every such split as an event, the one record of
+splits, which the factorization later undoes level by level when it merges
+segments back together.
 
 The tree is built one depth at a time, so that each level costs work linear
 in the vertices it holds: the walks run node by node on memoryviews of the
@@ -26,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .core import as_csr, as_numbers, check_int
+from .core import as_csr, as_numbers
 from .errors import (ConfigError, DegenerateSeparatorError, DimensionError,
                      NonFiniteError)
 
@@ -35,7 +36,8 @@ JUNCTION = "junction"
 
 # weight of the center-drift term of the walk's step bias
 THETA = 0.1
-DEFAULT_LEAF_SIZE = 64
+# largest subset the walk leaves unsplit
+LEAF_SIZE = 64
 
 
 class Graph:
@@ -82,13 +84,12 @@ class Segment:
     names the separator that owns it. A separator is its root segment, with
     id (level, index, level, 0) and its whole walk order as vertices. Where a
     deeper walk crosses a segment, a SplitEvent names the segment as the
-    parent of the pieces, which the segment lists as its children.
+    parent of the pieces and lists their ids as its children.
     """
 
     id: tuple
     vertices: np.ndarray
     kind: str = REGULAR
-    children: tuple = ()
 
     @property
     def size(self):
@@ -391,8 +392,8 @@ def split_crossed_segments(graph, segments, seg_of, walk, level, counters):
             touched = (parent.vertices[:, None] == nbrs[at == s]).any(axis=1)
             pos = np.flatnonzero(touched)
             children = _split_one(parent, int(pos[0]), int(pos[-1]) + 1, level, counters)
-            parent.children = tuple(c.id for c in children)
-            events.append(SplitEvent(level=level, parent=parent.id, children=parent.children))
+            events.append(SplitEvent(level=level, parent=parent.id,
+                                     children=tuple(c.id for c in children)))
             for c in children:
                 seg_of[c.vertices] = len(segments)
                 segments.append(c)
@@ -418,8 +419,10 @@ class DissectionTree:
 
     order lists the vertex ids in nested order as an int64 array and position
     is its inverse. separators lists each separator as its root segment, in
-    creation order. The segments no split replaced (no children) are the
-    units the deepest elimination stage starts from.
+    creation order. events are the one record of splits: the segments no
+    event names as a parent are the units the deepest elimination stage
+    starts from. edge_length is the median geometric length of the graph's
+    edges, 1.0 when it has none.
     """
 
     def __init__(self, graph):
@@ -433,6 +436,7 @@ class DissectionTree:
         self.events = []
         self.order = None
         self.position = None
+        self.edge_length = 1.0
 
     def validate_separation(self):
         """Check that no edge joins the two sides of any internal node."""
@@ -470,16 +474,15 @@ class _Builder:
     cleanly stage by stage.
     """
 
-    def __init__(self, graph, leaf_size):
+    def __init__(self, graph):
         self.g = graph
-        self.leaf_size = leaf_size
         n = graph.n
-        # Nearest-level depth keeps average leaf sizes centered on leaf_size
+        # Nearest-level depth keeps average leaf sizes centered on LEAF_SIZE
         # and, unlike truncation, does not flip the tree depth between two
-        # meshes whose sizes straddle a power-of-two multiple of leaf_size —
+        # meshes whose sizes straddle a power-of-two multiple of LEAF_SIZE —
         # mesh generators target exactly those sizes, and equal-size runs
         # should get structurally comparable trees.
-        self.levels = max(1, int(math.floor(math.log2(max(2.0, n / leaf_size)) + 0.5)))
+        self.levels = max(1, int(math.floor(math.log2(max(2.0, n / LEAF_SIZE)) + 0.5)))
         self.views = _Views(graph)
         src = np.repeat(np.arange(n, dtype=np.int64), np.diff(graph.indptr))
         upper = src < graph.indices
@@ -507,6 +510,10 @@ class _Builder:
             tree.nodes += [node for node, _ in level]
             level = self._split_level(level)
         tree.segments = {seg.id: seg for seg in self.segments}
+        src, dst = self.edges
+        if len(src):
+            d = g.coords[src] - g.coords[dst]
+            tree.edge_length = float(np.median(np.hypot(d[:, 0], d[:, 1])))
 
         tree.levels = self.levels
         offset = 0
@@ -528,7 +535,7 @@ class _Builder:
         node, child subset) pairs in queue order."""
         g = self.g
         tree = self.tree
-        leaf = [node.depth > self.levels or len(subset) <= self.leaf_size
+        leaf = [node.depth > self.levels or len(subset) <= LEAF_SIZE
                 or len(subset) < 3 for node, subset in level]
         label = np.full(g.n, -1, dtype=np.int64)
         for i, (_, subset) in enumerate(level):
@@ -583,12 +590,9 @@ class _Builder:
         return np.concatenate(parts)
 
 
-def build_dissection(matrix, coords, leaf_size=DEFAULT_LEAF_SIZE):
+def build_dissection(matrix, coords):
     """Build the dissection tree for a sparse matrix with vertex coordinates.
 
-    leaf_size, an int of at least 1, is the subset size below which the
-    walk stops splitting.
+    matrix passes core.as_csr and coords holds one (x, y) per row (Graph).
     """
-    check_int("leaf_size", leaf_size, 1)
-    graph = matrix if isinstance(matrix, Graph) else Graph.from_matrix(matrix, coords)
-    return _Builder(graph, leaf_size).build()
+    return _Builder(Graph.from_matrix(matrix, coords)).build()

@@ -11,9 +11,10 @@ parents so the next, coarser level sees whole segments again. A segment with
 no neighbors left has nothing to compress and is eliminated whole.
 
 Every decomposition sees its coupling block through one hybrid plan
-(lowrank.build_hybrid_plan): neighbor rows near the segment enter verbatim
-and the far ones through a Gaussian sketch seeded from the stage and the
-segment id, so a factorization repeats bit for bit.
+(lowrank.build_hybrid_plan): neighbor rows within twice the tree's median
+edge length (DissectionTree.edge_length) of the segment enter verbatim and
+the far ones through a Gaussian sketch seeded from the stage and the segment
+id, so a factorization repeats bit for bit.
 
 Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
@@ -54,8 +55,9 @@ another factor's idx or any factor's nbr (a sparsification writes both its
 redundant and its skeleton positions, so its skeleton counts as idx here
 too): that is what lets a stage act as one block operation. Those CSR arrays are the only copy
 of the payload; a factor keeps its indices and, for a sparsification, a view
-of its interpolation matrix. The solver module applies the stages: left
-actions forward, D^-1 (LDL^T only), then right actions in reverse.
+of its interpolation matrix. The solver module applies the stages in two
+passes: left actions forward, each LDL^T stage's D^-1 right after its left
+action, then right actions in reverse.
 """
 
 from __future__ import annotations
@@ -677,22 +679,6 @@ def is_symmetric(a):
     return bool(excess.max() <= 0)
 
 
-def _median_edge_length(graph, cap=200_000):
-    """Median geometric length over the graph's edges; above cap edges, over
-    an evenly strided sample of at most cap of them."""
-    src = np.repeat(np.arange(graph.n), np.diff(graph.indptr))
-    dst = graph.indices
-    keep = src < dst
-    src, dst = src[keep], dst[keep]
-    if src.size == 0:
-        return 1.0
-    if src.size > cap:
-        stride = -(-src.size // cap)
-        src, dst = src[::stride], dst[::stride]
-    d = graph.coords[src] - graph.coords[dst]
-    return float(np.median(np.hypot(d[:, 0], d[:, 1])))
-
-
 def _check_finite(k, level, segment, *payload):
     """SingularBlockError unless every array is finite. The dense kernels
     check each payload once here; the triangular solves do not check."""
@@ -808,7 +794,8 @@ def eliminate_interiors(a, tree):
     with them and the blocks of every front; each later run holds one
     leaf's entries. Each leaf is factored from its run and adds its update
     onto its front with one add_to_block call straight away; afterwards the
-    active set is exactly the separator vertices. The factors form one
+    active set is exactly the separator vertices. The units are the
+    segments no split event names as a parent. The factors form one
     step and keep their payload until compile_stage takes it. A singular
     leaf block raises SingularBlockError naming the leaf's position span.
     """
@@ -818,8 +805,9 @@ def eliminate_interiors(a, tree):
         raise DimensionError("dissection tree does not match the matrix size")
     state = SchurState(n, csr.dtype, is_symmetric(a), tree.segments,
                        coords=tree.graph.coords[tree.order],
-                       near_radius=2.0 * _median_edge_length(tree.graph))
-    for seg in [s for s in tree.segments.values() if not s.children]:
+                       near_radius=2.0 * tree.edge_length)
+    split = {event.parent for event in tree.events}
+    for seg in [s for s in tree.segments.values() if s.id not in split]:
         pos = np.sort(tree.position[seg.vertices])
         state.add_unit(seg.id, pos, seg.kind)
 
@@ -1009,7 +997,8 @@ class SpaluFactorization:
     order is the tree's int64 array of vertex ids in nested order.
 
     stages applies left actions in list order and right actions in reverse
-    list order; LDL^T stages also carry a block-diagonal middle action.
+    list order; an LDL^T stage's block-diagonal middle action follows its
+    left action.
     factors lists every stage's factor records in the same order.
     level_stats rows are JSON-ready per-level dicts: the level l, its
     num_segments regular segments, the largest_segment sparsified and the

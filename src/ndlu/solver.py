@@ -1,17 +1,18 @@
 """Applying a factorization: solve Ax = b with residual reporting.
 
 The factorization is a list of compiled stages (factor.Stage), one per step
-of factorize. They apply in three passes: every stage's left action in list
-order, the block-diagonal D^-1 of every LDL^T stage, then every stage's
-right action in reverse list order. A stage's factors never write where
-another of its factors reads or writes (factor.compile_stage refuses a
-stage whose factors overlap), so each action is a handful of numpy and
-scipy calls on the whole stage: a gather, a product with a block-diagonal
-triangular inverse, a coupling product and a scatter. Each pass runs once
-over the whole right-hand side: the actions index rows only, and scipy's
-sparse products on an n x k block sum each entry in the same order as on a
-vector, so the passes give every column of a block bitwise what they give
-that vector alone.
+of factorize. They apply in two passes: every stage's left action in list
+order, each LDL^T stage's block-diagonal D^-1 right after its left action
+(it acts only on the positions the stage eliminates, which no later left
+action reads or writes), then every stage's right action in reverse list
+order. A stage's factors never write where another of its factors reads or
+writes (factor.compile_stage refuses a stage whose factors overlap), so
+each action is a handful of numpy and scipy calls on the whole stage: a
+gather, a product with a block-diagonal triangular inverse, a coupling
+product and a scatter. Each pass runs once over the whole right-hand side:
+the actions index rows only, and scipy's sparse products on an n x k block
+sum each entry in the same order as on a vector, so the passes give every
+column of a block bitwise what they give that vector alone.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ def apply_factor_left(stage, y):
 
 
 def apply_factor_middle(stage, y):
-    """Block-diagonal D^-1 of an LDL^T stage, between the passes."""
+    """Block-diagonal D^-1 of an LDL^T stage, right after its left action."""
     y[stage.idx] = stage.diag @ y[stage.idx]
 
 
@@ -81,14 +82,13 @@ def apply_factor_right(stage, y):
 
 
 def apply_factors(factorization, vec):
-    """All three passes on a nested-order vector or n x k block; returns a
-    new C-ordered array."""
+    """Both passes on a nested-order vector or n x k block; returns a new
+    C-ordered array."""
     y = np.array(vec, dtype=np.promote_types(vec.dtype, factorization.dtype),
                  order="C")
     stages = factorization.stages
     for stage in stages:
         apply_factor_left(stage, y)
-    for stage in stages:
         if stage.symmetric:
             apply_factor_middle(stage, y)
     for stage in reversed(stages):
@@ -120,7 +120,7 @@ def residual_with_flag(a, x, b):
 
 
 def _solve_passes(factorization, b):
-    """The three passes on b, permuted to nested order and back."""
+    """The two passes on b, permuted to nested order and back."""
     order = factorization.order
     x = np.empty_like(b)
     x[order] = apply_factors(factorization, b[order])

@@ -34,6 +34,14 @@ TREES = {
     "laplace-aniso:d12=1,d21=0": "eddec9359c8ecc9639e86681",
 }
 
+# tree= of `python scripts/factor_digest.py` for each benchmark workload at
+# its benchmark size (perfbench/workloads.py). The dissection is a large
+# share of the benchmark's factor_s, and these are the trees it builds.
+WORKLOAD_TREES = {
+    "aniso-unsym": "bb4abd305b34a92f7c5ec17a",
+    "poly-multirhs": "abdf80a14fe0c4aa5515146d",
+}
+
 # problem= of `python scripts/factor_digest.py` for each family at n=4096:
 # the matrix's CSR arrays, the rhs and the coordinates.
 PROBLEMS = {
@@ -58,6 +66,14 @@ def test_trees_are_bitwise_those_of_the_reference(family):
     assert tree.validate_separation()
 
 
+@pytest.mark.parametrize("name", sorted(WORKLOAD_TREES))
+def test_benchmark_trees_are_bitwise_those_of_the_reference(name):
+    w = DIGEST.WORKLOADS[name]
+    problem = assembly.build_problem(w.descriptor, w.target_n)
+    tree = dissection.build_dissection(problem.matrix, problem.coords)
+    assert DIGEST._digest([tree.order, *tree.events]) == WORKLOAD_TREES[name]
+
+
 def test_tree_of_a_random_delaunay_mesh_is_bitwise_the_reference(monkeypatch):
     # The greedy edge cover never runs on the problem families; on a random
     # Delaunay mesh with small leaves it runs on dozens of nodes.
@@ -74,8 +90,9 @@ def test_tree_of_a_random_delaunay_mesh_is_bitwise_the_reference(monkeypatch):
         return cover(src, dst)
 
     monkeypatch.setattr(dissection, "_greedy_edge_cover", counted_cover)
+    monkeypatch.setattr(dissection, "LEAF_SIZE", 16)
     tree = dissection.build_dissection(
-        SparseMatrix((a + a.T + sp.identity(3000)).tocsr()), pts, leaf_size=16)
+        SparseMatrix((a + a.T + sp.identity(3000)).tocsr()), pts)
     assert len(covers) > 10
     assert DIGEST._digest([tree.order, *tree.events]) == "c6cdc2d5bf6683f09df1703b"
     assert tree.validate_separation()

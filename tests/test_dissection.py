@@ -67,6 +67,12 @@ def grid_graph(nx, ny):
     return Graph.from_matrix(*grid_matrix(nx, ny))
 
 
+def dissect(monkeypatch, leaf_size, a, coords):
+    """build_dissection(a, coords) with dissection.LEAF_SIZE = leaf_size."""
+    monkeypatch.setattr(dissection, "LEAF_SIZE", leaf_size)
+    return build_dissection(a, coords)
+
+
 def star_graph(n):
     rows = [0] * (n - 1) + list(range(1, n))
     cols = list(range(1, n)) + [0] * (n - 1)
@@ -173,10 +179,11 @@ class TestSplitBoundarySegments:
         for k, seg in enumerate(segs):
             seg_of[seg.vertices] = k
         events = split_crossed_segments(self.g, segments, seg_of, walk, 2, {})
-        for k, seg in enumerate(segments):
-            if not seg.children:
-                assert np.all(seg_of[seg.vertices] == k)
-        return [seg for seg in segments if not seg.children], events
+        split = {event.parent for event in events}
+        kept = [k for k, seg in enumerate(segments) if seg.id not in split]
+        for k in kept:
+            assert np.all(seg_of[segments[k].vertices] == k)
+        return [segments[k] for k in kept], events
 
     def test_untouched_segment_unchanged(self):
         seg = make_line_segment((1, 0), range(9))
@@ -198,7 +205,6 @@ class TestSplitBoundarySegments:
         event, = events
         assert event.parent == seg.id
         assert sorted(event.children) == sorted(s.id for s in updated)
-        assert seg.children == event.children
 
     def test_endpoint_crossing_no_empty_segments(self):
         seg = make_line_segment((1, 0), range(9))
@@ -218,24 +224,21 @@ class TestSplitBoundarySegments:
 
 
 class TestBuildDissection:
-    def test_small_graph_single_leaf(self):
-        g = grid_graph(3, 3)
-        tree = build_dissection(g, None, leaf_size=16)
+    def test_small_graph_single_leaf(self, monkeypatch):
+        tree = dissect(monkeypatch, 16, *grid_matrix(3, 3))
         assert len(tree.leaves) == 1
         assert tree.separators == []
         assert np.array_equal(tree.order, np.arange(9))
 
-    def test_7x7_leaf16_splits_21_21(self):
-        g = grid_graph(7, 7)
-        tree = build_dissection(g, None, leaf_size=16)
+    def test_7x7_leaf16_splits_21_21(self, monkeypatch):
+        tree = dissect(monkeypatch, 16, *grid_matrix(7, 7))
         root = tree.roots[0]
         assert root.separator.size == 7
         sides = sorted(c.size for c in root.children)
         assert sides == [21, 21]
 
-    def test_order_is_permutation_with_separators_last(self):
-        g = grid_graph(16, 16)
-        tree = build_dissection(g, None, leaf_size=16)
+    def test_order_is_permutation_with_separators_last(self, monkeypatch):
+        tree = dissect(monkeypatch, 16, *grid_matrix(16, 16))
         assert sorted(tree.order.tolist()) == list(range(256))
         for node in tree.nodes:
             if node.is_leaf:
@@ -246,13 +249,11 @@ class TestBuildDissection:
             assert sep_positions.max() == node.span[1] - 1
 
     def test_no_edges_between_sides_64x64(self):
-        g = grid_graph(64, 64)
-        tree = build_dissection(g, None, leaf_size=64)
+        tree = build_dissection(*grid_matrix(64, 64))
         assert tree.validate_separation()
 
-    def test_vertex_moved_across_a_separator_fails_validation(self):
-        a, coords = grid_matrix(32, 32)
-        tree = build_dissection(a, coords, leaf_size=16)
+    def test_vertex_moved_across_a_separator_fails_validation(self, monkeypatch):
+        tree = dissect(monkeypatch, 16, *grid_matrix(32, 32))
         assert tree.validate_separation()
         (s1, _), (s2, _) = (child.span for child in tree.roots[0].children)
         broken = copy.copy(tree)
@@ -275,7 +276,7 @@ class TestBuildDissection:
             return find(g, subset, views)
 
         monkeypatch.setattr(dissection, "find_separator", failing)
-        tree = build_dissection(a, coords, leaf_size=16)
+        tree = dissect(monkeypatch, 16, a, coords)
         leaves = [node for node in tree.leaves if node.depth == 2]
         assert len(leaves) == 1
         assert np.array_equal(leaves[0].leaf_vertices, subsets[1])
@@ -286,9 +287,9 @@ class TestBuildDissection:
         b = np.random.default_rng(0).standard_normal(a.shape[0])
         assert solver.solve(fac, a, b)[1].residual <= 1e-12
 
-    def test_arrow_pattern_zero_sibling_blocks(self):
-        g = grid_graph(16, 16)
-        tree = build_dissection(g, None, leaf_size=16)
+    def test_arrow_pattern_zero_sibling_blocks(self, monkeypatch):
+        tree = dissect(monkeypatch, 16, *grid_matrix(16, 16))
+        g = tree.graph
         a = sp.csr_matrix(
             (np.ones(len(g.indices)), g.indices, g.indptr), shape=(g.n, g.n)
         )
@@ -301,14 +302,14 @@ class TestBuildDissection:
             assert np.all(b[s1, s2] == 0)
             assert np.all(b[s2, s1] == 0)
 
-    def test_segments_partition_separators(self):
+    def test_segments_partition_separators(self, monkeypatch):
         # on the exact path the factorization starts from the segments no
-        # split replaced; after each level's merge the active units are
-        # segments of the separators not yet eliminated, each holding the
-        # nested positions of its vertices, and together they hold all of
-        # those separators' positions
+        # split event names as a parent; after each level's merge the active
+        # units are segments of the separators not yet eliminated, each
+        # holding the nested positions of its vertices, and together they
+        # hold all of those separators' positions
         a, coords = grid_matrix(32, 32)
-        tree = build_dissection(a, coords, leaf_size=16)
+        tree = dissect(monkeypatch, 16, a, coords)
         assert tree.events
         state, _ = factor.eliminate_interiors(a, tree)
 
@@ -331,18 +332,15 @@ class TestBuildDissection:
             check(level - 1)
         assert not state.units
 
-    def test_fig3_junction_in_root_separator(self):
+    def test_fig3_junction_in_root_separator(self, monkeypatch):
         # on a 15x15 grid with small leaves the level-2 separators cross the
         # root separator, leaving a junction piece between two regular pieces
-        g = grid_graph(15, 15)
-        tree = build_dissection(g, None, leaf_size=16)
+        tree = dissect(monkeypatch, 16, *grid_matrix(15, 15))
         root_segs = [s for s in tree.segments.values() if s.id[:2] == (1, 0)]
         junctions = [s for s in root_segs if s.kind == JUNCTION]
         assert junctions, "expected the root separator to be crossed"
-        segs_final = [
-            s for s in tree.segments.values()
-            if not s.children and s.id[:2] == (1, 0)
-        ]
+        split = {event.parent for event in tree.events}
+        segs_final = [s for s in root_segs if s.id not in split]
         assert any(s.kind == JUNCTION for s in segs_final)
         # pieces partition the separator
         allv = np.concatenate([s.vertices for s in segs_final])
@@ -361,32 +359,20 @@ class TestBuildDissection:
 
         monkeypatch.setattr(dissection._Builder, "_emit", faulty)
         with pytest.raises(DimensionError):
-            build_dissection(grid_graph(8, 8), None, leaf_size=16)
+            dissect(monkeypatch, 16, *grid_matrix(8, 8))
 
-    def test_disconnected_input_two_components(self):
+    def test_disconnected_input_two_components(self, monkeypatch):
         a = sp.block_diag(
             [sp.identity(4) * 2 - sp.diags([np.ones(3), np.ones(3)], [1, -1])] * 2
         ).tocsr()
         coords = np.column_stack([np.tile(np.arange(4.0), 2), np.repeat([0.0, 5.0], 4)])
-        tree = build_dissection(SparseMatrix(a), coords, leaf_size=2)
+        tree = dissect(monkeypatch, 2, SparseMatrix(a), coords)
         assert len(tree.roots) == 2
         assert sorted(tree.order.tolist()) == list(range(8))
 
-    @pytest.mark.parametrize("leaf_size", [0, -1])
-    def test_leaf_size_below_one_rejected(self, leaf_size):
-        with pytest.raises(ConfigError):
-            build_dissection(grid_graph(4, 4), None, leaf_size=leaf_size)
-
-    @pytest.mark.parametrize("leaf_size", [None, "8", 2.5, True])
-    def test_leaf_size_that_is_not_an_int_rejected(self, leaf_size):
-        with pytest.raises(ConfigError):
-            build_dissection(grid_graph(4, 4), None, leaf_size=leaf_size)
-
-    def test_numpy_int_leaf_size_accepted(self):
-        g = grid_graph(8, 8)
-        assert np.array_equal(
-            build_dissection(g, None, leaf_size=np.int64(16)).order,
-            build_dissection(g, None, leaf_size=16).order)
+    def test_graph_in_place_of_the_matrix_rejected(self):
+        with pytest.raises(ConfigError, match="matrix must hold numbers"):
+            build_dissection(grid_graph(4, 4), np.zeros((16, 2)))
 
     def test_non_finite_coordinates_rejected(self):
         a = sp.identity(3, format="csr")
@@ -394,12 +380,9 @@ class TestBuildDissection:
         with pytest.raises(NonFiniteError):
             build_dissection(SparseMatrix(a), coords)
 
-    def test_leaf_sizes_bounded(self):
-        g = grid_graph(40, 40)
-        tree = build_dissection(g, None, leaf_size=32)
-        interior_max = max(len(n.leaf_vertices) for n in tree.leaves)
+    def test_leaf_sizes_bounded(self, monkeypatch):
+        tree = dissect(monkeypatch, 32, *grid_matrix(40, 40))
         # leaves stop either at the size bound or at the depth bound
-        depth_capped = [n for n in tree.leaves if n.depth > tree.levels]
         for n in tree.leaves:
             if n.depth <= tree.levels:
                 assert len(n.leaf_vertices) <= 32
@@ -418,9 +401,9 @@ class TestFillInCount:
         order = np.array(list(range(1, n)) + [0])
         assert fill_in_count(g, order) == 0
 
-    def test_nested_beats_natural_on_grid(self):
-        g = grid_graph(4, 4)
-        tree = build_dissection(g, None, leaf_size=2)
+    def test_nested_beats_natural_on_grid(self, monkeypatch):
+        tree = dissect(monkeypatch, 2, *grid_matrix(4, 4))
+        g = tree.graph
         natural = fill_in_count(g, np.arange(g.n))
         nested = fill_in_count(g, tree.order)
         assert nested <= natural

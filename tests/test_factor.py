@@ -20,7 +20,7 @@ import scipy.sparse.linalg as spla
 from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
                   SingularBlockError, SparseMatrix, assembly, dissection,
                   factor, lowrank, solver)
-from ndlu.dissection import JUNCTION, REGULAR, Graph
+from ndlu.dissection import JUNCTION, REGULAR
 from ndlu.factor import FactorOptions
 
 SMALL_N = 1500
@@ -312,6 +312,35 @@ def test_block_solve_is_bitwise_the_vector_solves(problem):
         for j in range(b.shape[1]):
             xj, _ = solver.solve(fac, a, b[:, j])
             assert np.array_equal(x[:, j], xj)
+
+
+def _three_passes(fac, vec):
+    """The stage actions with D^-1 as a pass of its own: every left action,
+    then D^-1 of every LDL^T stage, then every right action in reverse."""
+    y = np.array(vec, dtype=np.promote_types(vec.dtype, fac.dtype), order="C")
+    for stage in fac.stages:
+        solver.apply_factor_left(stage, y)
+    for stage in fac.stages:
+        if stage.symmetric:
+            solver.apply_factor_middle(stage, y)
+    for stage in reversed(fac.stages):
+        solver.apply_factor_right(stage, y)
+    return y
+
+
+@pytest.mark.parametrize("family,symmetric", [(FAMILIES[0], True),
+                                              (FAMILIES[3], False)])
+def test_two_passes_are_bitwise_the_three_pass_order(family, symmetric):
+    # D^-1 acts on the positions its stage eliminates, which no later left
+    # action reads or writes
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    assert fac.symmetric == symmetric
+    b = _columns(p)[tree.order]
+    for y in (b[:, 0], b):
+        assert (solver.apply_factors(fac, y).tobytes()
+                == _three_passes(fac, y).tobytes())
 
 
 def _stored(stage):
@@ -758,16 +787,16 @@ def test_non_finite_values_raise_an_ndlu_error(family, error):
 
 
 def test_median_edge_length_samples_the_whole_graph():
-    # a path whose edges grow in length: its first edges are all short
+    # the tree's edge_length on a path whose edges grow in length, 1 to
+    # 1000, is the median of all of them; a graph with no edge reads 1.0
     x = np.cumsum(np.arange(1001, dtype=float))
     coords = np.column_stack([x, np.zeros_like(x)])
     src = np.arange(1000)
     adj = sp.coo_matrix((np.ones(1000), (src, src + 1)), shape=(1001, 1001))
-    adj = (adj + adj.T).tocsr()
-    graph = Graph(adj.indptr, adj.indices, coords)
-    full = factor._median_edge_length(graph)
-    assert full == 500.5
-    assert abs(factor._median_edge_length(graph, cap=100) - full) <= 10
+    tree = dissection.build_dissection(adj + adj.T + sp.identity(1001), coords)
+    assert tree.edge_length == 500.5
+    assert dissection.build_dissection(
+        sp.identity(3), np.zeros((3, 2))).edge_length == 1.0
 
 
 def _store(dense, slots, ids, symmetric):
@@ -993,11 +1022,12 @@ def _factorization(n):
     return factor.factorize(a, dissection.build_dissection(a, coords), 1e-4)
 
 
-def _read_written(tmp_path, a, rhs=None):
-    """read_matrix_market of a, one (0, 0) point per row of a and rhs."""
+def _read_written(tmp_path, a, rhs=None, points=None):
+    """read_matrix_market of a, `points` (0, 0) points (one per row of a by
+    default) and rhs."""
     paths = [tmp_path / "a.mtx", tmp_path / "xy.txt"]
     scipy.io.mmwrite(paths[0], sp.csr_matrix(a))
-    np.savetxt(paths[1], np.zeros((a.shape[0], 2)))
+    np.savetxt(paths[1], np.zeros((a.shape[0] if points is None else points, 2)))
     if rhs is not None:
         paths.append(tmp_path / "b.txt")
         np.savetxt(paths[2], rhs)
@@ -1075,6 +1105,9 @@ INPUT_CHECKS = {
     "read-rhs-length": (
         DimensionError, "rhs length 4",
         lambda tmp: _read_written(tmp, SQUARE, np.ones(4))),
+    "read-coords-length": (
+        DimensionError, "2 coordinate points for a 3-row matrix",
+        lambda tmp: _read_written(tmp, SQUARE, points=2)),
     "solve-ragged-rhs": (
         ConfigError, "rhs must hold numbers: setting an array element",
         lambda _: solver.solve(_factorization(3), SQUARE,
