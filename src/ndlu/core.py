@@ -34,13 +34,13 @@ __all__ = [
 class SparseMatrix:
     """A matrix that has passed as_csr, as its canonical CSR .csr: square,
     finite, float64 or complex128, duplicates summed and indices sorted.
-    The CSR is a copy, so changing the caller's arrays leaves it as it was.
+    It takes whatever as_csr takes. The CSR is a copy, so changing the
+    caller's arrays leaves it as it was. An entry point wraps any other
+    matrix in one, so the gate scans it once.
     """
 
-    def __init__(self, csr):
-        if not sp.issparse(csr):
-            raise DimensionError("expected a scipy sparse matrix")
-        self.csr = as_csr(csr).copy()
+    def __init__(self, a):
+        self.csr = as_csr(a).copy()
 
     @property
     def shape(self):
@@ -91,13 +91,13 @@ def check_int(name, value, lowest):
         raise ConfigError(f"{name} must be an int >= {lowest}, got {value!r}")
 
 
-def lu_compact(block, level=None, segment=None):
+def lu_compact(block):
     """Partial-pivoting LU in LAPACK's compact form.
 
     Returns (lu, perm) where lu packs the unit-lower L below the diagonal
     and U on/above it, and perm is the row permutation with block[perm] =
-    L @ U. An exactly singular block raises SingularBlockError tagged with
-    level/segment.
+    L @ U. An exactly singular block raises SingularBlockError naming the
+    zero pivot; the caller that knows the block adds where it sits.
     """
     block = np.ascontiguousarray(block)
     if block.ndim != 2 or block.shape[0] != block.shape[1]:
@@ -106,11 +106,8 @@ def lu_compact(block, level=None, segment=None):
         return block.copy(), np.empty(0, np.int64)
     lu, piv, info = _lapack("getrf", block)(block, overwrite_a=False)
     if info > 0:
-        raise SingularBlockError(
-            f"zero pivot at position {info - 1} in {block.shape[0]}x{block.shape[0]} block",
-            level=level,
-            segment=segment,
-        )
+        raise SingularBlockError(f"zero pivot at position {info - 1} in "
+                                 f"{block.shape[0]}x{block.shape[0]} block")
     perm = np.arange(block.shape[0], dtype=np.int64)
     for k, pk in enumerate(piv):
         if pk != k:

@@ -18,8 +18,11 @@ id, so a factorization repeats bit for bit.
 
 Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
-picks LDL^T or pivoted LU and returns the factor with its update: the
-negated Schur complement on the elimination's front, its neighbor positions.
+picks the LDL^T or the pivoted-LU kernel. Both map (self block, in-coupling,
+out-coupling) to (payload, Schur complement) in one payload layout (D^-1
+and U^-1 as row runs), so they are interchangeable. _eliminate returns the
+factor with its update (the negated Schur complement on the elimination's
+front, its neighbor positions) and tags a singular block with its place.
 
 The active Schur complement lives in a SchurState: per stage, one flat value
 buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
@@ -73,8 +76,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import lowrank
-from .core import (as_csr, check_int, lu_compact, triangular_inverse,
-                   triangular_solve)
+from .core import (SparseMatrix, as_csr, check_int, lu_compact,
+                   triangular_inverse, triangular_solve)
 from .dissection import JUNCTION, REGULAR, DissectionTree
 from .errors import ConfigError, DimensionError, SingularBlockError
 
@@ -131,23 +134,23 @@ class SparsifyFactor:
 
 
 class _Payload(NamedTuple):
-    """An elimination's entries, laid out as its stage stores them.
+    """An elimination's entries, as both kernels lay them out for its stage.
 
-    lower and diag hold the entries of its diagonal blocks of Stage.lower
-    and Stage.diag, row by row: the strict lower triangle of L^-1, then the
-    upper triangle of U^-1 or, with diag_counts and diag_cols giving each
-    row's count and each entry's column, the nonzeros of D^-1. pull and push
-    are its C-ordered k x m blocks of Stage.pull and of the transpose of
-    Stage.push (LU only).
+    lower holds its diagonal block of Stage.lower, the strict lower triangle
+    of L^-1, row by row. diag holds its block of Stage.diag as row runs: row
+    i has diag_counts[i] entries in the columns from diag_first[i] on, k - i
+    from i of U^-1 (LU) or the 1 or 2 nonzeros of its D^-1 block (LDL^T).
+    pull and push are its k x m blocks of Stage.pull and of the transpose
+    of Stage.push (LU only), in any memory order.
     """
 
     perm: np.ndarray
     lower: np.ndarray
     diag: np.ndarray
+    diag_counts: np.ndarray
+    diag_first: np.ndarray
     pull: np.ndarray
     push: np.ndarray = None
-    diag_counts: np.ndarray = None
-    diag_cols: np.ndarray = None
 
 
 @dataclass
@@ -246,19 +249,18 @@ class Stage:
         self.lower_t = None if lower is None else lower.T
 
 
-def _csr(data, counts, num_cols, first=None, cols=None, indices=None):
-    """CSR matrix holding data, counts[r] entries in row r: at the given
-    indices, or in the consecutive columns first[r], first[r] + 1, ...,
-    read through cols when given."""
+def _csr(data, counts, num_cols, first, cols=None):
+    """CSR matrix holding data, counts[r] entries in row r in the
+    consecutive columns first[r], first[r] + 1, ..., read through cols when
+    given."""
     itype = np.int32 if max(data.size, num_cols) < 2 ** 31 else np.int64
     indptr = np.zeros(counts.size + 1, dtype=itype)
     np.cumsum(counts, out=indptr[1:])
-    if indices is None:
-        indices = np.arange(data.size, dtype=itype) - np.repeat(
-            indptr[:-1] - first.astype(itype), counts)
-        if cols is not None:
-            indices = cols.astype(itype)[indices]
-    return sp.csr_matrix((data, indices.astype(itype, copy=False), indptr),
+    indices = np.arange(data.size, dtype=itype) - np.repeat(
+        indptr[:-1] - first.astype(itype), counts)
+    if cols is not None:
+        indices = cols.astype(itype)[indices]
+    return sp.csr_matrix((data, indices, indptr),
                          shape=(counts.size, num_cols))
 
 
@@ -313,16 +315,10 @@ def _compile_elimination(factors):
     local = rows - np.repeat(offsets, sizes)
     lower = _csr(np.concatenate([b.lower for b in payloads]), local,
                  rows.size, first=rows - local)
-    diag_values = np.concatenate([b.diag for b in payloads])
-    if payloads[0].diag_cols is None:
-        diag = _csr(diag_values, np.repeat(sizes, sizes) - local, rows.size,
-                    first=rows)
-    else:
-        cols = np.concatenate([b.diag_cols for b in payloads]) + np.repeat(
-            offsets, [b.diag.size for b in payloads])
-        diag = _csr(diag_values,
-                    np.concatenate([b.diag_counts for b in payloads]),
-                    rows.size, indices=cols)
+    diag = _csr(np.concatenate([b.diag for b in payloads]),
+                np.concatenate([b.diag_counts for b in payloads]), rows.size,
+                first=np.concatenate([b.diag_first for b in payloads])
+                + rows - local)
     # couplings: row r holds its factor's neighbors, as columns of nbr
     every_nbr = np.concatenate([f.nbr for f in factors])
     nbr = _unique(every_nbr)
@@ -679,16 +675,15 @@ def is_symmetric(a):
     return bool(excess.max() <= 0)
 
 
-def _check_finite(k, level, segment, *payload):
+def _check_finite(k, *payload):
     """SingularBlockError unless every array is finite. The dense kernels
     check each payload once here; the triangular solves do not check."""
     if not all(np.isfinite(arr).all() for arr in payload):
         raise SingularBlockError(
-            f"non-finite elimination payload in {k}x{k} block",
-            level=level, segment=segment)
+            f"non-finite elimination payload in {k}x{k} block")
 
 
-def _block_inverse(d, k, level, segment):
+def _block_inverse(d, k):
     """Inverse of the block-diagonal D of an LDL^T, whose blocks are 1x1 or
     2x2: a reciprocal per 1x1 block, one stacked inverse over the 2x2 ones.
     A zero pivot or a singular 2x2 block raises SingularBlockError."""
@@ -704,46 +699,43 @@ def _block_inverse(d, k, level, segment):
     except np.linalg.LinAlgError:
         blocks = None
     if blocks is None or np.any(pivots == 0):
-        raise SingularBlockError(
-            f"singular diagonal in {k}x{k} block", level=level, segment=segment)
+        raise SingularBlockError(f"singular diagonal in {k}x{k} block")
     dinv = np.zeros_like(d)
     dinv[ones, ones] = 1.0 / pivots
     dinv[rows, cols] = blocks
     return dinv
 
 
-def _symmetric_elimination(self_block, a_nu, level, segment):
-    """LDL-based elimination of a real symmetric self block (is_symmetric
-    never holds for a complex matrix) coupled in from the front by a_nu;
-    returns (payload, Schur complement)."""
+def _symmetric_elimination(self_block, a_nu, a_un):
+    """LDL^T (Bunch-Kaufman) kernel for a real symmetric self block
+    (is_symmetric never holds for a complex matrix) coupled in from the
+    front by a_nu; a_un, its transpose, is not read. Returns (payload,
+    Schur complement); each row of D^-1 is one run of 1 or 2 nonzeros."""
     k = self_block.shape[0]
-    try:
-        lu, d, perm = sla.ldl(self_block, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises rarely
-        raise SingularBlockError(str(exc), level=level, segment=segment)
+    lu, d, perm = sla.ldl(self_block, check_finite=False)
     lower = lu[perm]
-    _check_finite(k, level, segment, lower, d)
-    dinv = _block_inverse(d, k, level, segment)
+    _check_finite(k, lower, d)
+    dinv = _block_inverse(d, k)
     # t1 = lu^-1 A[idx, nbr]; coupling = (dinv @ t1).T = A[nbr, idx] lu^-T d^-1
     t1 = triangular_solve(lower, a_nu.T[perm], lower=True, unit_diag=True)
     coupling = (dinv @ t1).T
     schur = coupling @ t1
     linv = triangular_inverse(lower, lower=True, unit_diag=True)
-    _check_finite(k, level, segment, coupling, schur, linv)
+    _check_finite(k, coupling, schur, linv)
     nonzero = dinv != 0
+    counts = np.count_nonzero(nonzero, axis=1)
     return _Payload(
-        perm=perm.astype(np.int64), lower=linv[_triangles(k)[0]],
-        diag=dinv[nonzero], pull=coupling.T,
-        diag_counts=np.count_nonzero(nonzero, axis=1),
-        diag_cols=np.nonzero(nonzero)[1]), schur
+        perm=perm, lower=linv[_triangles(k)[0]], diag=dinv[nonzero],
+        diag_counts=counts, pull=coupling.T,
+        diag_first=np.nonzero(nonzero)[1][np.cumsum(counts) - counts]), schur
 
 
-def _unsymmetric_elimination(self_block, a_nu, a_un, level, segment):
-    """Pivoted-LU elimination of a general self block coupled in from the
-    front by a_nu and out to it by a_un; returns (payload, Schur
-    complement). lu_compact raises on an exactly zero pivot."""
+def _unsymmetric_elimination(self_block, a_nu, a_un):
+    """Pivoted-LU kernel for a general self block coupled in from the front
+    by a_nu and out to it by a_un; returns (payload, Schur complement).
+    lu_compact raises on an exactly zero pivot."""
     k = self_block.shape[0]
-    lu, perm = lu_compact(self_block, level=level, segment=segment)
+    lu, perm = lu_compact(self_block)
     # coupling_left = A[nbr, idx] U^-1; coupling_right = L^-1 A[idx, nbr][perm]
     c_left = triangular_solve(lu, a_nu.T, lower=False, trans=True).T
     c_right = triangular_solve(lu, a_un[perm], lower=True, unit_diag=True)
@@ -751,27 +743,31 @@ def _unsymmetric_elimination(self_block, a_nu, a_un, level, segment):
     # L^-1 strictly below the diagonal, U^-1 on and above it
     inverse = triangular_inverse(
         triangular_inverse(lu, lower=True, unit_diag=True), lower=False)
-    _check_finite(k, level, segment, lu, c_left, c_right, schur, inverse)
+    _check_finite(k, lu, c_left, c_right, schur, inverse)
     strict, upper = _triangles(k)
+    first = np.arange(k)
     return _Payload(perm=perm, lower=inverse[strict], diag=inverse[upper],
-                    pull=np.ascontiguousarray(c_right),
-                    push=np.ascontiguousarray(c_left.T)), schur
+                    diag_counts=k - first, diag_first=first, pull=c_right,
+                    push=c_left.T), schur
 
 
-def _eliminate(state, idx, nbr, self_block, a_nu, a_un, level, segment, tag):
-    """Eliminate positions idx against nbr: LDL^T on a symmetric store (a_un
-    = A[idx, nbr] unused), pivoted LU otherwise. The one place that builds
-    an elimination record: the kernels return only the payload, whose
-    entries it counts (k^2 + 2 k m for LU). Returns the record and its
-    update (nbr, -Schur complement), which the caller adds onto nbr x nbr."""
-    if state.symmetric:
-        record = SymEliminationFactor
-        payload, schur = _symmetric_elimination(self_block, a_nu, level,
-                                                segment)
-    else:
-        record = EliminationFactor
-        payload, schur = _unsymmetric_elimination(self_block, a_nu, a_un,
-                                                  level, segment)
+def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
+               tag):
+    """Eliminate positions idx against nbr: LDL^T in symmetric mode (a_un =
+    A[idx, nbr] unused), pivoted LU otherwise; both kernels map (self_block,
+    a_nu, a_un) to (payload, Schur complement). The one place that builds an
+    elimination record, counting its payload's entries (k^2 + 2 k m for LU),
+    and that names a failing block: it tags a kernel's SingularBlockError
+    with level and segment. Returns the record and its update (nbr, -Schur
+    complement), which the caller adds onto nbr x nbr."""
+    record, kernel = ((SymEliminationFactor, _symmetric_elimination)
+                      if symmetric else
+                      (EliminationFactor, _unsymmetric_elimination))
+    try:
+        payload, schur = kernel(self_block, a_nu, a_un)
+    except SingularBlockError as exc:
+        raise SingularBlockError(str(exc), level=level,
+                                 segment=segment) from exc
     nnz = sum(part.size for part in (payload.lower, payload.diag,
                                      payload.pull, payload.push)
               if part is not None)
@@ -797,9 +793,12 @@ def eliminate_interiors(a, tree):
     active set is exactly the separator vertices. The units are the
     segments no split event names as a parent. The factors form one
     step and keep their payload until compile_stage takes it. A singular
-    leaf block raises SingularBlockError naming the leaf's position span.
+    leaf block raises SingularBlockError naming the leaf's position span. A
+    matrix is wrapped in a SparseMatrix first, unless it is one, so the gate
+    scans it once.
     """
-    csr = as_csr(a)
+    a = a if isinstance(a, SparseMatrix) else SparseMatrix(a)
+    csr = a.csr
     n = csr.shape[0]
     if len(tree.order) != n:
         raise DimensionError("dissection tree does not match the matrix size")
@@ -845,8 +844,8 @@ def eliminate_interiors(a, tree):
         ii, a_ie, a_ei = _leaf_blocks(s, e, front, rows[lo:hi], cols[lo:hi],
                                       vals[lo:hi])
         fac, (nbr, delta) = _eliminate(
-            state, np.arange(s, e, dtype=np.int64), front, ii, a_ei, a_ie,
-            interior_level, ("leaf", int(s), int(e)), "interior")
+            state.symmetric, np.arange(s, e, dtype=np.int64), front, ii,
+            a_ei, a_ie, interior_level, ("leaf", int(s), int(e)), "interior")
         state.add_to_block(nbr, nbr, delta)
         factors.append(fac)
     return state, factors
@@ -932,7 +931,7 @@ def sparsify_segment(state, unit, eps, level):
     self_block[red_l, :] -= interp.T @ self_block[skel_l, :]
     self_block[:, red_l] -= self_block[:, skel_l] @ interp
     remainder, (nbr, delta) = _eliminate(
-        state, red, skeleton, self_block[np.ix_(red_l, red_l)],
+        state.symmetric, red, skeleton, self_block[np.ix_(red_l, red_l)],
         self_block[np.ix_(skel_l, red_l)], self_block[np.ix_(red_l, skel_l)],
         level, uid, "remainder")
     state.add_to_block(nbr, nbr, delta)
@@ -957,8 +956,8 @@ def eliminate_segments(state, level):
         if uid[0] != level:
             continue
         nbr_pos, self_block, a_nu, a_un = _front(state, unit)
-        fac, update = _eliminate(state, unit.pos.copy(), nbr_pos, self_block,
-                                 a_nu, a_un, level, unit.uid, "segment")
+        fac, update = _eliminate(state.symmetric, unit.pos.copy(), nbr_pos,
+                                 self_block, a_nu, a_un, level, uid, "segment")
         state.remove_unit(unit)
         factors.append(fac)
         updates.append(update)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_csr, as_numbers, check_int
+from .core import SparseMatrix, as_csr, as_numbers, check_int
 # The solve makes no triangular solve; the name stays in this namespace
 # because perfbench's smoke test checks that tracing restores it here.
 from .core import triangular_solve  # noqa: F401
@@ -138,8 +138,9 @@ def solve(factorization, a_original, b, refine=0):
     refine, a nonnegative int, adds iterative-refinement steps
     (x += solve(b - A x)) to every column at once; each column keeps a step
     only if it lowers that column's residual, and its first step that does
-    not is rolled back and ends the column's refinement. a_original passes
-    core.as_csr, which hands a SparseMatrix back unchecked. A right-hand
+    not is rolled back and ends the column's refinement. a_original is
+    wrapped in a SparseMatrix, unless it is one, and every residual reads
+    the wrapper, so core.as_csr scans it once. A right-hand
     side that is not a regular array of booleans, integers, reals or complex
     numbers raises ConfigError, a non-finite one NonFiniteError, and so does
     a solution or residual that is not finite, naming its columns.
@@ -148,7 +149,9 @@ def solve(factorization, a_original, b, refine=0):
         raise ConfigError("solve needs a SpaluFactorization")
     check_int("refine", refine, 0)
     n = factorization.n
-    csr = as_csr(a_original)
+    if not isinstance(a_original, SparseMatrix):
+        a_original = SparseMatrix(a_original)
+    csr = a_original.csr
     if csr.shape != (n, n):
         raise DimensionError(
             f"matrix is {csr.shape}, factorization covers {n} unknowns")

@@ -8,9 +8,9 @@ from ndlu.core import (SparseMatrix, as_csr, lu_compact, triangular_inverse,
 from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
 
-def split_lu(block, level=None, segment=None):
+def split_lu(block):
     """(l, u, perm) unpacked from lu_compact: block[perm] = l @ u."""
-    lu, perm = lu_compact(block, level=level, segment=segment)
+    lu, perm = lu_compact(block)
     l = np.tril(lu, -1)
     np.fill_diagonal(l, 1.0)
     return l, np.triu(lu), perm
@@ -45,11 +45,12 @@ class TestDenseLU:
         assert err <= 1e-12
 
     def test_singular_raises_with_location(self):
+        # the pivot's position; factor._eliminate adds the level and segment
         b = np.zeros((3, 3))
         with pytest.raises(SingularBlockError) as ei:
-            split_lu(b, level=4, segment=17)
-        assert ei.value.level == 4
-        assert ei.value.segment == 17
+            split_lu(b)
+        assert str(ei.value) == "zero pivot at position 0 in 3x3 block"
+        assert ei.value.level is None and ei.value.segment is None
 
     def test_compact_matches_split(self):
         # scipy's own LU of the same block is the oracle: b = P @ L @ U
@@ -187,6 +188,14 @@ class TestContainers:
         csr.data[:] = np.nan
         assert np.array_equal(m.csr.toarray(), [[2.0, 1.0], [0.0, 3.0]])
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64, np.complex128])
+    def test_a_dense_matrix_is_wrapped_as_the_gate_returns_it(self, dtype):
+        dense = np.array([[2, 0, 1], [0, 0, 3], [4, 5, 0]], dtype=dtype)
+        got, ref = SparseMatrix(dense).csr, as_csr(dense)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(ref, part).tobytes()
+
     def test_sparse_sums_duplicates(self):
         a = SparseMatrix(sp.coo_matrix(([1.0, 2.0], ([0, 0], [0, 0])), shape=(2, 2)))
         assert a.csr.nnz == 1
@@ -200,10 +209,9 @@ class TestContainers:
 
 
 @pytest.mark.parametrize("call,message", [
-    (lambda: SparseMatrix(np.eye(3)), "scipy sparse matrix"),
     (lambda: lu_compact(np.ones((2, 3))), "square block"),
     (lambda: triangular_inverse(np.ones((2, 3))), "square block"),
-], ids=["dense-sparse-matrix", "lu-not-square", "inverse-not-square"])
+], ids=["lu-not-square", "inverse-not-square"])
 def test_core_input_checks_raise_dimension_error(call, message):
     with pytest.raises(DimensionError, match=message):
         call()

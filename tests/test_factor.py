@@ -18,8 +18,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from ndlu import (ConfigError, DimensionError, NdluError, NonFiniteError,
-                  SingularBlockError, SparseMatrix, assembly, dissection,
-                  factor, lowrank, solver)
+                  SingularBlockError, SparseMatrix, assembly, core,
+                  dissection, factor, lowrank, solver)
 from ndlu.dissection import JUNCTION, REGULAR
 from ndlu.factor import FactorOptions
 
@@ -381,9 +381,9 @@ def _elimination(idx, nbr, seed=0):
     k, m = len(idx), len(nbr)
     self_block = rng.standard_normal((k, k)) + 4 * np.eye(k)
     f, _ = factor._eliminate(
-        SimpleNamespace(symmetric=False), np.array(idx), np.array(nbr),
-        self_block, rng.standard_normal((m, k)), rng.standard_normal((k, m)),
-        2, (2, 0, 2, seed), "segment")
+        False, np.array(idx), np.array(nbr), self_block,
+        rng.standard_normal((m, k)), rng.standard_normal((k, m)), 2,
+        (2, 0, 2, seed), "segment")
     return f
 
 
@@ -407,6 +407,106 @@ def test_compile_accepts_eliminations_that_share_a_neighbor():
     stage = factor.compile_stage([_elimination([0, 1], [4, 5]),
                                   _elimination([2, 3], [5, 6], 1)])
     assert stage.nbr.tolist() == [4, 5, 6]
+
+
+# Bunch-Kaufman takes each block's principal 2 x 2 block with a zero on its
+# diagonal as one 2x2 pivot and the rest as 1x1 pivots: in the first, each
+# row of that pivot's inverse holds one entry, off the diagonal; in the
+# second, the pivot starts at row 1 and its rows hold one and two entries.
+LDL_BLOCKS = {
+    "zero-diagonal-pair": [[0.0, 1.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.25],
+                           [0.5, 0.0, 5.0, 0.0], [0.0, 0.25, 0.0, 6.0]],
+    "one-zero-in-a-pair": [[5.0, 0.5, 0.0, 0.0], [0.5, 0.0, 1.0, 0.0],
+                           [0.0, 1.0, 0.0, 0.25], [0.0, 0.0, 0.25, 6.0]],
+}
+
+
+@pytest.mark.parametrize("name", LDL_BLOCKS)
+def test_ldl_stage_holds_d_inverse_as_row_runs(name):
+    block = np.array(LDL_BLOCKS[name])
+    _, d, _ = sla.ldl(block)
+    assert np.flatnonzero(np.diagonal(d, -1)).size == 1
+    dinv = factor._block_inverse(d, 4)
+    rng = np.random.default_rng(1)
+    f, _ = factor._eliminate(True, np.arange(4), np.array([6, 7]), block,
+                             rng.standard_normal((2, 4)), None, 1,
+                             (1, 0, 1, 0), "segment")
+    diag = factor.compile_stage([f]).diag
+    assert diag.toarray().tobytes() == dinv.tobytes()
+    assert diag.nnz == np.count_nonzero(dinv)
+    assert np.array_equal(np.diff(diag.indptr), np.count_nonzero(dinv, axis=1))
+    if name == "zero-diagonal-pair":
+        assert diag.indices[:2].tolist() == [1, 0]
+
+
+def test_lu_stage_holds_the_upper_triangle_of_u_inverse():
+    rng = np.random.default_rng(6)
+    block = rng.standard_normal((6, 6))
+    f, _ = factor._eliminate(False, np.arange(6), np.array([8, 9]), block,
+                             rng.standard_normal((2, 6)),
+                             rng.standard_normal((6, 2)), 1, (1, 0, 1, 0),
+                             "segment")
+    diag = factor.compile_stage([f]).diag
+    lu, _ = core.lu_compact(block)
+    u_inv = np.triu(core.triangular_inverse(lu, lower=False))
+    assert diag.toarray().tobytes() == u_inv.tobytes()
+    assert diag.nnz == 21
+    assert np.allclose(u_inv @ np.triu(lu), np.eye(6))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_an_empty_block_compiles_beside_another(symmetric):
+    # an empty unit is eliminated whole, in the stage of its level
+    empty, (nbr, delta) = factor._eliminate(
+        symmetric, np.empty(0, np.int64), np.empty(0, np.int64),
+        np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 1,
+        (1, 0, 1, 0), "segment")
+    assert empty.payload_nnz == 0 and delta.shape == (0, 0)
+    other, _ = factor._eliminate(symmetric, np.array([2, 3]), np.array([5]),
+                                 np.array([[2.0, 1.0], [1.0, 3.0]]),
+                                 np.ones((1, 2)), np.ones((2, 1)), 1,
+                                 (1, 1, 1, 0), "segment")
+    stage = factor.compile_stage([empty, other])
+    assert stage.diag.shape == (2, 2) and stage.pull.shape == (2, 1)
+    assert stage.idx.tolist() == [2, 3] and stage.nbr.tolist() == [5]
+
+
+@pytest.mark.parametrize("symmetric,message", [(True, "singular diagonal"),
+                                               (False, "zero pivot")])
+def test_eliminate_names_the_singular_block(symmetric, message):
+    with pytest.raises(SingularBlockError, match=message) as info:
+        factor._eliminate(symmetric, np.arange(2), np.array([4]),
+                          np.zeros((2, 2)), np.ones((1, 2)), np.ones((2, 1)),
+                          3, (3, 1, 3, 0), "segment")
+    assert (info.value.level, info.value.segment) == (3, (3, 1, 3, 0))
+    assert str(info.value).endswith("in 2x2 block (level 3, segment "
+                                    "(3, 1, 3, 0))")
+
+
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_a_raw_matrix_passes_the_gate_once_per_call(family, monkeypatch):
+    # every ndlu reference to core.as_csr counts the scans of a matrix that
+    # is not a SparseMatrix
+    p = assembly.build_problem(family, SMALL_N)
+    raw, gate, scans = p.matrix.csr, core.as_csr, []
+
+    def counting(a):
+        if not isinstance(a, SparseMatrix):
+            scans.append(a)
+        return gate(a)
+
+    for name, module in list(sys.modules.items()):
+        if name == "ndlu" or name.startswith("ndlu."):
+            for key, value in list(vars(module).items()):
+                if value is gate:
+                    monkeypatch.setattr(module, key, counting)
+    tree = dissection.build_dissection(raw, p.coords)
+    assert len(scans) == 1
+    fac = factor.factorize(raw, tree, 1e-4, COMPRESS)
+    assert len(scans) == 2
+    solver.solve(fac, raw, _columns(p), refine=3)
+    assert len(scans) == 3
+    assert all(a is raw for a in scans)
 
 
 def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
@@ -730,7 +830,7 @@ def test_ldl_diagonal_inverse_is_bitwise_the_dense_inverse():
     pairs = np.flatnonzero(np.diagonal(d, -1))
     single = np.setdiff1d(np.arange(40), np.concatenate([pairs, pairs + 1]))
     assert pairs.size and single.size
-    assert np.array_equal(factor._block_inverse(d, 40, 1, "s"),
+    assert np.array_equal(factor._block_inverse(d, 40),
                           np.linalg.inv(d))
     zero_pivot, singular_pair = d.copy(), d.copy()
     zero_pivot[single[0], single[0]] = 0.0
@@ -738,7 +838,7 @@ def test_ldl_diagonal_inverse_is_bitwise_the_dense_inverse():
     singular_pair[i:i + 2, i:i + 2] = [[1.0, 2.0], [2.0, 4.0]]
     for bad in (zero_pivot, singular_pair):
         with pytest.raises(SingularBlockError, match="singular diagonal"):
-            factor._block_inverse(bad, 40, 1, "s")
+            factor._block_inverse(bad, 40)
 
 
 def _poisoned(family, coupled_rows):

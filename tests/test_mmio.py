@@ -2,13 +2,18 @@
 Market matrix, an 'x y' coordinate file and an optional right-hand side.
 The files are written here with scipy.io.mmwrite and np.savetxt."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 import scipy.sparse as sp
 
+import ndlu
 from ndlu.assembly import read_matrix_market
 from ndlu.errors import ParseError
 
@@ -147,3 +152,29 @@ def test_complex_vector_round_trip(tmp_path):
              rhs=v)
     assert p.rhs.dtype == np.complex128
     assert np.array_equal(p.rhs, v)
+
+
+# Imports every ndlu module, then builds, factors and solves a small problem,
+# and prints whether scipy.io was loaded on the way.
+NO_SCIPY_IO = """
+import importlib, pkgutil, sys
+import ndlu
+for module in pkgutil.iter_modules(ndlu.__path__):
+    importlib.import_module("ndlu." + module.name)
+from ndlu import assembly, dissection, factor, solver
+p = assembly.build_problem("helmholtz:k=5", 400)
+tree = dissection.build_dissection(p.matrix, p.coords)
+solver.solve(factor.factorize(p.matrix, tree, 1e-4), p.matrix, p.rhs)
+print("scipy.io" in sys.modules)
+"""
+
+
+def test_building_and_solving_never_load_scipy_io():
+    # read_matrix_market loads scipy.io on first use, so it stays out of
+    # the memory of a run that reads no file
+    src = str(Path(ndlu.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", NO_SCIPY_IO], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.stdout.split() == ["False"]
