@@ -14,7 +14,10 @@ in the vertices it holds: the walks run node by node on memoryviews of the
 adjacency and coordinates, then split_subset splits every subset of the
 level with one label array and one connected-components call, and finally
 the separators are registered node by node. The subsets of one level share
-no edge, which is what lets one labelling serve them all.
+no edge, which is what lets one labelling serve them all. Only the sign of
+a vertex's side of its walk matters, and outside the band of coordinates
+the walk spans it follows from one comparison, so nearest-walk queries are
+made only where the sign is in doubt or a value is needed (split_subset).
 """
 
 from __future__ import annotations
@@ -120,20 +123,6 @@ class TreeNode:
         return self.span[1] - self.span[0]
 
 
-def _step_bias(xu, xv, xc, direction):
-    """(bias, step alignment) of stepping from the point xv to xu while
-    walking toward `direction` from the center point xc: the alignment of the
-    step plus THETA times the alignment of xu relative to xc. Both terms are
-    cosines in [-1, 1]; a zero-length vector aligns as 0."""
-    sx, sy = xu[0] - xv[0], xu[1] - xv[1]
-    ns = math.hypot(sx, sy)
-    align = 0.0 if ns == 0.0 else (sx * direction[0] + sy * direction[1]) / ns
-    ox, oy = xu[0] - xc[0], xu[1] - xc[1]
-    no = math.hypot(ox, oy)
-    drift = 0.0 if no == 0.0 else (ox * direction[0] + oy * direction[1]) / no
-    return align + THETA * drift, align
-
-
 class _Views:
     """A graph's adjacency and coordinates as memoryviews, plus one label
     per vertex (a memoryview too, or None).
@@ -159,22 +148,38 @@ def _walk_arm(views, visited, c, direction, max_steps):
     neighbor (carrying c's label, not yet visited) with the largest step
     bias, the lowest id among ties. Stops when no neighbor remains, when the
     best bias is <= 0, or when the best step itself points sideways or
-    backward (bias kept positive only by the center-drift term)."""
+    backward (bias kept positive only by the center-drift term).
+
+    The step bias of moving from v to u is the alignment of the step with
+    `direction` plus THETA times the alignment of u's offset from c; both
+    are cosines in [-1, 1], and a zero-length vector aligns as 0. It is
+    computed inline, on Python floats bound to locals, because the loop
+    runs once per neighbor of every walk vertex.
+    """
     indptr, indices, label = views.indptr, views.indices, views.label
     xs, ys = views.x, views.y
+    dx, dy = direction
+    hypot, theta = math.hypot, THETA
     own = label[c]
-    xc = (xs[c], ys[c])
+    xc, yc = xs[c], ys[c]
     arm = []
     v = c
     while len(arm) < max_steps:
         best_u = -1
         best_d = -math.inf
         best_align = 0.0
-        xv = (xs[v], ys[v])
+        xv, yv = xs[v], ys[v]
         for u in indices[indptr[v] : indptr[v + 1]]:
             if label[u] != own or u in visited:
                 continue
-            d, align = _step_bias((xs[u], ys[u]), xv, xc, direction)
+            xu, yu = xs[u], ys[u]
+            sx, sy = xu - xv, yu - yv
+            ns = hypot(sx, sy)
+            align = 0.0 if ns == 0.0 else (sx * dx + sy * dy) / ns
+            ox, oy = xu - xc, yu - yc
+            no = hypot(ox, oy)
+            drift = 0.0 if no == 0.0 else (ox * dx + oy * dy) / no
+            d = align + theta * drift
             if d > best_d or (d == best_d and u < best_u):
                 best_u, best_d, best_align = u, d, align
         if best_u < 0 or best_d <= 0.0 or best_align <= 0.0:
@@ -250,19 +255,29 @@ def find_separator(graph, subset, views=None):
     return walk, np.array(direction)
 
 
-def _side_values(graph, vertices, walk, direction):
+def _side_values(graph, vertices, walk, normal, kdtree):
     """Signed side of each vertex relative to the walk, and the position of
     its nearest walk vertex: the side is the projection of the offset from
-    that walk vertex onto the walk's left normal."""
-    normal = np.array([-direction[1], direction[0]])
+    that walk vertex onto the walk's normal. kdtree holds the walk's
+    coordinates.
+
+    Only signs decide a split, and for an axis direction the sign of a
+    vertex outside the band of coordinates its walk spans is known without
+    a query. So split_subset asks only for the vertices inside the band,
+    those a cover absorbs and the members of components that hold both
+    signs (it says why that is exact). Each vertex is queried on its own,
+    so its values do not depend on which others are asked.
+    """
     pts = graph.coords[vertices]
-    _, nearest = cKDTree(graph.coords[walk]).query(pts)
+    _, nearest = kdtree.query(pts)
     return (pts - graph.coords[walk[nearest]]) @ normal, nearest
 
 
 def _groups(keys):
     """Index arrays of the runs of equal keys, in key order; each in
-    ascending index order."""
+    ascending index order. No keys, no runs."""
+    if not len(keys):
+        return []
     order = np.argsort(keys, kind="stable")
     return np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
 
@@ -270,74 +285,153 @@ def _groups(keys):
 def split_subset(graph, cuts, edges):
     """Split every subset of one tree level along its walk.
 
-    `cuts` lists (subset, walk, direction) per node; `edges` is (src, dst)
-    with every edge of the graph once, src < dst. For each cut the vertices
-    of subset \\ walk go to two sides with no edge between them: each
-    connected component of the remainder goes, in order of its lowest
-    vertex, to the side where its vertices lean geometrically (the sum of
-    their side values); with no lean, to the side that is not larger, the
-    first on equal sizes. If removing the walk
-    does not disconnect the geometric sides (irregular meshes), a greedy
-    edge cover of the side-crossing edges is first absorbed into the
-    separator.
+    `cuts` lists (subset, walk, direction) per node, the direction an axis
+    as find_separator returns it; `edges` is (src, dst) with every edge of
+    the graph once, src < dst. For each cut the vertices of subset \\ walk
+    go to two sides with no edge between them: each connected component of
+    the remainder goes, in order of its lowest vertex, to the side where
+    its vertices lean geometrically (the sum of their side values,
+    _side_values); with no lean, to the side that is not larger, the first
+    on equal sizes. If removing the walk does not disconnect the geometric
+    sides (irregular meshes), a greedy edge cover of the side-crossing
+    edges is first absorbed into the separator.
+
+    Only signs decide, so most vertices need no nearest-walk query (the
+    band rule). The normal of an axis direction has one nonzero component,
+    so a side value is +-(p_c - w_c) for one coordinate c, and its sign is
+    the sign of s_p - s_w (s = point . normal) whatever the rounding. A
+    vertex with s_p above the walk's largest s_w is on side + for every
+    walk vertex, one below the smallest on side -. Queried are only the
+    vertices inside that band, the cover's vertices (for the walk position
+    they are inserted after) and every member of a component that holds
+    both signs, whose lean is then the same float sum, over its members in
+    subset order, as if every vertex were queried. An edge crosses when its
+    ends have opposite signs. After the cover, + and - meet only through
+    exact zeros, so a component whose members agree in sign leans by that
+    sign, and one of zeros does not lean.
 
     The subsets of one level share no edge, so one label array (the cut each
     remaining vertex belongs to) turns the graph's edges into the edges of
-    every remainder at once, and one connected_components call labels the
-    components of the whole level. Returns one (side1, side2, extra) per cut,
-    each side in the subset's own order and extra pairing each absorbed
-    vertex with the walk position it is inserted after.
+    every remainder at once; one connected_components call labels the
+    components of the whole level, and one pass reduces them to their size,
+    signs and lowest vertex. Returns one (side1, side2, extra) per cut, each
+    side its components in order of their lowest vertex, each component in
+    subset order, and extra pairing each absorbed vertex with the walk
+    position it is inserted after.
     """
-    label = np.full(graph.n, -1, dtype=np.int64)
-    for i, (subset, walk, _) in enumerate(cuts):
+    if not cuts:
+        return []
+    n = graph.n
+    label = np.full(n, -1, dtype=np.int64)
+    normals = []
+    for i, (subset, walk, direction) in enumerate(cuts):
         label[subset] = i
         label[walk] = -1
-    side = np.zeros(graph.n)
-    near = np.zeros(graph.n, dtype=np.int64)
-    for i, (subset, walk, direction) in enumerate(cuts):
-        rest = subset[label[subset] == i]
-        if len(rest):
-            side[rest], near[rest] = _side_values(graph, rest, walk, direction)
+        normal = np.array([-direction[1], direction[0]], dtype=np.float64)
+        if np.count_nonzero(normal) != 1:
+            raise ConfigError(f"split direction {direction} is not an axis")
+        normals.append(normal)
+    side = np.zeros(n)
+    near = np.zeros(n, dtype=np.int64)
+    sign = np.zeros(n, dtype=np.int8)
+    queried = np.zeros(n, dtype=bool)
+    kdtrees = {}
+
+    def query(i, vertices):
+        """Side values, nearest walk positions and signs of the vertices
+        of cut i not queried yet."""
+        vertices = vertices[~queried[vertices]]
+        if vertices.size:
+            _, walk, _ = cuts[i]
+            if i not in kdtrees:
+                kdtrees[i] = cKDTree(graph.coords[walk])
+            side[vertices], near[vertices] = _side_values(
+                graph, vertices, walk, normals[i], kdtrees[i])
+            sign[vertices] = np.sign(side[vertices])
+            queried[vertices] = True
+
+    # the band: each remaining vertex's coordinate c against the range of
+    # its walk's; above it the sign is the normal's, below it the opposite
+    axis = np.array([np.flatnonzero(normal)[0] for normal in normals])
+    up = np.array([np.sign(normal[c]) for normal, c in zip(normals, axis)],
+                  dtype=np.int8)
+    walks = [walk for _, walk, _ in cuts]
+    lengths = np.array([len(walk) for walk in walks])
+    at_walk = graph.coords[np.concatenate(walks), np.repeat(axis, lengths)]
+    starts = np.cumsum(lengths) - lengths
+    low = np.minimum.reduceat(at_walk, starts)
+    high = np.maximum.reduceat(at_walk, starts)
+    rest = np.flatnonzero(label >= 0)
+    cut = label[rest]
+    coord = graph.coords[rest, axis[cut]]
+    sign[rest] = np.where(coord > high[cut], up[cut],
+                          np.where(coord < low[cut], -up[cut], 0))
+    band = rest[sign[rest] == 0]
+    for group in _groups(label[band]):
+        query(int(label[band[group[0]]]), band[group])
 
     src, dst = edges
     owner = label[src]
     inner = (owner >= 0) & (owner == label[dst])
     src, dst = src[inner], dst[inner]
     extras = [[] for _ in cuts]
-    crossing = np.flatnonzero(side[src] * side[dst] < 0)
+    crossing = np.flatnonzero(sign[src] * sign[dst] < 0)
     if len(crossing):
         cut_of = owner[inner][crossing]
         for group in _groups(cut_of):
             edge = crossing[group]
             cover = _greedy_edge_cover(src[edge], dst[edge])
+            i = int(cut_of[group[0]])
+            query(i, cover)
             label[cover] = -1
-            extras[cut_of[group[0]]] = [(int(near[v]), int(v)) for v in cover]
+            extras[i] = [(int(near[v]), int(v)) for v in cover]
         kept = (label[src] >= 0) & (label[dst] >= 0)
         src, dst = src[kept], dst[kept]
     _, comp = connected_components(
         sp.coo_matrix((np.ones(len(src), dtype=np.int8), (src, dst)),
-                      shape=(graph.n, graph.n)),
+                      shape=(n, n)),
         directed=False,
     )
 
+    # per component: size, lowest vertex and which signs its members hold
+    rest = rest[label[rest] >= 0]
+    member = comp[rest]
+    size = np.bincount(member, minlength=n)
+    lowest = np.full(n, n, dtype=np.int64)
+    np.minimum.at(lowest, member, rest)
+    plus = np.bincount(member[sign[rest] > 0], minlength=n) > 0
+    minus = np.bincount(member[sign[rest] < 0], minlength=n) > 0
+    lean = plus.astype(np.int8) - minus
+    for c in np.flatnonzero(plus & minus):
+        subset = cuts[label[lowest[c]]][0]
+        members = subset[comp[subset] == c]
+        query(int(label[lowest[c]]), members)
+        lean[c] = np.sign(side[members].sum())
+
+    comps = np.flatnonzero(size)
+    comps = comps[np.argsort(lowest[comps])]
+    comp_cut = label[lowest[comps]]
+    sizes = ([0] * len(cuts), [0] * len(cuts))
+    second = []
+    for i, s, m in zip(comp_cut.tolist(), lean[comps].tolist(),
+                       size[comps].tolist()):
+        to_second = not (s < 0 or (s == 0 and sizes[0][i] <= sizes[1][i]))
+        sizes[to_second][i] += m
+        second.append(to_second)
+
+    # every remaining vertex, cut after cut and each cut's in subset order,
+    # sorted by (cut, side, lowest vertex of its component)
+    rank = np.empty(n, dtype=np.int64)
+    rank[comps[np.lexsort((second, comp_cut))]] = np.arange(comps.size)
+    ordered = np.concatenate([subset for subset, _, _ in cuts])
+    ordered = ordered[label[ordered] >= 0]
+    ordered = ordered[np.argsort(rank[comp[ordered]], kind="stable")]
     out = []
-    empty = np.empty(0, dtype=np.int64)
-    for i, (subset, _, _) in enumerate(cuts):
-        rest = subset[label[subset] == i]
-        parts = [(rest[g], side[rest[g]]) for g in _groups(comp[rest])] if len(rest) else []
-        parts.sort(key=lambda part: part[0].min())
-        sides = ([], [])
-        n1 = n2 = 0
-        for members, values in parts:
-            lean = float(values.sum())
-            if lean < 0 or (lean == 0 and n1 <= n2):
-                sides[0].append(members)
-                n1 += len(members)
-            else:
-                sides[1].append(members)
-                n2 += len(members)
-        v1, v2 = (np.concatenate(s) if s else empty for s in sides)
-        out.append((v1, v2, extras[i]))
+    at = 0
+    for i in range(len(cuts)):
+        ends = at + sizes[0][i], at + sizes[0][i] + sizes[1][i]
+        out.append((ordered[at:ends[0]], ordered[ends[0]:ends[1]], extras[i]))
+        at = ends[1]
     return out
 
 
@@ -462,8 +556,9 @@ class _Builder:
     1. per node, in queue order: the leaf test and the separator walk
        (find_separator), reading membership from one label array of the
        level;
-    2. split_subset for the whole level: side values, greedy edge covers,
-       one component labelling and the lean rule;
+    2. split_subset for the whole level: signs by the band rule, side
+       values where the band leaves them in doubt, greedy edge covers, one
+       component labelling and the lean rule;
     3. per node, in queue order: the separator as its root segment, the
        split of the segments its walk crosses, and the children.
     A walk never reads the segments and the subsets of one level share no
@@ -502,7 +597,7 @@ class _Builder:
             ),
             directed=False,
         )
-        components = _groups(labels) if g.n else []
+        components = _groups(labels)
         components.sort(key=lambda members: members[0])
         level = [(TreeNode(depth=1), members) for members in components]
         tree.roots = [node for node, _ in level]

@@ -20,9 +20,14 @@ Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
 picks the LDL^T or the pivoted-LU kernel. Both map (self block, in-coupling,
 out-coupling) to (payload, Schur complement) in one payload layout (D^-1
-and U^-1 as row runs), so they are interchangeable. _eliminate returns the
-factor with its update (the negated Schur complement on the elimination's
-front, its neighbor positions) and tags a singular block with its place.
+and U^-1 as row runs), so they are interchangeable. Each calls LAPACK
+directly: the LDL^T kernel makes one dsytrf (Bunch-Kaufman) call and reads
+its pivots in one loop, with the factor bitwise that of scipy.linalg.ldl,
+and the LU kernel one getrf call (core.lu_compact). On a symmetric matrix
+only the in-coupling is built, since the LDL^T kernel reads no other.
+_eliminate returns the factor with its update (the negated Schur complement
+on the elimination's front, its neighbor positions) and tags a singular
+block with its place.
 
 The active Schur complement lives in a SchurState: per stage, one flat value
 buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
@@ -72,8 +77,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 from . import lowrank
 from .core import (SparseMatrix, as_csr, check_int, lu_compact,
@@ -683,47 +688,90 @@ def _check_finite(k, *payload):
             f"non-finite elimination payload in {k}x{k} block")
 
 
-def _block_inverse(d, k):
-    """Inverse of the block-diagonal D of an LDL^T, whose blocks are 1x1 or
-    2x2: a reciprocal per 1x1 block, one stacked inverse over the 2x2 ones.
-    A zero pivot or a singular 2x2 block raises SingularBlockError."""
-    pairs = np.flatnonzero(np.diagonal(d, -1))
-    single = np.ones(k, dtype=bool)
-    single[pairs] = single[pairs + 1] = False
-    ones = np.flatnonzero(single)
-    rows = pairs[:, None, None] + np.arange(2)[:, None]
-    cols = pairs[:, None, None] + np.arange(2)
-    pivots = d[ones, ones]
-    try:
-        blocks = np.linalg.inv(d[rows, cols])
-    except np.linalg.LinAlgError:
-        blocks = None
-    if blocks is None or np.any(pivots == 0):
-        raise SingularBlockError(f"singular diagonal in {k}x{k} block")
-    dinv = np.zeros_like(d)
-    dinv[ones, ones] = 1.0 / pivots
-    dinv[rows, cols] = blocks
-    return dinv
+_SYTRF, _SYTRF_LWORK = get_lapack_funcs(("sytrf", "sytrf_lwork"),
+                                        dtype=np.float64)
+
+
+@functools.lru_cache(maxsize=256)
+def _sytrf_lwork(k):
+    """The workspace scipy.linalg.ldl hands dsytrf for a k x k block. The
+    blocking dsytrf picks, and so its result, depends on it."""
+    work, _ = _SYTRF_LWORK(k, lower=1)
+    return int(work)
 
 
 def _symmetric_elimination(self_block, a_nu, a_un):
-    """LDL^T (Bunch-Kaufman) kernel for a real symmetric self block
-    (is_symmetric never holds for a complex matrix) coupled in from the
-    front by a_nu; a_un, its transpose, is not read. Returns (payload,
-    Schur complement); each row of D^-1 is one run of 1 or 2 nonzeros."""
+    """LDL^T kernel for a real symmetric self block (is_symmetric never
+    holds for a complex matrix) coupled in from the front by a_nu; a_un, its
+    transpose, is not read. Returns (payload, Schur complement); each row of
+    D^-1 is one run of 1 or 2 nonzeros.
+
+    One dsytrf call (Bunch-Kaufman, lower triangle) with the workspace
+    scipy.linalg.ldl uses, so the factor is bitwise that of sla.ldl
+    followed by lu[perm]: the pivot loop reads ipiv once, keeps the 1x1 and
+    2x2 pivots of D and the row interchanges, and the interchanges are
+    applied to the unit lower factor from the last pivot back, each to the
+    columns from its pivot on, as sla.ldl applies them. D^-1 is a
+    reciprocal per 1x1 pivot and one stacked inverse over the 2x2 ones,
+    which is bitwise the dense inverse of D. A zero 1x1 pivot or a singular
+    2x2 one raises SingularBlockError, and so does a non-finite pivot or
+    payload.
+    """
     k = self_block.shape[0]
-    lu, d, perm = sla.ldl(self_block, check_finite=False)
+    ldu, ipiv, _ = _SYTRF(self_block, lwork=_sytrf_lwork(k), lower=1)
+    piv = ipiv.tolist()
+    ones, pairs, swaps = [], [], []
+    i = 0
+    while i < k:
+        if piv[i] > 0:
+            # 1x1 pivot; row i was interchanged with row piv[i] - 1
+            ones.append(i)
+            if piv[i] != i + 1:
+                swaps.append((i, piv[i] - 1, i))
+            i += 1
+        else:
+            # 2x2 pivot on rows i, i + 1; row i + 1 was interchanged with
+            # row -piv[i] - 1, from column i on
+            pairs.append(i)
+            if -piv[i] != i + 2:
+                swaps.append((i + 1, -piv[i] - 1, i))
+            i += 2
+    single = ldu.diagonal()[ones]
+    if not single.all():
+        raise SingularBlockError(f"singular diagonal in {k}x{k} block")
+    dinv = np.zeros((k, k))
+    dinv[ones, ones] = 1.0 / single
+    lu = np.where(_triangles(k)[0], ldu, 0.0)
+    lu.flat[::k + 1] = 1.0
+    if pairs:
+        first = np.array(pairs)
+        rows = first[:, None, None] + np.arange(2)[:, None]
+        cols = first[:, None, None] + np.arange(2)
+        # D's subdiagonal entry of each 2x2 pivot, mirrored
+        blocks = ldu[np.maximum(rows, cols), np.minimum(rows, cols)]
+        _check_finite(k, blocks)
+        try:
+            dinv[rows, cols] = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:
+            raise SingularBlockError(
+                f"singular diagonal in {k}x{k} block") from None
+        lu[first + 1, first] = 0.0
+    perm = list(range(k))
+    for row, other, col in reversed(swaps):
+        lu[[other, row], col:] = lu[[row, other], col:]
+        perm[row], perm[other] = perm[other], perm[row]
+    perm = np.argsort(perm)
     lower = lu[perm]
-    _check_finite(k, lower, d)
-    dinv = _block_inverse(d, k)
+
     # t1 = lu^-1 A[idx, nbr]; coupling = (dinv @ t1).T = A[nbr, idx] lu^-T d^-1
     t1 = triangular_solve(lower, a_nu.T[perm], lower=True, unit_diag=True)
     coupling = (dinv @ t1).T
     schur = coupling @ t1
     linv = triangular_inverse(lower, lower=True, unit_diag=True)
-    _check_finite(k, coupling, schur, linv)
+    # a non-finite entry of lower leaves one in linv, so lower needs no pass
+    _check_finite(k, single, coupling, schur, linv)
     nonzero = dinv != 0
-    counts = np.count_nonzero(nonzero, axis=1)
+    counts = nonzero.sum(axis=1)
     return _Payload(
         perm=perm, lower=linv[_triangles(k)[0]], diag=dinv[nonzero],
         diag_counts=counts, pull=coupling.T,
@@ -842,7 +890,7 @@ def eliminate_interiors(a, tree):
     for leaf, front, lo, hi in zip(leaves, fronts, ends[:-1], ends[1:]):
         s, e = leaf.span
         ii, a_ie, a_ei = _leaf_blocks(s, e, front, rows[lo:hi], cols[lo:hi],
-                                      vals[lo:hi])
+                                      vals[lo:hi], state.symmetric)
         fac, (nbr, delta) = _eliminate(
             state.symmetric, np.arange(s, e, dtype=np.int64), front, ii,
             a_ei, a_ie, interior_level, ("leaf", int(s), int(e)), "interior")
@@ -851,19 +899,22 @@ def eliminate_interiors(a, tree):
     return state, factors
 
 
-def _leaf_blocks(s, e, ext, rows, cols, vals):
+def _leaf_blocks(s, e, ext, rows, cols, vals, symmetric):
     """Dense interior block of positions [s, e) and its couplings to and from
     the ascending outside positions ext, from the entries (rows, cols,
-    vals) that touch the leaf."""
+    vals) that touch the leaf. The coupling to ext is None when symmetric:
+    the LDL^T kernel reads only the coupling from ext."""
     m = e - s
     row_in = (rows >= s) & (rows < e)
     col_in = (cols >= s) & (cols < e)
     ii = np.zeros((m, m), dtype=vals.dtype)
     both = row_in & col_in
     ii[rows[both] - s, cols[both] - s] = vals[both]
-    a_ie = np.zeros((m, ext.size), dtype=vals.dtype)
-    out = ~col_in
-    a_ie[rows[out] - s, np.searchsorted(ext, cols[out])] = vals[out]
+    a_ie = None
+    if not symmetric:
+        a_ie = np.zeros((m, ext.size), dtype=vals.dtype)
+        out = ~col_in
+        a_ie[rows[out] - s, np.searchsorted(ext, cols[out])] = vals[out]
     a_ei = np.zeros((ext.size, m), dtype=vals.dtype)
     out = ~row_in
     a_ei[np.searchsorted(ext, rows[out]), cols[out] - s] = vals[out]

@@ -1,10 +1,14 @@
 import copy
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import Delaunay, cKDTree
 
-from ndlu import dissection, factor, solver
+from ndlu import assembly, dissection, factor, solver
 from ndlu.core import SparseMatrix
 from ndlu.dissection import (
     JUNCTION,
@@ -13,7 +17,8 @@ from ndlu.dissection import (
     Segment,
     _greedy_edge_cover,
     _median_and_quartiles,
-    _step_bias,
+    _Views,
+    _walk_arm,
     build_dissection,
     find_separator,
     split_crossed_segments,
@@ -96,6 +101,44 @@ class TestGraph:
         assert len(g.neighbors(0)) == 2
 
 
+def _step_bias(xu, xv, xc, direction):
+    """(bias, step alignment) of stepping from the point xv to xu while
+    walking toward `direction` from the center point xc: the alignment of the
+    step plus THETA times the alignment of xu relative to xc. Both terms are
+    cosines in [-1, 1]; a zero-length vector aligns as 0. The reference for
+    the bias _walk_arm computes inline."""
+    sx, sy = xu[0] - xv[0], xu[1] - xv[1]
+    ns = math.hypot(sx, sy)
+    align = 0.0 if ns == 0.0 else (sx * direction[0] + sy * direction[1]) / ns
+    ox, oy = xu[0] - xc[0], xu[1] - xc[1]
+    no = math.hypot(ox, oy)
+    drift = 0.0 if no == 0.0 else (ox * direction[0] + oy * direction[1]) / no
+    return align + dissection.THETA * drift, align
+
+
+def _walk_arm_reference(views, visited, c, direction, max_steps):
+    """_walk_arm with the step bias taken from _step_bias."""
+    own = views.label[c]
+    xc = (views.x[c], views.y[c])
+    arm = []
+    v = c
+    while len(arm) < max_steps:
+        best_u, best_d, best_align = -1, -math.inf, 0.0
+        xv = (views.x[v], views.y[v])
+        for u in views.indices[views.indptr[v]:views.indptr[v + 1]]:
+            if views.label[u] != own or u in visited:
+                continue
+            d, align = _step_bias((views.x[u], views.y[u]), xv, xc, direction)
+            if d > best_d or (d == best_d and u < best_u):
+                best_u, best_d, best_align = u, d, align
+        if best_u < 0 or best_d <= 0.0 or best_align <= 0.0:
+            break
+        arm.append(best_u)
+        visited.add(best_u)
+        v = best_u
+    return arm
+
+
 class TestDegreeBias:
     """The walk's step bias: step alignment plus THETA times the alignment
     of u relative to the walk's center c."""
@@ -159,6 +202,39 @@ class TestFindSeparator:
         walk, _ = find_separator(g, np.arange(12 * 9))
         for a, b in zip(walk, walk[1:]):
             assert b in g.neighbors(a)
+
+
+def delaunay_graph(pts):
+    """Graph of the Delaunay triangulation of the points."""
+    tri = Delaunay(pts).simplices
+    rows = np.concatenate([tri[:, 0], tri[:, 1], tri[:, 2]])
+    cols = np.concatenate([tri[:, 1], tri[:, 2], tri[:, 0]])
+    a = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(len(pts), len(pts))).tocsr()
+    return Graph.from_matrix(a, pts)
+
+
+@pytest.mark.parametrize("lattice", [False, True])
+def test_walk_arm_takes_the_steps_of_the_step_bias_reference(lattice):
+    # on a lattice many biases tie, so the lowest-id rule decides steps too
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(30, 400))
+        pts = (rng.integers(0, 24, size=(n, 2)) * 0.5 if lattice
+               else rng.uniform(-3.0, 5.0, size=(n, 2)))
+        g = delaunay_graph(np.unique(pts, axis=0))
+        label = np.full(g.n, -1, dtype=np.int64)
+        subset = rng.permutation(g.n)[:int(rng.integers(3, g.n + 1))]
+        label[subset] = 7
+        views = _Views(g, memoryview(label))
+        for c in rng.choice(subset, size=4).tolist():
+            for direction in [(1.0, 0.0), (0.0, 1.0), (-1.0, -0.0),
+                              (-0.0, -1.0)]:
+                cap = int(rng.integers(1, 40))
+                visited, expected = {c}, {c}
+                assert _walk_arm(views, visited, c, direction, cap) == \
+                    _walk_arm_reference(views, expected, c, direction, cap)
+                assert visited == expected
 
 
 def make_line_segment(owner, verts):
@@ -474,3 +550,148 @@ def test_split_assigns_components_by_lean_then_by_size_in_lowest_vertex_order():
     assert v1.tolist() == [7, 8, 9, 10, 11]
     assert v2.tolist() == [12, 6, 5, 4, 13]
     assert extra == []
+
+
+def _edges(g):
+    """Every edge of g once, as (src, dst) with src < dst."""
+    src = np.repeat(np.arange(g.n), np.diff(g.indptr))
+    upper = src < g.indices
+    return src[upper], g.indices[upper]
+
+
+def _split_reference(graph, cuts, edges):
+    """split_subset by the all-vertex rule: every remaining vertex queries
+    its nearest walk vertex, an edge crosses where the product of its ends'
+    side values is negative, and each component leans by the float sum of
+    its members' side values in subset order."""
+    label = np.full(graph.n, -1, dtype=np.int64)
+    for i, (subset, walk, _) in enumerate(cuts):
+        label[subset] = i
+        label[walk] = -1
+    side = np.zeros(graph.n)
+    near = np.zeros(graph.n, dtype=np.int64)
+    for i, (subset, walk, direction) in enumerate(cuts):
+        rest = subset[label[subset] == i]
+        normal = np.array([-direction[1], direction[0]])
+        pts = graph.coords[rest]
+        _, near[rest] = cKDTree(graph.coords[walk]).query(pts)
+        side[rest] = (pts - graph.coords[walk[near[rest]]]) @ normal
+    src, dst = edges
+    owner = label[src]
+    inner = (owner >= 0) & (owner == label[dst])
+    src, dst, owner = src[inner], dst[inner], owner[inner]
+    crossing = side[src] * side[dst] < 0
+    extras = [[] for _ in cuts]
+    for i in np.unique(owner[crossing]):
+        edge = crossing & (owner == i)
+        cover = _greedy_edge_cover(src[edge], dst[edge])
+        label[cover] = -1
+        extras[i] = [(int(near[v]), int(v)) for v in cover]
+    kept = (label[src] >= 0) & (label[dst] >= 0)
+    _, comp = connected_components(
+        sp.coo_matrix((np.ones(kept.sum()), (src[kept], dst[kept])),
+                      shape=(graph.n, graph.n)), directed=False)
+    out = []
+    for i, (subset, _, _) in enumerate(cuts):
+        rest = subset[label[subset] == i]
+        parts = sorted((rest[comp[rest] == c] for c in np.unique(comp[rest])),
+                       key=lambda members: members.min())
+        sides = ([], [])
+        for members in parts:
+            lean = float(side[members].sum())
+            n1, n2 = (sum(map(len, s)) for s in sides)
+            sides[lean > 0 or (lean == 0 and n1 > n2)].append(members)
+        v1, v2 = (np.concatenate(s) if s else np.empty(0, np.int64)
+                  for s in sides)
+        out.append((v1, v2, extras[i]))
+    return out
+
+
+def _assert_same_split(got, want):
+    assert len(got) == len(want)
+    for (v1, v2, extra), (w1, w2, wextra) in zip(got, want):
+        assert v1.tolist() == w1.tolist() and v2.tolist() == w2.tolist()
+        assert extra == wextra
+
+
+def test_split_by_sign_matches_the_all_vertex_rule_on_hand_built_cuts():
+    # cut 0: walk 0-1-2-3 along y=0. Vertex 4 sits on the walk's line and
+    # has side value 0 (the band holds only y=0); through it + meets -:
+    # 5 at y=2 and 6 at y=-1, so the component {4, 5, 6} leans by the sum
+    # 0 + 2 - 1 > 0. Signs alone would not lean it, and the size rule would
+    # then put it on side 1. 7 = {7} above the walk, 8 = {8} below it.
+    # cut 1, shifted by x=100: walk 9-10-11-12 along y=0, and the edges
+    # 13-14, 13-15, 15-16 cross it, so the greedy cover {13, 15} joins the
+    # separator after walk positions 1 and 2, its nearest walk vertices.
+    pts = np.array([(0, 0), (1, 0), (2, 0), (3, 0), (5, 0), (5, 2), (5, -1),
+                    (1, 3), (2, -3),
+                    (100, 0), (101, 0), (102, 0), (103, 0), (101.4, 0.5),
+                    (101.4, -0.5), (102.4, -0.5), (102.6, 0.5)], dtype=float)
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (4, 6), (1, 7), (2, 8),
+             (9, 10), (10, 11), (11, 12), (13, 14), (13, 15), (15, 16),
+             (10, 13), (11, 15)]
+    rows, cols = zip(*pairs)
+    a = sp.coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(17, 17))
+    g = Graph.from_matrix(a, pts)
+    x = np.array([1.0, 0.0])
+    cuts = [(np.arange(9)[::-1], np.arange(4), x),
+            (np.arange(9, 17), np.arange(9, 13), x)]
+    got = split_subset(g, cuts, _edges(g))
+    _assert_same_split(got, _split_reference(g, cuts, _edges(g)))
+    (v1, v2, extra), (w1, w2, wextra) = got
+    assert (v1.tolist(), v2.tolist(), extra) == ([8], [6, 5, 4, 7], [])
+    assert (w1.tolist(), w2.tolist(), wextra) == ([14], [16], [(1, 13),
+                                                               (2, 15)])
+
+
+def test_split_by_sign_matches_the_all_vertex_rule_on_random_levels():
+    # lattice points put many vertices on their walk's line, and random
+    # edges cross the walks, so zero side values, covers and components of
+    # both signs are common
+    rng = np.random.default_rng(5)
+    for trial in range(150):
+        pts, pairs, cuts, base = [], [], [], 0
+        for i in range(int(rng.integers(1, 4))):
+            m = int(rng.integers(6, 40))
+            pts.append(rng.integers(-4, 5, size=(m, 2)) * 0.5 + [100.0 * i, 0])
+            ends = rng.integers(0, m, size=(int(rng.integers(m, 3 * m)), 2))
+            pairs += [(base + u, base + w) for u, w in ends if u != w]
+            subset = base + rng.permutation(m)
+            axis = [(1.0, 0.0), (0.0, 1.0)][int(rng.integers(2))]
+            cuts.append((subset, subset[:int(rng.integers(1, 6))],
+                         np.array(axis)))
+            base += m
+        rows, cols = zip(*pairs)
+        a = sp.coo_matrix((np.ones(len(pairs)), (rows, cols)),
+                          shape=(base, base))
+        g = Graph.from_matrix(a, np.concatenate(pts))
+        _assert_same_split(split_subset(g, cuts, _edges(g)),
+                           _split_reference(g, cuts, _edges(g)))
+
+
+@pytest.mark.parametrize("family,share", [
+    ("laplace-aniso:d12=1,d21=0", 0.0),
+    ("laplace-contrast:rho=100,seed=1", 0.0),
+    ("helmholtz-poly:k=20", 0.02),
+])
+def test_split_queries_the_nearest_walk_vertex_only_inside_the_band(
+        family, share, monkeypatch):
+    # of the vertices split at every level (each subset less its walk), the
+    # ones queried: none on the meshes whose walks are straight lines
+    counts = {"queried": 0, "split": 0}
+    side_values, split = dissection._side_values, dissection.split_subset
+
+    def counting_side_values(graph, vertices, *args):
+        counts["queried"] += len(vertices)
+        return side_values(graph, vertices, *args)
+
+    def counting_split(graph, cuts, edges):
+        counts["split"] += sum(len(s) - len(w) for s, w, _ in cuts)
+        return split(graph, cuts, edges)
+
+    monkeypatch.setattr(dissection, "_side_values", counting_side_values)
+    monkeypatch.setattr(dissection, "split_subset", counting_split)
+    p = assembly.build_problem(family, 4096)
+    build_dissection(p.matrix, p.coords)
+    assert counts["split"] > 5 * p.n
+    assert counts["queried"] <= share * counts["split"]

@@ -426,7 +426,7 @@ def test_ldl_stage_holds_d_inverse_as_row_runs(name):
     block = np.array(LDL_BLOCKS[name])
     _, d, _ = sla.ldl(block)
     assert np.flatnonzero(np.diagonal(d, -1)).size == 1
-    dinv = factor._block_inverse(d, 4)
+    dinv = np.linalg.inv(d)
     rng = np.random.default_rng(1)
     f, _ = factor._eliminate(True, np.arange(4), np.array([6, 7]), block,
                              rng.standard_normal((2, 4)), None, 1,
@@ -823,22 +823,109 @@ def test_singular_block_error_names_its_block(family, own_tree):
         assert 5 in tree.segments[err.segment].vertices
 
 
-def test_ldl_diagonal_inverse_is_bitwise_the_dense_inverse():
+def _ldl_reference(self_block, a_nu):
+    """The LDL^T kernel as built on scipy.linalg.ldl, with D^-1 as the dense
+    inverse of D (bitwise the reciprocals and stacked 2x2 inverses of its
+    pivot blocks): (payload, Schur complement)."""
+    k = self_block.shape[0]
+    lu, d, perm = sla.ldl(self_block, check_finite=False)
+    lower = lu[perm]
+    dinv = np.linalg.inv(d)
+    t1 = core.triangular_solve(lower, a_nu.T[perm], lower=True,
+                               unit_diag=True)
+    coupling = (dinv @ t1).T
+    schur = coupling @ t1
+    linv = core.triangular_inverse(lower, lower=True, unit_diag=True)
+    nonzero = dinv != 0
+    counts = np.count_nonzero(nonzero, axis=1)
+    return factor._Payload(
+        perm=perm, lower=linv[np.tri(k, k, -1, dtype=bool)],
+        diag=dinv[nonzero], diag_counts=counts, pull=coupling.T,
+        diag_first=np.nonzero(nonzero)[1][np.cumsum(counts) - counts]), schur
+
+
+def _ldl_blocks():
+    """(name, self block, in-coupling): the sizes 0 to 2, random indefinite
+    blocks up to k = 60, a 2x2 pivot with a zero diagonal."""
+    rng = np.random.default_rng(7)
+    cases = [("k0", np.zeros((0, 0)), np.zeros((3, 0))),
+             ("k1", np.array([[-2.5]]), rng.standard_normal((3, 1))),
+             ("k2", np.array([[1e-3, 2.0], [2.0, -1.0]]),
+              rng.standard_normal((3, 2))),
+             ("zero-diagonal-pair", np.array(LDL_BLOCKS["zero-diagonal-pair"]),
+              rng.standard_normal((2, 4)))]
+    for k in (3, 5, 8, 13, 21, 34, 60):
+        for trial in range(3):
+            b = rng.standard_normal((k, k))
+            cases.append((f"random-{k}-{trial}", b + b.T,
+                          rng.standard_normal((int(rng.integers(0, 2 * k)), k))))
+    return cases
+
+
+def test_ldl_kernel_is_bitwise_the_scipy_ldl_reference():
+    pivots = set()
+    for name, block, a_nu in _ldl_blocks():
+        got = factor._symmetric_elimination(block, a_nu, None)
+        want = _ldl_reference(block, a_nu)
+        for part, g, w in zip(factor._Payload._fields + ("schur",),
+                              (*got[0], got[1]), (*want[0], want[1])):
+            if w is None:
+                assert g is None
+                continue
+            assert (g.shape, g.dtype, g.tobytes()) == \
+                (w.shape, w.dtype, w.tobytes()), (name, part)
+        _, d, perm = sla.ldl(block)
+        if np.any(np.diagonal(d, -1)):
+            pivots.add("2x2")
+        if len(d) > 2 * np.count_nonzero(np.diagonal(d, -1)):
+            pivots.add("1x1")
+        if np.any(perm != np.arange(len(perm))):
+            pivots.add("swap")
+    assert pivots == {"1x1", "2x2", "swap"}
+
+
+def test_ldl_diagonal_inverse_is_bitwise_the_dense_inverse(monkeypatch):
     # an indefinite block, so Bunch-Kaufman takes 1x1 and 2x2 pivots
     b = np.random.default_rng(4).standard_normal((40, 40))
-    _, d, _ = sla.ldl(b + b.T)
+    indefinite = b + b.T
+    _, d, _ = sla.ldl(indefinite)
     pairs = np.flatnonzero(np.diagonal(d, -1))
-    single = np.setdiff1d(np.arange(40), np.concatenate([pairs, pairs + 1]))
-    assert pairs.size and single.size
-    assert np.array_equal(factor._block_inverse(d, 40),
-                          np.linalg.inv(d))
-    zero_pivot, singular_pair = d.copy(), d.copy()
-    zero_pivot[single[0], single[0]] = 0.0
-    i = pairs[0]
-    singular_pair[i:i + 2, i:i + 2] = [[1.0, 2.0], [2.0, 4.0]]
-    for bad in (zero_pivot, singular_pair):
-        with pytest.raises(SingularBlockError, match="singular diagonal"):
-            factor._block_inverse(bad, 40)
+    assert pairs.size and 40 > 2 * pairs.size
+
+    def eliminate(block):
+        k = block.shape[0]
+        return factor._eliminate(True, np.arange(k), np.array([k + 1]),
+                                 block, np.ones((1, k)), None, 2,
+                                 (2, 0, 2, 0), "segment")[0]
+
+    diag = factor.compile_stage([eliminate(indefinite)]).diag
+    dense = np.linalg.inv(d)
+    # equal values; the dense inverse leaves some of its zeros negative
+    assert np.array_equal(diag.toarray(), dense)
+    assert diag.data.tobytes() == dense[dense != 0].tobytes()
+
+    # a singular 2x2 pivot is planted in the factor dsytrf returns, since
+    # Bunch-Kaufman's pivot test never picks one
+    ldu, ipiv, _ = factor._SYTRF(indefinite, lower=1)
+    i = int(np.flatnonzero(ipiv < 0)[0])
+    ldu[i:i + 2, i] = [1.0, 2.0]
+    ldu[i + 1, i + 1] = 4.0
+    sytrf = factor._SYTRF
+    monkeypatch.setattr(factor, "_SYTRF", lambda a, lwork, lower: (
+        (ldu, ipiv, 0) if a is indefinite else sytrf(a, lwork=lwork,
+                                                     lower=lower)))
+    nan = np.eye(3)
+    nan[1, 2] = nan[2, 1] = np.nan
+    for block, message in [(np.diag([1.0, 0.0, 2.0]), "singular diagonal"),
+                           (indefinite, "singular diagonal"),
+                           (np.diag([np.inf, 1.0, 2.0]), "non-finite"),
+                           (nan, "non-finite")]:
+        k = block.shape[0]
+        with pytest.raises(SingularBlockError, match=message) as info:
+            eliminate(block)
+        assert (info.value.level, info.value.segment) == (2, (2, 0, 2, 0))
+        assert str(info.value).endswith(
+            f"in {k}x{k} block (level 2, segment (2, 0, 2, 0))")
 
 
 def _poisoned(family, coupled_rows):
