@@ -4,9 +4,13 @@ Run from anywhere, with two checkouts of this repository:
 
     python scripts/ab_time.py OLD NEW --workload poly-multirhs --pairs 10
 
-Each pair runs OLD and NEW once each, in fresh processes, OLD first in even
-pairs and NEW first in odd ones, so that a drift in the host's load hits
-both sides alike. A process imports ndlu from its checkout's src/, builds
+The workloads, each a problem descriptor, a target size and an eps, are
+those of perfbench/workloads.py next to this script, read and never
+written, so the tool times the problems the benchmark gates.
+
+Each pair runs OLD and NEW once each, in fresh processes, OLD first in
+even pairs and NEW first in odd ones, so that a drift in the host's load
+hits both sides alike. A process imports ndlu from its checkout's src/, builds
 the workload's problem, runs one untimed pass on a small problem of the
 same family so that lazy imports and first calls are not timed, and then
 times one build_dissection and one factorize call, each in CPU time
@@ -17,8 +21,8 @@ For each measure it prints each side's median and quartiles over the
 pairs, the pairs NEW won (ties count for neither side) and the change of
 the medians. A gain holds by the benchmark's rule when NEW wins at least
 nine pairs in ten and the medians differ by more than OLD's interquartile
-range. The script reads and writes nothing outside the two checkouts'
-sources.
+range. Besides that table, the script reads and writes nothing outside
+the two checkouts' sources.
 """
 
 from __future__ import annotations
@@ -34,12 +38,11 @@ from pathlib import Path
 
 BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
-# (problem descriptor, target size, eps) of the benchmark's workloads
-WORKLOADS = {
-    "aniso-unsym": ("laplace-aniso:d12=1,d21=0", 65536, 1e-4),
-    "poly-multirhs": ("helmholtz-poly:k=20", 16384, 1e-4),
-    "contrast-sym": ("laplace-contrast:rho=100,seed=1", 65536, 1e-4),
-}
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from workloads import WORKLOADS  # noqa: E402
+
 WARMUP_N = 1024
 MEASURES = ("dissect_cpu", "factor_cpu", "total_cpu",
             "dissect_wall", "factor_wall", "total_wall")
@@ -56,15 +59,15 @@ def time_once(checkout, workload):
     if Path(ndlu.__file__).resolve().parent != src / "ndlu":
         sys.exit(f"ab_time: imported ndlu from {ndlu.__file__}, not {src}")
 
-    descriptor, n, eps = WORKLOADS[workload]
-    warm = assembly.build_problem(descriptor, WARMUP_N)
+    w = WORKLOADS[workload]
+    warm = assembly.build_problem(w.descriptor, WARMUP_N)
     factor.factorize(warm.matrix, dissection.build_dissection(
-        warm.matrix, warm.coords), eps)
-    problem = assembly.build_problem(descriptor, n)
+        warm.matrix, warm.coords), w.eps)
+    problem = assembly.build_problem(w.descriptor, w.target_n)
     c0, w0 = time.process_time(), time.perf_counter()
     tree = dissection.build_dissection(problem.matrix, problem.coords)
     c1, w1 = time.process_time(), time.perf_counter()
-    factor.factorize(problem.matrix, tree, eps)
+    factor.factorize(problem.matrix, tree, w.eps)
     c2, w2 = time.process_time(), time.perf_counter()
     return {"dissect_cpu": c1 - c0, "factor_cpu": c2 - c1,
             "total_cpu": c2 - c0, "dissect_wall": w1 - w0,

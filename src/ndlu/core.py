@@ -5,12 +5,15 @@ entries, duplicates summed, sorted indices, float64 or complex128) of a
 square matrix or raises, and never changes the caller's arrays; a
 SparseMatrix holds a copy of what it returned. as_numbers is the one rule
 for arrays of numbers, check_int for integer options. The dense kernels
-(pivoted LU, triangular solve and inverse) call LAPACK directly on plain
-float64/complex128 ndarrays.
+(pivoted LU, Bunch-Kaufman LDL^T, triangular solve and inverse) call LAPACK
+directly on plain float64/complex128 ndarrays. This is the one module of
+the package that calls LAPACK routines itself, every handle coming from one
+cache (_lapack); lowrank reaches its pivoted QR through scipy.linalg.qr.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 
 import numpy as np
@@ -25,6 +28,7 @@ __all__ = [
     "as_csr",
     "as_numbers",
     "check_int",
+    "ldl",
     "lu_compact",
     "triangular_inverse",
     "triangular_solve",
@@ -115,8 +119,84 @@ def lu_compact(block):
     return lu, perm
 
 
-# LAPACK handles by (routine, dtypes of the arrays passed). Each entry is a
-# function of its key alone, so the cache is safe to share.
+def ldl(block):
+    """Bunch-Kaufman LDL^T of a real symmetric block, read from its lower
+    triangle: (lower, dinv, perm) with block[perm][:, perm] = lower @ D @
+    lower.T, bitwise scipy.linalg.ldl's lu[perm] and the dense inverse of D.
+
+    One dsytrf call with the workspace scipy.linalg.ldl hands it, whose
+    blocking the result depends on. One loop reads ipiv for the 1x1 and 2x2
+    pivots and the interchanges, which are replayed on the unit lower factor
+    from the last pivot back, each on the columns from its pivot on. D^-1 is
+    a reciprocal per 1x1 pivot and one stacked inverse over the 2x2 ones. A
+    zero 1x1 pivot, a singular 2x2 one or a non-finite pivot raises
+    SingularBlockError; the caller that knows the block adds where it sits.
+    """
+    k = block.shape[0]
+    lwork = _LAPACK.get(("sytrf workspace", k))
+    if lwork is None:
+        work, _ = _lapack("sytrf_lwork", block)(k, lower=1)
+        lwork = _LAPACK[("sytrf workspace", k)] = int(work)
+    ldu, ipiv, _ = _lapack("sytrf", block)(block, lwork=lwork, lower=1)
+    piv = ipiv.tolist()
+    ones, pairs, swaps = [], [], []
+    i = 0
+    while i < k:
+        if piv[i] > 0:
+            # 1x1 pivot; row i was interchanged with row piv[i] - 1
+            ones.append(i)
+            if piv[i] != i + 1:
+                swaps.append((i, piv[i] - 1, i))
+            i += 1
+        else:
+            # 2x2 pivot on rows i, i + 1; row i + 1 was interchanged with
+            # row -piv[i] - 1, from column i on
+            pairs.append(i)
+            if -piv[i] != i + 2:
+                swaps.append((i + 1, -piv[i] - 1, i))
+            i += 2
+    single = ldu.diagonal()[ones]
+    if not single.all():
+        raise SingularBlockError(f"singular diagonal in {k}x{k} block")
+    if not np.isfinite(single).all():
+        raise SingularBlockError(f"non-finite pivot in {k}x{k} block")
+    dinv = np.zeros((k, k))
+    dinv[ones, ones] = 1.0 / single
+    lu = np.where(_triangles(k)[0], ldu, 0.0)
+    lu.flat[::k + 1] = 1.0
+    if pairs:
+        first = np.array(pairs)
+        rows = first[:, None, None] + np.arange(2)[:, None]
+        cols = first[:, None, None] + np.arange(2)
+        # D's subdiagonal entry of each 2x2 pivot, mirrored
+        blocks = ldu[np.maximum(rows, cols), np.minimum(rows, cols)]
+        if not np.isfinite(blocks).all():
+            raise SingularBlockError(f"non-finite pivot in {k}x{k} block")
+        try:
+            dinv[rows, cols] = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError:
+            raise SingularBlockError(
+                f"singular diagonal in {k}x{k} block") from None
+        lu[first + 1, first] = 0.0
+    perm = list(range(k))
+    for row, other, col in reversed(swaps):
+        lu[[other, row], col:] = lu[[row, other], col:]
+        perm[row], perm[other] = perm[other], perm[row]
+    perm = np.argsort(perm)
+    return lu[perm], dinv, perm
+
+
+@functools.lru_cache(maxsize=64)
+def _triangles(k):
+    """Masks of the strict lower and of the upper (diagonal included)
+    triangle of a k x k block."""
+    strict = np.tri(k, k, -1, dtype=bool)
+    return strict, ~strict
+
+
+# LAPACK handles by (routine, dtypes of the arrays passed), and dsytrf's
+# workspace by block size. Each entry is a function of its key alone, so the
+# cache is safe to share.
 _LAPACK = {}
 
 

@@ -230,7 +230,9 @@ def find_separator(graph, subset, views=None):
         raise DegenerateSeparatorError(f"subset of {n} vertices is too small to split")
     pts = graph.coords[subset]
     median, lo_q, hi_q = _median_and_quartiles(pts)
-    dist2 = ((pts - median) ** 2).sum(axis=1)
+    off = pts - median  # scaled by a power of two: finite squares, same order
+    off *= 2.0 ** -np.frexp(np.abs(off).max())[1]
+    dist2 = (off ** 2).sum(axis=1)
     c = int(subset[dist2 == dist2.min()].min())
 
     width = float(hi_q[0] - lo_q[0])

@@ -20,14 +20,14 @@ Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
 picks the LDL^T or the pivoted-LU kernel. Both map (self block, in-coupling,
 out-coupling) to (payload, Schur complement) in one payload layout (D^-1
-and U^-1 as row runs), so they are interchangeable. Each calls LAPACK
-directly: the LDL^T kernel makes one dsytrf (Bunch-Kaufman) call and reads
-its pivots in one loop, with the factor bitwise that of scipy.linalg.ldl,
-and the LU kernel one getrf call (core.lu_compact). On a symmetric matrix
-only the in-coupling is built, since the LDL^T kernel reads no other.
-_eliminate returns the factor with its update (the negated Schur complement
-on the elimination's front, its neighbor positions) and tags a singular
-block with its place.
+and U^-1 as row runs), so they are interchangeable, and both take the same
+steps: core factors the self block (core.ldl, one Bunch-Kaufman dsytrf
+call; core.lu_compact, one getrf call), then come the triangular solves of
+the couplings, the Schur product, the triangular inverse and the payload.
+On a symmetric matrix only the in-coupling is built, since the LDL^T kernel
+reads no other. _eliminate returns the factor with its update (the negated
+Schur complement on the elimination's front, its neighbor positions) and
+tags a singular block with its place.
 
 The active Schur complement lives in a SchurState: per stage, one flat value
 buffer of dense segment-pair blocks behind a sorted array of pair keys. As in
@@ -70,7 +70,6 @@ action, then right actions in reverse.
 
 from __future__ import annotations
 
-import functools
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -78,11 +77,10 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import get_lapack_funcs
 
 from . import lowrank
-from .core import (SparseMatrix, as_csr, check_int, lu_compact,
-                   triangular_inverse, triangular_solve)
+from .core import (SparseMatrix, _triangles, as_csr, check_int, ldl,
+                   lu_compact, triangular_inverse, triangular_solve)
 from .dissection import JUNCTION, REGULAR, DissectionTree
 from .errors import ConfigError, DimensionError, SingularBlockError
 
@@ -267,14 +265,6 @@ def _csr(data, counts, num_cols, first, cols=None):
         indices = cols.astype(itype)[indices]
     return sp.csr_matrix((data, indices, indptr),
                          shape=(counts.size, num_cols))
-
-
-@functools.lru_cache(maxsize=64)
-def _triangles(k):
-    """Masks of the strict lower and of the upper (diagonal included)
-    triangle of a k x k block."""
-    strict = np.tri(k, k, -1, dtype=bool)
-    return strict, ~strict
 
 
 def compile_stage(factors):
@@ -688,88 +678,21 @@ def _check_finite(k, *payload):
             f"non-finite elimination payload in {k}x{k} block")
 
 
-_SYTRF, _SYTRF_LWORK = get_lapack_funcs(("sytrf", "sytrf_lwork"),
-                                        dtype=np.float64)
-
-
-@functools.lru_cache(maxsize=256)
-def _sytrf_lwork(k):
-    """The workspace scipy.linalg.ldl hands dsytrf for a k x k block. The
-    blocking dsytrf picks, and so its result, depends on it."""
-    work, _ = _SYTRF_LWORK(k, lower=1)
-    return int(work)
-
-
 def _symmetric_elimination(self_block, a_nu, a_un):
     """LDL^T kernel for a real symmetric self block (is_symmetric never
     holds for a complex matrix) coupled in from the front by a_nu; a_un, its
     transpose, is not read. Returns (payload, Schur complement); each row of
-    D^-1 is one run of 1 or 2 nonzeros.
-
-    One dsytrf call (Bunch-Kaufman, lower triangle) with the workspace
-    scipy.linalg.ldl uses, so the factor is bitwise that of sla.ldl
-    followed by lu[perm]: the pivot loop reads ipiv once, keeps the 1x1 and
-    2x2 pivots of D and the row interchanges, and the interchanges are
-    applied to the unit lower factor from the last pivot back, each to the
-    columns from its pivot on, as sla.ldl applies them. D^-1 is a
-    reciprocal per 1x1 pivot and one stacked inverse over the 2x2 ones,
-    which is bitwise the dense inverse of D. A zero 1x1 pivot or a singular
-    2x2 one raises SingularBlockError, and so does a non-finite pivot or
-    payload.
-    """
+    D^-1 is one run of 1 or 2 nonzeros. core.ldl factors the self block and
+    raises on a bad pivot, _check_finite on a non-finite payload."""
     k = self_block.shape[0]
-    ldu, ipiv, _ = _SYTRF(self_block, lwork=_sytrf_lwork(k), lower=1)
-    piv = ipiv.tolist()
-    ones, pairs, swaps = [], [], []
-    i = 0
-    while i < k:
-        if piv[i] > 0:
-            # 1x1 pivot; row i was interchanged with row piv[i] - 1
-            ones.append(i)
-            if piv[i] != i + 1:
-                swaps.append((i, piv[i] - 1, i))
-            i += 1
-        else:
-            # 2x2 pivot on rows i, i + 1; row i + 1 was interchanged with
-            # row -piv[i] - 1, from column i on
-            pairs.append(i)
-            if -piv[i] != i + 2:
-                swaps.append((i + 1, -piv[i] - 1, i))
-            i += 2
-    single = ldu.diagonal()[ones]
-    if not single.all():
-        raise SingularBlockError(f"singular diagonal in {k}x{k} block")
-    dinv = np.zeros((k, k))
-    dinv[ones, ones] = 1.0 / single
-    lu = np.where(_triangles(k)[0], ldu, 0.0)
-    lu.flat[::k + 1] = 1.0
-    if pairs:
-        first = np.array(pairs)
-        rows = first[:, None, None] + np.arange(2)[:, None]
-        cols = first[:, None, None] + np.arange(2)
-        # D's subdiagonal entry of each 2x2 pivot, mirrored
-        blocks = ldu[np.maximum(rows, cols), np.minimum(rows, cols)]
-        _check_finite(k, blocks)
-        try:
-            dinv[rows, cols] = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError:
-            raise SingularBlockError(
-                f"singular diagonal in {k}x{k} block") from None
-        lu[first + 1, first] = 0.0
-    perm = list(range(k))
-    for row, other, col in reversed(swaps):
-        lu[[other, row], col:] = lu[[row, other], col:]
-        perm[row], perm[other] = perm[other], perm[row]
-    perm = np.argsort(perm)
-    lower = lu[perm]
-
+    lower, dinv, perm = ldl(self_block)
     # t1 = lu^-1 A[idx, nbr]; coupling = (dinv @ t1).T = A[nbr, idx] lu^-T d^-1
     t1 = triangular_solve(lower, a_nu.T[perm], lower=True, unit_diag=True)
     coupling = (dinv @ t1).T
     schur = coupling @ t1
     linv = triangular_inverse(lower, lower=True, unit_diag=True)
     # a non-finite entry of lower leaves one in linv, so lower needs no pass
-    _check_finite(k, single, coupling, schur, linv)
+    _check_finite(k, coupling, schur, linv)
     nonzero = dinv != 0
     counts = nonzero.sum(axis=1)
     return _Payload(

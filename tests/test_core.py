@@ -3,8 +3,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from ndlu.core import (SparseMatrix, as_csr, lu_compact, triangular_inverse,
-                       triangular_solve)
+from ndlu.core import (SparseMatrix, as_csr, ldl, lu_compact,
+                       triangular_inverse, triangular_solve)
 from ndlu.errors import DimensionError, NonFiniteError, SingularBlockError
 
 
@@ -61,6 +61,63 @@ class TestDenseLU:
         assert np.array_equal(p, np.argmax(pmat, axis=0))
         assert np.allclose(l, l_ref)
         assert np.allclose(u, u_ref)
+
+
+def ldl_reference(block):
+    """core.ldl as built on scipy.linalg.ldl: the unit lower factor in pivot
+    order, the dense inverse of D and the permutation. Adding 0.0 turns the
+    negative zeros the dense inverse leaves into the zeros core.ldl keeps."""
+    lu, d, perm = sla.ldl(block, check_finite=False)
+    return lu[perm], np.linalg.inv(d) + 0.0, perm
+
+
+def ldl_blocks():
+    """(name, block): the sizes 0 to 2, a 2x2 pivot with a zero diagonal
+    and random indefinite blocks up to k = 60."""
+    rng = np.random.default_rng(7)
+    blocks = [("k0", np.zeros((0, 0))), ("k1", np.array([[-2.5]])),
+              ("k2", np.array([[1e-3, 2.0], [2.0, -1.0]])),
+              ("zero-diagonal-pair", np.array(
+                  [[0.0, 1.0, 0.5, 0.0], [1.0, 0.0, 0.0, 0.25],
+                   [0.5, 0.0, 5.0, 0.0], [0.0, 0.25, 0.0, 6.0]]))]
+    for k in (3, 5, 8, 13, 21, 34, 60):
+        for trial in range(3):
+            b = rng.standard_normal((k, k))
+            blocks.append((f"random-{k}-{trial}", b + b.T))
+    return blocks
+
+
+class TestDenseLDL:
+    def test_bitwise_the_scipy_ldl_reference(self):
+        pivots = set()
+        for name, block in ldl_blocks():
+            for part, got, want in zip(("lower", "dinv", "perm"), ldl(block),
+                                       ldl_reference(block)):
+                assert (got.shape, got.dtype, got.tobytes()) == \
+                    (want.shape, want.dtype, want.tobytes()), (name, part)
+            _, d, perm = sla.ldl(block)
+            if np.any(np.diagonal(d, -1)):
+                pivots.add("2x2")
+            if len(d) > 2 * np.count_nonzero(np.diagonal(d, -1)):
+                pivots.add("1x1")
+            if np.any(perm != np.arange(len(perm))):
+                pivots.add("swap")
+        assert pivots == {"1x1", "2x2", "swap"}
+
+    def test_singular_and_non_finite_pivots_raise(self):
+        # factor._eliminate adds the level and segment
+        nan = np.eye(3)
+        nan[1, 2] = nan[2, 1] = np.nan
+        for block, message in [
+                (np.diag([1.0, 0.0, 2.0]), "singular diagonal in 3x3 block"),
+                (np.diag([np.inf, 1.0, 2.0]), "non-finite pivot in 3x3 block"),
+                (nan, "non-finite pivot in 3x3 block"),
+                (np.array([[0.0, np.inf], [np.inf, 0.0]]),
+                 "non-finite pivot in 2x2 block")]:
+            with pytest.raises(SingularBlockError) as ei:
+                ldl(block)
+            assert str(ei.value) == message
+            assert ei.value.level is None and ei.value.segment is None
 
 
 class TestTriangularSolve:

@@ -456,6 +456,15 @@ class TestBuildDissection:
         with pytest.raises(NonFiniteError):
             build_dissection(SparseMatrix(a), coords)
 
+    def test_large_finite_coordinates_give_the_tree_of_the_unscaled_ones(self):
+        # the center search squares coordinate offsets, which at 2**1000
+        # overflow unless they are first scaled by a power of two
+        a, coords = grid_matrix(40, 40)
+        want = build_dissection(a, coords)
+        got = build_dissection(a, coords * 2.0 ** 1000)
+        assert np.array_equal(got.order, want.order)
+        assert got.events == want.events
+
     def test_leaf_sizes_bounded(self, monkeypatch):
         tree = dissect(monkeypatch, 32, *grid_matrix(40, 40))
         # leaves stop either at the size bound or at the depth bound

@@ -73,6 +73,47 @@ def test_exact_path_solves_to_roundoff(problem):
     assert _worst_residual(fac, p.matrix, _columns(p)) <= 1e-12
 
 
+def test_exact_path_at_benchmark_scale_refines_to_roundoff_in_one_step():
+    # n = 16157, no segment sparsified; unrefined the columns read 8e-13 to
+    # 4e-12, one refinement step brings them to 3e-15 to 1.4e-14
+    p = assembly.build_problem("helmholtz-poly:k=20", 16384)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    fac = factor.factorize(p.matrix, tree, 1e-4, _exact(p.n))
+    _, reports = solver.solve(fac, p.matrix, _columns(p), refine=1)
+    assert max(r.residual for r in reports) <= 1e-13
+
+
+def _dense_flops(f):
+    """Floating-point operations of one elimination's dense kernels by
+    perfbench's count (measure._dense_flops): the factorization, the
+    triangular solves and the Schur product, without the triangular
+    inverse."""
+    if f.kind == "sparsify":
+        return 0
+    k, m = f.idx.size, f.nbr.size
+    if isinstance(f, factor.SymEliminationFactor):
+        return k ** 3 // 3 + 3 * k * k * m + 2 * m * m * k
+    return 2 * k ** 3 // 3 + 2 * k * k * m + 2 * m * m * k
+
+
+def test_factor_entries_and_work_per_unknown_stay_flat_as_n_grows():
+    # The paper's O(N): at n = 1058, 4050 and 16562 the factor holds 48.1,
+    # 49.9 and 53.0 entries per unknown and the kernels do 5508, 5933 and
+    # 6607 flops per unknown, so each 4x step in n raises them by 1.037 and
+    # 1.062, and 1.077 and 1.114; the largest skeleton kept is 23, 17, 18.
+    per_n = []
+    for target in (1024, 4096, 16384):
+        p = assembly.build_problem("laplace-contrast:rho=100,seed=1", target)
+        tree = dissection.build_dissection(p.matrix, p.coords)
+        fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+        flops = sum(_dense_flops(f) for f in fac.factors)
+        per_n.append((fac.factor_nnz / p.n, flops / p.n))
+        assert max(s["largest_skeleton"] for s in fac.level_stats) <= 32
+    for (nnz0, flops0), (nnz1, flops1) in zip(per_n, per_n[1:]):
+        assert nnz1 / nnz0 <= 1.10
+        assert flops1 / flops0 <= 1.20
+
+
 def _unsymmetric_copy(p):
     """p's matrix with one extra entry that breaks structural symmetry."""
     a = p.matrix.csr.tolil()
@@ -904,22 +945,23 @@ def test_ldl_diagonal_inverse_is_bitwise_the_dense_inverse(monkeypatch):
     assert np.array_equal(diag.toarray(), dense)
     assert diag.data.tobytes() == dense[dense != 0].tobytes()
 
-    # a singular 2x2 pivot is planted in the factor dsytrf returns, since
-    # Bunch-Kaufman's pivot test never picks one
-    ldu, ipiv, _ = factor._SYTRF(indefinite, lower=1)
+    # a singular 2x2 pivot is planted in the factor dsytrf returns, through
+    # core's handle cache, since Bunch-Kaufman's pivot test never picks one
+    sytrf = core._lapack("sytrf", indefinite)
+    ldu, ipiv, _ = sytrf(indefinite, lower=1)
     i = int(np.flatnonzero(ipiv < 0)[0])
     ldu[i:i + 2, i] = [1.0, 2.0]
     ldu[i + 1, i + 1] = 4.0
-    sytrf = factor._SYTRF
-    monkeypatch.setattr(factor, "_SYTRF", lambda a, lwork, lower: (
-        (ldu, ipiv, 0) if a is indefinite else sytrf(a, lwork=lwork,
-                                                     lower=lower)))
+    monkeypatch.setitem(
+        core._LAPACK, ("sytrf", indefinite.dtype), lambda a, lwork, lower: (
+            (ldu, ipiv, 0) if a is indefinite else sytrf(a, lwork=lwork,
+                                                         lower=lower)))
     nan = np.eye(3)
     nan[1, 2] = nan[2, 1] = np.nan
     for block, message in [(np.diag([1.0, 0.0, 2.0]), "singular diagonal"),
                            (indefinite, "singular diagonal"),
-                           (np.diag([np.inf, 1.0, 2.0]), "non-finite"),
-                           (nan, "non-finite")]:
+                           (np.diag([np.inf, 1.0, 2.0]), "non-finite pivot"),
+                           (nan, "non-finite pivot")]:
         k = block.shape[0]
         with pytest.raises(SingularBlockError, match=message) as info:
             eliminate(block)

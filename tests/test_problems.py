@@ -16,12 +16,12 @@ from ndlu.assembly import (
     _p1_stiffness,
     assemble_fem,
     build_problem,
+    make_contrast_field,
     parse_descriptor,
     read_matrix_market,
 )
 from ndlu.errors import ConfigError, DimensionError, GeometryError
 from ndlu.factor import is_symmetric
-from ndlu.fields import make_contrast_field
 from ndlu.meshing import (
     DIRICHLET,
     NEUMANN,
