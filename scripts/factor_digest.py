@@ -51,11 +51,12 @@ FAMILIES = (
     "helmholtz-poly:k=20",
     "laplace-aniso:d12=1,d21=0",
 )
-# (matrix scale, options) per set. The floor of 8 runs the decomposition on
-# the most (and smallest) blocks; a complex matrix is never symmetric, so the
-# complex set takes the LU path on every family.
+# (matrix scale, options) per set. The floor of 16 compresses most levels,
+# the floor of 8 runs the decomposition on the most (and smallest) blocks; a
+# complex matrix is never symmetric, so the complex set takes the LU path on
+# every family.
 OPTION_SETS = {
-    "hybrid": (1, dict(min_sparsify_size=16)),
+    "floor16": (1, dict(min_sparsify_size=16)),
     "floor8": (1, dict(min_sparsify_size=8)),
     "complex": (1 + 0.5j, dict(min_sparsify_size=16)),
 }

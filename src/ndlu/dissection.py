@@ -221,9 +221,21 @@ def find_separator(graph, subset, views=None):
     and cutting across the arm's axis would walk the full length of the
     dense part. `views` is the graph as _Views whose labels give the
     subset's vertices one value that no other vertex carries; it is made
-    here when not given. Raises DegenerateSeparatorError when the center has
-    no admissible neighbor at all.
+    here when not given, after the subset is checked: a 1-D array of integer
+    ids in [0, graph.n), or ConfigError for another dtype and DimensionError
+    for another shape or an id out of range. Raises DegenerateSeparatorError
+    when the center has no admissible neighbor at all.
     """
+    if views is None:
+        subset = as_numbers("subset", subset)
+        if subset.dtype.kind not in "iu":
+            raise ConfigError(f"subset must hold integer vertex ids, got "
+                              f"dtype {subset.dtype}")
+        if subset.ndim != 1:
+            raise DimensionError(f"subset must be 1-D, got shape "
+                                 f"{subset.shape}")
+        if subset.size and (subset.min() < 0 or subset.max() >= graph.n):
+            raise DimensionError(f"subset holds ids outside [0, {graph.n})")
     subset = np.asarray(subset, dtype=np.int64)
     n = len(subset)
     if n < 3:
@@ -517,8 +529,7 @@ class DissectionTree:
     is its inverse. separators lists each separator as its root segment, in
     creation order. events are the one record of splits: the segments no
     event names as a parent are the units the deepest elimination stage
-    starts from. edge_length is the median geometric length of the graph's
-    edges, 1.0 when it has none.
+    starts from.
     """
 
     def __init__(self, graph):
@@ -532,7 +543,6 @@ class DissectionTree:
         self.events = []
         self.order = None
         self.position = None
-        self.edge_length = 1.0
 
     def validate_separation(self):
         """Check that no edge joins the two sides of any internal node."""
@@ -607,10 +617,6 @@ class _Builder:
             tree.nodes += [node for node, _ in level]
             level = self._split_level(level)
         tree.segments = {seg.id: seg for seg in self.segments}
-        src, dst = self.edges
-        if len(src):
-            d = g.coords[src] - g.coords[dst]
-            tree.edge_length = float(np.median(np.hypot(d[:, 0], d[:, 1])))
 
         tree.levels = self.levels
         offset = 0

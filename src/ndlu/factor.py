@@ -10,11 +10,9 @@ the level's separators, and (3) merges sibling segments back into their
 parents so the next, coarser level sees whole segments again. A segment with
 no neighbors left has nothing to compress and is eliminated whole.
 
-Every decomposition sees its coupling block through one hybrid plan
-(lowrank.build_hybrid_plan): neighbor rows within twice the tree's median
-edge length (DissectionTree.edge_length) of the segment enter verbatim and
-the far ones through a Gaussian sketch seeded from the stage and the segment
-id, so a factorization repeats bit for bit.
+Every decomposition is a column-pivoted QR of the whole coupling block
+(lowrank.cpqr_id): it sees every neighbor row, and a factorization draws no
+random number, so it repeats bit for bit.
 
 Symmetry is read from the matrix, in is_symmetric only. Every elimination
 (leaf interior, remainder or whole segment) goes through _eliminate, which
@@ -422,13 +420,10 @@ class SchurState:
     which the pack that ends the stage sees.
     """
 
-    def __init__(self, n, dtype, symmetric, unit_ids, coords=None,
-                 near_radius=None):
+    def __init__(self, n, dtype, symmetric, unit_ids):
         self.n = n
         self.dtype = dtype
         self.symmetric = symmetric
-        self.coords = coords
-        self.near_radius = near_radius
         self.unit_ids = sorted(unit_ids)
         self.serial_of = {uid: s for s, uid in enumerate(self.unit_ids)}
         r = len(self.unit_ids)
@@ -773,9 +768,7 @@ def eliminate_interiors(a, tree):
     n = csr.shape[0]
     if len(tree.order) != n:
         raise DimensionError("dissection tree does not match the matrix size")
-    state = SchurState(n, csr.dtype, is_symmetric(a), tree.segments,
-                       coords=tree.graph.coords[tree.order],
-                       near_radius=2.0 * tree.edge_length)
+    state = SchurState(n, csr.dtype, is_symmetric(a), tree.segments)
     split = {event.parent for event in tree.events}
     for seg in [s for s in tree.segments.values() if s.id not in split]:
         pos = np.sort(tree.position[seg.vertices])
@@ -858,21 +851,20 @@ def sparsify_segment(state, unit, eps, level):
     """Compress one active regular unit's coupling at the given level and
     eliminate what the compression decouples; returns (factors, skeleton).
 
-    Computes an interpolative decomposition of the unit's coupling to its
-    neighbors (of the stacked in/out coupling in unsymmetric mode) and emits
-    the two-sided sparsify factor. Applied to the unit's self block, rows
-    first and then columns, the transform leaves the redundant positions
-    coupled to the skeleton alone, up to the dropped entries, so they are
-    eliminated against the skeleton at once (a remainder elimination, whose
-    Schur update is the only store write) and leave the unit, which keeps
-    its skeleton. The dropped coupling is never written: no live position
-    reads it again. factors is [sparsify, remainder], or empty when nothing
-    was decoupled. The decomposition sees the neighbor rows within
-    near_radius of the unit verbatim and the others mixed into unit.size +
-    lowrank.OVERSAMPLE Gaussian rows, or the whole block when too few rows
-    are far. A unit with no neighbors has no coupling to compress: it emits
-    no factor and keeps every position, to be eliminated whole. An empty
-    unit is one of these, since no pack gives it a block.
+    Computes an interpolative decomposition of the whole of the unit's
+    coupling to its neighbors (of the stacked in/out coupling in unsymmetric
+    mode), every neighbor row included and no random number drawn, and
+    emits the two-sided sparsify factor. Applied to the unit's self block,
+    rows first and then columns, the transform leaves the redundant
+    positions coupled to the skeleton alone, up to the dropped entries, so
+    they are eliminated against the skeleton at once (a remainder
+    elimination, whose Schur update is the only store write) and leave the
+    unit, which keeps its skeleton. The dropped coupling is never written:
+    no live position reads it again. factors is [sparsify, remainder], or
+    empty when nothing was decoupled. A unit with no neighbors has no
+    coupling to compress: it emits no factor and keeps every position, to
+    be eliminated whole. An empty unit is one of these, since no pack gives
+    it a block.
     """
     if unit.kind == JUNCTION:
         raise ConfigError("junction segments are merged, never sparsified")
@@ -882,17 +874,10 @@ def sparsify_segment(state, unit, eps, level):
     nbr_pos, self_block, a_nu, a_un = _front(state, unit)
     if nbr_pos.size == 0:
         return [], pos.copy()
-    # One fixed stream per stage and segment, so factorizations repeat bit
-    # for bit; the leading 0 is part of the seed material.
-    seed = int(np.random.SeedSequence(
-        [0, level, *uid]).generate_state(1)[0])
-    plan = lowrank.build_hybrid_plan(state.coords[nbr_pos],
-                                     state.coords[pos], state.near_radius,
-                                     unit.size, seed)
     if state.symmetric:
-        ident = lowrank.sampled_id(a_nu, plan, eps)
+        ident = lowrank.sampled_id(a_nu, eps)
     else:
-        ident = lowrank.joint_unsymmetric_id(a_nu, a_un, plan, eps)
+        ident = lowrank.joint_unsymmetric_id(a_nu, a_un, eps)
 
     skel_l, red_l, interp = ident.skeleton, ident.redundant, ident.interp
     skeleton = pos[skel_l]

@@ -203,6 +203,19 @@ class TestFindSeparator:
         for a, b in zip(walk, walk[1:]):
             assert b in g.neighbors(a)
 
+    @pytest.mark.parametrize("subset,error,message", [
+        (np.arange(-3, 46), DimensionError, r"outside \[0, 49\)"),
+        (np.arange(3, 52), DimensionError, r"outside \[0, 49\)"),
+        (np.arange(49).reshape(7, 7), DimensionError, r"1-D, got shape \(7, 7\)"),
+        (np.arange(49.0), ConfigError, "integer vertex ids, got dtype float64"),
+        (np.ones(49, dtype=bool), ConfigError, "integer vertex ids, got dtype bool"),
+    ], ids=["negative", "past-the-end", "2-d", "float", "mask"])
+    def test_subset_is_checked_before_its_first_use(self, subset, error, message):
+        # without views the subset comes from the caller: a negative id
+        # would wrap to the end of the coordinates, one >= n index past them
+        with pytest.raises(error, match=message):
+            find_separator(grid_graph(7, 7), subset)
+
 
 def delaunay_graph(pts):
     """Graph of the Delaunay triangulation of the points."""

@@ -568,17 +568,21 @@ def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
 
 # factor_nnz of the complex copies (LU on every family) at n=4096, floor 16
 LU_NNZ = {
-    "laplace-contrast:rho=100,seed=1": 398262,
-    "helmholtz:k=5": 400932,
-    "helmholtz-poly:k=20": 376349,
-    "laplace-aniso:d12=1,d21=0": 420939,
+    "laplace-contrast:rho=100,seed=1": 398426,
+    "helmholtz:k=5": 401021,
+    "helmholtz-poly:k=20": 376500,
+    "laplace-aniso:d12=1,d21=0": 421128,
 }
 
 
-@pytest.mark.parametrize("family", FAMILIES)
-def test_segments_without_neighbors_are_eliminated_whole(family):
-    p = assembly.build_problem(family, 4096)
-    tree = dissection.build_dissection(p.matrix, p.coords)
+@pytest.fixture(scope="module", params=FAMILIES)
+def problem_4k(request):
+    p = assembly.build_problem(request.param, 4096)
+    return request.param, p, dissection.build_dissection(p.matrix, p.coords)
+
+
+def test_segments_without_neighbors_are_eliminated_whole(problem_4k):
+    family, p, tree = problem_4k
     for a in (p.matrix, SparseMatrix(p.matrix.csr * (1 + 0.5j))):
         fac = factor.factorize(a, tree, 1e-4, COMPRESS)
         sparsified = [f for f in fac.factors if f.kind == "sparsify"]
@@ -589,6 +593,35 @@ def test_segments_without_neighbors_are_eliminated_whole(family):
     # fac is the complex copy's; the root's remainder elimination stored
     # as many entries as its whole elimination does now
     assert fac.factor_nnz == LU_NNZ[family]
+
+
+def test_factorization_draws_no_random_number(problem_4k, monkeypatch):
+    # the problem and the tree are built (the contrast field seeds its own
+    # noise); from here on, a random draw anywhere raises
+    _, p, tree = problem_4k
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorize drew a random number")
+
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    assert any(f.kind == "sparsify" for f in fac.factors)
+
+
+def test_a_complex_multiple_picks_the_same_skeletons(problem_4k):
+    # A goes through LDL^T and the one-sided ID of a_nu; c A, c = 1 + 0.5j,
+    # through LU and the joint ID of [c a_nu; (c a_un)^T], whose halves agree
+    # up to roundoff. The QR of the whole block picks the same columns of
+    # both, so every sparsification keeps the same skeleton
+    _, p, tree = problem_4k
+    skeletons = []
+    for a in (p.matrix, SparseMatrix(p.matrix.csr * (1 + 0.5j))):
+        fac = factor.factorize(a, tree, 1e-4, COMPRESS)
+        skeletons.append([f.skeleton.tolist() for f in fac.factors
+                          if f.kind == "sparsify"])
+    assert fac.symmetric is False
+    assert skeletons[0] and skeletons[0] == skeletons[1]
 
 
 def test_level_stats_time_the_merge_apart(monkeypatch):
@@ -645,7 +678,7 @@ def test_sparsify_drops_stay_within_the_bound(problem, monkeypatch):
     def checked(decompose):
         def wrapper(coupling_in, *args):
             ident = decompose(coupling_in, *args)
-            *coupling_out, _, _ = args  # (plan, eps) come last
+            *coupling_out, _ = args  # eps comes last
             halves = [coupling_in] + [c.T for c in coupling_out]
             growth = (np.linalg.norm(ident.interp, 2) if ident.interp.size
                       else 0.0)
@@ -1015,19 +1048,6 @@ def test_non_finite_values_raise_an_ndlu_error(family, error):
         assert "column(s) [0, 1]" in str(info.value)
 
 
-def test_median_edge_length_samples_the_whole_graph():
-    # the tree's edge_length on a path whose edges grow in length, 1 to
-    # 1000, is the median of all of them; a graph with no edge reads 1.0
-    x = np.cumsum(np.arange(1001, dtype=float))
-    coords = np.column_stack([x, np.zeros_like(x)])
-    src = np.arange(1000)
-    adj = sp.coo_matrix((np.ones(1000), (src, src + 1)), shape=(1001, 1001))
-    tree = dissection.build_dissection(adj + adj.T + sp.identity(1001), coords)
-    assert tree.edge_length == 500.5
-    assert dissection.build_dissection(
-        sp.identity(3), np.zeros((3, 2))).edge_length == 1.0
-
-
 def _store(dense, slots, ids, symmetric):
     """A SchurState over units holding the given slots of dense, packed with
     its entries."""
@@ -1208,8 +1228,8 @@ def test_factor_options_reject_a_floor_that_is_not_a_nonnegative_int(floor):
 def test_factor_options_are_checked_once_and_frozen():
     with pytest.raises(ConfigError):
         FactorOptions(min_sparsify_size=-1)
-    # every segment is compressed through the one hybrid plan, and the
-    # store's ownership check runs at every pack with no switch
+    # every segment is compressed by one pivoted QR of its whole coupling,
+    # and the store's ownership check runs at every pack with no switch
     for removed in ("sampling", "audit"):
         with pytest.raises(TypeError):
             FactorOptions(**{removed: True})
