@@ -59,11 +59,13 @@ triangular inverses (L^-1 P and U^-1 of each LU, L^-1 P and D^-1 of each
 LDL^T) and for the couplings. Compiling checks that no factor's idx meets
 another factor's idx or any factor's nbr (a sparsification writes both its
 redundant and its skeleton positions, so its skeleton counts as idx here
-too): that is what lets a stage act as one block operation. Those CSR arrays are the only copy
-of the payload; a factor keeps its indices and, for a sparsification, a view
-of its interpolation matrix. The solver module applies the stages in two
-passes: left actions forward, each LDL^T stage's D^-1 right after its left
-action, then right actions in reverse.
+too): that is what lets a stage act as one block operation. Those CSR
+arrays are the only copy of the payload, and an elimination stage's hold
+only its nonzeros: exact zeros of the inverses and couplings are neither
+stored nor multiplied. A factor keeps its indices and, for a
+sparsification, a view of its interpolation matrix. The solver module
+applies the stages in two passes: left actions forward, each LDL^T stage's
+D^-1 right after its left action, then right actions in reverse.
 """
 
 from __future__ import annotations
@@ -159,17 +161,17 @@ class _Elimination:
     """Record of one block elimination of positions idx against nbr, made
     by _eliminate only.
 
-    payload_nnz counts the entries the compiled stage stores for it, and
-    payload holds them from the kernel until the stage is compiled; then
-    it is None.
+    payload holds its entries from the kernel until the stage is compiled;
+    then it is None, and payload_nnz, None until then, counts the nonzeros
+    the compiled stage keeps in the factor's rows.
     """
 
     idx: np.ndarray
     nbr: np.ndarray
     level: int
     tag: str
-    payload_nnz: int
     payload: _Payload = field(default=None, repr=False)
+    payload_nnz: int = None
 
     @property
     def kind(self):
@@ -182,9 +184,10 @@ class EliminationFactor(_Elimination):
     Left action: t = L^-1 y[idx][perm]; y[nbr] -= coupling_left @ t;
     y[idx] = t, with coupling_left = A[nbr, idx] U^-1. Right action:
     x[idx] = U^-1 (x[idx] - coupling_right @ x[nbr]), with coupling_right =
-    L^-1 A[idx, nbr][perm]. Stored: L^-1 below the diagonal (its unit
-    diagonal is implied), U^-1 on and above it, and both couplings, k^2 +
-    2 k m entries for k = |idx| and m = |nbr|.
+    L^-1 A[idx, nbr][perm]. Stored: the nonzeros of L^-1 below the
+    diagonal (its unit diagonal is implied), of U^-1 on and above it, and
+    of both couplings, at most k^2 + 2 k m entries for k = |idx| and m =
+    |nbr|.
     """
 
 
@@ -196,9 +199,9 @@ class SymEliminationFactor(_Elimination):
     triangular (Bunch-Kaufman) and coupling = A[nbr, idx] lu^-T d^-1. Left
     action: t = lower^-1 y[idx][perm]; y[nbr] -= coupling @ t; y[idx] = t.
     Middle action: y[idx] = d^-1 y[idx]. Right action: q = lower^-T
-    (x[idx] - coupling.T @ x[nbr]), then x[idx][perm] = q. Stored: lower^-1
-    below the diagonal, the nonzeros of d^-1 (its 1x1 and 2x2 blocks) and
-    the coupling.
+    (x[idx] - coupling.T @ x[nbr]), then x[idx][perm] = q. Stored: the
+    nonzeros of lower^-1 below the diagonal, of d^-1 (its 1x1 and 2x2
+    blocks) and of the coupling, at most k (k - 1) / 2 + 2 k + k m entries.
     """
 
 
@@ -234,8 +237,9 @@ class Stage:
       neighbor shared by several factors is one row of it, so their
       updates sum within the product.
 
-    The arrays of these CSR matrices are the only copy of the payload; a
-    factor's payload_nnz counts its entries there.
+    The arrays of these CSR matrices are the only copy of the payload; an
+    elimination stage's hold only nonzeros, and a factor's payload_nnz
+    counts its entries there.
     """
 
     def __init__(self, factors, idx, nbr, pull, gather=None, lower=None,
@@ -268,7 +272,8 @@ def _csr(data, counts, num_cols, first, cols=None):
 def compile_stage(factors):
     """The Stage of one step's factors, a nonempty list that shares one
     level, kind and tag. Each elimination's payload is dropped once copied,
-    and each sparsification's interp becomes a view into the stage. Factors
+    without its exact zeros, and its payload_nnz set to the entries kept;
+    each sparsification's interp becomes a view into the stage. Factors
     that overlap raise DimensionError."""
     if factors[0].kind == "sparsify":
         stage = _compile_sparsify(factors)
@@ -324,11 +329,20 @@ def _compile_elimination(factors):
     if payloads[0].push is not None:
         push_t = sp.csr_matrix(
             (np.concatenate([b.push.ravel() for b in payloads]),
-             pull.indices, pull.indptr), shape=pull.shape)
+             pull.indices.copy(), pull.indptr.copy()), shape=pull.shape)
+    # each operator stores its nonzeros only, and each factor counts what
+    # its rows keep
+    bounds = np.append(offsets, rows.size)
+    operators = [m for m in (lower, diag, pull, push_t) if m is not None]
+    kept = 0
+    for m in operators:
+        m.eliminate_zeros()
+        kept = kept + np.diff(m.indptr[bounds])
     gather = np.concatenate([f.idx[b.perm] for f, b in zip(factors,
                                                             payloads)])
-    for f in factors:
+    for f, nnz in zip(factors, kept.tolist()):
         f.payload = None
+        f.payload_nnz = nnz
     return Stage(factors, np.concatenate([f.idx for f in factors]), nbr,
                  pull, gather=gather, lower=lower, diag=diag, push_t=push_t)
 
@@ -722,9 +736,9 @@ def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
     """Eliminate positions idx against nbr: LDL^T in symmetric mode (a_un =
     A[idx, nbr] unused), pivoted LU otherwise; both kernels map (self_block,
     a_nu, a_un) to (payload, Schur complement). The one place that builds an
-    elimination record, counting its payload's entries (k^2 + 2 k m for LU),
-    and that names a failing block: it tags a kernel's SingularBlockError
-    with level and segment. Returns the record and its update (nbr, -Schur
+    elimination record, whose payload compile_stage takes and counts, and
+    that names a failing block: it tags a kernel's SingularBlockError with
+    level and segment. Returns the record and its update (nbr, -Schur
     complement), which the caller adds onto nbr x nbr."""
     record, kernel = ((SymEliminationFactor, _symmetric_elimination)
                       if symmetric else
@@ -734,10 +748,7 @@ def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
     except SingularBlockError as exc:
         raise SingularBlockError(str(exc), level=level,
                                  segment=segment) from exc
-    nnz = sum(part.size for part in (payload.lower, payload.diag,
-                                     payload.pull, payload.push)
-              if part is not None)
-    return record(idx=idx, nbr=nbr, level=level, tag=tag, payload_nnz=nnz,
+    return record(idx=idx, nbr=nbr, level=level, tag=tag,
                   payload=payload), (nbr, -schur)
 
 

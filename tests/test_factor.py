@@ -444,6 +444,58 @@ def test_compile_rejects_factors_of_one_stage_that_overlap(factors, position):
         factor.compile_stage(factors())
 
 
+def _sparse_elimination(idx, nbr, zero_rows, seed):
+    """An LU elimination whose self block is two diagonal blocks, so its
+    inverses are too, and whose couplings' first zero_rows rows are zero
+    (no pivoting moves them: the self block is diagonally dominant)."""
+    rng = np.random.default_rng(seed)
+    k, m = len(idx), len(nbr)
+    self_block = 10 * np.eye(k) + 0.1 * rng.standard_normal((k, k))
+    self_block[:k // 2, k // 2:] = self_block[k // 2:, :k // 2] = 0
+    a_nu = rng.standard_normal((m, k))
+    a_un = rng.standard_normal((k, m))
+    a_nu[:, :zero_rows] = 0
+    a_un[:zero_rows] = 0
+    f, _ = factor._eliminate(False, np.array(idx), np.array(nbr), self_block,
+                             a_nu, a_un, 2, (2, 0, 2, seed), "segment")
+    return f
+
+
+def test_compile_stores_only_the_nonzeros_of_an_elimination(monkeypatch):
+    # a stage stores no exact zero, each factor counts what its rows keep,
+    # and the stage acts bitwise as the one that keeps every zero
+    def make():
+        return [_sparse_elimination([0, 1, 2, 3, 4, 5], [8, 9, 10], 2, 0),
+                _sparse_elimination([6, 7], [9, 11], 1, 1)]
+
+    stage = factor.compile_stage(make())
+    with monkeypatch.context() as m:
+        m.setattr(sp.csr_matrix, "eliminate_zeros", lambda self: None)
+        dense = factor.compile_stage(make())
+    operators = (stage.lower, stage.diag, stage.pull, stage.push.T)
+    kept = (dense.lower, dense.diag, dense.pull, dense.push.T)
+    for sparse_op, dense_op in zip(operators, kept):
+        assert np.all(sparse_op.data != 0)
+        assert sparse_op.toarray().tobytes() == dense_op.toarray().tobytes()
+    # the couplings' zero rows and the off-diagonal blocks of the inverses
+    assert stage.pull.nnz < dense.pull.nnz
+    assert stage.push.nnz < dense.push.nnz
+    assert stage.lower.nnz < dense.lower.nnz
+    assert stage.diag.nnz < dense.diag.nnz
+    bounds = [0, 6, 8]
+    for f, lo, hi in zip(stage.factors, bounds, bounds[1:]):
+        assert f.payload_nnz == sum(op.indptr[hi] - op.indptr[lo]
+                                    for op in operators)
+    assert sum(f.payload_nnz for f in stage.factors) == sum(
+        op.nnz for op in operators)
+    y = np.random.default_rng(2).standard_normal((12, 3))
+    for action in (solver.apply_factor_left, solver.apply_factor_right):
+        got, want = y.copy(), y.copy()
+        action(stage, got)
+        action(dense, want)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_compile_accepts_eliminations_that_share_a_neighbor():
     stage = factor.compile_stage([_elimination([0, 1], [4, 5]),
                                   _elimination([2, 3], [5, 6], 1)])
@@ -502,12 +554,13 @@ def test_an_empty_block_compiles_beside_another(symmetric):
         symmetric, np.empty(0, np.int64), np.empty(0, np.int64),
         np.zeros((0, 0)), np.zeros((0, 0)), np.zeros((0, 0)), 1,
         (1, 0, 1, 0), "segment")
-    assert empty.payload_nnz == 0 and delta.shape == (0, 0)
+    assert delta.shape == (0, 0)
     other, _ = factor._eliminate(symmetric, np.array([2, 3]), np.array([5]),
                                  np.array([[2.0, 1.0], [1.0, 3.0]]),
                                  np.ones((1, 2)), np.ones((2, 1)), 1,
                                  (1, 1, 1, 0), "segment")
     stage = factor.compile_stage([empty, other])
+    assert empty.payload_nnz == 0 and other.payload_nnz > 0
     assert stage.diag.shape == (2, 2) and stage.pull.shape == (2, 1)
     assert stage.idx.tolist() == [2, 3] and stage.nbr.tolist() == [5]
 
@@ -568,10 +621,10 @@ def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
 
 # factor_nnz of the complex copies (LU on every family) at n=4096, floor 16
 LU_NNZ = {
-    "laplace-contrast:rho=100,seed=1": 398426,
-    "helmholtz:k=5": 401021,
-    "helmholtz-poly:k=20": 376500,
-    "laplace-aniso:d12=1,d21=0": 421128,
+    "laplace-contrast:rho=100,seed=1": 303662,
+    "helmholtz:k=5": 318377,
+    "helmholtz-poly:k=20": 300993,
+    "laplace-aniso:d12=1,d21=0": 335874,
 }
 
 
