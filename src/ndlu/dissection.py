@@ -18,6 +18,14 @@ no edge, which is what lets one labelling serve them all. Only the sign of
 a vertex's side of its walk matters, and outside the band of coordinates
 the walk spans it follows from one comparison, so nearest-walk queries are
 made only where the sign is in doubt or a value is needed (split_subset).
+
+Once the tree is built, every leaf's vertices get a nested order of their
+own, by coordinate bisection down to parts of LEAF_PART vertices, all
+leaves at once (_Builder._order_leaves). In ascending id order a leaf's
+elimination tree is a path, and the inverses of its factors are full; in a
+nested order the tree is bushy, and most of their entries are exact zeros,
+which the factorization does not store. The order inside a leaf moves no
+span, separator or event.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ JUNCTION = "junction"
 THETA = 0.1
 # largest subset the walk leaves unsplit
 LEAF_SIZE = 64
+# largest part of a leaf that the leaf's own nested order leaves unsplit
+LEAF_PART = 8
 
 
 class Graph:
@@ -108,6 +118,10 @@ class SplitEvent:
 
 @dataclass
 class TreeNode:
+    """A node of the dissection tree: an internal node has a separator and
+    children, a leaf has leaf_vertices, its vertices in the leaf's own
+    nested order, which is the order of its span."""
+
     depth: int
     span: tuple = (0, 0)
     separator: Segment | None = None
@@ -578,7 +592,8 @@ class _Builder:
     same tree as finishing one node before starting the next. Breadth-first
     order makes every segment split come from a separator at a level >= the
     level that created the segment being split, so merges undo the splits
-    cleanly stage by stage.
+    cleanly stage by stage. Once every level is split, _order_leaves puts
+    each leaf in its own nested order.
     """
 
     def __init__(self, graph):
@@ -617,6 +632,7 @@ class _Builder:
             tree.nodes += [node for node, _ in level]
             level = self._split_level(level)
         tree.segments = {seg.id: seg for seg in self.segments}
+        self._order_leaves()
 
         tree.levels = self.levels
         offset = 0
@@ -653,7 +669,7 @@ class _Builder:
                     continue
                 except DegenerateSeparatorError:
                     pass
-            node.leaf_vertices = np.sort(subset)
+            node.leaf_vertices = subset
             tree.leaves.append(node)
         self.views.label = None
 
@@ -676,6 +692,98 @@ class _Builder:
                     node.children.append(child)
                     out.append((child, side))
         return out
+
+    def _order_leaves(self):
+        """Give every leaf's vertices a nested order of its own, all leaves
+        in one pass of rounds.
+
+        Each round splits every part of more than LEAF_PART vertices (a
+        leaf, at first) along the axis of its larger coordinate extent, x
+        on ties. Its vertices ranked by (coordinate, id), the lower half
+        (rounded down) is the low half, and every low-half vertex with an
+        edge into the high half moves to the part's separator. The part's
+        positions then go to the rest of the low half, the high half and
+        the separator, in that order; the two halves are the next round's
+        parts. A separator, and a part of at most LEAF_PART vertices, keeps
+        its positions in ascending id order.
+
+        Ranks on each axis are taken once, so a round sorts one integer key
+        per vertex it still splits, and it finds the separators from the
+        builder's edge list, cut down each round to the edges inside a part
+        that is split again.
+        """
+        leaves = self.tree.leaves
+        if not leaves:
+            return
+        g = self.g
+        sizes = np.array([len(leaf.leaf_vertices) for leaf in leaves])
+        leaf_of = np.full(g.n, -1, dtype=np.int64)
+        leaf_of[np.concatenate([leaf.leaf_vertices for leaf in leaves])] = \
+            np.repeat(np.arange(len(leaves)), sizes)
+        # the leaf vertices in ascending id order are 0..m-1 here
+        verts = np.flatnonzero(leaf_of >= 0)
+        m = verts.size
+        local = np.full(g.n, -1, dtype=np.int64)
+        local[verts] = np.arange(m)
+        xy = g.coords[verts].T.copy()
+        # each vertex's rank by (coordinate, id) on each axis
+        ranks = np.empty((2, m), dtype=np.int64)
+        for c, rank in zip(xy, ranks):
+            rank[np.argsort(c, kind="stable")] = np.arange(m)
+
+        # per vertex: the first position of its part, and the part while it
+        # is split further (numbered densely among those parts), else -1
+        start = np.cumsum(sizes) - sizes
+        first = start[leaf_of[verts]]
+        split = sizes > LEAF_PART
+        part = np.where(split, np.cumsum(split) - 1, -1)[leaf_of[verts]]
+        live = np.flatnonzero(part >= 0)
+        start, size = start[split], sizes[split]
+        # the edges inside a part, as pairs of local ids
+        src, dst = self.edges
+        part_of = np.full(g.n, -1, dtype=np.int64)
+        part_of[verts] = part
+        at_src = part_of[src]
+        inner = (at_src >= 0) & (at_src == part_of[dst])
+        src, dst = local[src[inner]], local[dst[inner]]
+        # 0: low half, 1: high half, 2: separator
+        side = np.zeros(m, dtype=np.int64)
+        while live.size:
+            p = part[live]
+            num = size.size
+            extent = []
+            for c in xy[:, live]:
+                lo, hi = np.full(num, np.inf), np.full(num, -np.inf)
+                np.minimum.at(lo, p, c)
+                np.maximum.at(hi, p, c)
+                extent.append(hi - lo)
+            along_y = (extent[1] > extent[0])[p]
+            ranked = live[np.argsort(
+                p * m + np.where(along_y, ranks[1][live], ranks[0][live]))]
+            at = np.arange(live.size) - (np.cumsum(size) - size)[part[ranked]]
+            side[ranked] = at >= size[part[ranked]] // 2
+            low = side[src] == 0
+            side[np.where(low, src, dst)[low != (side[dst] == 0)]] = 2
+            group = 3 * p + side[live]
+            counts = np.bincount(group, minlength=3 * num)
+            firsts = (np.cumsum(counts.reshape(num, 3), axis=1)
+                      - counts.reshape(num, 3) + start[:, None]).ravel()
+            split = counts > LEAF_PART
+            split[2::3] = False
+            go_on = split[group]
+            done = live[~go_on]
+            first[done] = firsts[group[~go_on]]
+            part[done] = -1
+            live, group = live[go_on], group[go_on]
+            part[live] = (np.cumsum(split) - 1)[group]
+            start, size = firsts[split], counts[split]
+            at_src = part[src]
+            inner = (at_src >= 0) & (at_src == part[dst])
+            src, dst = src[inner], dst[inner]
+        order = verts[np.argsort(first * m + np.arange(m))]
+        ends = np.cumsum(sizes).tolist()
+        for leaf, s, e in zip(leaves, [0] + ends[:-1], ends):
+            leaf.leaf_vertices = order[s:e]
 
     def _emit(self, node, base):
         """Assign nested-order spans: children's vertices, then the separator."""

@@ -312,12 +312,103 @@ class TestSplitBoundarySegments:
         assert events == []
 
 
+def _leaf_order_reference(graph, vertices):
+    """The nested order of one leaf's vertices, by recursion on its rule: a
+    part of more than LEAF_PART vertices is cut along the axis of its larger
+    extent (x on ties) into the lower half of its (coordinate, id) ranks and
+    the rest; the low-half vertices with an edge into the high half are its
+    separator; the order is the rest of the low half, then the high half,
+    each ordered the same way, then the separator in ascending id order."""
+    v = sorted(int(u) for u in vertices)
+    if len(v) <= dissection.LEAF_PART:
+        return v
+    pts = graph.coords[v]
+    extent = pts.max(axis=0) - pts.min(axis=0)
+    axis = 1 if extent[1] > extent[0] else 0
+    ranked = sorted(v, key=lambda u: (graph.coords[u, axis], u))
+    low, high = ranked[:len(v) // 2], set(ranked[len(v) // 2:])
+    sep = {u for u in low if high.intersection(graph.neighbors(u).tolist())}
+    return (_leaf_order_reference(graph, [u for u in low if u not in sep])
+            + _leaf_order_reference(graph, high) + sorted(sep))
+
+
+def _random_delaunay_matrix(num, seed=0):
+    """The pattern of a Delaunay mesh of num uniform random points, with a
+    unit diagonal, and the points."""
+    pts = np.random.default_rng(seed).uniform(size=(num, 2))
+    tri = Delaunay(pts).simplices
+    edges = np.vstack([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]])
+    a = sp.coo_matrix((np.ones(len(edges)), edges.T), shape=(num, num))
+    return (a + a.T + sp.identity(num)).tocsr(), pts
+
+
+LEAF_ORDER_CASES = {
+    # name: (LEAF_SIZE, matrix and coordinates)
+    "grid-64x64": (64, lambda: grid_matrix(64, 64)),
+    "grid-30x17": (16, lambda: grid_matrix(30, 17)),
+    "delaunay-3000": (64, lambda: _random_delaunay_matrix(3000)),
+    "delaunay-3000-leaf-16": (16, lambda: _random_delaunay_matrix(3000)),
+    # levels = 2 stops the split at leaves of 36 vertices
+    "depth-bound-13x13": (32, lambda: grid_matrix(13, 13)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEAF_ORDER_CASES))
+def test_every_leaf_is_in_the_nested_order_of_the_reference(case,
+                                                            monkeypatch):
+    leaf_size, make = LEAF_ORDER_CASES[case]
+    tree = dissect(monkeypatch, leaf_size, *make())
+    sizes = [len(leaf.leaf_vertices) for leaf in tree.leaves]
+    assert max(sizes) > dissection.LEAF_PART
+    if case.startswith("depth-bound"):
+        assert min(sizes) > leaf_size
+    for leaf in tree.leaves:
+        assert leaf.leaf_vertices.tolist() == _leaf_order_reference(
+            tree.graph, leaf.leaf_vertices)
+        s, e = leaf.span
+        assert np.array_equal(tree.order[s:e], leaf.leaf_vertices)
+
+
+def _build_with_sorted_leaves(monkeypatch, a, coords):
+    """build_dissection with every leaf in ascending id order instead."""
+    def ascending(builder):
+        for leaf in builder.tree.leaves:
+            leaf.leaf_vertices = np.sort(leaf.leaf_vertices)
+
+    with monkeypatch.context() as m:
+        m.setattr(dissection._Builder, "_order_leaves", ascending)
+        return build_dissection(a, coords)
+
+
+@pytest.mark.parametrize("case", ["grid-64x64", "delaunay-3000-leaf-16"])
+def test_leaf_order_moves_only_positions_inside_leaf_spans(case, monkeypatch):
+    leaf_size, make = LEAF_ORDER_CASES[case]
+    monkeypatch.setattr(dissection, "LEAF_SIZE", leaf_size)
+    a, coords = make()
+    tree = build_dissection(a, coords)
+    plain = _build_with_sorted_leaves(monkeypatch, a, coords)
+    assert tree.events == plain.events
+    assert [n.span for n in tree.nodes] == [n.span for n in plain.nodes]
+    assert all(np.array_equal(s.vertices, t.vertices)
+               for s, t in zip(tree.separators, plain.separators))
+    in_leaf = np.zeros(len(tree.order), dtype=bool)
+    for leaf in tree.leaves:
+        s, e = leaf.span
+        in_leaf[s:e] = True
+        assert np.array_equal(np.sort(tree.order[s:e]), plain.order[s:e])
+    assert np.array_equal(tree.order[~in_leaf], plain.order[~in_leaf])
+    assert not np.array_equal(tree.order, plain.order)
+    assert tree.validate_separation()
+
+
 class TestBuildDissection:
     def test_small_graph_single_leaf(self, monkeypatch):
         tree = dissect(monkeypatch, 16, *grid_matrix(3, 3))
         assert len(tree.leaves) == 1
         assert tree.separators == []
-        assert np.array_equal(tree.order, np.arange(9))
+        # 9 > LEAF_PART vertices: x (a tie with y) ranks 0 3 6 1 | 4 7 2 5
+        # 8, and 1, 3 and 6 of the low half touch the high half
+        assert tree.order.tolist() == [0, 2, 4, 5, 7, 8, 1, 3, 6]
 
     def test_7x7_leaf16_splits_21_21(self, monkeypatch):
         tree = dissect(monkeypatch, 16, *grid_matrix(7, 7))
@@ -368,7 +459,9 @@ class TestBuildDissection:
         tree = dissect(monkeypatch, 16, a, coords)
         leaves = [node for node in tree.leaves if node.depth == 2]
         assert len(leaves) == 1
-        assert np.array_equal(leaves[0].leaf_vertices, subsets[1])
+        assert np.array_equal(np.sort(leaves[0].leaf_vertices), subsets[1])
+        assert leaves[0].leaf_vertices.tolist() == _leaf_order_reference(
+            tree.graph, subsets[1])
         assert np.array_equal(np.sort(tree.order), np.arange(a.shape[0]))
         assert tree.validate_separation()
         fac = factor.factorize(a, tree, 1e-4,

@@ -96,21 +96,39 @@ def _dense_flops(f):
     return 2 * k ** 3 // 3 + 2 * k * k * m + 2 * m * m * k
 
 
+def _dense_payload(stage):
+    """Entries a stage's factors hold as dense blocks: k^2 + 2 k m per LU
+    elimination, k (k - 1) / 2 + k m plus the nonzeros of D^-1 per LDL^T
+    one, and every entry of each interpolation matrix."""
+    if stage.kind == "sparsify":
+        return sum(f.interp.size for f in stage.factors)
+    k = np.array([f.idx.size for f in stage.factors])
+    m = np.array([f.nbr.size for f in stage.factors])
+    if stage.symmetric:
+        return int((k * (k - 1) // 2 + k * m).sum()) + stage.diag.nnz
+    return int((k * k + 2 * k * m).sum())
+
+
 def test_factor_entries_and_work_per_unknown_stay_flat_as_n_grows():
-    # The paper's O(N): at n = 1058, 4050 and 16562 the factor holds 48.1,
-    # 49.9 and 53.0 entries per unknown and the kernels do 5508, 5933 and
-    # 6607 flops per unknown, so each 4x step in n raises them by 1.037 and
-    # 1.062, and 1.077 and 1.114; the largest skeleton kept is 23, 17, 18.
+    # The paper's O(N): at n = 1058, 4050 and 16562 the dense blocks of the
+    # factor hold 48.1, 49.9 and 53.0 entries per unknown and the kernels
+    # do 5508, 5936 and 6615 flops per unknown, so each 4x step in n raises
+    # them by 1.038 and 1.062, and 1.078 and 1.114; the largest skeleton
+    # kept is 23, 17, 18. The factor stores only their nonzeros, 20.1, 22.5
+    # and 24.5 per unknown (0.42 to 0.46 of the blocks): with the leaves in
+    # nested order, most entries of the leaf blocks are exact zeros.
     per_n = []
     for target in (1024, 4096, 16384):
         p = assembly.build_problem("laplace-contrast:rho=100,seed=1", target)
         tree = dissection.build_dissection(p.matrix, p.coords)
         fac = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+        dense = sum(_dense_payload(stage) for stage in fac.stages)
         flops = sum(_dense_flops(f) for f in fac.factors)
-        per_n.append((fac.factor_nnz / p.n, flops / p.n))
+        per_n.append((dense / p.n, flops / p.n))
+        assert fac.factor_nnz <= 0.55 * dense
         assert max(s["largest_skeleton"] for s in fac.level_stats) <= 32
-    for (nnz0, flops0), (nnz1, flops1) in zip(per_n, per_n[1:]):
-        assert nnz1 / nnz0 <= 1.10
+    for (dense0, flops0), (dense1, flops1) in zip(per_n, per_n[1:]):
+        assert dense1 / dense0 <= 1.10
         assert flops1 / flops0 <= 1.20
 
 
@@ -621,10 +639,10 @@ def test_no_factor_of_a_stage_touches_the_unknowns_of_another(problem):
 
 # factor_nnz of the complex copies (LU on every family) at n=4096, floor 16
 LU_NNZ = {
-    "laplace-contrast:rho=100,seed=1": 303662,
-    "helmholtz:k=5": 318377,
-    "helmholtz-poly:k=20": 300993,
-    "laplace-aniso:d12=1,d21=0": 335874,
+    "laplace-contrast:rho=100,seed=1": 176012,
+    "helmholtz:k=5": 193381,
+    "helmholtz-poly:k=20": 187361,
+    "laplace-aniso:d12=1,d21=0": 205524,
 }
 
 
@@ -646,6 +664,40 @@ def test_segments_without_neighbors_are_eliminated_whole(problem_4k):
     # fac is the complex copy's; the root's remainder elimination stored
     # as many entries as its whole elimination does now
     assert fac.factor_nnz == LU_NNZ[family]
+
+
+def _separator_schur(state):
+    """The live positions of a store and the dense matrix its blocks hold."""
+    live = np.flatnonzero(state.pos_unit >= 0)
+    by_serial = {u.serial: u for u in state.units.values()}
+    schur = np.zeros((live.size, live.size), dtype=state.dtype)
+    for a, b in zip(*np.divmod(state.keys, len(state.unit_ids))):
+        rows, cols = by_serial[a].pos, by_serial[b].pos
+        schur[np.ix_(np.searchsorted(live, rows),
+                     np.searchsorted(live, cols))] = state.gather(rows, cols)
+    return live, schur
+
+
+def test_separators_see_the_schur_complement_of_sorted_leaves(problem_4k,
+                                                              monkeypatch):
+    # the order inside a leaf changes how its block is factored, not the
+    # Schur complement it leaves on the separators
+    _, p, tree = problem_4k
+
+    def ascending(builder):
+        for leaf in builder.tree.leaves:
+            leaf.leaf_vertices = np.sort(leaf.leaf_vertices)
+
+    monkeypatch.setattr(dissection._Builder, "_order_leaves", ascending)
+    plain = dissection.build_dissection(p.matrix, p.coords)
+    assert not np.array_equal(tree.order, plain.order)
+    for a in (p.matrix, SparseMatrix(p.matrix.csr * (1 + 0.5j))):
+        live, got = _separator_schur(factor.eliminate_interiors(a, tree)[0])
+        plain_live, want = _separator_schur(
+            factor.eliminate_interiors(a, plain)[0])
+        assert np.array_equal(live, plain_live)
+        assert np.array_equal(tree.order[live], plain.order[live])
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_factorization_draws_no_random_number(problem_4k, monkeypatch):
