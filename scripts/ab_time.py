@@ -1,4 +1,5 @@
-"""Paired timing of build_dissection and factorize in two checkouts.
+"""Paired timing of build_dissection, factorize and the solves in two
+checkouts.
 
 Run from anywhere, with two checkouts of this repository:
 
@@ -14,8 +15,11 @@ hits both sides alike. A process imports ndlu from its checkout's src/, builds
 the workload's problem, runs one untimed pass on a small problem of the
 same family so that lazy imports and first calls are not timed, and then
 times one build_dissection and one factorize call, each in CPU time
-(time.process_time) and in wall time. BLAS runs one thread, as in the
-benchmark.
+(time.process_time) and in wall time. It then solves the workload's
+num_rhs right-hand sides (perfbench's right_hand_sides of seed 1) one
+column at a time, as perfbench does, and reports the median solve in both
+times, the measure of the benchmark's solve_s. BLAS runs one thread, as in
+the benchmark.
 
 For each measure it prints each side's median and quartiles over the
 pairs, the pairs NEW won (ties count for neither side) and the change of
@@ -41,37 +45,46 @@ BLAS_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
 
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, right_hand_sides  # noqa: E402
 
 WARMUP_N = 1024
-MEASURES = ("dissect_cpu", "factor_cpu", "total_cpu",
-            "dissect_wall", "factor_wall", "total_wall")
+SEED = 1
+MEASURES = ("dissect_cpu", "factor_cpu", "total_cpu", "solve_cpu",
+            "dissect_wall", "factor_wall", "total_wall", "solve_wall")
 
 
 def time_once(checkout, workload):
     """One timed build_dissection and factorize of the workload with the
-    ndlu package of checkout; returns the measures in seconds."""
+    ndlu package of checkout, then its one-column solves; returns the
+    measures in seconds."""
     src = Path(checkout).resolve() / "src"
     sys.path.insert(0, str(src))
     import ndlu
-    from ndlu import assembly, dissection, factor
+    from ndlu import assembly, dissection, factor, solver
 
     if Path(ndlu.__file__).resolve().parent != src / "ndlu":
         sys.exit(f"ab_time: imported ndlu from {ndlu.__file__}, not {src}")
 
     w = WORKLOADS[workload]
     warm = assembly.build_problem(w.descriptor, WARMUP_N)
-    factor.factorize(warm.matrix, dissection.build_dissection(
-        warm.matrix, warm.coords), w.eps)
+    solver.solve(factor.factorize(warm.matrix, dissection.build_dissection(
+        warm.matrix, warm.coords), w.eps), warm.matrix, warm.rhs)
     problem = assembly.build_problem(w.descriptor, w.target_n)
     c0, w0 = time.process_time(), time.perf_counter()
     tree = dissection.build_dissection(problem.matrix, problem.coords)
     c1, w1 = time.process_time(), time.perf_counter()
-    factor.factorize(problem.matrix, tree, w.eps)
+    fac = factor.factorize(problem.matrix, tree, w.eps)
     c2, w2 = time.process_time(), time.perf_counter()
+    solve_cpu, solve_wall = [], []
+    for b in right_hand_sides(problem.rhs, w.num_rhs, SEED).T:
+        c3, w3 = time.process_time(), time.perf_counter()
+        solver.solve(fac, problem.matrix, b)
+        solve_cpu.append(time.process_time() - c3)
+        solve_wall.append(time.perf_counter() - w3)
     return {"dissect_cpu": c1 - c0, "factor_cpu": c2 - c1,
-            "total_cpu": c2 - c0, "dissect_wall": w1 - w0,
-            "factor_wall": w2 - w1, "total_wall": w2 - w0}
+            "total_cpu": c2 - c0, "solve_cpu": statistics.median(solve_cpu),
+            "dissect_wall": w1 - w0, "factor_wall": w2 - w1,
+            "total_wall": w2 - w0, "solve_wall": statistics.median(solve_wall)}
 
 
 def run_child(checkout, workload):

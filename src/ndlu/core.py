@@ -112,11 +112,11 @@ def lu_compact(block):
     if info > 0:
         raise SingularBlockError(f"zero pivot at position {info - 1} in "
                                  f"{block.shape[0]}x{block.shape[0]} block")
-    perm = np.arange(block.shape[0], dtype=np.int64)
-    for k, pk in enumerate(piv):
+    perm = list(range(block.shape[0]))
+    for k, pk in enumerate(piv.tolist()):
         if pk != k:
             perm[k], perm[pk] = perm[pk], perm[k]
-    return lu, perm
+    return lu, np.array(perm, dtype=np.int64)
 
 
 def ldl(block):

@@ -1,6 +1,7 @@
-"""scripts/ab_time.py: its workload table is the benchmark's, its report
-states the wins, the change of the medians and OLD's spread, and its
-command line rejects what it cannot run."""
+"""scripts/ab_time.py: its workload table is the benchmark's, it solves one
+column at a time as perfbench does, its report states the wins, the change
+of the medians and OLD's spread, and its command line rejects what it
+cannot run."""
 
 import importlib.util
 import sys
@@ -37,6 +38,29 @@ def test_report_states_wins_median_change_and_old_spread():
     assert lines[1] == (
         "factor_cpu   OLD 3.0000 [1.5000, 4.5000]  NEW 2.5000 [1.2500, "
         "4.2500]  NEW won 3/5  -16.7%  (OLD IQR 3.0000)")
+
+
+def test_time_once_times_one_solve_per_column_as_perfbench_does(monkeypatch):
+    # the workload's num_rhs columns, each solved alone; the solve measures
+    # are the median of those solves
+    from ndlu import solver
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    w = AB.WORKLOADS["poly-multirhs"]
+    solve = solver.solve
+    columns = []
+
+    def counted(fac, a, b, **kwargs):
+        columns.append(b.shape)
+        return solve(fac, a, b, **kwargs)
+
+    monkeypatch.setattr(solver, "solve", counted)
+    times = AB.time_once(ROOT, "poly-multirhs")
+    assert set(times) == set(AB.MEASURES)
+    assert all(t > 0 for t in times.values())
+    # one warm-up solve on the small problem, then one per column
+    assert len(columns) == 1 + w.num_rhs
+    assert set(columns[1:]) == {(columns[-1][0],)}
+    assert times["solve_wall"] < times["factor_wall"]
 
 
 @pytest.mark.parametrize("bad", ["pairs", "checkout"])
