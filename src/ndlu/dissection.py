@@ -725,7 +725,7 @@ class _Builder:
         m = verts.size
         local = np.full(g.n, -1, dtype=np.int64)
         local[verts] = np.arange(m)
-        xy = g.coords[verts].T.copy()
+        xy = np.take(g.coords, verts, axis=0).T.copy()
         # each vertex's rank by (coordinate, id) on each axis
         ranks = np.empty((2, m), dtype=np.int64)
         for c, rank in zip(xy, ranks):
@@ -745,25 +745,30 @@ class _Builder:
         part_of[verts] = part
         at_src = part_of[src]
         inner = (at_src >= 0) & (at_src == part_of[dst])
-        src, dst = local[src[inner]], local[dst[inner]]
+        src, dst = local[src.compress(inner)], local[dst.compress(inner)]
         # 0: low half, 1: high half, 2: separator
         side = np.zeros(m, dtype=np.int64)
         while live.size:
             p = part[live]
             num = size.size
             extent = []
-            for c in xy[:, live]:
+            for c in np.take(xy, live, axis=1):
                 lo, hi = np.full(num, np.inf), np.full(num, -np.inf)
                 np.minimum.at(lo, p, c)
                 np.maximum.at(hi, p, c)
                 extent.append(hi - lo)
             along_y = (extent[1] > extent[0])[p]
+            # each part's vertices in rank order on its axis, one run per part
             ranked = live[np.argsort(
                 p * m + np.where(along_y, ranks[1][live], ranks[0][live]))]
-            at = np.arange(live.size) - (np.cumsum(size) - size)[part[ranked]]
-            side[ranked] = at >= size[part[ranked]] // 2
+            run = part[ranked]
+            at = np.arange(live.size) - (np.cumsum(size) - size)[run]
+            side[ranked] = at >= size[run] // 2
+            # the low end of every edge between the two halves
             low = side[src] == 0
             side[np.where(low, src, dst)[low != (side[dst] == 0)]] = 2
+            # the separators and the halves of at most LEAF_PART vertices
+            # are done; the other halves are the next round's parts
             group = 3 * p + side[live]
             counts = np.bincount(group, minlength=3 * num)
             firsts = (np.cumsum(counts.reshape(num, 3), axis=1)
@@ -771,15 +776,15 @@ class _Builder:
             split = counts > LEAF_PART
             split[2::3] = False
             go_on = split[group]
-            done = live[~go_on]
-            first[done] = firsts[group[~go_on]]
+            done = live.compress(~go_on)
+            first[done] = firsts[group.compress(~go_on)]
             part[done] = -1
-            live, group = live[go_on], group[go_on]
+            live, group = live.compress(go_on), group.compress(go_on)
             part[live] = (np.cumsum(split) - 1)[group]
             start, size = firsts[split], counts[split]
             at_src = part[src]
             inner = (at_src >= 0) & (at_src == part[dst])
-            src, dst = src[inner], dst[inner]
+            src, dst = src.compress(inner), dst.compress(inner)
         order = verts[np.argsort(first * m + np.arange(m))]
         ends = np.cumsum(sizes).tolist()
         for leaf, s, e in zip(leaves, [0] + ends[:-1], ends):
