@@ -171,7 +171,7 @@ class _Elimination:
     level: int
     tag: str
     payload: _Payload = field(default=None, repr=False)
-    payload_nnz: int = None
+    payload_nnz: int | None = None
 
     @property
     def kind(self):
@@ -334,10 +334,9 @@ def _compile_elimination(factors):
     # its rows keep
     bounds = np.append(offsets, rows.size)
     operators = [m for m in (lower, diag, pull, push_t) if m is not None]
-    kept = 0
     for m in operators:
         m.eliminate_zeros()
-        kept = kept + np.diff(m.indptr[bounds])
+    kept = sum(np.diff(m.indptr[bounds]) for m in operators)
     gather = np.concatenate([f.idx[b.perm] for f, b in zip(factors,
                                                             payloads)])
     for f, nnz in zip(factors, kept.tolist()):
