@@ -18,8 +18,9 @@ times one build_dissection and one factorize call, each in CPU time
 (time.process_time) and in wall time. It then solves the workload's
 num_rhs right-hand sides (perfbench's right_hand_sides of seed 1) one
 column at a time, as perfbench does, and reports the median solve in both
-times, the measure of the benchmark's solve_s. BLAS runs one thread, as in
-the benchmark.
+times, the measure of the benchmark's solve_s, and its peak resident set
+size (ru_maxrss, in MB), measured as the benchmark's peak_rss_mb is. BLAS
+runs one thread, as in the benchmark.
 
 For each measure it prints each side's median and quartiles over the
 pairs, the pairs NEW won (ties count for neither side) and the change of
@@ -34,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,13 +52,14 @@ from workloads import WORKLOADS, right_hand_sides  # noqa: E402
 WARMUP_N = 1024
 SEED = 1
 MEASURES = ("dissect_cpu", "factor_cpu", "total_cpu", "solve_cpu",
-            "dissect_wall", "factor_wall", "total_wall", "solve_wall")
+            "dissect_wall", "factor_wall", "total_wall", "solve_wall",
+            "peak_rss_mb")
 
 
 def time_once(checkout, workload):
     """One timed build_dissection and factorize of the workload with the
     ndlu package of checkout, then its one-column solves; returns the
-    measures in seconds."""
+    measures, times in seconds and the process's peak RSS in MB."""
     src = Path(checkout).resolve() / "src"
     sys.path.insert(0, str(src))
     import ndlu
@@ -84,7 +87,9 @@ def time_once(checkout, workload):
     return {"dissect_cpu": c1 - c0, "factor_cpu": c2 - c1,
             "total_cpu": c2 - c0, "solve_cpu": statistics.median(solve_cpu),
             "dissect_wall": w1 - w0, "factor_wall": w2 - w1,
-            "total_wall": w2 - w0, "solve_wall": statistics.median(solve_wall)}
+            "total_wall": w2 - w0, "solve_wall": statistics.median(solve_wall),
+            "peak_rss_mb":
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def run_child(checkout, workload):
@@ -149,7 +154,7 @@ def main(argv):
             old.append(run_child(old_dir, args.workload))
         print(f"pair {pair + 1}: total_wall OLD {old[-1]['total_wall']:.4f} "
               f"NEW {new[-1]['total_wall']:.4f}", flush=True)
-    print(f"{args.workload}, {args.pairs} pairs, seconds")
+    print(f"{args.workload}, {args.pairs} pairs, seconds (peak_rss_mb in MB)")
     print(report(old, new))
 
 

@@ -164,6 +164,14 @@ def make_contrast_field(rho, seed):
 def _p1_stiffness(mesh, coeff):
     """Element-assembled stiffness matrix and the triangle areas. coeff is
     a 2x2 tensor, a number or a function of the triangle centroids."""
+    k_loc, area = _p1_elements(mesh, coeff)
+    return _assemble(mesh, k_loc), area
+
+
+def _p1_elements(mesh, coeff):
+    """The (m, 3, 3) element stiffness matrices and the triangle areas of
+    _p1_stiffness. The per-element temporaries die on return, before the
+    element matrices are summed."""
     tris = mesh.triangles
     p = mesh.vertices[tris]                      # (m, 3, 2)
     # edge vectors opposite each vertex
@@ -181,7 +189,7 @@ def _p1_stiffness(mesh, coeff):
     else:
         a_t = coeff(p.mean(axis=1)) if callable(coeff) else coeff
         k_loc = np.einsum("mia,mja,m->mij", grads, grads, area * a_t)
-    return _assemble(mesh, k_loc), area
+    return k_loc, area
 
 
 def _p1_mass(mesh, area):
@@ -191,8 +199,11 @@ def _p1_mass(mesh, area):
 
 
 def _assemble(mesh, local):
-    """Sum the (m, 3, 3) element matrices into an n x n CSR matrix."""
-    tris, n = mesh.triangles, mesh.num_vertices
+    """Sum the (m, 3, 3) element matrices into an n x n CSR matrix. The
+    COO indices are built in the index type scipy keeps, so it makes no
+    copy of them."""
+    n = mesh.num_vertices
+    tris = mesh.triangles.astype(np.int32 if n < 2 ** 31 else np.int64)
     rows = np.repeat(tris, 3, axis=1).ravel()
     cols = np.tile(tris, (1, 3)).ravel()
     return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()

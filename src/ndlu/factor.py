@@ -33,36 +33,43 @@ the multifrontal method, every coupled pair of segments is stored in both
 orientations, whether or not the matrix is symmetric, so the store's
 bookkeeping is the same in both modes; symmetry is used only where the dense
 kernel is chosen (LDL against LU, a one-sided against a joint interpolative
-decomposition). A leaf's elimination takes its blocks from the matrix, a
-remainder's from its sparsification's gather, and any other from the
-buffer; each adds its update in one add_to_block call, the buffer's only
-write outside a pack. Besides the self blocks and the matrix's own
-couplings, a block exists only where an update writes it: each pack makes
-the blocks of the fronts whose updates follow it. The leaf stage reads the
-matrix once, sorted by leaf: the separator entries come first and fill the
-stage's one pack, then each leaf's entries form one run; each leaf adds its
-update straight after its elimination. A remainder writes only its
-segment's own self block, which exists. The whole segments of a level lie
-in disjoint subtrees and never touch, so their eliminations read nothing
-another writes: merge_segments relabels the merged positions, packs once
-with the level's fronts and then adds the updates in elimination order.
-Every pack checks that the segments and the store's position table agree on
-which segment owns each live position (SchurState).
+decomposition). The store is read and written in batches: gather reads a
+list of blocks and add_to_block adds a list of updates, each with one lookup
+of the unit pairs its blocks touch, and add_to_block is the buffer's only
+write outside a pack. A leaf's elimination takes its blocks from the
+matrix, a remainder's from its sparsification's gather, and any other from
+the buffer. Besides the self blocks and the matrix's own couplings, a block
+exists only where an update writes it: each pack makes the blocks of the
+fronts whose updates follow it. The leaf stage reads the matrix once,
+sorted by leaf: the separator entries come first and fill the stage's one
+pack, then each leaf's entries form one run. Leaves never read the store,
+so their updates are added in batches of about CHUNK entries as the leaves
+are eliminated. A remainder writes only its segment's own self block,
+which exists. The whole segments of a level lie in disjoint subtrees and
+never touch, so their eliminations read nothing another writes: their
+fronts are gathered in batches first, and merge_segments relabels the
+merged positions, packs once with the level's fronts and then adds the
+updates in elimination order, in batches. Every pack checks that the
+segments and the store's position table agree on which segment owns each
+live position (SchurState).
 
 Every transform is recorded as an elementary factor: the positions it
 eliminates or decouples (idx) and the positions it couples them to (nbr).
 The factors of one step (the leaf interiors, or one level's
-sparsifications, its remainders or its whole segments) form a Stage, and
-factorize compiles each step with compile_stage as soon as it is built: one
+sparsifications, its remainders or its whole segments) form a Stage: one
 gather and one scatter index, and scipy CSR operators for the block-diagonal
 triangular inverses (L^-1 P and U^-1 of each LU, L^-1 P and D^-1 of each
-LDL^T) and for the couplings. Compiling checks that no factor's idx meets
-another factor's idx or any factor's nbr (a sparsification writes both its
-redundant and its skeleton positions, so its skeleton counts as idx here
-too): that is what lets a stage act as one block operation. Those CSR
-arrays are the only copy of the payload, and an elimination stage's hold
-only its nonzeros: exact zeros of the inverses and couplings are neither
-stored nor multiplied. A factor keeps its indices and, for a
+LDL^T) and for the couplings. An elimination step is compiled as its kernels
+make the payloads (_EliminationStep): each chunk of about CHUNK dense
+entries becomes nonzero CSR pieces at once and its dense payloads are
+dropped, so no step holds all of its dense payload, and the pieces are
+joined into the step's Stage at its end. Compiling checks that no factor's
+idx meets another factor's idx or any factor's nbr (a sparsification writes
+both its redundant and its skeleton positions, so its skeleton counts as
+idx here too): that is what lets a stage act as one block operation. Those
+CSR arrays are the only copy of the payload, and an elimination stage's
+hold only its nonzeros: exact zeros of the inverses and couplings are
+neither stored nor multiplied. A factor keeps its indices and, for a
 sparsification, a view of its interpolation matrix. The solver module
 applies the stages in two passes: left actions forward, each LDL^T stage's
 D^-1 right after its left action, then right actions in reverse.
@@ -72,6 +79,7 @@ from __future__ import annotations
 
 import numbers
 import time
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -84,9 +92,10 @@ from .core import (SparseMatrix, _triangles, as_csr, check_int, ldl,
 from .dissection import JUNCTION, REGULAR, DissectionTree
 from .errors import ConfigError, DimensionError, SingularBlockError
 
-# Entries moved per step when the Schur store is repacked; bounds the
-# transient index arrays of a pack.
-PACK_CHUNK = 1 << 16
+# Entries per chunk: a pack moves, a batched store access reads or writes
+# and an elimination step keeps as dense payload about this many at a time,
+# which bounds their transient arrays.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,8 @@ class FactorOptions:
     saves and such blocks sit at or near full rank anyway, so they are
     eliminated or merged at full size instead. Options are checked when
     made and never change. No option reaches the Schur store: its
-    ownership check runs at every pack, and compile_stage rejects a stage
-    whose factors overlap.
+    ownership check runs at every pack, and compiling rejects a stage whose
+    factors overlap.
     """
 
     min_sparsify_size: int = 64
@@ -155,15 +164,22 @@ class _Payload(NamedTuple):
     pull: np.ndarray
     push: np.ndarray = None
 
+    @property
+    def entries(self):
+        """Dense entries held, the measure of a chunk."""
+        return (self.lower.size + self.diag.size + self.pull.size
+                + (0 if self.push is None else self.push.size))
+
 
 @dataclass
 class _Elimination:
     """Record of one block elimination of positions idx against nbr, made
     by _eliminate only.
 
-    payload holds its entries from the kernel until the stage is compiled;
-    then it is None, and payload_nnz, None until then, counts the nonzeros
-    the compiled stage keeps in the factor's rows.
+    payload holds its entries from the kernel until its chunk of the step
+    is compiled (_EliminationStep); then it is None, and payload_nnz, None
+    until then, counts the nonzeros the compiled stage keeps in the
+    factor's rows.
     """
 
     idx: np.ndarray
@@ -215,7 +231,7 @@ class Stage:
     and tag, compiled into sparse operators.
 
     No factor's idx meets another factor's idx or any factor's nbr, and no
-    two sparsifications share a skeleton position (compile_stage checks
+    two sparsifications share a skeleton position (compiling checks
     both), so the stage's left, middle and right actions each act as one
     block operation. With K = |idx|:
 
@@ -271,14 +287,19 @@ def _csr(data, counts, num_cols, first, cols=None):
 
 def compile_stage(factors):
     """The Stage of one step's factors, a nonempty list that shares one
-    level, kind and tag. Each elimination's payload is dropped once copied,
-    without its exact zeros, and its payload_nnz set to the entries kept;
-    each sparsification's interp becomes a view into the stage. Factors
-    that overlap raise DimensionError."""
+    level, kind and tag. Eliminations are compiled as _EliminationStep
+    compiles them as they are made; each sparsification's interp becomes a
+    view into the stage. Factors that overlap raise DimensionError."""
     if factors[0].kind == "sparsify":
-        stage = _compile_sparsify(factors)
-    else:
-        stage = _compile_elimination(factors)
+        return _checked(_compile_sparsify(factors))
+    step = _EliminationStep()
+    for f in factors:
+        step.add(f)
+    return step.stage()
+
+
+def _checked(stage):
+    """stage, unless two of its factors overlap (DimensionError)."""
     # stage.nbr holds each elimination neighbor once and every
     # sparsification's skeleton in full, so a position seen twice is an
     # overlap that the one-shot stage actions would get wrong
@@ -305,7 +326,73 @@ def _compile_sparsify(factors):
     return Stage(factors, idx, nbr, pull)
 
 
-def _compile_elimination(factors):
+class _EliminationStep:
+    """One step's eliminations, compiled into their Stage as they are made.
+
+    A record keeps its kernel's dense payload only until the records added
+    since the last chunk hold CHUNK dense entries. That chunk is then
+    compiled into one nonzero piece per operator (_compile_chunk), and its
+    payloads are dropped. stage() joins the pieces: lower and diag stack
+    block-diagonally, and the columns of pull and push move from each
+    chunk's own neighbor list to the stage's sorted union. Compiled at once
+    or in chunks, a step gives bitwise the same Stage.
+    """
+
+    def __init__(self):
+        self.factors = []
+        self._open = []
+        self._open_entries = 0
+        # per field of _compile_chunk, its value for each chunk compiled
+        self._pieces = defaultdict(list)
+
+    def add(self, record):
+        self.factors.append(record)
+        self._open.append(record)
+        self._open_entries += record.payload.entries
+        if self._open_entries >= CHUNK:
+            self._close()
+
+    def _close(self):
+        for name, value in _compile_chunk(self._open).items():
+            self._pieces[name].append(value)
+        self._open, self._open_entries = [], 0
+
+    def stage(self):
+        """The step's checked Stage, or None if it has no factor."""
+        if not self.factors:
+            return None
+        if self._open:
+            self._close()
+        factors, parts = self.factors, self._pieces
+        self._pieces = defaultdict(list)
+        idx = np.concatenate([f.idx for f in factors])
+        nbr = _unique(np.concatenate([f.nbr for f in factors]))
+        sizes = [g.size for g in parts["gather"]]
+        ends = np.cumsum(sizes).tolist()
+        own = [np.arange(end - k, end) for k, end in zip(sizes, ends)]
+        to_nbr = [np.searchsorted(nbr, n) for n in parts["nbr"]]
+        # one operator at a time, so that only its pieces and its join
+        # coexist
+        ops = {}
+        for name, cols, width in (("lower", own, idx.size),
+                                  ("diag", own, idx.size),
+                                  ("pull", to_nbr, nbr.size),
+                                  ("push_t", to_nbr, nbr.size)):
+            pieces = parts.pop(name)
+            ops[name] = None if pieces[0] is None else _stack(pieces, cols,
+                                                              width)
+        return _checked(Stage(factors, idx, nbr, ops["pull"],
+                              gather=np.concatenate(parts["gather"]),
+                              lower=ops["lower"], diag=ops["diag"],
+                              push_t=ops["push_t"]))
+
+
+def _compile_chunk(factors):
+    """Consecutive eliminations of one step compiled: their rows of each
+    operator, pull and push_t in the columns of their own sorted neighbor
+    list nbr, and their gather. Each payload is dropped once copied, without
+    its exact zeros, and its record's payload_nnz set to the entries
+    kept."""
     payloads = [f.payload for f in factors]
     sizes = np.array([f.idx.size for f in factors])
     offsets = np.cumsum(sizes) - sizes
@@ -342,8 +429,23 @@ def _compile_elimination(factors):
     for f, nnz in zip(factors, kept.tolist()):
         f.payload = None
         f.payload_nnz = nnz
-    return Stage(factors, np.concatenate([f.idx for f in factors]), nbr,
-                 pull, gather=gather, lower=lower, diag=diag, push_t=push_t)
+    return dict(nbr=nbr, gather=gather, lower=lower, diag=diag, pull=pull,
+                push_t=push_t)
+
+
+def _stack(pieces, cols, num_cols):
+    """The CSR matrices pieces stacked row after row, the column c of piece
+    i becoming cols[i][c]."""
+    nnz = np.array([p.nnz for p in pieces])
+    itype = np.int32 if max(nnz.sum(), num_cols) < 2 ** 31 else np.int64
+    data = np.concatenate([p.data for p in pieces])
+    indices = np.concatenate([c.astype(itype)[p.indices]
+                              for p, c in zip(pieces, cols)])
+    indptr = np.concatenate([np.zeros(1, itype)] + [
+        p.indptr[1:] + np.asarray(o, dtype=itype)
+        for p, o in zip(pieces, np.cumsum(nnz) - nnz)])
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(indptr.size - 1, num_cols))
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +477,24 @@ def _runs(values):
     return values[step], np.cumsum(step) - 1
 
 
+def _block_runs(owner, parts):
+    """Runs of equal owner over each of the position arrays parts, a run
+    never spanning two parts: (owner of each run, runs per part, every
+    entry's run within its part)."""
+    sizes = np.array([len(p) for p in parts])
+    values = owner[np.concatenate(parts)]
+    step = np.empty(values.size, dtype=bool)
+    step[:1] = True
+    np.not_equal(values[1:], values[:-1], out=step[1:])
+    starts = np.cumsum(sizes) - sizes
+    step[starts[sizes > 0]] = True
+    run = np.cumsum(step)
+    before = np.concatenate(([0], run))[starts]
+    runs = np.diff(np.append(before, step.sum()))
+    local = run - 1 - np.repeat(before, sizes)
+    return values[step], runs, local
+
+
 def _unique(values):
     """Sorted distinct values. Sorting is much faster than np.unique's
     hashing on the large key arrays built here."""
@@ -392,11 +512,11 @@ def _group_pairs(group, members):
 
 
 def _chunks(counts):
-    """(lo, hi) ranges of consecutive blocks of about PACK_CHUNK entries."""
+    """(lo, hi) ranges of consecutive blocks of about CHUNK entries."""
     if counts.size == 0:
         return []
     ends = np.cumsum(counts)
-    cuts = np.searchsorted(ends, np.arange(PACK_CHUNK, ends[-1], PACK_CHUNK),
+    cuts = np.searchsorted(ends, np.arange(CHUNK, ends[-1], CHUNK),
                            side="right")
     bounds = np.unique(np.concatenate(([0], cuts, [counts.size])))
     return zip(bounds[:-1].tolist(), bounds[1:].tolist())
@@ -417,9 +537,13 @@ class SchurState:
     pair agree to roundoff, each holding the values its own updates
     computed.
 
-    Outside pack, add_to_block is the only value write; it never creates a
-    block. The structure changes only in pack, which runs once per stage
-    after the merges: it carries every live entry over to the unit now
+    Access is batched: gather reads and add_to_block adds a list of (rows,
+    cols) blocks with one lookup of the unit pairs they touch, and each
+    block then takes its buffer index in one broadcast. Outside pack,
+    add_to_block is the only value write; it never creates a block, and it
+    adds in list order, so blocks that share positions sum as sequential
+    adds would. The structure changes only in pack, which runs once per
+    stage after the merges: it carries every live entry over to the unit now
     holding its positions, renumbers slots densely, and makes a block for
     every unit pair within each front whose update the caller adds next.
     So every stored block is a coupling: the matrix's, or one an update
@@ -509,41 +633,72 @@ class SchurState:
 
     # -- block access ---------------------------------------------------------
 
-    def _grid(self, rows, cols):
-        """Buffer index of every (row, col) position pair."""
-        square = cols is rows
-        ur, ir = _runs(self.pos_unit[rows])
-        uc, ic = (ur, ir) if square else _runs(self.pos_unit[cols])
-        if ur.min() < 0 or uc.min() < 0:
+    def _grids(self, blocks):
+        """Buffer index of every (row, col) position pair of each (rows,
+        cols) block, one array per block. One lookup finds the stored unit
+        pair of every run of rows and run of columns of every block; each
+        block then takes its index in one broadcast."""
+        if not blocks:
+            return []
+        r = len(self.unit_ids)
+        rows, cols = zip(*blocks)
+        ru, nr, rl = _block_runs(self.pos_unit, rows)
+        cu, nc, cl = _block_runs(self.pos_unit, cols)
+        if np.any(ru < 0) or np.any(cu < 0):
             raise DimensionError("Schur store access touches an eliminated "
                                  "position")
-        pairs = ur[:, None] * len(self.unit_ids) + uc
+        # the unit pairs of each block, its row runs by its column runs
+        npairs = nr * nc
+        block = np.repeat(np.arange(npairs.size), npairs)
+        first = np.cumsum(npairs) - npairs
+        i, j = np.divmod(np.arange(block.size) - first[block], nc[block])
+        pairs = (ru[(np.cumsum(nr) - nr)[block] + i] * r
+                 + cu[(np.cumsum(nc) - nc)[block] + j])
         k = self.keys.searchsorted(pairs)
-        if not self.keys.size or np.any(self.keys.take(k, mode="clip")
-                                        != pairs):
+        if pairs.size and (not self.keys.size or np.any(
+                self.keys.take(k, mode="clip") != pairs)):
             raise DimensionError("Schur store access outside the stored "
                                  "blocks")
-        ci = self.local_pos[cols]
-        ri = (ci if square else self.local_pos[rows])[:, None]
-        return self.offsets[k][ir][:, ic] + (ri * self.width[uc][ic] + ci)
+        offsets = self.offsets[k]
+        # entry (i, j) of a block sits at offsets[pair] + rp[i] * width + cp[j]
+        # for the pair of its row's and its column's units, the width of the
+        # column's unit: first each row against each column run, then one
+        # take of the columns
+        rp = self.local_pos[np.concatenate(rows)][:, None]
+        cp = self.local_pos[np.concatenate(cols)]
+        cw = self.width[cu]
+        r_end = np.cumsum([len(x) for x in rows]).tolist()
+        c_end = np.cumsum([len(x) for x in cols]).tolist()
+        nc_end = np.cumsum(nc).tolist()
+        grids = []
+        for r0, r1, c0, c1, p0, h, w, w1 in zip(
+                [0] + r_end[:-1], r_end, [0] + c_end[:-1], c_end,
+                first.tolist(), nr.tolist(), nc.tolist(), nc_end):
+            runs = offsets[p0:p0 + h * w].reshape(h, w)[rl[r0:r1]]
+            runs += rp[r0:r1] * cw[w1 - w:w1]
+            grid = runs.take(cl[c0:c1], axis=1)
+            grid += cp[c0:c1]
+            grids.append(grid)
+        return grids
 
-    def gather(self, rows, cols):
-        """Dense copy of the active submatrix at positions rows x cols."""
-        if len(rows) == 0 or len(cols) == 0:
-            return np.zeros((len(rows), len(cols)), dtype=self.dtype)
-        return self.values[self._grid(rows, cols)]
+    def gather(self, blocks):
+        """Dense copies of the active submatrix at each (rows, cols) block
+        of the list, in one lookup."""
+        return [self.values[g] for g in self._grids(blocks)]
 
-    def add_to_block(self, rows, cols, delta):
-        """Accumulate delta into the active submatrix at rows x cols.
+    def add_to_block(self, blocks, deltas):
+        """Accumulate each delta into the active submatrix at its (rows,
+        cols) block, in list order, with one lookup and one np.add.at.
 
         Every entry is added where it is addressed, and only there: a
-        symmetric update adds both its orientations because the call covers
-        both. rows and cols each name distinct positions, and every block
-        written must already be in the index.
+        symmetric update adds both its orientations because its block covers
+        both. A block's rows and cols each name distinct live positions,
+        blocks may share positions (their deltas then sum in list order),
+        and every block written must already be in the index.
         """
-        if len(rows) == 0 or len(cols) == 0:
-            return
-        self.values[self._grid(rows, cols)] += delta
+        grids = self._grids(blocks)
+        np.add.at(self.values, np.concatenate([g.ravel() for g in grids]),
+                  np.concatenate([np.ravel(d) for d in deltas]))
 
     def total_block_entries(self):
         """Entries allocated in the value buffer."""
@@ -735,9 +890,9 @@ def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
     """Eliminate positions idx against nbr: LDL^T in symmetric mode (a_un =
     A[idx, nbr] unused), pivoted LU otherwise; both kernels map (self_block,
     a_nu, a_un) to (payload, Schur complement). The one place that builds an
-    elimination record, whose payload compile_stage takes and counts, and
-    that names a failing block: it tags a kernel's SingularBlockError with
-    level and segment. Returns the record and its update (nbr, -Schur
+    elimination record, whose payload _EliminationStep compiles and counts,
+    and that names a failing block: it tags a kernel's SingularBlockError
+    with level and segment. Returns the record and its update (nbr, -Schur
     complement), which the caller adds onto nbr x nbr."""
     record, kernel = ((SymEliminationFactor, _symmetric_elimination)
                       if symmetric else
@@ -757,18 +912,20 @@ def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
 
 
 def eliminate_interiors(a, tree):
-    """Eliminate every leaf interior; returns (SchurState, factors).
+    """Eliminate every leaf interior; returns (SchurState, stage).
 
     Each stored entry, in nested positions, belongs to the leaf it touches
     (to none between two separator positions), and a leaf's front is the
     outside ends of its entries, explicit zeros included. One stable sort
     by leaf puts the separator entries first, and the store is packed once
     with them and the blocks of every front; each later run holds one
-    leaf's entries. Each leaf is factored from its run and adds its update
-    onto its front with one add_to_block call straight away; afterwards the
-    active set is exactly the separator vertices. The units are the
-    segments no split event names as a parent. The factors form one
-    step and keep their payload until compile_stage takes it. A singular
+    leaf's entries. Each leaf is factored from its run, and its update onto
+    its front is added in a batch of about CHUNK entries with the updates of
+    the leaves before it: no leaf reads the store, so deferring the adds
+    changes no value. Afterwards the active set is exactly the separator
+    vertices. The units are the segments no split event names as a parent.
+    The factors form one step, compiled into its stage as they are made
+    (None without leaves). A singular
     leaf block raises SingularBlockError naming the leaf's position span. A
     matrix is wrapped in a SparseMatrix first, unless it is one, so the gate
     scans it once.
@@ -811,18 +968,25 @@ def eliminate_interiors(a, tree):
     sep = ends[0]
     state.pack(entries=(rows[:sep], cols[:sep], vals[:sep]), fronts=fronts)
 
-    factors = []
+    step = _EliminationStep()
     interior_level = tree.levels + 1
-    for leaf, front, lo, hi in zip(leaves, fronts, ends[:-1], ends[1:]):
-        s, e = leaf.span
-        ii, a_ie, a_ei = _leaf_blocks(s, e, front, rows[lo:hi], cols[lo:hi],
-                                      vals[lo:hi], state.symmetric)
-        fac, (nbr, delta) = _eliminate(
-            state.symmetric, np.arange(s, e, dtype=np.int64), front, ii,
-            a_ei, a_ie, interior_level, ("leaf", int(s), int(e)), "interior")
-        state.add_to_block(nbr, nbr, delta)
-        factors.append(fac)
-    return state, factors
+
+    def updates():
+        # each leaf is eliminated as _add_in_batches asks for its update
+        for leaf, front, lo, hi in zip(leaves, fronts, ends[:-1], ends[1:]):
+            s, e = leaf.span
+            ii, a_ie, a_ei = _leaf_blocks(s, e, front, rows[lo:hi],
+                                          cols[lo:hi], vals[lo:hi],
+                                          state.symmetric)
+            fac, update = _eliminate(
+                state.symmetric, np.arange(s, e, dtype=np.int64), front, ii,
+                a_ei, a_ie, interior_level, ("leaf", int(s), int(e)),
+                "interior")
+            step.add(fac)
+            yield update
+
+    _add_in_batches(state, updates())
+    return state, step.stage()
 
 
 def _leaf_blocks(s, e, ext, rows, cols, vals, symmetric):
@@ -847,14 +1011,37 @@ def _leaf_blocks(s, e, ext, rows, cols, vals, symmetric):
     return ii, a_ie, a_ei
 
 
-def _front(state, unit):
-    """(neighbor positions, self block, in-coupling, out-coupling) of a
-    unit, the first three gathered in one pass over the store; the
-    out-coupling is None on a symmetric store."""
-    nbr_pos = state.positions(state.neighbors(unit))
-    front = state.gather(np.concatenate([unit.pos, nbr_pos]), unit.pos)
-    a_un = None if state.symmetric else state.gather(unit.pos, nbr_pos)
-    return nbr_pos, front[:unit.size], front[unit.size:], a_un
+def _fronts(state, units, nbrs):
+    """(self block, in-coupling, out-coupling) of each unit against its
+    neighbor positions, gathered in one batch; the out-coupling is None on
+    a symmetric store."""
+    blocks = []
+    for unit, nbr_pos in zip(units, nbrs):
+        blocks.append((np.concatenate([unit.pos, nbr_pos]), unit.pos))
+        if not state.symmetric:
+            blocks.append((unit.pos, nbr_pos))
+    arrays = iter(state.gather(blocks))
+    fronts = []
+    for unit in units:
+        front = next(arrays)
+        a_un = None if state.symmetric else next(arrays)
+        fronts.append((front[:unit.size], front[unit.size:], a_un))
+    return fronts
+
+
+def _add_in_batches(state, updates):
+    """Add each (nbr, delta) of the iterable updates onto nbr x nbr, in
+    order, in add_to_block batches of about CHUNK entries."""
+    blocks, deltas, size = [], [], 0
+    for nbr, delta in updates:
+        blocks.append((nbr, nbr))
+        deltas.append(delta)
+        size += delta.size
+        if size >= CHUNK:
+            state.add_to_block(blocks, deltas)
+            blocks, deltas, size = [], [], 0
+    if blocks:
+        state.add_to_block(blocks, deltas)
 
 
 def sparsify_segment(state, unit, eps, level):
@@ -881,7 +1068,8 @@ def sparsify_segment(state, unit, eps, level):
 
     uid = unit.uid
     pos = unit.pos
-    nbr_pos, self_block, a_nu, a_un = _front(state, unit)
+    nbr_pos = state.positions(state.neighbors(unit))
+    (self_block, a_nu, a_un), = _fronts(state, [unit], [nbr_pos])
     if nbr_pos.size == 0:
         return [], pos.copy()
     if state.symmetric:
@@ -903,34 +1091,44 @@ def sparsify_segment(state, unit, eps, level):
         state.symmetric, red, skeleton, self_block[np.ix_(red_l, red_l)],
         self_block[np.ix_(skel_l, red_l)], self_block[np.ix_(red_l, skel_l)],
         level, uid, "remainder")
-    state.add_to_block(nbr, nbr, delta)
+    state.add_to_block([(nbr, nbr)], [delta])
     state.keep_positions(unit, skel_l)
     return [sparsify, remainder], skeleton
 
 
 def eliminate_segments(state, level):
-    """Eliminate every level-`level` segment whole; returns (factors,
+    """Eliminate every level-`level` segment whole; returns (stage,
     updates).
 
-    The factors form one step in id order, their payload kept for
-    compile_stage, and updates holds each one's (nbr, -Schur complement),
-    which merge_segments adds once the store has blocks for it. Nothing is
+    The units' neighbor lists are read first, then their fronts are
+    gathered in batches of about CHUNK entries and eliminated in id order
+    into one stage (None if the level owns no active segment). updates
+    holds each elimination's (nbr, -Schur complement), which
+    merge_segments adds once the store has blocks for it. Nothing is
     written here: the segments of one level lie in disjoint subtrees and
-    never touch (compile_stage rejects a stage whose factors do), so no
-    elimination reads what another one's update would write.
+    never touch (the stage is rejected if they do), so no elimination reads
+    what another one's update would write. The units leave the store after
+    the last gather.
     """
-    factors, updates = [], []
-    for uid in state.active_ids():
-        unit = state.units[uid]
-        if uid[0] != level:
-            continue
-        nbr_pos, self_block, a_nu, a_un = _front(state, unit)
-        fac, update = _eliminate(state.symmetric, unit.pos.copy(), nbr_pos,
-                                 self_block, a_nu, a_un, level, uid, "segment")
+    units = [state.units[uid] for uid in state.active_ids()
+             if uid[0] == level]
+    nbrs = [state.positions(state.neighbors(u)) for u in units]
+    sides = 1 if state.symmetric else 2
+    sizes = np.array([u.size * (u.size + sides * m.size)
+                      for u, m in zip(units, nbrs)], dtype=np.int64)
+    step, updates = _EliminationStep(), []
+    for lo, hi in _chunks(sizes):
+        fronts = _fronts(state, units[lo:hi], nbrs[lo:hi])
+        for unit, nbr_pos, (self_block, a_nu, a_un) in zip(
+                units[lo:hi], nbrs[lo:hi], fronts):
+            fac, update = _eliminate(state.symmetric, unit.pos.copy(),
+                                     nbr_pos, self_block, a_nu, a_un, level,
+                                     unit.uid, "segment")
+            step.add(fac)
+            updates.append(update)
+    for unit in units:
         state.remove_unit(unit)
-        factors.append(fac)
-        updates.append(update)
-    return factors, updates
+    return step.stage(), updates
 
 
 def merge_segments(state, tree, level, updates):
@@ -941,15 +1139,15 @@ def merge_segments(state, tree, level, updates):
     sibling skeletons. A merge only relabels the children's positions as
     the parent's. The store is then repacked with the blocks of every
     update's front, and the updates (eliminate_segments) are added in
-    order, so each entry sums its carried value first and then the updates
-    in elimination order. Returns the state.
+    order, in batches of about CHUNK entries, so each entry sums its
+    carried value first and then the updates in elimination order. Returns
+    the state.
     """
     for event in reversed([e for e in tree.events if e.level == level]):
         kids = [state.units[cid] for cid in event.children]
         state.merge_units(kids, event.parent, tree.segments[event.parent].kind)
     state.pack(fronts=[nbr for nbr, _ in updates])
-    for nbr, delta in updates:
-        state.add_to_block(nbr, nbr, delta)
+    _add_in_batches(state, updates)
     return state
 
 
@@ -1000,10 +1198,10 @@ def factorize(a, tree, eps, options=None):
     eliminate the level's own segments, merge split segments back together
     and add the eliminations' updates. Each step (the interiors, then per
     level the sparsifications, the remainders and the whole segments) is
-    one stage, compiled by compile_stage as soon as its factors exist; an
-    empty step adds none. tree must be the DissectionTree of a, or
-    ConfigError is raised. Singular blocks raise
-    SingularBlockError tagged with level and segment id.
+    one stage, compiled as its factors are made; an empty step adds none.
+    tree must be the DissectionTree of a, or ConfigError is raised.
+    Singular blocks raise SingularBlockError tagged with level and segment
+    id.
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
@@ -1014,7 +1212,7 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"tree must be a DissectionTree, got {tree!r}")
 
     state, interiors = eliminate_interiors(a, tree)
-    stages = [compile_stage(interiors)] if interiors else []
+    stages = [interiors]
 
     level_stats = []
     for level in range(tree.levels, 0, -1):
@@ -1024,7 +1222,7 @@ def factorize(a, tree, eps, options=None):
         pre_sizes = []
         post_sizes = []
         sparsified = []
-        remainders = []
+        remainders = _EliminationStep()
         t_sp = time.perf_counter()
         for uid in regulars:
             unit = state.units[uid]
@@ -1033,16 +1231,17 @@ def factorize(a, tree, eps, options=None):
             pre_sizes.append(unit.size)
             new_factors, skeleton = sparsify_segment(state, unit, eps, level)
             sparsified.extend(new_factors[:1])
-            remainders.extend(new_factors[1:])
+            for remainder in new_factors[1:]:
+                remainders.add(remainder)
             post_sizes.append(len(skeleton))
-        stages += [compile_stage(step) for step in (sparsified, remainders)
-                   if step]
+        if sparsified:
+            stages.append(compile_stage(sparsified))
+        stages.append(remainders.stage())
         time_sparsify = time.perf_counter() - t_sp
 
         t_el = time.perf_counter()
-        factors, updates = eliminate_segments(state, level)
-        if factors:
-            stages.append(compile_stage(factors))
+        segments, updates = eliminate_segments(state, level)
+        stages.append(segments)
         time_eliminate = time.perf_counter() - t_el
 
         t_mg = time.perf_counter()
@@ -1064,5 +1263,6 @@ def factorize(a, tree, eps, options=None):
         raise ConfigError(f"active segments remain after the last stage: "
                           f"{leftover}")
     return SpaluFactorization(
-        stages=stages, order=tree.order, n=state.n, symmetric=state.symmetric,
+        stages=[stage for stage in stages if stage is not None],
+        order=tree.order, n=state.n, symmetric=state.symmetric,
         dtype=state.dtype, level_stats=level_stats)

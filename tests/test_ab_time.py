@@ -1,9 +1,10 @@
 """scripts/ab_time.py: its workload table is the benchmark's, it solves one
-column at a time as perfbench does, its report states the wins, the change
-of the medians and OLD's spread, and its command line rejects what it
-cannot run."""
+column at a time as perfbench does and reads the peak RSS as perfbench
+does, its report states the wins, the change of the medians and OLD's
+spread, and its command line rejects what it cannot run."""
 
 import importlib.util
+import resource
 import sys
 from pathlib import Path
 
@@ -57,6 +58,9 @@ def test_time_once_times_one_solve_per_column_as_perfbench_does(monkeypatch):
     times = AB.time_once(ROOT, "poly-multirhs")
     assert set(times) == set(AB.MEASURES)
     assert all(t > 0 for t in times.values())
+    # the process's peak RSS in MB, as perfbench reads it
+    assert times["peak_rss_mb"] <= \
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     # one warm-up solve on the small problem, then one per column
     assert len(columns) == 1 + w.num_rhs
     assert set(columns[1:]) == {(columns[-1][0],)}

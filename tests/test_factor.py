@@ -2,6 +2,7 @@
 determinism, the sparsify drop bound, the Schur store's ownership check at
 every pack and edge-case sizes."""
 
+import copy
 import dataclasses
 import importlib.util
 import itertools
@@ -674,7 +675,8 @@ def _separator_schur(state):
     for a, b in zip(*np.divmod(state.keys, len(state.unit_ids))):
         rows, cols = by_serial[a].pos, by_serial[b].pos
         schur[np.ix_(np.searchsorted(live, rows),
-                     np.searchsorted(live, cols))] = state.gather(rows, cols)
+                     np.searchsorted(live, cols))] = \
+            state.gather([(rows, cols)])[0]
     return live, schur
 
 
@@ -843,8 +845,9 @@ def test_symmetric_store_holds_both_orientations_of_every_coupling():
         unit = state.units[uid]
         nbr_pos = state.positions(state.neighbors(unit))
         assert nbr_pos.size
-        coupling = state.gather(nbr_pos, unit.pos)
-        gap = state.gather(unit.pos, nbr_pos) - coupling.T
+        coupling, out = state.gather([(nbr_pos, unit.pos),
+                                      (unit.pos, nbr_pos)])
+        gap = out - coupling.T
         assert np.linalg.norm(gap) <= 1e-12 * np.linalg.norm(coupling)
 
 
@@ -859,13 +862,13 @@ def test_sparsify_eliminates_what_it_decouples(family, monkeypatch):
     unit = max((u for u in state.units.values() if u.kind == REGULAR),
                key=lambda u: u.size)
     pos = unit.pos.copy()
-    before = state.gather(pos, pos)
+    before = state.gather([(pos, pos)])[0]
     writes = []
     add = factor.SchurState.add_to_block
 
-    def counted(self, rows, cols, delta):
-        writes.append((rows.copy(), cols.copy()))
-        return add(self, rows, cols, delta)
+    def counted(self, blocks, deltas):
+        writes.extend((rows.copy(), cols.copy()) for rows, cols in blocks)
+        return add(self, blocks, deltas)
 
     monkeypatch.setattr(factor.SchurState, "add_to_block", counted)
     (sparsify, remainder), skeleton = factor.sparsify_segment(
@@ -887,7 +890,7 @@ def test_sparsify_eliminates_what_it_decouples(family, monkeypatch):
     t = left @ before @ left.T
     change = -t[np.ix_(s, r)] @ np.linalg.solve(t[np.ix_(r, r)],
                                                 t[np.ix_(r, s)])
-    got = state.gather(skeleton, skeleton) - before[np.ix_(s, s)]
+    got = state.gather([(skeleton, skeleton)])[0] - before[np.ix_(s, s)]
     assert np.abs(change).max() > 0
     assert np.allclose(got, change, rtol=0,
                        atol=1e-12 * np.abs(change).max())
@@ -905,14 +908,14 @@ def test_store_adds_each_entry_where_it_is_addressed(symmetric):
 
     # a write one way lands only in the orientation it addresses
     delta = np.array([[1.0, 2.0], [3.0, 4.0]])
-    state.add_to_block(large.pos, small.pos, delta)
+    state.add_to_block([(large.pos, small.pos)], [delta])
     dense[2:, :2] += delta
     # a square write adds each entry once
     both = np.arange(4)
-    state.add_to_block(both, both, np.ones((4, 4)))
-    state.add_to_block(both, both.copy(), np.ones((4, 4)))
+    state.add_to_block([(both, both)], [np.ones((4, 4))])
+    state.add_to_block([(both, both.copy())], [np.ones((4, 4))])
     dense += 2.0
-    assert np.array_equal(state.gather(both, both), dense)
+    assert np.array_equal(state.gather([(both, both)])[0], dense)
 
 
 def _small_system(n, symmetric, seed=0):
@@ -1189,8 +1192,8 @@ def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
     slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5], "D": [6, 7]}
     dense = _coupled(slots, [("A", "C"), ("A", "D"), ("B", "D")], symmetric)
     state = _store(dense, slots, ids, symmetric)
-    factors, updates = factor.eliminate_segments(state, 2)
-    assert [list(f.nbr) for f in factors] == [[4, 5, 6, 7], [6, 7]]
+    stage, updates = factor.eliminate_segments(state, 2)
+    assert [list(f.nbr) for f in stage.factors] == [[4, 5, 6, 7], [6, 7]]
 
     event = SimpleNamespace(level=2, parent=ids["P"],
                             children=[ids["C"], ids["D"]])
@@ -1200,7 +1203,7 @@ def test_store_fill_and_merge_match_the_dense_schur_complement(symmetric):
     parent = state.units[ids["P"]]
     schur = dense[4:, 4:] - dense[4:, :4] @ np.linalg.solve(dense[:4, :4],
                                                             dense[:4, 4:])
-    got = state.gather(parent.pos, parent.pos)
+    got = state.gather([(parent.pos, parent.pos)])[0]
     assert np.allclose(got, schur, rtol=0, atol=1e-12)
 
 
@@ -1218,7 +1221,7 @@ def _assert_store_is_the_dense_schur_complement(state, dense):
     stored = np.zeros_like(schur)
     for a, b in zip(*np.divmod(state.keys, r)):
         rows, cols = by_serial[a].pos, by_serial[b].pos
-        stored[np.ix_(at[a], at[b])] = state.gather(rows, cols)
+        stored[np.ix_(at[a], at[b])] = state.gather([(rows, cols)])[0]
     assert np.allclose(stored, schur, rtol=0, atol=tol)
     keys = set(state.keys.tolist())
     for a, b in itertools.product(at, repeat=2):
@@ -1265,13 +1268,14 @@ def test_pack_carries_every_live_entry_bitwise(family, monkeypatch):
         units = {u.serial: u.pos for u in self.units.values()}
         for a, b in zip(*np.divmod(self.keys, len(self.unit_ids))):
             rows, cols = units[a], units[b]
-            assert np.array_equal(self.gather(rows, cols),
+            assert np.array_equal(self.gather([(rows, cols)])[0],
                                   mirror[np.ix_(rows, cols)])
         compared.append(self.keys.size)
 
-    def mirrored_add(self, rows, cols, delta):
-        mirror[np.ix_(rows, cols)] += delta
-        add(self, rows, cols, delta)
+    def mirrored_add(self, blocks, deltas):
+        for (rows, cols), delta in zip(blocks, deltas):
+            mirror[np.ix_(rows, cols)] += delta
+        add(self, blocks, deltas)
 
     monkeypatch.setattr(factor.SchurState, "pack", mirrored_pack)
     monkeypatch.setattr(factor.SchurState, "add_to_block", mirrored_add)
@@ -1288,10 +1292,10 @@ def test_units_of_one_stage_that_touch_are_rejected():
     # A's factor couples to B's positions, which B's factor eliminates
     state = _store(dense, slots, ids, True)
     with pytest.raises(DimensionError, match="level 2"):
-        factor.compile_stage(factor.eliminate_segments(state, 2)[0])
+        factor.eliminate_segments(state, 2)
     # a stage that owns only one of two coupled units compiles
     state = _store(dense, slots, ids, True)
-    factor.compile_stage(factor.eliminate_segments(state, 1)[0])
+    assert factor.eliminate_segments(state, 1)[0].idx.tolist() == [4, 5]
 
 
 def test_store_rejects_access_and_merges_it_cannot_serve():
@@ -1303,14 +1307,190 @@ def test_store_rejects_access_and_merges_it_cannot_serve():
     a, b, c, d = (state.units[ids[name]] for name in "ABCD")
     # A and B are not coupled, so no block between them is stored
     with pytest.raises(DimensionError, match="outside the stored blocks"):
-        state.gather(a.pos, b.pos)
+        state.gather([(a.pos, b.pos)])
     with pytest.raises(DimensionError, match="out-of-order positions"):
         state.merge_units([d, c], ids["P"], REGULAR)
     state.keep_positions(a, np.array([1]))
     with pytest.raises(DimensionError, match="touches an eliminated"):
-        state.gather(np.array([0]), c.pos)
+        state.gather([(np.array([0]), c.pos)])
     # the live half of A still reads as stored
-    assert np.array_equal(state.gather(a.pos, c.pos), dense[1:2, 4:6])
+    assert np.array_equal(state.gather([(a.pos, c.pos)])[0], dense[1:2, 4:6])
+
+
+def test_a_batch_with_one_bad_block_raises_and_writes_nothing():
+    # every block of a batch is looked up before any value is read or added
+    ids = {"A": (2, 0, 2, 0), "B": (2, 1, 2, 0), "C": (1, 0, 1, 1)}
+    slots = {"A": [0, 1], "B": [2, 3], "C": [4, 5]}
+    dense = _coupled(slots, [("A", "C")], False)
+    state = _store(dense, slots, ids, False)
+    a, b, c = (state.units[ids[name]] for name in "ABC")
+    state.keep_positions(a, np.array([1]))
+    before = state.values.copy()
+    # the second block of each batch: A and B are not coupled, and position
+    # 0 is eliminated
+    for message, blocks in (
+            ("outside the stored blocks", [(a.pos, c.pos), (a.pos, b.pos)]),
+            ("touches an eliminated", [(c.pos, a.pos), (c.pos, [0])])):
+        deltas = [np.ones((len(rows), len(cols))) for rows, cols in blocks]
+        with pytest.raises(DimensionError, match=message):
+            state.gather(blocks)
+        with pytest.raises(DimensionError, match=message):
+            state.add_to_block(blocks, deltas)
+    assert state.values.tobytes() == before.tobytes()
+
+
+def _interiors_and_blocks(family):
+    """The store after the leaf stage, and a list of blocks it holds: per
+    unit its front against it, its out-coupling, a subset of it against
+    itself (as a leaf front addresses) and the unit against nothing."""
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    state, _ = factor.eliminate_interiors(p.matrix, tree)
+    rng = np.random.default_rng(0)
+    blocks = []
+    for unit in state.units.values():
+        nbr = state.positions(state.neighbors(unit))
+        part = np.sort(rng.choice(unit.pos, (unit.size + 1) // 2, False))
+        blocks += [(np.concatenate([unit.pos, nbr]), unit.pos),
+                   (unit.pos, nbr), (part, part),
+                   (unit.pos, np.empty(0, np.int64))]
+    return state, blocks
+
+
+def _located(state, rows, cols):
+    """Buffer index of rows x cols through pack's entry lookup."""
+    return state._locate(rows[:, None], cols[None, :])
+
+
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_a_batched_gather_is_bitwise_the_per_block_gathers(family):
+    state, blocks = _interiors_and_blocks(family)
+    batched = state.gather(blocks)
+    assert len(batched) == len(blocks) > 100
+    for (rows, cols), got in zip(blocks, batched):
+        assert got.shape == (rows.size, cols.size)
+        one, = state.gather([(rows, cols)])
+        assert got.tobytes() == one.tobytes()
+        assert got.tobytes() == state.values[_located(state, rows,
+                                                      cols)].tobytes()
+
+
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_a_batched_add_is_bitwise_the_sequential_adds(family):
+    # blocks that share positions sum in list order, as one add per block
+    # would, so a batch changes no value
+    state, blocks = _interiors_and_blocks(family)
+    blocks = blocks + blocks[::-1] + blocks[2::4]
+    rng = np.random.default_rng(1)
+    deltas = [rng.standard_normal((r.size, c.size)) * 10.0 ** rng.integers(
+        -8, 8) for r, c in blocks]
+    sequential = copy.deepcopy(state)
+    for block, delta in zip(blocks, deltas):
+        sequential.add_to_block([block], [delta])
+    want = state.values.copy()
+    for (rows, cols), delta in zip(blocks, deltas):
+        want[_located(state, rows, cols)] += delta
+    state.add_to_block(blocks, deltas)
+    assert state.values.tobytes() == sequential.values.tobytes()
+    assert state.values.tobytes() == want.tobytes()
+
+
+def _step(symmetric):
+    """Eliminations of one step, payload kept, with different neighbor
+    lists and with exact zeros to drop: block-diagonal self blocks and a
+    zero coupling row. The same list on every call."""
+    rng = np.random.default_rng(4)
+    shapes = [(6, [40, 44, 45]), (3, [41, 45]), (0, []), (5, [42, 43, 47]),
+              (4, [46]), (2, [40, 49]), (7, [40, 48, 49]), (1, [50])]
+    factors, start = [], 0
+    for i, (k, nbr) in enumerate(shapes):
+        block = 0.1 * rng.standard_normal((k, k))
+        block[:k // 2, k // 2:] = block[k // 2:, :k // 2] = 0
+        block += block.T + 10 * np.eye(k)
+        a_nu = rng.standard_normal((len(nbr), k))
+        a_nu[:, :1] = 0
+        a_un = None if symmetric else rng.standard_normal((k, len(nbr)))
+        f, _ = factor._eliminate(symmetric, np.arange(start, start + k),
+                                 np.array(nbr, dtype=np.int64), block, a_nu,
+                                 a_un, 2, (2, i, 2, 0), "segment")
+        factors.append(f)
+        start += k
+    return factors
+
+
+def _arrays(stage):
+    """Every field of a compiled stage, its operators' arrays and its
+    factors' fields included, by name."""
+    out = {name: getattr(stage, name)
+           for name in ("level", "kind", "tag", "idx", "nbr", "gather")}
+    for name in ("lower", "diag", "pull", "push"):
+        m = getattr(stage, name)
+        for part in ("data", "indices", "indptr"):
+            out[f"{name}.{part}"] = None if m is None else getattr(m, part)
+    for i, f in enumerate(stage.factors):
+        out.update({f"{i}.{k}": v for k, v in vars(f).items()})
+    return out
+
+
+def _assert_same_stages(got, want):
+    """Two lists of stages hold bitwise the same arrays."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        a, b = _arrays(g), _arrays(w)
+        assert a.keys() == b.keys()
+        for name, x in a.items():
+            y = b[name]
+            if isinstance(x, np.ndarray):
+                assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+                assert x.tobytes() == y.tobytes(), name
+            else:
+                assert x == y, name
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_a_step_compiled_in_chunks_is_the_step_compiled_at_once(
+        symmetric, monkeypatch):
+    chunks = []
+    compile_chunk = factor._compile_chunk
+
+    def counted(factors):
+        chunks.append(len(factors))
+        return compile_chunk(factors)
+
+    monkeypatch.setattr(factor, "_compile_chunk", counted)
+    whole = factor.compile_stage(_step(symmetric))
+    assert chunks == [8]
+    chunks.clear()
+    monkeypatch.setattr(factor, "CHUNK", 40)
+    pieces = factor.compile_stage(_step(symmetric))
+    # chunks of several factors, and a last partial one that stage() closes
+    assert len(chunks) > 3 and max(chunks) > 1 and sum(chunks) == 8
+    assert all(f.payload is None for f in pieces.factors)
+    _assert_same_stages([pieces], [whole])
+    assert whole.push.nnz < sum(f.nbr.size * f.idx.size
+                                for f in whole.factors)
+
+
+@pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
+def test_small_chunks_give_bitwise_the_same_factorization(family,
+                                                          monkeypatch):
+    # store batches, pending updates and payload chunks split at every few
+    # hundred entries: every stage, and so the solve, is unchanged
+    p = assembly.build_problem(family, SMALL_N)
+    tree = dissection.build_dissection(p.matrix, p.coords)
+    want = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    calls = []
+    add = factor.SchurState.add_to_block
+
+    def counted(self, blocks, deltas):
+        calls.append(len(blocks))
+        return add(self, blocks, deltas)
+
+    monkeypatch.setattr(factor.SchurState, "add_to_block", counted)
+    monkeypatch.setattr(factor, "CHUNK", 300)
+    got = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
+    assert max(calls) > 1 and len(calls) > 2 * (tree.levels + 1)
+    _assert_same_stages(got.stages, want.stages)
 
 
 def test_sparsify_refuses_a_junction_and_passes_over_an_empty_unit():
