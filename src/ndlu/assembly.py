@@ -265,7 +265,7 @@ def assemble_fem(mesh, pde, f=None, dirichlet=None):
 
     a_full, area = _p1_stiffness(mesh, coeff)
     if helm_k != 0.0:
-        a_full = (a_full - (helm_k ** 2) * _p1_mass(mesh, area)).tocsr()
+        a_full = (a_full - (helm_k * helm_k) * _p1_mass(mesh, area)).tocsr()
     b_full = _load_vector(mesh, f, area)
     if neumann:
         b_full += _neumann_load(mesh, flux)

@@ -257,7 +257,7 @@ def find_separator(graph, subset, views=None):
     pts = graph.coords[subset]
     median, lo_q, hi_q = _median_and_quartiles(pts)
     off = pts - median  # scaled by a power of two: finite squares, same order
-    off *= 2.0 ** -np.frexp(np.abs(off).max())[1]
+    off = np.ldexp(off, -np.frexp(np.abs(off).max())[1])
     dist2 = (off ** 2).sum(axis=1)
     c = int(subset[dist2 == dist2.min()].min())
 

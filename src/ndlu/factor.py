@@ -43,15 +43,14 @@ exists only where an update writes it: each pack makes the blocks of the
 fronts whose updates follow it. The leaf stage reads the matrix once,
 sorted by leaf: the separator entries come first and fill the stage's one
 pack, then each leaf's entries form one run. Leaves never read the store,
-so their updates are added in batches of about CHUNK entries as the leaves
-are eliminated. A remainder writes only its segment's own self block,
-which exists. The whole segments of a level lie in disjoint subtrees and
-never touch, so their eliminations read nothing another writes: their
-fronts are gathered in batches first, and merge_segments relabels the
-merged positions, packs once with the level's fronts and then adds the
-updates in elimination order, in batches. Every pack checks that the
-segments and the store's position table agree on which segment owns each
-live position (SchurState).
+so their updates are added once the leaf step ends. A remainder writes
+only its segment's own self block, which exists. The whole segments of a
+level lie in disjoint subtrees and never touch, so their eliminations read
+nothing another writes: merge_segments relabels the merged positions,
+packs once with the level's fronts and then adds the updates in
+elimination order. Every pack checks that the segments and the store's
+position table agree on which segment owns each live position
+(SchurState).
 
 Every transform is recorded as an elementary factor: the positions it
 eliminates or decouples (idx) and the positions it couples them to (nbr).
@@ -59,27 +58,29 @@ The factors of one step (the leaf interiors, or one level's
 sparsifications, its remainders or its whole segments) form a Stage: one
 gather and one scatter index, and scipy CSR operators for the block-diagonal
 triangular inverses (L^-1 P and U^-1 of each LU, L^-1 P and D^-1 of each
-LDL^T) and for the couplings. An elimination step is compiled as its kernels
-make the payloads (_EliminationStep): each chunk of about CHUNK dense
-entries becomes nonzero CSR pieces at once and its dense payloads are
-dropped, so no step holds all of its dense payload, and the pieces are
-joined into the step's Stage at its end. Compiling checks that no factor's
-idx meets another factor's idx or any factor's nbr (a sparsification writes
-both its redundant and its skeleton positions, so its skeleton counts as
-idx here too): that is what lets a stage act as one block operation. Those
-CSR arrays are the only copy of the payload, and an elimination stage's
-hold only its nonzeros: exact zeros of the inverses and couplings are
-neither stored nor multiplied. A factor keeps its indices and, for a
-sparsification, a view of its interpolation matrix. The solver module
-applies the stages in two passes: left actions forward, each LDL^T stage's
-D^-1 right after its left action, then right actions in reverse.
+LDL^T) and for the couplings. The leaf step and each level's whole-segment
+step run through one routine, _eliminate_step, which assembles, eliminates
+and releases fronts in bounded batches, as the multifrontal method does:
+knowing its stage's positions and neighbor union before the first kernel
+runs, it eliminates its items in ranges of about CHUNK dense payload
+entries and compiles each range at once into the stage's rows and columns,
+so no step holds more than one range of dense payload. A level's
+remainders are compiled at once (compile_stage). Compiling checks that no
+factor's idx meets another factor's idx or any factor's nbr (a
+sparsification writes both its redundant and its skeleton positions, so
+its skeleton counts as idx here too): that is what lets a stage act as one
+block operation. Those CSR arrays are the only copy of the payload, and an
+elimination stage's hold only its nonzeros: exact zeros are neither stored
+nor multiplied. A factor keeps its indices and, for a sparsification, a
+view of its interpolation matrix. The solver module applies the stages in
+two passes: left actions forward, each LDL^T stage's D^-1 right after its
+left action, then right actions in reverse.
 """
 
 from __future__ import annotations
 
 import numbers
 import time
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -92,9 +93,10 @@ from .core import (SparseMatrix, _triangles, as_csr, check_int, ldl,
 from .dissection import JUNCTION, REGULAR, DissectionTree
 from .errors import ConfigError, DimensionError, SingularBlockError
 
-# Entries per chunk: a pack moves, a batched store access reads or writes
-# and an elimination step keeps as dense payload about this many at a time,
-# which bounds their transient arrays.
+# Entries per chunk, read through _chunks only: a pack moves about this many
+# at a time, and an elimination step eliminates its items in ranges of about
+# this many dense payload entries, each gathered, compiled and added as one
+# batch. It bounds their transient arrays.
 CHUNK = 1 << 16
 
 
@@ -164,20 +166,14 @@ class _Payload(NamedTuple):
     pull: np.ndarray
     push: np.ndarray = None
 
-    @property
-    def entries(self):
-        """Dense entries held, the measure of a chunk."""
-        return (self.lower.size + self.diag.size + self.pull.size
-                + (0 if self.push is None else self.push.size))
-
 
 @dataclass
 class _Elimination:
     """Record of one block elimination of positions idx against nbr, made
     by _eliminate only.
 
-    payload holds its entries from the kernel until its chunk of the step
-    is compiled (_EliminationStep); then it is None, and payload_nnz, None
+    payload holds its entries from the kernel until its range of the step
+    is compiled (_compile_chunk); then it is None, and payload_nnz, None
     until then, counts the nonzeros the compiled stage keeps in the
     factor's rows.
     """
@@ -287,15 +283,15 @@ def _csr(data, counts, num_cols, first, cols=None):
 
 def compile_stage(factors):
     """The Stage of one step's factors, a nonempty list that shares one
-    level, kind and tag. Eliminations are compiled as _EliminationStep
-    compiles them as they are made; each sparsification's interp becomes a
-    view into the stage. Factors that overlap raise DimensionError."""
+    level, kind and tag. Eliminations are compiled as one range of
+    _eliminate_step; each sparsification's interp becomes a view into the
+    stage. Factors that overlap raise DimensionError."""
     if factors[0].kind == "sparsify":
         return _checked(_compile_sparsify(factors))
-    step = _EliminationStep()
-    for f in factors:
-        step.add(f)
-    return step.stage()
+    idx = np.concatenate([f.idx for f in factors])
+    nbr = _unique(np.concatenate([f.nbr for f in factors]))
+    return _join(factors, idx, nbr,
+                 [_compile_chunk(factors, 0, idx.size, nbr)])
 
 
 def _checked(stage):
@@ -326,92 +322,32 @@ def _compile_sparsify(factors):
     return Stage(factors, idx, nbr, pull)
 
 
-class _EliminationStep:
-    """One step's eliminations, compiled into their Stage as they are made.
-
-    A record keeps its kernel's dense payload only until the records added
-    since the last chunk hold CHUNK dense entries. That chunk is then
-    compiled into one nonzero piece per operator (_compile_chunk), and its
-    payloads are dropped. stage() joins the pieces: lower and diag stack
-    block-diagonally, and the columns of pull and push move from each
-    chunk's own neighbor list to the stage's sorted union. Compiled at once
-    or in chunks, a step gives bitwise the same Stage.
-    """
-
-    def __init__(self):
-        self.factors = []
-        self._open = []
-        self._open_entries = 0
-        # per field of _compile_chunk, its value for each chunk compiled
-        self._pieces = defaultdict(list)
-
-    def add(self, record):
-        self.factors.append(record)
-        self._open.append(record)
-        self._open_entries += record.payload.entries
-        if self._open_entries >= CHUNK:
-            self._close()
-
-    def _close(self):
-        for name, value in _compile_chunk(self._open).items():
-            self._pieces[name].append(value)
-        self._open, self._open_entries = [], 0
-
-    def stage(self):
-        """The step's checked Stage, or None if it has no factor."""
-        if not self.factors:
-            return None
-        if self._open:
-            self._close()
-        factors, parts = self.factors, self._pieces
-        self._pieces = defaultdict(list)
-        idx = np.concatenate([f.idx for f in factors])
-        nbr = _unique(np.concatenate([f.nbr for f in factors]))
-        sizes = [g.size for g in parts["gather"]]
-        ends = np.cumsum(sizes).tolist()
-        own = [np.arange(end - k, end) for k, end in zip(sizes, ends)]
-        to_nbr = [np.searchsorted(nbr, n) for n in parts["nbr"]]
-        # one operator at a time, so that only its pieces and its join
-        # coexist
-        ops = {}
-        for name, cols, width in (("lower", own, idx.size),
-                                  ("diag", own, idx.size),
-                                  ("pull", to_nbr, nbr.size),
-                                  ("push_t", to_nbr, nbr.size)):
-            pieces = parts.pop(name)
-            ops[name] = None if pieces[0] is None else _stack(pieces, cols,
-                                                              width)
-        return _checked(Stage(factors, idx, nbr, ops["pull"],
-                              gather=np.concatenate(parts["gather"]),
-                              lower=ops["lower"], diag=ops["diag"],
-                              push_t=ops["push_t"]))
-
-
-def _compile_chunk(factors):
-    """Consecutive eliminations of one step compiled: their rows of each
-    operator, pull and push_t in the columns of their own sorted neighbor
-    list nbr, and their gather. Each payload is dropped once copied, without
-    its exact zeros, and its record's payload_nnz set to the entries
-    kept."""
+def _compile_chunk(factors, row0, num_rows, nbr):
+    """Consecutive eliminations of one step compiled into their rows of each
+    operator, in the stage's final columns: the rows of lower and diag
+    start at row0 of the stage's num_rows, and pull and push_t address the
+    stage's sorted neighbor union nbr. Also their gather. Each payload is
+    dropped once copied, without its exact zeros, and its record's
+    payload_nnz set to the entries kept."""
     payloads = [f.payload for f in factors]
     sizes = np.array([f.idx.size for f in factors])
     offsets = np.cumsum(sizes) - sizes
     rows = np.arange(sizes.sum())
     local = rows - np.repeat(offsets, sizes)
+    # the stage column of each row's factor's first row
+    first = row0 + rows - local
     lower = _csr(np.concatenate([b.lower for b in payloads]), local,
-                 rows.size, first=rows - local)
+                 num_rows, first=first)
     diag = _csr(np.concatenate([b.diag for b in payloads]),
-                np.concatenate([b.diag_counts for b in payloads]), rows.size,
+                np.concatenate([b.diag_counts for b in payloads]), num_rows,
                 first=np.concatenate([b.diag_first for b in payloads])
-                + rows - local)
+                + first)
     # couplings: row r holds its factor's neighbors, as columns of nbr
-    every_nbr = np.concatenate([f.nbr for f in factors])
-    nbr = _unique(every_nbr)
     width = np.array([f.nbr.size for f in factors])
+    cols = np.searchsorted(nbr, np.concatenate([f.nbr for f in factors]))
     pull = _csr(np.concatenate([b.pull.ravel() for b in payloads]),
                 np.repeat(width, sizes), nbr.size,
-                first=np.repeat(np.cumsum(width) - width, sizes),
-                cols=np.searchsorted(nbr, every_nbr))
+                first=np.repeat(np.cumsum(width) - width, sizes), cols=cols)
     push_t = None
     if payloads[0].push is not None:
         push_t = sp.csr_matrix(
@@ -429,23 +365,22 @@ def _compile_chunk(factors):
     for f, nnz in zip(factors, kept.tolist()):
         f.payload = None
         f.payload_nnz = nnz
-    return dict(nbr=nbr, gather=gather, lower=lower, diag=diag, pull=pull,
+    return dict(gather=gather, lower=lower, diag=diag, pull=pull,
                 push_t=push_t)
 
 
-def _stack(pieces, cols, num_cols):
-    """The CSR matrices pieces stacked row after row, the column c of piece
-    i becoming cols[i][c]."""
-    nnz = np.array([p.nnz for p in pieces])
-    itype = np.int32 if max(nnz.sum(), num_cols) < 2 ** 31 else np.int64
-    data = np.concatenate([p.data for p in pieces])
-    indices = np.concatenate([c.astype(itype)[p.indices]
-                              for p, c in zip(pieces, cols)])
-    indptr = np.concatenate([np.zeros(1, itype)] + [
-        p.indptr[1:] + np.asarray(o, dtype=itype)
-        for p, o in zip(pieces, np.cumsum(nnz) - nnz)])
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(indptr.size - 1, num_cols))
+def _join(factors, idx, nbr, pieces):
+    """The checked Stage of a step's eliminations, given the _compile_chunk
+    pieces of its ranges in order. Each operator's pieces are stacked row
+    after row, one operator at a time, so that only its pieces and its join
+    coexist."""
+    ops = {}
+    for name in ("lower", "diag", "pull", "push_t"):
+        parts = [piece.pop(name) for piece in pieces]
+        ops[name] = (None if parts[0] is None
+                     else sp.vstack(parts, format="csr"))
+    return _checked(Stage(factors, idx, nbr, **ops, gather=np.concatenate(
+        [piece["gather"] for piece in pieces])))
 
 
 # ---------------------------------------------------------------------------
@@ -890,7 +825,7 @@ def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
     """Eliminate positions idx against nbr: LDL^T in symmetric mode (a_un =
     A[idx, nbr] unused), pivoted LU otherwise; both kernels map (self_block,
     a_nu, a_un) to (payload, Schur complement). The one place that builds an
-    elimination record, whose payload _EliminationStep compiles and counts,
+    elimination record, whose payload _compile_chunk compiles and counts,
     and that names a failing block: it tags a kernel's SingularBlockError
     with level and segment. Returns the record and its update (nbr, -Schur
     complement), which the caller adds onto nbr x nbr."""
@@ -906,6 +841,43 @@ def _eliminate(symmetric, idx, nbr, self_block, a_nu, a_un, level, segment,
                   payload=payload), (nbr, -schur)
 
 
+def _eliminate_step(symmetric, idx, nbrs, names, blocks, level, tag):
+    """Eliminate each item's positions idx[i] against its neighbor positions
+    nbrs[i], as one step of factorize; returns (stage, batches).
+
+    The items are cut into _chunks ranges by dense payload size: k^2 + 2km
+    for LU, k(k + 1)/2 + km for LDL^T, with k = |idx[i]| and m = |nbrs[i]|.
+    blocks(lo, hi) yields the (self block, in-coupling, out-coupling) of
+    each item of the range [lo, hi) in turn. Each range is eliminated
+    (_eliminate, which names a singular block by level and names[i]) and
+    compiled at once into its rows of the stage, whose positions and
+    neighbor union are known before the first kernel runs, so no range's
+    dense payloads outlive its compile. batches holds each range's updates
+    as one add_to_block batch, (blocks, deltas), in elimination order. The
+    stage is None without items.
+    """
+    if not idx:
+        return None, []
+    k = np.array([i.size for i in idx])
+    m = np.array([n.size for n in nbrs])
+    row0 = (np.cumsum(k) - k).tolist()
+    stage_idx = np.concatenate(idx)
+    stage_nbr = _unique(np.concatenate(nbrs))
+    factors, pieces, batches = [], [], []
+    for lo, hi in _chunks(k * (k + 1) // 2 + k * m if symmetric
+                          else k * (k + 2 * m)):
+        records, updates = zip(*(
+            _eliminate(symmetric, idx[i], nbrs[i], *arrays, level, names[i],
+                       tag)
+            for i, arrays in zip(range(lo, hi), blocks(lo, hi))))
+        pieces.append(_compile_chunk(records, row0[lo], stage_idx.size,
+                                     stage_nbr))
+        batches.append(([(nbr, nbr) for nbr, _ in updates],
+                        [delta for _, delta in updates]))
+        factors += records
+    return _join(factors, stage_idx, stage_nbr, pieces), batches
+
+
 # ---------------------------------------------------------------------------
 # Pipeline operations
 # ---------------------------------------------------------------------------
@@ -919,14 +891,13 @@ def eliminate_interiors(a, tree):
     outside ends of its entries, explicit zeros included. One stable sort
     by leaf puts the separator entries first, and the store is packed once
     with them and the blocks of every front; each later run holds one
-    leaf's entries. Each leaf is factored from its run, and its update onto
-    its front is added in a batch of about CHUNK entries with the updates of
-    the leaves before it: no leaf reads the store, so deferring the adds
-    changes no value. Afterwards the active set is exactly the separator
-    vertices. The units are the segments no split event names as a parent.
-    The factors form one step, compiled into its stage as they are made
-    (None without leaves). A singular
-    leaf block raises SingularBlockError naming the leaf's position span. A
+    leaf's entries. The leaves form one step of _eliminate_step, each
+    factored from its run into the stage (None without leaves); their
+    update batches are added once the step ends, in elimination order: no
+    leaf reads the store, so deferring the adds changes no value.
+    Afterwards the active set is exactly the separator vertices. The units
+    are the segments no split event names as a parent. A singular leaf
+    block raises SingularBlockError naming the leaf's position span. A
     matrix is wrapped in a SparseMatrix first, unless it is one, so the gate
     scans it once.
     """
@@ -968,32 +939,29 @@ def eliminate_interiors(a, tree):
     sep = ends[0]
     state.pack(entries=(rows[:sep], cols[:sep], vals[:sep]), fronts=fronts)
 
-    step = _EliminationStep()
-    interior_level = tree.levels + 1
+    spans = [leaf.span for leaf in leaves]
 
-    def updates():
-        # each leaf is eliminated as _add_in_batches asks for its update
-        for leaf, front, lo, hi in zip(leaves, fronts, ends[:-1], ends[1:]):
-            s, e = leaf.span
-            ii, a_ie, a_ei = _leaf_blocks(s, e, front, rows[lo:hi],
-                                          cols[lo:hi], vals[lo:hi],
-                                          state.symmetric)
-            fac, update = _eliminate(
-                state.symmetric, np.arange(s, e, dtype=np.int64), front, ii,
-                a_ei, a_ie, interior_level, ("leaf", int(s), int(e)),
-                "interior")
-            step.add(fac)
-            yield update
+    def blocks(lo, hi):
+        # each leaf's dense blocks, made as its elimination asks for them
+        for (s, e), front, r0, r1 in zip(spans[lo:hi], fronts[lo:hi],
+                                         ends[lo:hi], ends[lo + 1:hi + 1]):
+            yield _leaf_blocks(s, e, front, rows[r0:r1], cols[r0:r1],
+                               vals[r0:r1], state.symmetric)
 
-    _add_in_batches(state, updates())
-    return state, step.stage()
+    stage, batches = _eliminate_step(
+        state.symmetric, [np.arange(s, e, dtype=np.int64) for s, e in spans],
+        fronts, [("leaf", int(s), int(e)) for s, e in spans], blocks,
+        tree.levels + 1, "interior")
+    for batch in batches:
+        state.add_to_block(*batch)
+    return state, stage
 
 
 def _leaf_blocks(s, e, ext, rows, cols, vals, symmetric):
-    """Dense interior block of positions [s, e) and its couplings to and from
-    the ascending outside positions ext, from the entries (rows, cols,
-    vals) that touch the leaf. The coupling to ext is None when symmetric:
-    the LDL^T kernel reads only the coupling from ext."""
+    """(self block, in-coupling, out-coupling) of the interior positions
+    [s, e) against the ascending outside positions ext, dense, from the
+    entries (rows, cols, vals) that touch the leaf. The out-coupling is
+    None when symmetric: the LDL^T kernel reads only the in-coupling."""
     m = e - s
     row_in = (rows >= s) & (rows < e)
     col_in = (cols >= s) & (cols < e)
@@ -1008,7 +976,7 @@ def _leaf_blocks(s, e, ext, rows, cols, vals, symmetric):
     a_ei = np.zeros((ext.size, m), dtype=vals.dtype)
     out = ~row_in
     a_ei[np.searchsorted(ext, rows[out]), cols[out] - s] = vals[out]
-    return ii, a_ie, a_ei
+    return ii, a_ei, a_ie
 
 
 def _fronts(state, units, nbrs):
@@ -1027,21 +995,6 @@ def _fronts(state, units, nbrs):
         a_un = None if state.symmetric else next(arrays)
         fronts.append((front[:unit.size], front[unit.size:], a_un))
     return fronts
-
-
-def _add_in_batches(state, updates):
-    """Add each (nbr, delta) of the iterable updates onto nbr x nbr, in
-    order, in add_to_block batches of about CHUNK entries."""
-    blocks, deltas, size = [], [], 0
-    for nbr, delta in updates:
-        blocks.append((nbr, nbr))
-        deltas.append(delta)
-        size += delta.size
-        if size >= CHUNK:
-            state.add_to_block(blocks, deltas)
-            blocks, deltas, size = [], [], 0
-    if blocks:
-        state.add_to_block(blocks, deltas)
 
 
 def sparsify_segment(state, unit, eps, level):
@@ -1098,56 +1051,48 @@ def sparsify_segment(state, unit, eps, level):
 
 def eliminate_segments(state, level):
     """Eliminate every level-`level` segment whole; returns (stage,
-    updates).
+    batches).
 
-    The units' neighbor lists are read first, then their fronts are
-    gathered in batches of about CHUNK entries and eliminated in id order
-    into one stage (None if the level owns no active segment). updates
-    holds each elimination's (nbr, -Schur complement), which
-    merge_segments adds once the store has blocks for it. Nothing is
-    written here: the segments of one level lie in disjoint subtrees and
-    never touch (the stage is rejected if they do), so no elimination reads
-    what another one's update would write. The units leave the store after
-    the last gather.
+    The units' neighbor lists are read first; then each range of
+    _eliminate_step gathers its fronts in one batch and is eliminated, in
+    id order, into one stage (None if the level owns no active segment).
+    batches holds the eliminations' updates (nbr, -Schur complement) as
+    add_to_block batches, which merge_segments adds once the store has
+    blocks for them. Nothing is written here: the segments of one level lie
+    in disjoint subtrees and never touch (the stage is rejected if they
+    do), so no elimination reads what another one's update would write. The
+    units leave the store after the last gather.
     """
     units = [state.units[uid] for uid in state.active_ids()
              if uid[0] == level]
     nbrs = [state.positions(state.neighbors(u)) for u in units]
-    sides = 1 if state.symmetric else 2
-    sizes = np.array([u.size * (u.size + sides * m.size)
-                      for u, m in zip(units, nbrs)], dtype=np.int64)
-    step, updates = _EliminationStep(), []
-    for lo, hi in _chunks(sizes):
-        fronts = _fronts(state, units[lo:hi], nbrs[lo:hi])
-        for unit, nbr_pos, (self_block, a_nu, a_un) in zip(
-                units[lo:hi], nbrs[lo:hi], fronts):
-            fac, update = _eliminate(state.symmetric, unit.pos.copy(),
-                                     nbr_pos, self_block, a_nu, a_un, level,
-                                     unit.uid, "segment")
-            step.add(fac)
-            updates.append(update)
+    stage, batches = _eliminate_step(
+        state.symmetric, [u.pos.copy() for u in units], nbrs,
+        [u.uid for u in units],
+        lambda lo, hi: _fronts(state, units[lo:hi], nbrs[lo:hi]), level,
+        "segment")
     for unit in units:
         state.remove_unit(unit)
-    return step.stage(), updates
+    return stage, batches
 
 
-def merge_segments(state, tree, level, updates):
-    """Undo this level's split events, then add the level's updates.
+def merge_segments(state, tree, level, batches):
+    """Undo this level's split events, then add the level's update batches.
 
     Events are undone in reverse creation order so nested splits unwind
     cleanly; junction children are absorbed into the parent along with the
     sibling skeletons. A merge only relabels the children's positions as
     the parent's. The store is then repacked with the blocks of every
-    update's front, and the updates (eliminate_segments) are added in
-    order, in batches of about CHUNK entries, so each entry sums its
-    carried value first and then the updates in elimination order. Returns
-    the state.
+    update's front, and the batches of eliminate_segments are added in
+    order, so each entry sums its carried value first and then the updates
+    in elimination order. Returns the state.
     """
     for event in reversed([e for e in tree.events if e.level == level]):
         kids = [state.units[cid] for cid in event.children]
         state.merge_units(kids, event.parent, tree.segments[event.parent].kind)
-    state.pack(fronts=[nbr for nbr, _ in updates])
-    _add_in_batches(state, updates)
+    state.pack(fronts=[nbr for blocks, _ in batches for nbr, _ in blocks])
+    for batch in batches:
+        state.add_to_block(*batch)
     return state
 
 
@@ -1198,10 +1143,13 @@ def factorize(a, tree, eps, options=None):
     eliminate the level's own segments, merge split segments back together
     and add the eliminations' updates. Each step (the interiors, then per
     level the sparsifications, the remainders and the whole segments) is
-    one stage, compiled as its factors are made; an empty step adds none.
-    tree must be the DissectionTree of a, or ConfigError is raised.
-    Singular blocks raise SingularBlockError tagged with level and segment
-    id.
+    one stage; an empty step adds none. tree must be a DissectionTree, or
+    ConfigError is raised, and one of a's size, or DimensionError is. A
+    tree of the right size made from another matrix is not detected as
+    such: where its leaves or segments do not separate a, DimensionError is
+    raised (for the tree of a permuted copy of a, at the first leaf that
+    couples to a position outside every separator segment). Singular blocks
+    raise SingularBlockError tagged with level and segment id.
     """
     if not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ConfigError(f"eps must be a number in (0, 1), got {eps!r}")
@@ -1222,7 +1170,7 @@ def factorize(a, tree, eps, options=None):
         pre_sizes = []
         post_sizes = []
         sparsified = []
-        remainders = _EliminationStep()
+        remainders = []
         t_sp = time.perf_counter()
         for uid in regulars:
             unit = state.units[uid]
@@ -1231,12 +1179,10 @@ def factorize(a, tree, eps, options=None):
             pre_sizes.append(unit.size)
             new_factors, skeleton = sparsify_segment(state, unit, eps, level)
             sparsified.extend(new_factors[:1])
-            for remainder in new_factors[1:]:
-                remainders.add(remainder)
+            remainders.extend(new_factors[1:])
             post_sizes.append(len(skeleton))
-        if sparsified:
-            stages.append(compile_stage(sparsified))
-        stages.append(remainders.stage())
+        stages += [compile_stage(step) for step in (sparsified, remainders)
+                   if step]
         time_sparsify = time.perf_counter() - t_sp
 
         t_el = time.perf_counter()

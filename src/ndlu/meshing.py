@@ -11,7 +11,7 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import Delaunay, cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .core import check_int
 from .errors import ConfigError, GeometryError
@@ -192,7 +192,8 @@ def make_polygon_mesh(polygon, target_h):
     lattice kept clear of the boundary; triangles with centroids outside the
     polygon are dropped. All boundary edges are marked dirichlet. target_h
     is a finite real number above 0. polygon is an (m, 2) array of finite
-    real numbers, or GeometryError is raised.
+    real numbers, or GeometryError is raised; so is it for a polygon whose
+    samples span no area, such as one with collinear vertices.
     """
     try:
         poly = np.asarray(polygon)
@@ -239,9 +240,10 @@ def make_polygon_mesh(polygon, target_h):
             ipts = ipts[d > 0.55 * target_h]
 
     pts = np.vstack([bpts, ipts]) if len(ipts) else bpts
-    if len(pts) < 3:
-        raise GeometryError("polygon too small for the requested spacing")
-    tri = Delaunay(pts)
+    try:
+        tri = Delaunay(pts)
+    except QhullError as exc:
+        raise GeometryError("polygon has no area to mesh") from exc
     cent = pts[tri.simplices].mean(axis=1)
     keep = tri.simplices[points_in_polygon(cent, poly)]
     if not len(keep):

@@ -203,6 +203,11 @@ class TestFindSeparator:
         for a, b in zip(walk, walk[1:]):
             assert b in g.neighbors(a)
 
+    def test_two_vertex_subset_is_too_small_to_split(self):
+        with pytest.raises(DegenerateSeparatorError,
+                           match="subset of 2 vertices is too small"):
+            find_separator(grid_graph(7, 7), np.array([0, 1]))
+
     @pytest.mark.parametrize("subset,error,message", [
         (np.arange(-3, 46), DimensionError, r"outside \[0, 49\)"),
         (np.arange(3, 52), DimensionError, r"outside \[0, 49\)"),
@@ -571,6 +576,16 @@ class TestBuildDissection:
         assert np.array_equal(got.order, want.order)
         assert got.events == want.events
 
+    def test_tiny_finite_coordinates_give_the_tree_of_the_unscaled_ones(self):
+        # below 2**-1024 a coordinate spread overflows 2.0 ** -exponent, so
+        # the scaling must be exact (ldexp), not a product with a power
+        a, coords = grid_matrix(40, 40)
+        want = build_dissection(a, coords)
+        got = build_dissection(a, coords * 2.0 ** -1030)
+        assert got.validate_separation()
+        assert np.array_equal(got.order, want.order)
+        assert got.events == want.events
+
     def test_leaf_sizes_bounded(self, monkeypatch):
         tree = dissect(monkeypatch, 32, *grid_matrix(40, 40))
         # leaves stop either at the size bound or at the depth bound
@@ -665,6 +680,14 @@ def test_split_assigns_components_by_lean_then_by_size_in_lowest_vertex_order():
     assert v1.tolist() == [7, 8, 9, 10, 11]
     assert v2.tolist() == [12, 6, 5, 4, 13]
     assert extra == []
+
+
+def test_split_refuses_a_direction_that_is_not_an_axis():
+    g = grid_graph(7, 7)
+    cut = (np.arange(49), np.arange(3, 49, 7), (0.6, 0.8))
+    with pytest.raises(ConfigError, match=r"direction \(0.6, 0.8\) is not an "
+                       "axis"):
+        split_subset(g, [cut], _edges(g))
 
 
 def _edges(g):

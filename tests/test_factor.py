@@ -982,6 +982,18 @@ def test_solve_rejects_a_refine_that_is_not_a_nonnegative_int(refine):
         solver.solve(fac, a, np.ones(3), refine=refine)
 
 
+def test_refinement_stops_where_a_step_cannot_lower_the_residual():
+    # 2 I factors exactly, so the first solve leaves no residual to lower
+    a = SparseMatrix(2.0 * sp.identity(5, format="csr"))
+    tree = dissection.build_dissection(a, np.random.default_rng(0).random(
+        (5, 2)))
+    b = np.arange(1.0, 6.0)
+    x, report = solver.solve(factor.factorize(a, tree, 1e-4), a, b,
+                             refine=3)
+    assert x.tobytes() == (b / 2).tobytes()
+    assert report.refine_steps == 0 and report.residual == 0.0
+
+
 @pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
 @pytest.mark.parametrize("own_tree", [True, False])
 def test_singular_block_error_names_its_block(family, own_tree):
@@ -1395,14 +1407,15 @@ def test_a_batched_add_is_bitwise_the_sequential_adds(family):
     assert state.values.tobytes() == want.tobytes()
 
 
-def _step(symmetric):
-    """Eliminations of one step, payload kept, with different neighbor
-    lists and with exact zeros to drop: block-diagonal self blocks and a
-    zero coupling row. The same list on every call."""
+def _step_items(symmetric):
+    """(idx, nbrs, names, blocks) of one step's eliminations with different
+    neighbor lists and with exact zeros to drop: block-diagonal self blocks
+    and a zero coupling row. blocks[i] is item i's (self block, in-coupling,
+    out-coupling). The same items on every call."""
     rng = np.random.default_rng(4)
     shapes = [(6, [40, 44, 45]), (3, [41, 45]), (0, []), (5, [42, 43, 47]),
               (4, [46]), (2, [40, 49]), (7, [40, 48, 49]), (1, [50])]
-    factors, start = [], 0
+    idx, nbrs, names, blocks, start = [], [], [], [], 0
     for i, (k, nbr) in enumerate(shapes):
         block = 0.1 * rng.standard_normal((k, k))
         block[:k // 2, k // 2:] = block[k // 2:, :k // 2] = 0
@@ -1410,12 +1423,12 @@ def _step(symmetric):
         a_nu = rng.standard_normal((len(nbr), k))
         a_nu[:, :1] = 0
         a_un = None if symmetric else rng.standard_normal((k, len(nbr)))
-        f, _ = factor._eliminate(symmetric, np.arange(start, start + k),
-                                 np.array(nbr, dtype=np.int64), block, a_nu,
-                                 a_un, 2, (2, i, 2, 0), "segment")
-        factors.append(f)
+        idx.append(np.arange(start, start + k))
+        nbrs.append(np.array(nbr, dtype=np.int64))
+        names.append((2, i, 2, 0))
+        blocks.append((block, a_nu, a_un))
         start += k
-    return factors
+    return idx, nbrs, names, blocks
 
 
 def _arrays(stage):
@@ -1450,25 +1463,55 @@ def _assert_same_stages(got, want):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_a_step_compiled_in_chunks_is_the_step_compiled_at_once(
         symmetric, monkeypatch):
-    chunks = []
+    idx, nbrs, names, blocks = _step_items(symmetric)
+    updates = []
+    factors = []
+    for i, n, name, b in zip(idx, nbrs, names, blocks):
+        f, update = factor._eliminate(symmetric, i, n, *b, 2, name,
+                                      "segment")
+        factors.append(f)
+        updates.append(update)
+    whole = factor.compile_stage(factors)
+
+    ranges = []
     compile_chunk = factor._compile_chunk
 
-    def counted(factors):
-        chunks.append(len(factors))
-        return compile_chunk(factors)
+    def counted(records, row0, num_rows, nbr):
+        ranges.append((row0, len(records)))
+        return compile_chunk(records, row0, num_rows, nbr)
+
+    def fetch(lo, hi):
+        return iter(blocks[lo:hi])
 
     monkeypatch.setattr(factor, "_compile_chunk", counted)
-    whole = factor.compile_stage(_step(symmetric))
-    assert chunks == [8]
-    chunks.clear()
     monkeypatch.setattr(factor, "CHUNK", 40)
-    pieces = factor.compile_stage(_step(symmetric))
-    # chunks of several factors, and a last partial one that stage() closes
-    assert len(chunks) > 3 and max(chunks) > 1 and sum(chunks) == 8
-    assert all(f.payload is None for f in pieces.factors)
-    _assert_same_stages([pieces], [whole])
+    # fresh blocks: a kernel may factor its self block in place
+    idx, nbrs, names, blocks = _step_items(symmetric)
+    stage, batches = factor._eliminate_step(symmetric, idx, nbrs, names,
+                                            fetch, 2, "segment")
+    # ranges of several items, each compiled at its own first row, and a
+    # last partial one: the items end short of a multiple of CHUNK entries
+    sizes = [count for _, count in ranges]
+    assert len(ranges) > 3 and max(sizes) > 1 and sum(sizes) == 8
+    starts = np.cumsum([0] + [i.size for i in idx])
+    assert [row0 for row0, _ in ranges] == \
+        starts[np.cumsum([0] + sizes[:-1])].tolist()
+    k = np.array([i.size for i in idx])
+    m = np.array([n.size for n in nbrs])
+    payload = k * (k + 1) // 2 + k * m if symmetric else k * (k + 2 * m)
+    assert payload.sum() % 40
+    assert all(f.payload is None for f in stage.factors)
+    _assert_same_stages([stage], [whole])
     assert whole.push.nnz < sum(f.nbr.size * f.idx.size
                                 for f in whole.factors)
+    # one add_to_block batch per range, its updates in elimination order
+    assert [len(fronts) for fronts, _ in batches] == sizes
+    got = [(block, delta) for fronts, deltas in batches
+           for block, delta in zip(fronts, deltas)]
+    assert len(got) == len(updates)
+    for ((rows, cols), delta), (nbr, want) in zip(got, updates):
+        assert rows.tobytes() == cols.tobytes() == nbr.tobytes()
+        assert delta.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("family", [FAMILIES[0], FAMILIES[3]])
@@ -1487,7 +1530,7 @@ def test_small_chunks_give_bitwise_the_same_factorization(family,
         return add(self, blocks, deltas)
 
     monkeypatch.setattr(factor.SchurState, "add_to_block", counted)
-    monkeypatch.setattr(factor, "CHUNK", 300)
+    monkeypatch.setattr(factor, "CHUNK", 2000)
     got = factor.factorize(p.matrix, tree, 1e-4, COMPRESS)
     assert max(calls) > 1 and len(calls) > 2 * (tree.levels + 1)
     _assert_same_stages(got.stages, want.stages)
@@ -1583,6 +1626,16 @@ def test_factorize_rejects_options_that_are_not_factor_options(options):
         factor.factorize(SQUARE, _tree(3), 1e-4, options)
 
 
+def _factorize_with_a_permuted_tree():
+    """factorize of a problem's matrix with the tree of a permuted copy of
+    it: the right size, but its leaves do not separate the matrix."""
+    p = assembly.build_problem(FAMILIES[0], SMALL_N)
+    perm = np.random.default_rng(0).permutation(p.n)
+    tree = dissection.build_dissection(
+        SparseMatrix(p.matrix.csr[perm][:, perm]), p.coords[perm])
+    return factor.factorize(p.matrix, tree, 1e-4)
+
+
 # case: (error, words of its message, call on a scratch directory)
 INPUT_CHECKS = {
     "factorize-non-square": (
@@ -1594,6 +1647,9 @@ INPUT_CHECKS = {
     "factorize-tree-size": (
         DimensionError, "tree does not match",
         lambda _: factor.factorize(SQUARE, _tree(5), 1e-4)),
+    "factorize-foreign-tree": (
+        DimensionError, "a leaf couples to a position outside every "
+        "separator segment", lambda _: _factorize_with_a_permuted_tree()),
     "solve-matrix-shape": (
         DimensionError, "factorization covers 5",
         lambda _: solver.solve(_factorization(5), SQUARE, np.ones(5))),

@@ -20,7 +20,8 @@ from ndlu.assembly import (
     parse_descriptor,
     read_matrix_market,
 )
-from ndlu.errors import ConfigError, DimensionError, GeometryError
+from ndlu.errors import (ConfigError, DimensionError, GeometryError,
+                         NonFiniteError)
 from ndlu.factor import is_symmetric
 from ndlu.meshing import (
     DIRICHLET,
@@ -501,6 +502,11 @@ SETUP_CHECKS = {
     "helmholtz-inf-k": (
         lambda: build_problem("helmholtz:k=inf", 50), ConfigError,
         "helmholtz: k='inf' must be finite"),
+    # k * k overflows to inf, which the matrix gate rejects; k ** 2 raised
+    # a bare OverflowError
+    "helmholtz-overflowing-k": (
+        lambda: build_problem("helmholtz:k=1e200", 100), NonFiniteError,
+        "matrix entries must be finite"),
     "aniso-nan-d11": (
         lambda: build_problem("laplace-aniso:d11=nan", 50), ConfigError,
         "laplace-aniso: d11='nan' must be finite"),
@@ -515,6 +521,13 @@ SETUP_CHECKS = {
     "ragged-polygon": (
         lambda: make_polygon_mesh([(0, 0), (1, 0), (1,)], 0.2), GeometryError,
         r"polygon must be an \(m, 2\) array: setting an array element"),
+    # both pass the polygon checks, and Delaunay finds their samples flat
+    "collinear-polygon": (
+        lambda: make_polygon_mesh([(0, 0), (1, 0), (2, 0)], 0.2),
+        GeometryError, "polygon has no area to mesh"),
+    "flat-triangle": (
+        lambda: make_polygon_mesh([(0, 0), (1, 0), (0.5, 1e-16)], 0.2),
+        GeometryError, "polygon has no area to mesh"),
     "polygon-nan-vertex": (
         lambda: make_polygon_mesh([(0, 0), (1, 0), (np.nan, 1)], 0.2),
         GeometryError, r"polygon must be an \(m, 2\) array of finite real"),
